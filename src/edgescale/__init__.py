@@ -1,11 +1,12 @@
 """Model-driven container autoscaling for latency-sensitive functions.
 
-Core pieces: closed-form queueing math for pool sizing (`queuing`), workload
-generation and arrival-rate estimation (`workload`), weighted fair shares
-under overload (`fairshare`), CPU-deflation/termination reclamation
-(`reclamation`), the per-epoch control loop (`allocator`), a deterministic
-cluster simulator (`simulator`), and a Monte-Carlo validation oracle
-(`oracle`). The `cli` module ties them together for scenario runs.
+Core pieces: pool sizing on one occupancy-chain queueing model, whose
+equal-rate case is the M/M/c pool (`queuing`), workload generation and
+arrival-rate estimation (`workload`), weighted fair shares under overload
+(`fairshare`), CPU-deflation/termination reclamation (`reclamation`), the
+per-epoch control loop (`allocator`), a deterministic cluster simulator
+(`simulator`), and a Monte-Carlo validation oracle (`oracle`). The `cli`
+module ties them together for scenario runs.
 """
 
 __version__ = "0.1.0"
@@ -18,6 +19,8 @@ from .queuing import (  # noqa: F401
     WaitTarget,
     find_c_heterogeneous,
     find_c_homogeneous,
+    steady_prob,
+    wait_tail,
 )
 from .reclamation import ContainerState, ServiceProfile  # noqa: F401
 from .workload import InvocationTrace, RateEstimator, WorkloadSpec  # noqa: F401

@@ -160,7 +160,7 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
             model = queuing.HeterogeneousModel(rate, tuple(trial))
             if not model.is_stable:
                 break
-            if queuing.wait_tail_heterogeneous(model, target) < target.percentile:
+            if queuing.wait_tail(model, target) < target.percentile:
                 break
             pool = pool[1:]
         keep = [c.id for c in pool]

@@ -173,7 +173,6 @@ def cmd_bench_planner(args) -> int:
     target = WaitTarget(t=args.deadline, percentile=args.percentile)
     rng = np.random.default_rng(args.seed)
     print(f"{'pool_size':>10}{'mean_ms':>10}{'max_ms':>10}  (burst={args.burst:g})")
-    worst = 0.0
     for n in (int(x) for x in args.pool_sizes.split(",")):
         # a provisioned pool with random deflation within tau
         fracs = 1.0 - rng.uniform(0.0, 0.3, size=n)
@@ -187,7 +186,6 @@ def cmd_bench_planner(args) -> int:
             queuing.find_c_heterogeneous(burst_lam, rates, args.service_rate, target)
             times.append((time.perf_counter() - t0) * 1000.0)
         print(f"{n:>10}{statistics.fmean(times):>10.3f}{max(times):>10.3f}")
-        worst = max(worst, statistics.fmean(times))
     return 0
 
 

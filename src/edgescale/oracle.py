@@ -28,52 +28,23 @@ class OracleResult:
     sample_count: int
     stderr: float
 
-    def agrees_with(self, p_model: float, sigmas: float = 3.0) -> bool:
-        return abs(self.p_wait_le_t - p_model) <= sigmas * self.stderr
 
+def _shared_queue(lam: float, rates, num_requests: int, seed: int, pick_fastest: bool):
+    """Serve Poisson arrivals FCFS from one shared queue over servers at `rates`.
 
-def mc_wait(
-    lam: float,
-    rates,
-    t: float,
-    num_requests: int = 200_000,
-    seed: int = 0,
-    policy: str = "fastest-idle",
-    warmup: int | None = None,
-    batches: int = 100,
-) -> OracleResult:
-    """Estimate P(wait <= t) for a shared-queue pool with the given idle policy.
-
-    FCFS across the shared queue: request n starts service no earlier than
-    request n-1. When several servers are idle at its start time the policy
-    picks one; service time is exponential at that server's rate. The standard
-    error is computed by batch means, which keeps it honest in the presence of
-    the serial correlation queueing induces.
+    Request n starts service no earlier than request n-1. When several
+    servers are idle at its start time it takes the fastest one, or the
+    slowest when `pick_fastest` is false; service time is exponential at that
+    server's rate. `rates` must be sorted ascending. Returns the arrival,
+    service-start and completion times, in arrival order.
     """
-    rates = sorted(float(r) for r in rates)
-    if not rates or rates[0] <= 0:
-        raise InvalidParameter("rates must be non-empty and positive")
-    if lam <= 0:
-        raise InvalidParameter(f"arrival rate must be > 0, got {lam}")
-    if policy not in POLICIES:
-        raise InvalidParameter(f"policy must be one of {POLICIES}, got {policy!r}")
-    if lam >= sum(rates):
-        raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
-    if num_requests < 100:
-        raise InvalidParameter("need at least 100 requests")
-    if warmup is None:
-        warmup = max(1000, num_requests // 100)
-    if warmup >= num_requests:
-        raise InvalidParameter("warmup must leave samples to measure")
-
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
     unit_service = rng.exponential(1.0, size=num_requests)
 
     c = len(rates)
     free_at = [0.0] * c
-    pick_fastest = policy == "fastest-idle"
-    waits = np.empty(num_requests)
+    starts = np.empty(num_requests)
     completions = np.empty(num_requests)
 
     for i in range(num_requests):
@@ -96,10 +67,46 @@ def mc_wait(
                     break
         done = start + unit_service[i] / rates[chosen]
         free_at[chosen] = done
-        waits[i] = start - arrived
+        starts[i] = start
         completions[i] = done
+    return arrivals, starts, completions
 
-    measured = waits[warmup:]
+
+def mc_wait(
+    lam: float,
+    rates,
+    t: float,
+    num_requests: int = 200_000,
+    seed: int = 0,
+    policy: str = "fastest-idle",
+    warmup: int | None = None,
+    batches: int = 100,
+) -> OracleResult:
+    """Estimate P(wait <= t) for a shared-queue pool with the given idle policy.
+
+    The policy picks which idle server a request takes (see `_shared_queue`).
+    The standard error is computed by batch means, which keeps it honest in
+    the presence of the serial correlation queueing induces.
+    """
+    rates = sorted(float(r) for r in rates)
+    if not rates or rates[0] <= 0:
+        raise InvalidParameter("rates must be non-empty and positive")
+    if lam <= 0:
+        raise InvalidParameter(f"arrival rate must be > 0, got {lam}")
+    if policy not in POLICIES:
+        raise InvalidParameter(f"policy must be one of {POLICIES}, got {policy!r}")
+    if lam >= sum(rates):
+        raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
+    if num_requests < 100:
+        raise InvalidParameter("need at least 100 requests")
+    if warmup is None:
+        warmup = max(1000, num_requests // 100)
+    if warmup >= num_requests:
+        raise InvalidParameter("warmup must leave samples to measure")
+
+    pick_fastest = policy == "fastest-idle"
+    arrivals, starts, _ = _shared_queue(lam, rates, num_requests, seed, pick_fastest)
+    measured = (starts - arrivals)[warmup:]
     hits = (measured <= t).astype(float)
     p_hat = float(hits.mean())
 
@@ -131,23 +138,7 @@ def little_check(
     rates = sorted(float(r) for r in rates)
     if lam >= sum(rates):
         raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
-    rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
-    unit_service = rng.exponential(1.0, size=num_requests)
-
-    c = len(rates)
-    free_at = [0.0] * c
-    starts = np.empty(num_requests)
-    completions = np.empty(num_requests)
-    for i in range(num_requests):
-        start = max(min(free_at), arrivals[i])
-        for j in range(c - 1, -1, -1):
-            if free_at[j] <= start:
-                break
-        done = start + unit_service[i] / rates[j]
-        free_at[j] = done
-        starts[i] = start
-        completions[i] = done
+    arrivals, _, completions = _shared_queue(lam, rates, num_requests, seed, True)
 
     lo = float(arrivals[num_requests // 10])
     hi = float(arrivals[9 * num_requests // 10])

@@ -1,11 +1,12 @@
 """Steady-state queueing math for sizing container pools against waiting-time bounds.
 
-Two pool models are supported:
-
-* a homogeneous pool of ``c`` identical containers (classic M/M/c/FCFS), and
-* a heterogeneous pool with per-container service rates, analysed with the
-  worst-case assumption that the dispatcher always picks the slowest idle
-  container, so the computed waiting-time tail is a lower bound on the real one.
+Every pool is one occupancy chain. Requests arrive as a Poisson stream at
+`lam`; with n requests present the pool drains at D_n, the summed rate of its
+min(n, c) slowest containers, as if the dispatcher always picked the slowest
+idle one. That worst case makes the computed waiting-time tail a lower bound
+on any real dispatcher's. The M/M/c pool of c identical containers is the
+equal-rate case, D_n = n*mu, built from the exact products: a running sum of
+c copies of mu would shift the sizing cutoff at float boundaries.
 
 All factorial/power terms are accumulated as log-space recurrences so the math
 stays finite for pools up to the hard cap (10 000 containers) and offered loads
@@ -15,7 +16,7 @@ up to 10 000; naive factorial evaluation overflows around c = 170.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,38 +42,16 @@ class WaitTarget:
 
 
 @dataclass(frozen=True)
-class HomogeneousModel:
-    """M/M/c pool: Poisson arrivals at `lam`, c identical containers of rate `mu`."""
-
-    lam: float
-    mu: float
-    c: int
-
-    def __post_init__(self):
-        if self.lam < 0 or not math.isfinite(self.lam):
-            raise InvalidParameter(f"arrival rate must be finite and >= 0, got {self.lam}")
-        if self.mu <= 0 or not math.isfinite(self.mu):
-            raise InvalidParameter(f"service rate must be finite and > 0, got {self.mu}")
-        if self.c < 1 or self.c != int(self.c):
-            raise InvalidParameter(f"container count must be a positive integer, got {self.c}")
-
-    @property
-    def is_stable(self) -> bool:
-        return self.lam < self.c * self.mu
-
-    def require_stable(self):
-        if not self.is_stable:
-            raise UnstableSystem(
-                f"lam={self.lam} >= c*mu={self.c * self.mu}; no steady state"
-            )
-
-
-@dataclass(frozen=True)
 class HeterogeneousModel:
-    """Pool with per-container rates, slowest first (worst-case dispatch order)."""
+    """Pool with per-container rates, slowest first (worst-case dispatch order).
+
+    `drains` holds the chain's cumulative drain rates D_1..D_c; it defaults to
+    the running sum of `rates`.
+    """
 
     lam: float
     rates: tuple
+    drains: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam < 0 or not math.isfinite(self.lam):
@@ -85,6 +64,8 @@ class HeterogeneousModel:
         if any(a > b for a, b in zip(rates, rates[1:])):
             raise InvalidParameter("rates must be sorted ascending (slowest first)")
         object.__setattr__(self, "rates", rates)
+        if self.drains is None:
+            object.__setattr__(self, "drains", np.cumsum(rates))
 
     @property
     def c(self) -> int:
@@ -92,7 +73,7 @@ class HeterogeneousModel:
 
     @property
     def drain_rate(self) -> float:
-        return float(sum(self.rates))
+        return float(self.drains[-1])
 
     @property
     def is_stable(self) -> bool:
@@ -105,6 +86,19 @@ class HeterogeneousModel:
             )
 
 
+def _equal_drains(mu: float, c: int) -> np.ndarray:
+    """Drain rates of c equal containers: the exact products mu, 2*mu, ..., c*mu."""
+    return mu * np.arange(1, c + 1)
+
+
+def HomogeneousModel(lam: float, mu: float, c: int) -> HeterogeneousModel:
+    """M/M/c pool: Poisson arrivals at `lam`, c identical containers of rate `mu`."""
+    if c < 1 or c != int(c):
+        raise InvalidParameter(f"container count must be a positive integer, got {c}")
+    c = int(c)
+    return HeterogeneousModel(lam, (mu,) * c, drains=_equal_drains(mu, c))
+
+
 def _logsumexp(terms: np.ndarray) -> float:
     hi = float(np.max(terms))
     if hi == -math.inf:
@@ -112,107 +106,50 @@ def _logsumexp(terms: np.ndarray) -> float:
     return hi + math.log(float(np.sum(np.exp(terms - hi))))
 
 
-def _log_head_homogeneous(lam: float, mu: float, c: int) -> np.ndarray:
-    """log of r^n/n! for n = 0..c, via the recurrence a_n = a_{n-1} * r/n."""
-    out = np.empty(c + 1)
-    out[0] = 0.0
-    if c > 0:
-        log_r = math.log(lam / mu)
-        out[1:] = np.cumsum(log_r - np.log(np.arange(1, c + 1)))
-    return out
+def _chain(lam: float, drains: np.ndarray) -> tuple:
+    """Log-space occupancy chain for lam > 0 below the total drain rate.
 
-
-def _log_head_heterogeneous(lam: float, rates: Sequence[float]) -> np.ndarray:
-    """log of lam^n / prod_{k<=n}(mu_1+...+mu_k) for n = 0..c (slowest-first order)."""
-    drains = np.cumsum(np.asarray(rates, dtype=float))
-    out = np.empty(len(drains) + 1)
-    out[0] = 0.0
-    out[1:] = np.cumsum(math.log(lam) - np.log(drains))
-    return out
-
-
-def _tail_probability(log_head: np.ndarray, log_ratio: float, upto: int) -> float:
-    """P(N <= upto) for a chain with head terms log_head[0..c] and geometric tail.
-
-    Beyond n = c the unnormalised term is head[c] * ratio^(n-c) with ratio < 1.
-    `upto` must be >= c - 1 (true for any nonnegative waiting bound).
+    Returns (log_head, log_ratio, log_one_minus_ratio, log_z). The
+    unnormalised weight of n requests is lam^n / (D_1*...*D_n), with log
+    log_head[n] for n <= c, and decays geometrically by ratio = lam / D_c
+    beyond c. log_z is the log of the weights' total.
     """
-    c = len(log_head) - 1
+    c = len(drains)
+    log_head = np.empty(c + 1)
+    log_head[0] = 0.0
+    log_head[1:] = np.cumsum(math.log(lam) - np.log(drains))
+    log_ratio = math.log(lam / float(drains[-1]))
     # log(1 - ratio) via expm1 stays accurate for ratio near both 0 and 1
     log_one_minus_ratio = math.log(-math.expm1(log_ratio))
-    log_denom = _logsumexp(
-        np.append(log_head[:c], log_head[c] - log_one_minus_ratio)
-    )
+    log_z = _logsumexp(np.append(log_head[:c], log_head[c] - log_one_minus_ratio))
+    return log_head, log_ratio, log_one_minus_ratio, log_z
+
+
+def _wait_tail(lam: float, drains: np.ndarray, t: float) -> float:
+    """P(N <= L) with L = floor(t*D_c + c - 1), for a stable chain."""
+    if lam == 0:
+        return 1.0
+    c = len(drains)
+    upto = math.floor(t * float(drains[-1]) + c - 1)
+    log_head, log_ratio, log_one_minus_ratio, log_z = _chain(lam, drains)
     if upto < c:
         log_num = _logsumexp(log_head[: upto + 1])
     else:
         m = upto - c + 1
         log_partial = math.log(-math.expm1(m * log_ratio)) - log_one_minus_ratio
         log_num = np.logaddexp(_logsumexp(log_head[:c]), log_head[c] + log_partial)
-    return min(1.0, math.exp(float(log_num) - log_denom))
+    return min(1.0, math.exp(float(log_num) - log_z))
 
 
-def p_zero_homogeneous(model: HomogeneousModel) -> float:
-    """Probability of an empty system (P0) for a stable M/M/c pool."""
-    model.require_stable()
-    if model.lam == 0:
-        return 1.0
-    rho = model.lam / (model.c * model.mu)
-    log_head = _log_head_homogeneous(model.lam, model.mu, model.c)
-    log_one_minus_rho = math.log(-math.expm1(math.log(rho)))
-    log_z = _logsumexp(
-        np.append(log_head[: model.c], log_head[model.c] - log_one_minus_rho)
-    )
-    return math.exp(-log_z)
-
-
-def steady_prob_homogeneous(model: HomogeneousModel, n: int) -> float:
-    """P(exactly n requests in the system) for a stable M/M/c pool."""
+def steady_prob(model: HeterogeneousModel, n: int) -> float:
+    """P(exactly n requests in the system) for a stable pool."""
     model.require_stable()
     if n < 0 or n != int(n):
         raise InvalidParameter(f"occupancy must be a nonnegative integer, got {n}")
     if model.lam == 0:
         return 1.0 if n == 0 else 0.0
     c = model.c
-    log_head = _log_head_homogeneous(model.lam, model.mu, c)
-    log_rho = math.log(model.lam / (c * model.mu))
-    log_one_minus_rho = math.log(-math.expm1(log_rho))
-    log_z = _logsumexp(np.append(log_head[:c], log_head[c] - log_one_minus_rho))
-    if n <= c:
-        log_term = float(log_head[n])
-    else:
-        log_term = float(log_head[c]) + (n - c) * log_rho
-    return math.exp(log_term - log_z)
-
-
-def wait_tail_homogeneous(model: HomogeneousModel, target: WaitTarget) -> float:
-    """P(wait <= t): occupancy mass up to L = floor(t*c*mu + c - 1).
-
-    A request that finds n others in the pool waits about (n - c + 1)/(c*mu),
-    so bounding the wait by t is bounding the occupancy it sees by L.
-    """
-    model.require_stable()
-    if model.lam == 0:
-        return 1.0
-    c, mu = model.c, model.mu
-    upto = math.floor(target.t * c * mu + c - 1)
-    log_head = _log_head_homogeneous(model.lam, mu, c)
-    log_rho = math.log(model.lam / (c * mu))
-    return _tail_probability(log_head, log_rho, upto)
-
-
-def steady_prob_heterogeneous(model: HeterogeneousModel, n: int) -> float:
-    """P(exactly n in system) under the worst-case slowest-first analysis."""
-    model.require_stable()
-    if n < 0 or n != int(n):
-        raise InvalidParameter(f"occupancy must be a nonnegative integer, got {n}")
-    if model.lam == 0:
-        return 1.0 if n == 0 else 0.0
-    c = model.c
-    log_head = _log_head_heterogeneous(model.lam, model.rates)
-    log_ratio = math.log(model.lam / model.drain_rate)
-    log_one_minus_ratio = math.log(-math.expm1(log_ratio))
-    log_z = _logsumexp(np.append(log_head[:c], log_head[c] - log_one_minus_ratio))
+    log_head, log_ratio, _, log_z = _chain(model.lam, model.drains)
     if n <= c:
         log_term = float(log_head[n])
     else:
@@ -220,66 +157,47 @@ def steady_prob_heterogeneous(model: HeterogeneousModel, n: int) -> float:
     return math.exp(log_term - log_z)
 
 
-def wait_tail_heterogeneous(model: HeterogeneousModel, target: WaitTarget) -> float:
-    """Worst-case P(wait <= t) with waiting index L = floor(t*sum(rates) + c - 1).
+def wait_tail(model: HeterogeneousModel, target: WaitTarget) -> float:
+    """Worst-case P(wait <= t) by occupancy cutoff: the rule pools are sized by.
 
-    The pool drains at sum(rates) when saturated, so the drain rate replaces
-    c*mu from the homogeneous bound. Real dispatchers do no worse than the
-    slowest-first order assumed here, so this is a conservative lower bound.
+    A request that finds n others in a saturated pool waits about
+    (n - c + 1)/D_c, where D_c = sum(rates) is the full drain rate, so bounding
+    the wait by t is bounding the occupancy it sees by
+    L = floor(t*D_c + c - 1). For an M/M/c pool D_c = c*mu.
     """
     model.require_stable()
-    if model.lam == 0:
-        return 1.0
-    c = model.c
-    upto = math.floor(target.t * model.drain_rate + c - 1)
-    log_head = _log_head_heterogeneous(model.lam, model.rates)
-    log_ratio = math.log(model.lam / model.drain_rate)
-    return _tail_probability(log_head, log_ratio, upto)
+    return _wait_tail(model.lam, model.drains, target.t)
 
 
-def _log_prob_queued(log_head: np.ndarray, log_ratio: float) -> float:
-    """log P(N >= c): all-servers-busy probability of the occupancy chain."""
-    c = len(log_head) - 1
-    log_one_minus_ratio = math.log(-math.expm1(log_ratio))
-    log_z = _logsumexp(np.append(log_head[:c], log_head[c] - log_one_minus_ratio))
-    return float(log_head[c]) - log_one_minus_ratio - log_z
+def _wait_cdf(model: HeterogeneousModel, t: float) -> float:
+    """Waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(D_c - lam)*t).
 
-
-def wait_cdf_homogeneous(model: HomogeneousModel, t: float) -> float:
-    """Exact M/M/c waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(c*mu - lam)*t).
-
-    Unlike wait_tail_homogeneous (the occupancy-cutoff rule used for sizing,
-    which treats each queued request's wait as its conditional mean), this
-    integrates the true Erlang-distributed wait and is what a measurement of
-    the same M/M/c system converges to.
+    Unlike wait_tail (the occupancy-cutoff rule used for sizing, which treats
+    each queued request's wait as its conditional mean), this integrates the
+    true wait: given a queue position it is an Erlang sum at the saturated
+    drain rate D_c, since every completion backfills from the queue while
+    anyone waits. For an M/M/c pool it is exact, and it is what a measurement
+    of the same system converges to; for a heterogeneous pool it
+    lower-bounds the waiting CDF of any real dispatcher.
     """
     model.require_stable()
     if t < 0:
         raise InvalidParameter(f"t must be >= 0, got {t}")
     if model.lam == 0:
         return 1.0
-    c, mu = model.c, model.mu
-    log_head = _log_head_homogeneous(model.lam, mu, c)
-    log_pq = _log_prob_queued(log_head, math.log(model.lam / (c * mu)))
-    return 1.0 - math.exp(log_pq - (c * mu - model.lam) * t)
+    log_head, _, log_one_minus_ratio, log_z = _chain(model.lam, model.drains)
+    log_queued = float(log_head[model.c]) - log_one_minus_ratio - log_z
+    return 1.0 - math.exp(log_queued - (model.drain_rate - model.lam) * t)
+
+
+def wait_cdf_homogeneous(model: HeterogeneousModel, t: float) -> float:
+    """Exact M/M/c waiting-time CDF of a `HomogeneousModel` pool."""
+    return _wait_cdf(model, t)
 
 
 def wait_cdf_heterogeneous(model: HeterogeneousModel, t: float) -> float:
-    """Worst-case waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(S - lam)*t).
-
-    Occupancy comes from the slowest-first worst-case chain; given a queue
-    position, the wait is an exact Erlang sum at the saturated drain rate
-    S = sum(rates) (every completion backfills from the queue while anyone
-    waits). This lower-bounds the waiting CDF of any real dispatcher.
-    """
-    model.require_stable()
-    if t < 0:
-        raise InvalidParameter(f"t must be >= 0, got {t}")
-    if model.lam == 0:
-        return 1.0
-    log_head = _log_head_heterogeneous(model.lam, model.rates)
-    log_pq = _log_prob_queued(log_head, math.log(model.lam / model.drain_rate))
-    return 1.0 - math.exp(log_pq - (model.drain_rate - model.lam) * t)
+    """Worst-case (slowest-first) waiting-time CDF of a heterogeneous pool."""
+    return _wait_cdf(model, t)
 
 
 def min_stable_count(lam: float, mu: float) -> int:
@@ -304,15 +222,15 @@ def find_c_homogeneous(
     The scan begins at max(c_start, stability floor); c_start is a warm start
     (the current pool size), not an upper bound on the answer.
     """
-    if mu <= 0:
-        raise InvalidParameter(f"service rate must be > 0, got {mu}")
+    if mu <= 0 or not math.isfinite(mu):
+        raise InvalidParameter(f"service rate must be finite and > 0, got {mu}")
     if lam < 0:
         raise InvalidParameter(f"arrival rate must be >= 0, got {lam}")
     if c_start < 0:
         raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
     c = max(c_start, min_stable_count(lam, mu))
     while c <= cap:
-        if wait_tail_homogeneous(HomogeneousModel(lam, mu, c), target) >= target.percentile:
+        if _wait_tail(lam, _equal_drains(mu, c), target.t) >= target.percentile:
             return c
         c += 1
     raise CapExceeded(f"no c <= {cap} meets P(wait <= {target.t}) >= {target.percentile}")
@@ -329,16 +247,18 @@ def find_c_heterogeneous(
 
     Returns k >= 0 such that the pool (existing_rates + k copies of
     standard_mu), re-sorted ascending, meets the waiting target under the
-    worst-case heterogeneous model. With an empty pool this reduces to
-    find_c_homogeneous.
+    worst-case heterogeneous model. The pool's drain rates are running sums
+    of its rates, so with an empty pool this matches find_c_homogeneous only
+    up to float rounding of the cutoff: find_c_heterogeneous(11, [], 0.7,
+    WaitTarget(0.5, 0.95)) is 21 where find_c_homogeneous gives 20.
     """
-    if standard_mu <= 0:
-        raise InvalidParameter(f"standard rate must be > 0, got {standard_mu}")
-    if lam < 0:
+    if standard_mu <= 0 or not math.isfinite(standard_mu):
+        raise InvalidParameter(f"standard rate must be finite and > 0, got {standard_mu}")
+    if not lam >= 0:
         raise InvalidParameter(f"arrival rate must be >= 0, got {lam}")
     base = np.sort(np.asarray(list(existing_rates), dtype=float))
-    if base.size and base[0] <= 0:
-        raise InvalidParameter("every existing rate must be > 0")
+    if base.size and not (base[0] > 0 and np.isfinite(base[-1])):
+        raise InvalidParameter("every existing rate must be finite and > 0")
     insert_at = int(np.searchsorted(base, standard_mu))
     base_sum = float(base.sum())
 
@@ -354,8 +274,8 @@ def find_c_heterogeneous(
             pool = np.concatenate(
                 [base[:insert_at], np.full(k, float(standard_mu)), base[insert_at:]]
             )
-            model = HeterogeneousModel(lam, tuple(pool))
-            if model.is_stable and wait_tail_heterogeneous(model, target) >= target.percentile:
+            drains = np.cumsum(pool)
+            if lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile:
                 return k
         k += 1
     raise CapExceeded(

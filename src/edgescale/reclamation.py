@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from itertools import count
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +79,6 @@ class ServiceProfile:
             return -math.log(1.0 - q) / self.base_rate
         return float(np.quantile(np.array(self.samples), q))
 
-    def mean_service_time(self) -> float:
-        if self.distribution == "empirical":
-            return float(np.mean(self.samples))
-        return 1.0 / self.base_rate
-
 
 def service_rate(profile: ServiceProfile, cpu_fraction: float) -> float:
     """Effective request rate of a container running at `cpu_fraction`."""
@@ -126,9 +120,6 @@ def load_profile_curve(path) -> tuple:
     return tuple((f, base / s) for f, s in rows)
 
 
-_container_ids = count(1)
-
-
 @dataclass
 class ContainerState:
     """One running container; CPU can deflate within [1 - tau, 1], memory is fixed."""
@@ -138,10 +129,10 @@ class ContainerState:
     standard_vcpu: float
     memory_mb: float
     profile: ServiceProfile
+    id: int
     cpu_fraction: float = 1.0
     lazy_marked: bool = False
     ready_at: float = 0.0
-    id: int = field(default_factory=lambda: next(_container_ids))
 
     def __post_init__(self):
         if not 0 < self.cpu_fraction <= 1:
@@ -187,64 +178,6 @@ def reclaim_by_termination(containers, target_vcpu: float) -> list:
     return actions
 
 
-def reclaim_by_deflation(containers, target_vcpu: float, tau: float, step: float) -> list:
-    """Uniformly deflate the pool in `step` increments until total vCPU <= target.
-
-    Every container steps down together, bounded below by fraction 1 - tau.
-    If the bound is hit before enough CPU is reclaimed, smallest containers
-    are terminated until the survivors can reach the target, and the
-    survivors settle at the uniform on-grid fraction that lands the total
-    just under the target (no stranded fragment).
-    """
-    if not 0 < tau < 1:
-        raise InvalidParameter(f"tau must be in (0, 1), got {tau}")
-    if step <= 0:
-        raise InvalidParameter(f"step must be > 0, got {step}")
-    pool = list(containers)
-    total = sum(c.allocated_vcpu for c in pool)
-    if total <= target_vcpu + 1e-9 or not pool:
-        return []
-
-    floor_frac = 1.0 - tau
-    fractions = {c.id: c.cpu_fraction for c in pool}
-    sizes = {c.id: c.standard_vcpu for c in pool}
-
-    def pool_total(fracs, members):
-        return sum(fracs[c.id] * sizes[c.id] for c in members)
-
-    while pool_total(fractions, pool) > target_vcpu + 1e-9:
-        stepped = False
-        for c in pool:
-            if fractions[c.id] > floor_frac + 1e-9:
-                fractions[c.id] = max(floor_frac, fractions[c.id] - step)
-                stepped = True
-        if not stepped:
-            break
-
-    actions = []
-    survivors = list(pool)
-    if pool_total(fractions, pool) > target_vcpu + 1e-9:
-        # fully deflated and still over: shed smallest containers, then relax
-        # the survivors to the on-grid fraction that fits the target exactly
-        for victim in _by_allocation(pool):
-            if sum(floor_frac * sizes[c.id] for c in survivors) <= target_vcpu + 1e-9:
-                break
-            actions.append(Terminate(victim.id))
-            survivors.remove(victim)
-        if survivors:
-            std_total = sum(sizes[c.id] for c in survivors)
-            exact = target_vcpu / std_total
-            on_grid = 1.0 - step * math.ceil((1.0 - exact) / step - 1e-9)
-            frac = min(1.0, max(floor_frac, on_grid))
-            for c in survivors:
-                fractions[c.id] = frac
-
-    for c in survivors:
-        if abs(fractions[c.id] - c.cpu_fraction) > 1e-12:
-            actions.append(SetFraction(c.id, fractions[c.id]))
-    return actions
-
-
 def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, step: float) -> list:
     """Node-aware deflation: deflate co-located containers together, deepest first.
 
@@ -252,8 +185,7 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
     every node, where none of it can host a new container. Processing one
     node-group at a time (most reclaimable first) concentrates the freed
     capacity so the under-provisioned function's creates can actually land.
-    Falls back to termination, like the uniform variant, when even full
-    deflation cannot reach the target.
+    Falls back to termination when no single node-group can release enough.
     """
     if not 0 < tau < 1:
         raise InvalidParameter(f"tau must be in (0, 1), got {tau}")

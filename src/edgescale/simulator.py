@@ -122,29 +122,6 @@ class SimMetrics:
         self.reruns = 0
         self.create_failures = 0
 
-    def _waits(self, function_id=None, after: float = 0.0) -> np.ndarray:
-        vals = [
-            r.dispatch - r.arrival
-            for r in self.requests
-            if r.status == "completed"
-            and r.arrival >= after
-            and (function_id is None or r.function_id == function_id)
-        ]
-        return np.array(vals) if vals else np.array([0.0])
-
-    def wait_percentile(self, q: float, function_id=None, after: float = 0.0) -> float:
-        return float(np.percentile(self._waits(function_id, after), q))
-
-    def response_percentile(self, q: float, function_id=None, after: float = 0.0) -> float:
-        vals = [
-            r.completion - r.arrival
-            for r in self.requests
-            if r.status == "completed"
-            and r.arrival >= after
-            and (function_id is None or r.function_id == function_id)
-        ]
-        return float(np.percentile(np.array(vals) if vals else np.array([0.0]), q))
-
     @property
     def utilization(self) -> float:
         denom = self.capacity_vcpu * self.horizon

@@ -1,5 +1,7 @@
 """Placement, reconciliation, and the epoch planning loop."""
 
+from itertools import count
+
 import pytest
 
 from edgescale.allocator import (
@@ -36,10 +38,13 @@ def cluster_with(nodes, containers=()):
     return cl
 
 
+_ids = count(1)
+
+
 def container(fid="f1", node=0, vcpu=1.0, fraction=1.0, lazy=False):
     return ContainerState(
         function_id=fid, node_id=node, standard_vcpu=vcpu, memory_mb=256.0,
-        profile=PROF, cpu_fraction=fraction, lazy_marked=lazy,
+        profile=PROF, id=next(_ids), cpu_fraction=fraction, lazy_marked=lazy,
     )
 
 

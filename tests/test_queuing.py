@@ -19,14 +19,11 @@ from edgescale.queuing import (
     find_c_heterogeneous,
     find_c_homogeneous,
     min_stable_count,
-    p_zero_homogeneous,
-    steady_prob_heterogeneous,
-    steady_prob_homogeneous,
+    steady_prob,
     wait_budget,
     wait_cdf_heterogeneous,
     wait_cdf_homogeneous,
-    wait_tail_heterogeneous,
-    wait_tail_homogeneous,
+    wait_tail,
 )
 from edgescale.reclamation import ServiceProfile
 
@@ -41,29 +38,29 @@ def naive_p_zero(lam, mu, c):
 
 class TestPZero:
     def test_mm1_is_one_minus_rho(self):
-        assert p_zero_homogeneous(HomogeneousModel(5, 10, 1)) == pytest.approx(0.5)
+        assert steady_prob(HomogeneousModel(5, 10, 1), 0) == pytest.approx(0.5)
 
     def test_mm2_r_one(self):
         # hand evaluation: r=1, rho=0.5, bracket = 1/(2*0.5) + (1 + 1) = 3
-        assert p_zero_homogeneous(HomogeneousModel(10, 10, 2)) == pytest.approx(1 / 3)
+        assert steady_prob(HomogeneousModel(10, 10, 2), 0) == pytest.approx(1 / 3)
 
     def test_matches_naive_series(self):
         # independent raw-factorial oracle, viable for small c
-        assert p_zero_homogeneous(HomogeneousModel(40, 10, 8)) == pytest.approx(
+        assert steady_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
             naive_p_zero(40, 10, 8), abs=1e-12
         )
-        assert p_zero_homogeneous(HomogeneousModel(40, 10, 8)) == pytest.approx(
+        assert steady_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
             0.018162947586922683, abs=1e-12
         )
 
     def test_full_distribution_normalises(self):
         m = HomogeneousModel(40, 10, 8)
-        total = sum(steady_prob_homogeneous(m, n) for n in range(400))
+        total = sum(steady_prob(m, n) for n in range(400))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
-            p_zero_homogeneous(HomogeneousModel(20, 10, 2))
+            steady_prob(HomogeneousModel(20, 10, 2), 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
@@ -78,15 +75,15 @@ class TestSteadyProbs:
     def test_mm1_geometric(self):
         m = HomogeneousModel(5, 10, 1)
         for k in range(12):
-            assert steady_prob_homogeneous(m, k) == pytest.approx(0.5 * 0.5**k)
+            assert steady_prob(m, k) == pytest.approx(0.5 * 0.5**k)
 
     def test_mm2_cases(self):
         m = HomogeneousModel(10, 10, 2)
-        assert steady_prob_homogeneous(m, 0) == pytest.approx(1 / 3)
+        assert steady_prob(m, 0) == pytest.approx(1 / 3)
         # r=1, n=3 > c: P3 = r^3/(c^(n-c) c!) P0 = (1/3)/4 = 1/12, confirmed by
         # normalisation of the full series
-        assert steady_prob_homogeneous(m, 3) == pytest.approx(1 / 12)
-        assert sum(steady_prob_homogeneous(m, n) for n in range(200)) == pytest.approx(
+        assert steady_prob(m, 3) == pytest.approx(1 / 12)
+        assert sum(steady_prob(m, n) for n in range(200)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -96,24 +93,24 @@ class TestSteadyProbs:
             m = HomogeneousModel(lam, mu, c)
             rho = lam / (c * mu)
             n_max = 10 * c * math.ceil(1 / (1 - rho))
-            total = sum(steady_prob_homogeneous(m, n) for n in range(n_max + 1))
+            total = sum(steady_prob(m, n) for n in range(n_max + 1))
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestWaitTail:
     def test_empty_system_never_waits(self):
-        p = wait_tail_homogeneous(HomogeneousModel(1e-12, 10, 1), WaitTarget(0.1))
+        p = wait_tail(HomogeneousModel(1e-12, 10, 1), WaitTarget(0.1))
         assert p == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_c(self):
         t = WaitTarget(0.1)
-        p1 = wait_tail_homogeneous(HomogeneousModel(5, 10, 3), t)
-        p2 = wait_tail_homogeneous(HomogeneousModel(5, 10, 4), t)
+        p1 = wait_tail(HomogeneousModel(5, 10, 3), t)
+        p2 = wait_tail(HomogeneousModel(5, 10, 4), t)
         assert p2 >= p1
 
     def test_monotone_in_t(self):
         m = HomogeneousModel(25, 10, 4)
-        probs = [wait_tail_homogeneous(m, WaitTarget(t)) for t in (0.02, 0.1, 0.3, 1.0)]
+        probs = [wait_tail(m, WaitTarget(t)) for t in (0.02, 0.1, 0.3, 1.0)]
         assert probs == sorted(probs)
 
     def test_against_oracle_instance(self):
@@ -122,7 +119,7 @@ class TestWaitTail:
         # approximation and lands about 0.023 above it; the exact CDF agrees
         # with the oracle to within 3 standard errors.
         m = HomogeneousModel(15, 10, 3)
-        approx_p = wait_tail_homogeneous(m, WaitTarget(0.1))
+        approx_p = wait_tail(m, WaitTarget(0.1))
         exact_p = wait_cdf_homogeneous(m, 0.1)
         assert approx_p == pytest.approx(0.97039, abs=1e-4)
         assert exact_p == pytest.approx(0.94715, abs=1e-4)
@@ -132,7 +129,7 @@ class TestWaitTail:
 
     def test_no_overflow_at_cap(self):
         m = HomogeneousModel(9999 * 10, 10, 10_000)
-        p = wait_tail_homogeneous(m, WaitTarget(0.1, 0.99))
+        p = wait_tail(m, WaitTarget(0.1, 0.99))
         assert 0.0 <= p <= 1.0 and math.isfinite(p)
 
 
@@ -184,6 +181,25 @@ class TestFindC:
         with pytest.raises(CapExceeded):
             find_c_homogeneous(500, 10, WaitTarget(0.1, 0.99), cap=30)
 
+    def test_non_finite_rates_rejected(self):
+        t = WaitTarget(0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                find_c_homogeneous(5, bad, t)
+            with pytest.raises(InvalidParameter):
+                find_c_heterogeneous(5, [10.0], bad, t)
+            with pytest.raises(InvalidParameter):
+                find_c_heterogeneous(5, [bad], 10, t)
+        with pytest.raises(InvalidParameter):
+            find_c_heterogeneous(math.nan, [10.0], 10, t)
+
+    def test_sizing_at_float_boundaries(self):
+        # t*c*mu + c - 1 lands on an integer here; the cutoff must use the
+        # exact product c*mu, not a running sum of c copies of mu
+        assert find_c_homogeneous(11, 0.7, WaitTarget(0.5, 0.95)) == 20
+        assert find_c_homogeneous(55, 0.3, WaitTarget(0.1, 0.9)) == 200
+        assert find_c_homogeneous(191, 0.7, WaitTarget(0.1, 0.99)) == 300
+
     def test_min_stable_count(self):
         assert min_stable_count(0, 10) == 1
         assert min_stable_count(30, 10) == 4  # strict inequality: 3*10 == 30 unstable
@@ -195,24 +211,18 @@ class TestHeterogeneous:
         hom = HomogeneousModel(10, 10, 2)
         het = HeterogeneousModel(10, (10.0, 10.0))
         for n in range(40):
-            assert steady_prob_heterogeneous(het, n) == pytest.approx(
-                steady_prob_homogeneous(hom, n), abs=1e-9
-            )
+            assert steady_prob(het, n) == pytest.approx(steady_prob(hom, n), abs=1e-9)
         t = WaitTarget(0.13)
-        assert wait_tail_heterogeneous(het, t) == pytest.approx(
-            wait_tail_homogeneous(hom, t), abs=1e-9
-        )
+        assert wait_tail(het, t) == pytest.approx(wait_tail(hom, t), abs=1e-9)
 
     def test_slowest_first_denominator(self):
         # n=1 term divides by the slowest rate: P1 = P0 * 5/5 = P0
         het = HeterogeneousModel(5, (5.0, 10.0))
-        assert steady_prob_heterogeneous(het, 1) == pytest.approx(
-            steady_prob_heterogeneous(het, 0)
-        )
+        assert steady_prob(het, 1) == pytest.approx(steady_prob(het, 0))
 
     def test_distribution_normalises(self):
         het = HeterogeneousModel(12, (4.0, 6.0, 8.0))
-        total = sum(steady_prob_heterogeneous(het, n) for n in range(2000))
+        total = sum(steady_prob(het, n) for n in range(2000))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_rates_must_be_sorted(self):
@@ -221,7 +231,7 @@ class TestHeterogeneous:
 
     def test_unstable(self):
         with pytest.raises(UnstableSystem):
-            wait_tail_heterogeneous(HeterogeneousModel(20, (5.0, 10.0)), WaitTarget(0.1))
+            wait_tail(HeterogeneousModel(20, (5.0, 10.0)), WaitTarget(0.1))
 
     def test_conservative_vs_homogeneous(self):
         # a pool with some slower containers never gets a better tail than the
@@ -232,8 +242,8 @@ class TestHeterogeneous:
             k = find_c_heterogeneous(lam, [7.0, 7.0], 10, t)
             assert k + 2 >= c_hom or (k + 2) * 10 >= lam  # never fewer total containers
             pool = tuple(sorted([7.0, 7.0] + [10.0] * k))
-            slower = wait_tail_heterogeneous(HeterogeneousModel(lam, pool), t)
-            same_count = wait_tail_homogeneous(HomogeneousModel(lam, 10, len(pool)), t)
+            slower = wait_tail(HeterogeneousModel(lam, pool), t)
+            same_count = wait_tail(HomogeneousModel(lam, 10, len(pool)), t)
             assert slower <= same_count + 1e-12
 
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import basic_function, make_scenario
 from edgescale.reclamation import ContainerState, ServiceProfile
 from edgescale.simulator import Simulation, dispatch_wrr, pick_slowest_idle, run
+from scenario_builders import basic_function, make_scenario
 
 PROF = ServiceProfile(base_rate=10.0)
 
@@ -19,7 +19,7 @@ def containers(weights, rates=None):
         out.append(
             ContainerState(
                 function_id="f", node_id=0, standard_vcpu=w, memory_mb=128.0,
-                profile=prof,
+                profile=prof, id=i + 1,
             )
         )
     return out
