@@ -125,13 +125,16 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
     mode = ctrl_doc.get("reclamation", "deflation")
     if mode not in ("deflation", "termination"):
         raise ConfigError(f"controller.reclamation: must be deflation|termination, got {mode!r}")
+    inflation = ctrl_doc.get("inflation", True)
+    if not isinstance(inflation, bool):
+        raise ConfigError(f"controller.inflation: must be true or false, got {inflation!r}")
     controller = ControllerConfig(
         epoch_s=_as_float(ctrl_doc.get("epoch_seconds", 10.0), "controller.epoch_seconds"),
         reclamation_mode=mode,
         tau=_as_float(ctrl_doc.get("tau", 0.3), "controller.tau"),
         deflation_step=_as_float(ctrl_doc.get("deflation_step", 0.05),
                                  "controller.deflation_step"),
-        inflation_enabled=bool(ctrl_doc.get("inflation", True)),
+        inflation_enabled=inflation,
     )
 
     est = dict(DEFAULT_ESTIMATOR)

@@ -11,11 +11,25 @@ Event ordering at equal timestamps is fixed (completions, then arrivals, then
 container-ready, then estimator ticks, then epoch ticks, then sequence
 number), which together with per-stream seeded RNGs makes runs bit-identical
 for equal (scenario, seed).
+
+Arrivals and completions cost the same however many containers run, because
+two pieces of tracked state replace per-request scans:
+
+- Each function's `idle` index holds its ready, not-busy containers. A
+  container enters it when it becomes ready (`_on_ready`, or
+  `_create_container` with no cold start) and when its service completes
+  (`_on_complete`); it leaves when service starts (`_start_service`) or it is
+  terminated (`_terminate`). Dispatch policies break ties on container id, so
+  the index's order does not matter.
+- Each container's service multiplier is cached on first use. Only
+  `_set_fraction` changes `cpu_fraction`, so the cache is dropped there, and
+  in `_terminate`; the value is still computed by `ServiceProfile.multiplier`.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +51,7 @@ from .reclamation import ContainerState, SetFraction, Terminate
 EV_COMPLETE, EV_ARRIVAL, EV_READY, EV_ESTIMATOR, EV_EPOCH = range(5)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     function_id: str
     arrival: float
@@ -60,10 +74,13 @@ def dispatch_wrr(candidates, state: dict) -> int:
     maximally interleaved. Ties go to the lowest container id.
     """
     total = 0
+    chosen = None
     for c in candidates:
-        state[c.id] = state.get(c.id, 0) + wrr_weight_units(c)
-        total += wrr_weight_units(c)
-    chosen = max(candidates, key=lambda c: (state[c.id], -c.id))
+        units = wrr_weight_units(c)
+        current = state[c.id] = state.get(c.id, 0) + units
+        total += units
+        if chosen is None or current > best or (current == best and c.id < chosen.id):
+            chosen, best = c, current
     state[chosen.id] -= total
     return chosen.id
 
@@ -79,7 +96,8 @@ class _FnRuntime:
     arrivals: np.ndarray
     service_rng: np.random.Generator
     estimator: workload.RateEstimator
-    pending: list = field(default_factory=list)
+    pending: deque = field(default_factory=deque)
+    idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
     wrr_state: dict = field(default_factory=dict)
     next_arrival: int = 0
 
@@ -158,7 +176,7 @@ class Simulation:
         self._busy: dict = {}  # container_id -> (request, since, service_seq)
         self._service_seq = 0
         self._alloc_since: dict = {}  # container_id -> (time, vcpu)
-        self._ready_ids: set = set()
+        self._multiplier: dict = {}  # container_id -> service rate multiplier
 
         ss = np.random.SeedSequence(self.seed)
         fids = sorted(scenario.functions)
@@ -216,13 +234,6 @@ class Simulation:
 
     # -- request lifecycle --------------------------------------------------
 
-    def _idle_ready(self, fid: str) -> list:
-        return [
-            c
-            for c in self.cluster.of_function(fid)
-            if c.id in self._ready_ids and c.id not in self._busy
-        ]
-
     def _on_arrival(self, time: float, fid: str):
         rt = self.functions[fid]
         rt.estimator.observe(time)
@@ -231,25 +242,29 @@ class Simulation:
         rt.next_arrival += 1
         if rt.next_arrival < len(rt.arrivals):
             self._push(float(rt.arrivals[rt.next_arrival]), EV_ARRIVAL, fid)
-        idle = self._idle_ready(fid)
-        if idle:
-            self._start_service(time, self._select(rt, idle), req)
+        if rt.idle:
+            self._start_service(time, self._select(rt), req)
         else:
             rt.pending.append(req)
 
-    def _select(self, rt: _FnRuntime, idle: list):
+    def _select(self, rt: _FnRuntime):
         if self.worst_case_dispatch:
-            chosen = pick_slowest_idle(idle)
+            chosen = pick_slowest_idle(rt.idle.values())
         else:
-            chosen = dispatch_wrr(idle, rt.wrr_state)
-        return self.cluster.containers[chosen]
+            chosen = dispatch_wrr(rt.idle.values(), rt.wrr_state)
+        return rt.idle[chosen]
 
     def _start_service(self, time: float, container, req: Request):
-        spec = self.functions[req.function_id].spec
+        rt = self.functions[req.function_id]
+        del rt.idle[container.id]
         req.dispatch = time
         req.container_id = container.id
         base = self._sample_service(req.function_id)
-        duration = base / spec.profile.multiplier(container.cpu_fraction)
+        multiplier = self._multiplier.get(container.id)
+        if multiplier is None:
+            multiplier = rt.spec.profile.multiplier(container.cpu_fraction)
+            self._multiplier[container.id] = multiplier
+        duration = base / multiplier
         self._service_seq += 1
         self._busy[container.id] = (req, time, self._service_seq)
         self._push(time + duration, EV_COMPLETE, (container.id, self._service_seq))
@@ -275,12 +290,13 @@ class Simulation:
         self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
         req.completion = time
         req.status = "completed"
+        self.functions[req.function_id].idle[container_id] = container
         self._drain_pending(time, req.function_id, container)
 
     def _drain_pending(self, time: float, fid: str, container):
         rt = self.functions[fid]
         while rt.pending:
-            req = rt.pending.pop(0)
+            req = rt.pending.popleft()
             timeout = rt.spec.timeout_s
             if timeout is not None and time - req.arrival > timeout:
                 req.status = "dropped"
@@ -292,7 +308,7 @@ class Simulation:
         container = self.cluster.containers.get(container_id)
         if container is None:
             return  # terminated before warming up
-        self._ready_ids.add(container_id)
+        self.functions[container.function_id].idle[container_id] = container
         self._drain_pending(time, container.function_id, container)
 
     # -- controller hooks ----------------------------------------------------
@@ -311,11 +327,9 @@ class Simulation:
 
         counters = {fid: EpochRecord(
             epoch=epoch_idx, time=time, function_id=fid,
-            rate_estimate=e.rate_estimate, c_active=e.c_active,
-            c_lazy=sum(1 for c in self.cluster.of_function(fid) if c.lazy_marked),
-            c_new=e.c_new, demand_vcpu=e.demand_vcpu, target_vcpu=e.target_vcpu,
-            guar_vcpu=e.guar_vcpu, alloc_vcpu=0.0, overloaded=plan.overloaded,
-            infeasible=e.infeasible,
+            rate_estimate=e.rate_estimate, c_active=0, c_lazy=0, c_new=e.c_new,
+            demand_vcpu=e.demand_vcpu, target_vcpu=e.target_vcpu, guar_vcpu=e.guar_vcpu,
+            alloc_vcpu=0.0, overloaded=plan.overloaded, infeasible=e.infeasible,
         ) for fid, e in plan.entries.items()}
 
         for fid in sorted(plan.entries):
@@ -326,10 +340,11 @@ class Simulation:
                 self._apply(time, fid, action, counters[fid])
 
         for fid, rec in counters.items():
-            active = [c for c in self.cluster.of_function(fid) if not c.lazy_marked]
+            pool = self.cluster.of_function(fid)
+            active = [c for c in pool if not c.lazy_marked]
             rec.alloc_vcpu = sum(c.allocated_vcpu for c in active)
             rec.c_active = len(active)
-            rec.c_lazy = sum(1 for c in self.cluster.of_function(fid) if c.lazy_marked)
+            rec.c_lazy = len(pool) - len(active)
             self.metrics.epochs.append(rec)
 
         nxt = time + self.cfg.epoch_s
@@ -390,7 +405,7 @@ class Simulation:
             self.metrics.cold_starts += 1
             self._push(container.ready_at, EV_READY, container.id)
         else:
-            self._ready_ids.add(container.id)
+            self.functions[spec.id].idle[container.id] = container
             self._drain_pending(time, spec.id, container)
         return container
 
@@ -406,17 +421,16 @@ class Simulation:
             req.dispatch = float("nan")
             req.container_id = -1
             self.metrics.reruns += 1
-            self.functions[req.function_id].pending.insert(0, req)
+            self.functions[req.function_id].pending.appendleft(req)
         since, vcpu = self._alloc_since.pop(container_id)
         self.metrics.allocated_vcpu_time += (time - since) * vcpu
-        self._ready_ids.discard(container_id)
+        rt = self.functions[container.function_id]
+        rt.idle.pop(container_id, None)
+        self._multiplier.pop(container_id, None)
         self.cluster.remove(container_id)
         # an idle sibling may be able to pick up the rerun right away
-        rt = self.functions[container.function_id]
-        if rt.pending:
-            idle = self._idle_ready(container.function_id)
-            if idle:
-                self._drain_pending(time, container.function_id, self._select(rt, idle))
+        if rt.pending and rt.idle:
+            self._drain_pending(time, container.function_id, self._select(rt))
         return True
 
     def _set_fraction(self, time: float, container_id: int, fraction: float):
@@ -440,6 +454,7 @@ class Simulation:
             self.metrics.busy_vcpu_time += (time - busy_since) * container.allocated_vcpu
             self._busy[container_id] = (req, time, seq)
         container.cpu_fraction = fraction
+        self._multiplier.pop(container_id, None)
         self._alloc_since[container_id] = (time, container.allocated_vcpu)
 
     def _finalize(self):

@@ -33,3 +33,38 @@ def basic_function(fid="f1", rate=10.0, mu=10.0, vcpu=1.0, initial=2, **extra):
     }
     fn.update(extra)
     return fn
+
+
+CHURN_FUNCTIONS = [
+    {
+        "id": "a",
+        "size": {"vcpu": 1.0, "memory_mb": 256.0},
+        "slo": {"deadline": 0.1, "percentile": 0.95},
+        "service": {"distribution": "exponential", "rate": 10.0},
+        "cold_start_seconds": 0.5,
+        "workload": {"mode": "discrete",
+                     "schedule": [[0, 20], [40, 60], [80, 10], [120, 60]]},
+        "initial_containers": 2,
+    },
+    {
+        "id": "b",
+        "size": {"vcpu": 0.5, "memory_mb": 256.0},
+        "slo": {"deadline": 0.2, "percentile": 0.9},
+        "service": {"distribution": "deterministic", "rate": 8.0},
+        "cold_start_seconds": 1.0,
+        "workload": {"mode": "discrete",
+                     "schedule": [[0, 5], [60, 40], [100, 5], [140, 40]]},
+        "initial_containers": 1,
+    },
+]
+
+
+def churn_scenario(dispatch="wrr"):
+    """Two bursty functions on two small nodes, three simulated minutes.
+
+    The controller cold-starts, deflates, inflates and terminates containers,
+    and terminating busy ones reruns requests; `b` has deterministic service.
+    """
+    return make_scenario(CHURN_FUNCTIONS, horizon=180.0, seed=11, dispatch=dispatch,
+                         nodes=[{"vcpu": 4.0, "memory_mb": 4096.0}] * 2,
+                         controller={"epoch_seconds": 10.0})

@@ -50,6 +50,16 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match="reclamation"):
             scenario_mod.load(mini_scenario, overrides=["controller.reclamation=nuke"])
 
+    @pytest.mark.parametrize("value", ['"false"', "0", "1", "yes-please", "null"])
+    def test_inflation_must_be_yaml_boolean(self, mini_scenario, value):
+        with pytest.raises(ConfigError, match="controller.inflation"):
+            scenario_mod.load(mini_scenario, overrides=[f"controller.inflation={value}"])
+
+    @pytest.mark.parametrize("value, enabled", [("false", False), ("true", True)])
+    def test_inflation_yaml_boolean_accepted(self, mini_scenario, value, enabled):
+        scn = scenario_mod.load(mini_scenario, overrides=[f"controller.inflation={value}"])
+        assert scn.controller.inflation_enabled is enabled
+
     def test_override_matches_file_edit(self, mini_scenario, tmp_path):
         by_override = scenario_mod.load(
             mini_scenario, overrides=["functions.f1.workload.rate=9"]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from edgescale.reclamation import ContainerState, ServiceProfile
-from edgescale.simulator import Simulation, dispatch_wrr, pick_slowest_idle, run
-from scenario_builders import basic_function, make_scenario
+from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
+from scenario_builders import basic_function, churn_scenario, make_scenario
 
 PROF = ServiceProfile(base_rate=10.0)
 
@@ -103,6 +103,7 @@ class TestLifecycle:
         m2 = run(make_scenario(fns, horizon=120.0, seed=13))
         r1 = [(r.function_id, r.arrival, r.dispatch, r.completion, r.status) for r in m1.requests]
         r2 = [(r.function_id, r.arrival, r.dispatch, r.completion, r.status) for r in m2.requests]
+        assert len(r1) == len(r2) > 0
         for a, b in zip(r1, r2):
             assert a[0] == b[0] and a[1] == b[1] and a[4] == b[4]
             assert (a[2] == b[2]) or (math.isnan(a[2]) and math.isnan(b[2]))
@@ -224,3 +225,79 @@ class TestCapacityConservation:
             free_cpu, free_mem = sim.cluster.node_free(idx)
             assert free_cpu >= -1e-9
             assert free_mem >= -1e-9
+
+
+class CheckedSimulation(Simulation):
+    """Checks each function's idle index against its definition after every event.
+
+    A container is idle when it is placed, its cold start has ended (no
+    ready event for it is still queued) and it serves no request.
+    """
+
+    checks = 0
+
+    def _check_idle_index(self):
+        warming = {payload for _, kind, _, payload in self._events if kind == EV_READY}
+        for fid, rt in self.functions.items():
+            expected = {c.id for c in self.cluster.of_function(fid)
+                        if c.id not in warming and c.id not in self._busy}
+            assert set(rt.idle) == expected, (self._now, fid)
+            assert all(rt.idle[cid] is self.cluster.containers[cid] for cid in expected)
+        self.checks += 1
+
+    def _on_complete(self, time, payload):
+        super()._on_complete(time, payload)
+        self._check_idle_index()
+
+    def _on_arrival(self, time, fid):
+        super()._on_arrival(time, fid)
+        self._check_idle_index()
+
+    def _on_ready(self, time, container_id):
+        super()._on_ready(time, container_id)
+        self._check_idle_index()
+
+    def _on_estimator(self, time):
+        super()._on_estimator(time)
+        self._check_idle_index()
+
+    def _on_epoch(self, time, epoch_idx):
+        super()._on_epoch(time, epoch_idx)
+        self._check_idle_index()
+
+
+class TestTrackedState:
+    @pytest.mark.parametrize("dispatch", ["wrr", "worst_case"])
+    def test_idle_index_matches_scan_after_every_event(self, dispatch):
+        sim = CheckedSimulation(churn_scenario(dispatch))
+        m = sim.run()
+        assert m.cold_starts > 0 and m.reruns > 0
+        assert sum(e.deflates for e in m.epochs) > 0
+        assert sim.checks > len(m.requests)
+
+    def test_deflated_container_serves_at_new_rate(self):
+        # one deterministic container at 10 req/s, deflated to 0.7 at the
+        # first estimator tick (5 s); service then takes 1 / (10 * m(0.7))
+        fn = basic_function(rate=1.0, initial=1,
+                            service={"distribution": "deterministic", "rate": 10.0})
+        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9})
+
+        class DeflateAtFirstTick(Simulation):
+            def _on_estimator(self, time):
+                if time == 5.0:
+                    (cid,) = self.cluster.containers
+                    self._set_fraction(time, cid, 0.7)
+                super()._on_estimator(time)
+
+        sim = DeflateAtFirstTick(scn)
+        sim.functions["f1"].arrivals = np.arange(0.25, 11.0, 0.5)
+        m = sim.run()
+        profile = sim.functions["f1"].spec.profile
+        before = [r.completion - r.dispatch for r in m.requests if r.dispatch < 5.0]
+        after = [r.completion - r.dispatch for r in m.requests
+                 if r.dispatch > 5.0 and r.status == "completed"]
+        assert before and after
+        assert all(d == pytest.approx(0.1, abs=1e-12) for d in before)
+        deflated = 1.0 / (10.0 * profile.multiplier(0.7))
+        assert deflated != pytest.approx(0.1)
+        assert all(d == pytest.approx(deflated, abs=1e-12) for d in after)
