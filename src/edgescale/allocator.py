@@ -42,7 +42,6 @@ class SloPolicy:
 @dataclass(frozen=True)
 class FunctionSpec:
     id: str
-    user_id: str
     weight: float
     slo: SloPolicy
     vcpu: float
@@ -69,23 +68,38 @@ class UnmarkLazy:
 
 
 @dataclass
-class PlanEntry:
+class EpochRecord:
+    """One function's decisions and outcome in one epoch.
+
+    `plan_epoch` fills the sizing fields (`rate_estimate`, `c_new`,
+    `demand_vcpu`, `target_vcpu`, `guar_vcpu`, `infeasible`), `overloaded`
+    and the planned `shrink`/`grow` actions. The simulator sets `epoch` and
+    `time`, applies the actions and counts them in the counters, then fills
+    `c_active`, `c_lazy` and `alloc_vcpu` from the pool it left.
+    """
+
     function_id: str
     rate_estimate: float
-    c_active: int
     c_new: int
     demand_vcpu: float
     target_vcpu: float
     guar_vcpu: float
+    overloaded: bool = False
     infeasible: bool = False
+    epoch: int = 0
+    time: float = 0.0
+    c_active: int = 0
+    c_lazy: int = 0
+    alloc_vcpu: float = 0.0
+    creates: int = 0
+    terminates: int = 0
+    marks: int = 0
+    unmarks: int = 0
+    deflates: int = 0
+    inflates: int = 0
+    create_failures: int = 0
     shrink: list = field(default_factory=list)
     grow: list = field(default_factory=list)
-
-
-@dataclass
-class EpochPlan:
-    overloaded: bool
-    entries: dict  # function_id -> PlanEntry
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,6 @@ class ControllerConfig:
     tau: float = 0.3
     deflation_step: float = 0.05
     inflation_enabled: bool = True
-    container_cap: int = queuing.DEFAULT_CONTAINER_CAP
 
 
 def place(size_vcpu: float, memory_mb: float, cluster) -> int:
@@ -119,8 +132,8 @@ def place(size_vcpu: float, memory_mb: float, cluster) -> int:
 def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig):
     """Size one function's pool for the estimated rate.
 
-    Returns (keep_ids, extra_standard, demand_vcpu): containers worth keeping,
-    standard containers to add, and the pool's demand in vCPU.
+    Returns (c_new, demand_vcpu): the pool's container count after this
+    epoch's sizing, and its demand in vCPU.
 
     With inflation enabled, a deflated pool is restorable to full size at no
     cost, so demand is always full-size equivalents from the homogeneous
@@ -133,28 +146,16 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
     base_rate = spec.profile.base_rate
     uniform = all(abs(c.cpu_fraction - 1.0) < 1e-12 for c in active)
     if uniform or cfg.inflation_enabled:
-        c_needed = queuing.find_c_homogeneous(
-            rate, base_rate, target, c_start=0, cap=cfg.container_cap
-        )
+        c_needed = queuing.find_c_homogeneous(rate, base_rate, target)
         c_needed = max(c_needed, spec.min_containers)
-        keep = [c.id for c in active]
-        extra = max(0, c_needed - len(active))
-        if len(active) > c_needed:
-            surplus = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
-            drop = {c.id for c in surplus[: len(active) - c_needed]}
-            keep = [c.id for c in active if c.id not in drop]
-        demand = c_needed * spec.vcpu
-        return keep, extra, demand
+        return c_needed, c_needed * spec.vcpu
 
     rates = sorted(c.effective_rate for c in active)
-    extra = queuing.find_c_heterogeneous(
-        rate, rates, base_rate, target, cap=cfg.container_cap
-    )
-    keep = [c.id for c in active]
+    extra = queuing.find_c_heterogeneous(rate, rates, base_rate, target)
+    pool = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
     if extra == 0:
         # probe shrinking: drop smallest-capacity members while still meeting
         # the target (the additive heterogeneous search never scales down)
-        pool = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
         while len(pool) > max(1, spec.min_containers):
             trial = sorted(c.effective_rate for c in pool[1:])
             model = queuing.HeterogeneousModel(rate, tuple(trial))
@@ -163,10 +164,9 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
             if queuing.wait_tail(model, target) < target.percentile:
                 break
             pool = pool[1:]
-        keep = [c.id for c in pool]
-    demand = sum(c.allocated_vcpu for c in active if c.id in set(keep))
-    demand += extra * spec.vcpu
-    return keep, extra, demand
+    kept = {c.id for c in pool}
+    demand = sum(c.allocated_vcpu for c in active if c.id in kept)
+    return len(pool) + extra, demand + extra * spec.vcpu
 
 
 def reconcile(
@@ -231,60 +231,54 @@ def reconcile(
     return shrink, grow
 
 
-def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> EpochPlan:
+def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> dict:
     """Compute one epoch's allocation plan over an immutable cluster snapshot.
 
-    Per-function sizing is independent (parallel-safe); the fair-share
-    adjustment is the single global step once all demands are known.
+    Returns {function_id: EpochRecord} with the sizing fields and actions
+    filled. Per-function sizing is independent (parallel-safe); the
+    fair-share adjustment is the single global step once all demands are
+    known.
     """
     weights = {fid: s.weight for fid, s in specs.items()}
     capacity = cluster.capacity_vcpu
     guar = fairshare.guaranteed_shares(weights, capacity, quantum=VCPU_QUANTUM)
 
-    entries = {}
-    demands = {}
-    keeps = {}
-    extras = {}
+    records = {}
+    pools = {}
     for fid in sorted(specs):
         spec = specs[fid]
-        containers = cluster.of_function(fid)
-        active = [c for c in containers if not c.lazy_marked]
+        pools[fid] = cluster.of_function(fid)
+        active = [c for c in pools[fid] if not c.lazy_marked]
         rate = max(0.0, estimates.get(fid, 0.0))
         infeasible = False
         if rate <= 0:
-            keep = [c.id for c in sorted(active, key=lambda c: (-c.allocated_vcpu, c.id))][
-                : spec.min_containers
-            ]
-            extra = max(0, spec.min_containers - len(active))
-            demand = len(keep) * spec.vcpu + extra * spec.vcpu
+            kept = min(len(active), spec.min_containers)
+            c_new = spec.min_containers
+            demand = kept * spec.vcpu + (c_new - kept) * spec.vcpu
         else:
             try:
-                keep, extra, demand = required_pool(spec, active, rate, cfg)
+                c_new, demand = required_pool(spec, active, rate, cfg)
             except InfeasibleDeadline:
                 # no container count can meet the SLO; hold the fair share
                 infeasible = True
-                keep = [c.id for c in active]
-                extra = 0
-                demand = guar[fid]
-        demands[fid] = demand
-        keeps[fid] = keep
-        extras[fid] = extra
-        entries[fid] = PlanEntry(
+                c_new, demand = len(active), guar[fid]
+        records[fid] = EpochRecord(
             function_id=fid,
             rate_estimate=rate,
-            c_active=len(active),
-            c_new=len(keep) + extra,
+            c_new=c_new,
             demand_vcpu=demand,
             target_vcpu=demand,
             guar_vcpu=guar[fid],
             infeasible=infeasible,
         )
 
+    demands = {fid: rec.demand_vcpu for fid, rec in records.items()}
     share = fairshare.adjust_allocations(demands, weights, capacity, quantum=VCPU_QUANTUM)
-    for fid, entry in entries.items():
-        entry.target_vcpu = share.adjusted[fid] if share.overloaded else demands[fid]
-        containers = cluster.of_function(fid)
-        entry.shrink, entry.grow = reconcile(
-            specs[fid], containers, entry.target_vcpu, share.overloaded, cfg
+    for fid, rec in records.items():
+        rec.overloaded = share.overloaded
+        if share.overloaded:
+            rec.target_vcpu = share.adjusted[fid]
+        rec.shrink, rec.grow = reconcile(
+            specs[fid], pools[fid], rec.target_vcpu, share.overloaded, cfg
         )
-    return EpochPlan(overloaded=share.overloaded, entries=entries)
+    return records

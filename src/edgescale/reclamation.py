@@ -32,7 +32,6 @@ class ServiceProfile:
     base_rate: float
     distribution: str = "exponential"
     curve: tuple = DEFAULT_CURVE
-    slack: float = 0.3
     samples: tuple = ()
 
     def __post_init__(self):
@@ -132,7 +131,6 @@ class ContainerState:
     id: int
     cpu_fraction: float = 1.0
     lazy_marked: bool = False
-    ready_at: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.cpu_fraction <= 1:
@@ -182,10 +180,11 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
     """Node-aware deflation: deflate co-located containers together, deepest first.
 
     Uniform whole-pool deflation spreads the reclaimed CPU as slivers across
-    every node, where none of it can host a new container. Processing one
-    node-group at a time (most reclaimable first) concentrates the freed
-    capacity so the under-provisioned function's creates can actually land.
-    Falls back to termination when no single node-group can release enough.
+    every node, where none of it can host a new container. Deflating only the
+    smallest node-group that can release the whole amount concentrates the
+    freed capacity so the under-provisioned function's creates can actually
+    land. Falls back to termination when no single node-group can release
+    enough.
     """
     if not 0 < tau < 1:
         raise InvalidParameter(f"tau must be in (0, 1), got {tau}")
@@ -198,70 +197,60 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
 
     floor_frac = 1.0 - tau
     fractions = {c.id: c.cpu_fraction for c in pool}
-    sizes = {c.id: c.standard_vcpu for c in pool}
-
     groups: dict = {}
     for c in pool:
         groups.setdefault(c.node_id, []).append(c)
+    reclaimable = {
+        node: sum((c.cpu_fraction - floor_frac) * c.standard_vcpu for c in members)
+        for node, members in groups.items()
+    }
+    remaining = total - target_vcpu
+    covering = [n for n, r in reclaimable.items() if r > 1e-9 and r >= remaining - 1e-9]
 
-    def reclaimable(node):
-        return sum((fractions[c.id] - floor_frac) * sizes[c.id] for c in groups[node])
-
-    processed: set = set()
-    while total > target_vcpu + 1e-9 and len(processed) < len(groups):
-        remaining = total - target_vcpu
-        candidates = [n for n in groups if n not in processed and reclaimable(n) > 1e-9]
-        covering = [n for n in candidates if reclaimable(n) >= remaining - 1e-9]
-        if not covering:
-            # releasing across several nodes would strand the freed CPU as
-            # sub-container slivers nothing can be placed into; terminate
-            # instead (the paper's fallback, taken one case earlier)
-            break
+    if covering:
         # smallest group that covers the whole release: the freed CPU stays
-        # contiguous and bigger groups stay in reserve
-        node = min(covering, key=lambda n: (reclaimable(n), n))
+        # contiguous, bigger groups stay in reserve, and no second group is
+        # ever needed
+        node = min(covering, key=lambda n: (reclaimable[n], n))
         members = sorted(groups[node], key=lambda c: c.id)
         # one step-quantum at a time, round-robin, stopping at the target so
         # nothing extra is stranded
-        while total > target_vcpu + 1e-9:
+        stepped = True
+        while stepped and total > target_vcpu + 1e-9:
             stepped = False
             for c in members:
                 if total <= target_vcpu + 1e-9:
                     break
                 if fractions[c.id] > floor_frac + 1e-9:
                     new = max(floor_frac, fractions[c.id] - step)
-                    total -= (fractions[c.id] - new) * sizes[c.id]
+                    total -= (fractions[c.id] - new) * c.standard_vcpu
                     fractions[c.id] = new
                     stepped = True
-            if not stepped:
-                break
-        processed.add(node)
-
-    actions = []
-    survivors = list(pool)
-    if total > target_vcpu + 1e-9:
-        headroom = sum(reclaimable(n) for n in groups)
-        if total - target_vcpu <= headroom + 1e-9:
-            # deflation could cover the release but only as scattered slivers:
-            # shed whole containers instead so the freed CPU is placeable
-            for victim in _by_allocation(pool):
-                if total <= target_vcpu + 1e-9:
-                    break
-                actions.append(Terminate(victim.id))
-                survivors.remove(victim)
-                total -= fractions[victim.id] * sizes[victim.id]
+        actions = []
+        survivors = pool
+    else:
+        # releasing across several nodes would strand the freed CPU as
+        # sub-container slivers nothing can be placed into; terminate instead
+        # (the paper's fallback, taken one case earlier)
+        if remaining <= sum(reclaimable.values()) + 1e-9:
+            # deflation could cover the release, but only as scattered
+            # slivers: shed whole containers so the freed CPU is placeable
+            actions = reclaim_by_termination(pool, target_vcpu)
+            victims = {a.container_id for a in actions}
+            survivors = [c for c in pool if c.id not in victims]
         else:
             # genuinely out of deflation headroom: keep as many containers as
             # the floor allows
+            actions, survivors = [], list(pool)
             for victim in _by_allocation(pool):
-                if sum(floor_frac * sizes[c.id] for c in survivors) <= target_vcpu + 1e-9:
+                if sum(floor_frac * c.standard_vcpu for c in survivors) <= target_vcpu + 1e-9:
                     break
                 actions.append(Terminate(victim.id))
                 survivors.remove(victim)
         # relax the survivors to the on-grid uniform fraction that refills the
         # pool up to the target exactly
         if survivors:
-            std_total = sum(sizes[c.id] for c in survivors)
+            std_total = sum(c.standard_vcpu for c in survivors)
             exact = target_vcpu / std_total
             on_grid = 1.0 - step * math.ceil((1.0 - exact) / step - 1e-9)
             frac = min(1.0, max(floor_frac, on_grid))

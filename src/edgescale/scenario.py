@@ -42,7 +42,6 @@ class Scenario:
     seed: int
     dispatch: str = "wrr"
     initial_fractions: dict = field(default_factory=dict)
-    weight_tree: WeightTree | None = None
 
 
 def _need(mapping, key, where):
@@ -187,7 +186,6 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
         timeout = fn.get("timeout_seconds")
         functions[fid] = FunctionSpec(
             id=fid,
-            user_id=fn.get("user", "default"),
             weight=effective[fid],
             slo=slo,
             vcpu=_as_float(_need(size, "vcpu", f"{where}.size"), f"{where}.size.vcpu"),
@@ -222,7 +220,6 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
         seed=int(doc.get("seed", 0)),
         dispatch=dispatch,
         initial_fractions=initial_fractions,
-        weight_tree=tree,
     )
 
 

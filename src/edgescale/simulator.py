@@ -38,6 +38,7 @@ from . import workload
 from .allocator import (
     ControllerConfig,
     CreateContainer,
+    EpochRecord,
     MarkLazy,
     UnmarkLazy,
     VCPU_QUANTUM,
@@ -102,30 +103,6 @@ class _FnRuntime:
     next_arrival: int = 0
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    time: float
-    function_id: str
-    rate_estimate: float
-    c_active: int
-    c_lazy: int
-    c_new: int
-    demand_vcpu: float
-    target_vcpu: float
-    guar_vcpu: float
-    alloc_vcpu: float
-    overloaded: bool
-    infeasible: bool
-    creates: int = 0
-    terminates: int = 0
-    marks: int = 0
-    unmarks: int = 0
-    deflates: int = 0
-    inflates: int = 0
-    create_failures: int = 0
-
-
 class SimMetrics:
     """Per-request records, per-epoch allocation records, utilization totals."""
 
@@ -173,8 +150,7 @@ class Simulation:
         self._seq = 0
         self._container_seq = 0
         self._now = 0.0
-        self._busy: dict = {}  # container_id -> (request, since, service_seq)
-        self._service_seq = 0
+        self._busy: dict = {}  # container_id -> (request, since)
         self._alloc_since: dict = {}  # container_id -> (time, vcpu)
         self._multiplier: dict = {}  # container_id -> service rate multiplier
 
@@ -265,9 +241,8 @@ class Simulation:
             multiplier = rt.spec.profile.multiplier(container.cpu_fraction)
             self._multiplier[container.id] = multiplier
         duration = base / multiplier
-        self._service_seq += 1
-        self._busy[container.id] = (req, time, self._service_seq)
-        self._push(time + duration, EV_COMPLETE, (container.id, self._service_seq))
+        self._busy[container.id] = (req, time)
+        self._push(time + duration, EV_COMPLETE, container.id)
 
     def _sample_service(self, fid: str) -> float:
         rt = self.functions[fid]
@@ -279,13 +254,13 @@ class Simulation:
         idx = int(rt.service_rng.integers(len(prof.samples)))
         return prof.samples[idx]
 
-    def _on_complete(self, time: float, payload):
-        container_id, seq = payload
-        entry = self._busy.get(container_id)
-        if entry is None or entry[2] != seq:
-            return  # container terminated or request rerun elsewhere
-        req, since, _ = entry
-        del self._busy[container_id]
+    def _on_complete(self, time: float, container_id: int):
+        # ids are never reused and only termination cancels a service, so a
+        # completion whose container serves nothing belongs to a terminated one
+        entry = self._busy.pop(container_id, None)
+        if entry is None:
+            return
+        req, since = entry
         container = self.cluster.containers[container_id]
         self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
         req.completion = time
@@ -323,23 +298,16 @@ class Simulation:
     def _on_epoch(self, time: float, epoch_idx: int):
         estimates = {fid: rt.estimator.value for fid, rt in self.functions.items()}
         specs = {fid: rt.spec for fid, rt in self.functions.items()}
-        plan = plan_epoch(self.cluster, estimates, specs, self.cfg)
+        records = plan_epoch(self.cluster, estimates, specs, self.cfg)
+        for fid in sorted(records):
+            for action in records[fid].shrink:
+                self._apply(time, fid, action, records[fid])
+        for fid in sorted(records):
+            for action in records[fid].grow:
+                self._apply(time, fid, action, records[fid])
 
-        counters = {fid: EpochRecord(
-            epoch=epoch_idx, time=time, function_id=fid,
-            rate_estimate=e.rate_estimate, c_active=0, c_lazy=0, c_new=e.c_new,
-            demand_vcpu=e.demand_vcpu, target_vcpu=e.target_vcpu, guar_vcpu=e.guar_vcpu,
-            alloc_vcpu=0.0, overloaded=plan.overloaded, infeasible=e.infeasible,
-        ) for fid, e in plan.entries.items()}
-
-        for fid in sorted(plan.entries):
-            for action in plan.entries[fid].shrink:
-                self._apply(time, fid, action, counters[fid])
-        for fid in sorted(plan.entries):
-            for action in plan.entries[fid].grow:
-                self._apply(time, fid, action, counters[fid])
-
-        for fid, rec in counters.items():
+        for fid, rec in records.items():
+            rec.epoch, rec.time = epoch_idx, time
             pool = self.cluster.of_function(fid)
             active = [c for c in pool if not c.lazy_marked]
             rec.alloc_vcpu = sum(c.allocated_vcpu for c in active)
@@ -352,24 +320,27 @@ class Simulation:
             self._push(nxt, EV_EPOCH, epoch_idx + 1)
 
     def _apply(self, time: float, fid: str, action, rec: EpochRecord):
+        if not isinstance(action, CreateContainer):
+            container = self.cluster.containers.get(action.container_id)
+            if container is None:
+                return  # reclaimed this epoch by a create's lazy-surplus retry
         if isinstance(action, Terminate):
-            if self._terminate(time, action.container_id):
-                rec.terminates += 1
+            self._terminate(time, action.container_id)
+            rec.terminates += 1
         elif isinstance(action, SetFraction):
-            before = self.cluster.containers[action.container_id].cpu_fraction
+            before = container.cpu_fraction
             self._set_fraction(time, action.container_id, action.fraction)
-            after = self.cluster.containers[action.container_id].cpu_fraction
-            if after < before - 1e-12:
+            if container.cpu_fraction < before - 1e-12:
                 rec.deflates += 1
-            elif after > before + 1e-12:
+            elif container.cpu_fraction > before + 1e-12:
                 rec.inflates += 1
         elif isinstance(action, MarkLazy):
-            self.cluster.containers[action.container_id].lazy_marked = True
+            container.lazy_marked = True
             rec.marks += 1
         elif isinstance(action, UnmarkLazy):
-            self.cluster.containers[action.container_id].lazy_marked = False
+            container.lazy_marked = False
             rec.unmarks += 1
-        elif isinstance(action, CreateContainer):
+        else:
             spec = self.functions[fid].spec
             try:
                 self._create_container(time, spec)
@@ -396,26 +367,23 @@ class Simulation:
             memory_mb=spec.memory_mb,
             profile=spec.profile,
             cpu_fraction=fraction,
-            ready_at=time + delay,
             id=self._container_seq,
         )
         self.cluster.add(container)
         self._alloc_since[container.id] = (time, container.allocated_vcpu)
         if delay > 0:
             self.metrics.cold_starts += 1
-            self._push(container.ready_at, EV_READY, container.id)
+            self._push(time + delay, EV_READY, container.id)
         else:
             self.functions[spec.id].idle[container.id] = container
             self._drain_pending(time, spec.id, container)
         return container
 
-    def _terminate(self, time: float, container_id: int) -> bool:
-        container = self.cluster.containers.get(container_id)
-        if container is None:
-            return False
+    def _terminate(self, time: float, container_id: int):
+        container = self.cluster.containers[container_id]
         entry = self._busy.pop(container_id, None)
         if entry is not None:
-            req, since, _ = entry
+            req, since = entry
             self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
             req.reruns += 1
             req.dispatch = float("nan")
@@ -431,7 +399,6 @@ class Simulation:
         # an idle sibling may be able to pick up the rerun right away
         if rt.pending and rt.idle:
             self._drain_pending(time, container.function_id, self._select(rt))
-        return True
 
     def _set_fraction(self, time: float, container_id: int, fraction: float):
         container = self.cluster.containers[container_id]
@@ -443,16 +410,16 @@ class Simulation:
             if room < fraction:
                 step = self.cfg.deflation_step
                 steps = int((room - container.cpu_fraction) / step + 1e-9)
-                fraction = container.cpu_fraction + steps * step
+                fraction = min(fraction, container.cpu_fraction + steps * step)
                 if fraction <= container.cpu_fraction:
                     return
         since, vcpu = self._alloc_since[container_id]
         self.metrics.allocated_vcpu_time += (time - since) * vcpu
         entry = self._busy.get(container_id)
         if entry is not None:
-            req, busy_since, seq = entry
+            req, busy_since = entry
             self.metrics.busy_vcpu_time += (time - busy_since) * container.allocated_vcpu
-            self._busy[container_id] = (req, time, seq)
+            self._busy[container_id] = (req, time)
         container.cpu_fraction = fraction
         self._multiplier.pop(container_id, None)
         self._alloc_since[container_id] = (time, container.allocated_vcpu)
@@ -461,7 +428,7 @@ class Simulation:
         end = self.horizon
         for cid, (since, vcpu) in self._alloc_since.items():
             self.metrics.allocated_vcpu_time += (end - since) * vcpu
-        for cid, (req, since, _) in self._busy.items():
+        for cid, (req, since) in self._busy.items():
             container = self.cluster.containers[cid]
             self.metrics.busy_vcpu_time += (end - since) * container.allocated_vcpu
 

@@ -59,12 +59,13 @@ CHURN_FUNCTIONS = [
 ]
 
 
-def churn_scenario(dispatch="wrr"):
+def churn_scenario(dispatch="wrr", **controller):
     """Two bursty functions on two small nodes, three simulated minutes.
 
     The controller cold-starts, deflates, inflates and terminates containers,
     and terminating busy ones reruns requests; `b` has deterministic service.
+    Keyword arguments are extra `controller` keys, such as `inflation=False`.
     """
     return make_scenario(CHURN_FUNCTIONS, horizon=180.0, seed=11, dispatch=dispatch,
                          nodes=[{"vcpu": 4.0, "memory_mb": 4096.0}] * 2,
-                         controller={"epoch_seconds": 10.0})
+                         controller={"epoch_seconds": 10.0, **controller})

@@ -25,7 +25,7 @@ CFG = ControllerConfig(epoch_s=10.0)
 
 def spec_for(fid="f1", vcpu=1.0, weight=1.0, deadline=0.1, pct=0.95, **kw):
     return FunctionSpec(
-        id=fid, user_id="u", weight=weight,
+        id=fid, weight=weight,
         slo=SloPolicy(deadline=deadline, percentile=pct),
         vcpu=vcpu, memory_mb=256.0, profile=PROF, **kw,
     )
@@ -125,7 +125,7 @@ class TestPlanEpoch:
         cl = cluster_with([(4.0, 8192.0)] * 2)
         specs = {"f1": spec_for()}
         plan = plan_epoch(cl, {"f1": 0.0}, specs, CFG)
-        e = plan.entries["f1"]
+        e = plan["f1"]
         assert e.c_new == 0 and e.demand_vcpu == 0.0
         assert e.grow == []
 
@@ -133,14 +133,14 @@ class TestPlanEpoch:
         pool = [container(), container()]
         cl = cluster_with([(4.0, 8192.0)] * 2, pool)
         plan = plan_epoch(cl, {"f1": 0.0}, {"f1": spec_for()}, CFG)
-        assert all(isinstance(a, MarkLazy) for a in plan.entries["f1"].shrink)
+        assert all(isinstance(a, MarkLazy) for a in plan["f1"].shrink)
 
     def test_min_containers_floor(self):
         cl = cluster_with([(4.0, 8192.0)] * 2)
         specs = {"f1": spec_for(min_containers=1)}
         plan = plan_epoch(cl, {"f1": 0.0}, specs, CFG)
-        assert plan.entries["f1"].c_new == 1
-        assert plan.entries["f1"].grow == [CreateContainer("f1")]
+        assert plan["f1"].c_new == 1
+        assert plan["f1"].grow == [CreateContainer("f1")]
 
     def test_rate_step_scales_up(self):
         pool = [container()]
@@ -148,16 +148,17 @@ class TestPlanEpoch:
         specs = {"f1": spec_for()}
         low = plan_epoch(cl, {"f1": 5.0}, specs, CFG)
         high = plan_epoch(cl, {"f1": 30.0}, specs, CFG)
-        assert high.entries["f1"].c_new > low.entries["f1"].c_new
-        assert any(isinstance(a, CreateContainer) for a in high.entries["f1"].grow)
+        assert high["f1"].c_new > low["f1"].c_new
+        assert any(isinstance(a, CreateContainer) for a in high["f1"].grow)
 
     def test_overload_caps_to_fair_share(self):
         # two equal-weight functions each wanting more than half of 8 vCPU
         cl = cluster_with([(4.0, 8192.0)] * 2)
         specs = {"a": spec_for("a"), "b": spec_for("b")}
         plan = plan_epoch(cl, {"a": 60.0, "b": 60.0}, specs, CFG)
-        assert plan.overloaded
-        for e in plan.entries.values():
+        assert sorted(plan) == ["a", "b"]
+        for e in plan.values():
+            assert e.overloaded
             assert e.target_vcpu == pytest.approx(4.0)
             assert e.target_vcpu >= e.guar_vcpu - 1e-9
 
@@ -165,7 +166,7 @@ class TestPlanEpoch:
         pool = [container(fraction=0.7), container(fraction=0.7)]
         cl = cluster_with([(8.0, 16384.0)] * 3, pool)
         plan = plan_epoch(cl, {"f1": 16.0}, {"f1": spec_for()}, CFG)
-        e = plan.entries["f1"]
+        e = plan["f1"]
         assert e.c_new > 2  # deflated pair cannot carry 16 req/s at the target
         assert any(isinstance(a, CreateContainer) for a in e.grow)
 
@@ -173,7 +174,7 @@ class TestPlanEpoch:
         pool = [container(fraction=0.8) for _ in range(6)]
         cl = cluster_with([(8.0, 16384.0)] * 3, pool)
         plan = plan_epoch(cl, {"f1": 2.0}, {"f1": spec_for()}, CFG)
-        e = plan.entries["f1"]
+        e = plan["f1"]
         assert e.c_new < 6
         assert any(isinstance(a, MarkLazy) for a in e.shrink)
 
@@ -185,14 +186,14 @@ class TestPlanEpoch:
         cfg = CFG
         for _ in range(2):
             plan = plan_epoch(cl, {"f1": 15.0}, specs, cfg)
-            for action in plan.entries["f1"].shrink + plan.entries["f1"].grow:
+            for action in plan["f1"].shrink + plan["f1"].grow:
                 if isinstance(action, CreateContainer):
                     cl.add(container())
                 elif isinstance(action, MarkLazy):
                     cl.containers[action.container_id].lazy_marked = True
         for _ in range(2):
             plan = plan_epoch(cl, {"f1": 15.0}, specs, cfg)
-            e = plan.entries["f1"]
+            e = plan["f1"]
             assert e.shrink == [] and e.grow == []
 
     def test_lazy_reuse_never_creates_while_lazy_exists(self):
@@ -200,7 +201,7 @@ class TestPlanEpoch:
         pool = [container(), lazy]
         cl = cluster_with([(8.0, 16384.0)] * 3, pool)
         plan = plan_epoch(cl, {"f1": 15.0}, {"f1": spec_for()}, CFG)  # needs 3 total
-        grow = plan.entries["f1"].grow
+        grow = plan["f1"].grow
         unmarks = [a for a in grow if isinstance(a, UnmarkLazy)]
         creates = [a for a in grow if isinstance(a, CreateContainer)]
         assert unmarks == [UnmarkLazy(lazy.id)]
@@ -211,12 +212,12 @@ class TestPlanEpoch:
         # deterministic service of 0.2 s can never meet a 0.1 s response SLO
         prof = ServiceProfile(base_rate=5.0, distribution="deterministic")
         spec = FunctionSpec(
-            id="f1", user_id="u", weight=1.0,
+            id="f1", weight=1.0,
             slo=SloPolicy(deadline=0.1, percentile=0.99, applies_to="response"),
             vcpu=1.0, memory_mb=256.0, profile=prof,
         )
         cl = cluster_with([(4.0, 8192.0)] * 2)
         plan = plan_epoch(cl, {"f1": 5.0}, {"f1": spec}, CFG)
-        e = plan.entries["f1"]
+        e = plan["f1"]
         assert e.infeasible
         assert e.demand_vcpu == pytest.approx(e.guar_vcpu)

@@ -4,14 +4,17 @@ A speedup of the simulator or the writers must leave `requests.csv`,
 `epochs.csv` and `summary.txt` byte-identical for the same scenario and seed.
 `churn_scenario` cold-starts, deflates, inflates and terminates containers
 and reruns requests within three simulated minutes. The digests were recorded
-before the simulator's idle index and multiplier cache went in.
+before the simulator's idle index and multiplier cache went in. The
+controller variants pin the heterogeneous sizing branch (inflation off) and
+termination-mode reclamation, which no benchmark workload runs; their digests
+were recorded before the epoch plan and the epoch record became one type.
 """
 
 import hashlib
 
 import pytest
 
-from edgescale import cli
+from edgescale import cli, queuing
 from scenario_builders import churn_scenario
 
 GOLDEN = {
@@ -27,6 +30,39 @@ GOLDEN = {
     },
 }
 
+CONTROLLERS = {
+    "inflation_off": {"inflation": False},
+    "termination": {"reclamation": "termination"},
+}
+
+GOLDEN_CONTROLLERS = {
+    ("inflation_off", "wrr"): {
+        "requests.csv": "633b41a89b4e875275089609710991843a386b76b94c7d506c2ad7c889374bcd",
+        "epochs.csv": "130b9ffd58c96ed2c92c8c29c1839d75c5834919937b4f5bad110af24dfc4632",
+        "summary.txt": "877297e984873fd60c5c1c6bd84d99d143feb92483e54eba47dab14aa3a4d509",
+    },
+    ("inflation_off", "worst_case"): {
+        "requests.csv": "ed8c87e5fba0b6bc1700e94342242ba38824ad28f150543c8ac8b67f7fa9dd00",
+        "epochs.csv": "130b9ffd58c96ed2c92c8c29c1839d75c5834919937b4f5bad110af24dfc4632",
+        "summary.txt": "72750b9a198c056cefbb12b31ca9a4996b8b0463fcdc989474239c4700dafec4",
+    },
+    ("termination", "wrr"): {
+        "requests.csv": "42ec0bfb516ff9dd8c7d3519d434e00cf8c430982a3cc983d71b9ad08f58dc1d",
+        "epochs.csv": "0d6973e982c3f8bb98988c24a83d2ca7e5da40101c548eb0ed42f35212468291",
+        "summary.txt": "66c4094fd730936bc6a36613f0e5fb7e7fd9504ffa8fa0071603d0182be94224",
+    },
+    ("termination", "worst_case"): {
+        "requests.csv": "a271222022e6698c70c7ed8583558671ee012159bb36aec57fe73ee8540332c5",
+        "epochs.csv": "0d6973e982c3f8bb98988c24a83d2ca7e5da40101c548eb0ed42f35212468291",
+        "summary.txt": "c05195ca237c1887e86832acd733040e23b269deb780049b2b78ae82f08a94b5",
+    },
+}
+
+
+def _digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
 
 @pytest.mark.parametrize("dispatch", sorted(GOLDEN))
 def test_outputs_match_pinned_digests(dispatch, tmp_path):
@@ -35,6 +71,25 @@ def test_outputs_match_pinned_digests(dispatch, tmp_path):
     assert metrics.cold_starts > 0 and metrics.reruns > 0
     assert sum(e.deflates for e in metrics.epochs) > 0
     assert sum(e.terminates for e in metrics.epochs) > 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN[dispatch]}
-    assert digests == GOLDEN[dispatch]
+    assert _digests(tmp_path, GOLDEN[dispatch]) == GOLDEN[dispatch]
+
+
+@pytest.mark.parametrize("variant, dispatch", sorted(GOLDEN_CONTROLLERS))
+def test_controller_variants_match_pinned_digests(variant, dispatch, tmp_path, monkeypatch):
+    hetero_calls = []
+    real = queuing.find_c_heterogeneous
+
+    def counted(*args, **kwargs):
+        hetero_calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(queuing, "find_c_heterogeneous", counted)
+    metrics = cli.run_scenario_to_dir(churn_scenario(dispatch, **CONTROLLERS[variant]),
+                                      tmp_path)
+    assert metrics.reruns > 0 and sum(e.terminates for e in metrics.epochs) > 0
+    if variant == "inflation_off":
+        assert hetero_calls and sum(e.deflates for e in metrics.epochs) > 0
+    else:
+        assert sum(e.deflates for e in metrics.epochs) == 0
+    want = GOLDEN_CONTROLLERS[variant, dispatch]
+    assert _digests(tmp_path, want) == want

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from edgescale import simulator
+from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import ContainerState, ServiceProfile
 from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
 from scenario_builders import basic_function, churn_scenario, make_scenario
@@ -225,6 +227,95 @@ class TestCapacityConservation:
             free_cpu, free_mem = sim.cluster.node_free(idx)
             assert free_cpu >= -1e-9
             assert free_mem >= -1e-9
+
+
+def assert_cluster_invariants(sim):
+    """No node has negative free CPU or memory; every CPU fraction is in (0, 1]."""
+    for idx in range(len(sim.cluster.nodes)):
+        free_cpu, free_mem = sim.cluster.node_free(idx)
+        assert free_cpu >= -1e-9 and free_mem >= -1e-9, (sim._now, idx)
+    for c in sim.cluster.containers.values():
+        assert 0 < c.cpu_fraction <= 1, (sim._now, c.id, c.cpu_fraction)
+
+
+class InvariantSimulation(Simulation):
+    """Checks the cluster invariants after every epoch and at the horizon.
+
+    At the end of the run every function's generated requests must equal its
+    arrivals and completed + inflight + dropped.
+    """
+
+    epochs_checked = 0
+
+    def _on_epoch(self, time, epoch_idx):
+        super()._on_epoch(time, epoch_idx)
+        assert_cluster_invariants(self)
+        self.epochs_checked += 1
+
+    def run(self):
+        m = super().run()
+        assert_cluster_invariants(self)
+        for fid, rt in self.functions.items():
+            n = m.counts(fid)
+            assert n["generated"] == len(rt.arrivals), fid
+            assert n["generated"] == n["completed"] + n["inflight"] + n["dropped"], fid
+        return m
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("controller", [{}, {"inflation": False},
+                                            {"reclamation": "termination"}],
+                             ids=["default", "inflation_off", "termination"])
+    def test_churn_holds_after_every_epoch(self, controller):
+        sim = InvariantSimulation(churn_scenario(**controller))
+        m = sim.run()
+        assert sim.epochs_checked == 18 and m.reruns > 0
+
+    def test_actions_on_a_container_reclaimed_this_epoch_are_skipped(self, monkeypatch):
+        # `b`'s only container fills the node. The first epoch marks it lazy,
+        # `a`'s create then reclaims it to make room, and `b`'s later unmark
+        # must find nothing rather than index a terminated container.
+        fns = [basic_function("a", rate=2.0, initial=0), basic_function("b", rate=2.0, initial=1)]
+        scn = make_scenario(fns, horizon=30.0, nodes=[{"vcpu": 1.0, "memory_mb": 4096.0}])
+        real = simulator.plan_epoch
+        calls = []
+
+        def plan_then_rewrite_first(cluster, *args):
+            records = real(cluster, *args)
+            if not calls:
+                (cid,) = [c.id for c in cluster.of_function("b")]
+                records["a"].shrink, records["a"].grow = [], [CreateContainer("a")]
+                records["b"].shrink, records["b"].grow = [MarkLazy(cid)], [UnmarkLazy(cid)]
+            calls.append(1)
+            return records
+
+        monkeypatch.setattr(simulator, "plan_epoch", plan_then_rewrite_first)
+        sim = InvariantSimulation(scn)
+        m = sim.run()
+        first = {e.function_id: e for e in m.epochs if e.epoch == 0}
+        assert first["a"].creates == 1 and first["a"].c_active == 1
+        assert first["b"].marks == 1 and first["b"].unmarks == 0
+        assert first["b"].c_active + first["b"].c_lazy == 0
+        assert sim.epochs_checked == 3
+
+    def test_inflation_clamp_stays_within_the_request(self):
+        # the node's headroom is a hair under one step pair, so the on-grid
+        # clamp lands just above 1.0 unless it is capped at the request
+        fn = basic_function(vcpu=0.25, rate=2.0, initial=[0.9000000000000001])
+        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9},
+                            nodes=[{"vcpu": 0.2499999999999999, "memory_mb": 1024.0}])
+
+        class InflateAtFirstTick(InvariantSimulation):
+            def _on_estimator(self, time):
+                if time == 5.0:
+                    (cid,) = self.cluster.containers
+                    self._set_fraction(time, cid, 1.0)
+                    assert self.cluster.containers[cid].cpu_fraction == 1.0
+                    assert_cluster_invariants(self)
+                super()._on_estimator(time)
+
+        m = InflateAtFirstTick(scn).run()
+        assert any(r.dispatch > 5.0 for r in m.requests)
 
 
 class CheckedSimulation(Simulation):
