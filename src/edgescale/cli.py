@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import oracle, queuing, scenario as scenario_mod, simulator
 from .errors import EdgeScaleError

@@ -39,20 +39,12 @@ class SchemaError(EdgeScaleError):
     """A data file parsed but violates its schema (negative counts, duplicate keys, ...)."""
 
 
-class NonMonotonicTime(EdgeScaleError):
-    """An observation arrived with a timestamp earlier than the previous one."""
-
-
 class NoCapacity(EdgeScaleError):
     """No cluster node can fit the requested container size."""
 
 
 class ConfigError(EdgeScaleError):
     """Scenario configuration is invalid; message names the offending file/field."""
-
-
-class EmptyUser(EdgeScaleError):
-    """A weight-tree user has no functions."""
 
 
 class InvalidFraction(EdgeScaleError):

@@ -4,55 +4,19 @@ Capacity here is an abstract quantity (the allocator uses vCPUs, the tests
 mostly use whole containers). All results are floored to multiples of
 `quantum` so the caller can never overcommit; leftover whole quanta are handed
 out by largest fractional remainder, ties broken by function id.
+
+Weights arrive flattened, one per function: `scenario.from_dict` splits each
+user's weight over that user's functions in proportion to their weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import EmptyUser, InvalidParameter
+from .errors import InvalidParameter
 
 _EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class WeightTree:
-    """Two-level weight hierarchy: users own functions, both carry weights."""
-
-    users: tuple  # of (user_id, user_weight, ((function_id, weight), ...))
-
-    def __post_init__(self):
-        seen = set()
-        users = []
-        for user_id, user_weight, functions in self.users:
-            if user_weight <= 0:
-                raise InvalidParameter(f"user {user_id!r} weight must be > 0")
-            functions = tuple((str(f), float(w)) for f, w in functions)
-            if not functions:
-                raise EmptyUser(f"user {user_id!r} has no functions")
-            for fid, w in functions:
-                if w <= 0:
-                    raise InvalidParameter(f"function {fid!r} weight must be > 0")
-                if fid in seen:
-                    raise InvalidParameter(f"function id {fid!r} appears twice")
-                seen.add(fid)
-            users.append((str(user_id), float(user_weight), functions))
-        object.__setattr__(self, "users", tuple(users))
-
-
-def flatten_weights(tree: WeightTree) -> dict:
-    """Effective per-function weight: user share split by in-user weight.
-
-    The weights of one user's functions sum to that user's weight, so the
-    grand total equals the sum of user weights.
-    """
-    out = {}
-    for _, user_weight, functions in tree.users:
-        in_user_total = sum(w for _, w in functions)
-        for fid, w in functions:
-            out[fid] = user_weight * w / in_user_total
-    return out
 
 
 def _floor_quanta(x: float, quantum: float) -> float:

@@ -10,6 +10,7 @@ are interchangeable.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,6 @@ import yaml
 from .allocator import ControllerConfig, FunctionSpec, SloPolicy
 from .cluster import Node
 from .errors import ConfigError
-from .fairshare import WeightTree, flatten_weights
 from .reclamation import DEFAULT_CURVE, ServiceProfile, load_profile_curve
 from .workload import WorkloadSpec, load_trace
 
@@ -34,7 +34,7 @@ DEFAULT_ESTIMATOR = {
 @dataclass
 class Scenario:
     nodes: list
-    functions: dict  # id -> FunctionSpec (weight = effective share weight)
+    functions: dict  # id -> FunctionSpec, weight = user weight x in-user share
     workloads: dict  # id -> WorkloadSpec
     controller: ControllerConfig
     estimator_params: dict
@@ -55,8 +55,17 @@ def _as_float(value, where, minimum=None):
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{where}: must be finite, got {out}")
     if minimum is not None and out < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {out}")
+    return out
+
+
+def _positive(value, where):
+    out = _as_float(value, where)
+    if out <= 0:
+        raise ConfigError(f"{where}: must be > 0, got {out}")
     return out
 
 
@@ -137,31 +146,34 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
     )
 
     est = dict(DEFAULT_ESTIMATOR)
-    est.update({k: float(v) for k, v in doc.get("estimator", {}).items()})
+    for key, value in doc.get("estimator", {}).items():
+        if key not in est:
+            raise ConfigError(f"estimator.{key}: unknown key; known: {', '.join(est)}")
+        est[key] = _as_float(value, f"estimator.{key}")
+    _positive(est["tick"], "estimator.tick")
 
-    users_doc = doc.get("users", [])
     fn_docs = _need(doc, "functions", "scenario")
     if not fn_docs:
         raise ConfigError("functions: at least one function required")
 
-    user_weights = {u["id"]: _as_float(u.get("weight", 1.0), f"users[{u['id']}].weight")
-                    for u in users_doc}
+    user_weights = {}
+    for i, user_doc in enumerate(doc.get("users", [])):
+        uid = _need(user_doc, "id", f"users[{i}]")
+        user_weights[uid] = _positive(user_doc.get("weight", 1.0), f"users.{uid}.weight")
     by_user: dict = {}
     for fn in fn_docs:
         fid = _need(fn, "id", "functions[]")
         user = fn.get("user", "default")
-        if users_doc and user not in user_weights:
+        if user_weights and user not in user_weights:
             raise ConfigError(f"functions.{fid}.user: unknown user {user!r}")
         by_user.setdefault(user, []).append(
-            (fid, _as_float(fn.get("weight", 1.0), f"functions.{fid}.weight"))
+            (fid, _positive(fn.get("weight", 1.0), f"functions.{fid}.weight"))
         )
-    tree = WeightTree(
-        users=tuple(
-            (user, user_weights.get(user, 1.0), tuple(fns))
-            for user, fns in by_user.items()
-        )
-    )
-    effective = flatten_weights(tree)
+    effective = {}
+    for user, fns in by_user.items():
+        in_user_total = sum(w for _, w in fns)
+        for fid, w in fns:
+            effective[fid] = user_weights.get(user, 1.0) * w / in_user_total
 
     functions = {}
     workloads = {}

@@ -184,7 +184,7 @@ class Simulation:
                 self._push(float(rt.arrivals[0]), EV_ARRIVAL, fid)
             for fraction in self.scenario.initial_fractions.get(fid, []):
                 self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
-        self._est_tick = float(self.scenario.estimator_params.get("tick", 5.0))
+        self._est_tick = self.scenario.estimator_params["tick"]
         self._push(self._est_tick, EV_ESTIMATOR, None)
         if self.cfg.epoch_s > 0:
             self._push(self.cfg.epoch_s, EV_EPOCH, 0)
@@ -212,7 +212,6 @@ class Simulation:
 
     def _on_arrival(self, time: float, fid: str):
         rt = self.functions[fid]
-        rt.estimator.observe(time)
         req = Request(function_id=fid, arrival=time)
         self.metrics.requests.append(req)
         rt.next_arrival += 1
@@ -290,7 +289,8 @@ class Simulation:
 
     def _on_estimator(self, time: float):
         for fid in sorted(self.functions):
-            self.functions[fid].estimator.update(time)
+            rt = self.functions[fid]
+            rt.estimator.update(rt.arrivals, time)
         nxt = time + self._est_tick
         if nxt <= self.horizon:
             self._push(nxt, EV_ESTIMATOR, None)

@@ -2,21 +2,21 @@
 
 Generators produce Poisson arrival streams in four modes: static rate,
 discrete rate changes, continuously varying rate (thinning), and trace replay
-from per-minute invocation counts. The controller-side RateEstimator watches
-two sliding windows (2 min / 10 s by default) and smooths with an EWMA, except
-when the short window shows a burst, in which case the burst rate is passed
-through undamped.
+from per-minute invocation counts. The controller-side RateEstimator counts
+two sliding windows (2 min / 10 s by default), each over (now - w, now], on a
+function's sorted arrival stream, and smooths with an EWMA, except when the
+short window shows a burst, in which case the burst rate is passed through
+undamped.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSchedule, NonMonotonicTime, ParseError, SchemaError
+from .errors import InvalidSchedule, ParseError, SchemaError
 
 MODES = ("static", "discrete", "continuous", "trace")
 
@@ -179,7 +179,9 @@ def load_trace(path) -> list:
 class RateEstimator:
     """Dual sliding-window arrival-rate estimator with EWMA smoothing.
 
-    Every `tick` seconds the controller calls update(now): the long-window
+    Every `tick` seconds the controller calls update(arrivals, now) with the
+    function's sorted arrival times; each window counts the arrivals in
+    (now - w, now], so the estimator keeps no copy of them. The long-window
     rate is the baseline; if the short window runs at burst_factor times the
     long window, the short-window rate is adopted directly (no smoothing, so
     bursts are seen at full strength), otherwise the long-window rate is
@@ -191,9 +193,7 @@ class RateEstimator:
     tick: float = 5.0
     burst_factor: float = 2.0
     alpha: float = 0.7
-    event_timestamps: deque = field(default_factory=deque)
     ewma: float | None = None
-    _last_time: float = float("-inf")
 
     def __post_init__(self):
         if not self.short_window < self.long_window:
@@ -203,52 +203,33 @@ class RateEstimator:
         if not self.burst_factor > 1:
             raise InvalidSchedule(f"burst_factor must be > 1, got {self.burst_factor}")
 
-    def observe(self, arrival_time: float):
-        """Record one arrival; evicts entries older than the long window."""
-        if arrival_time < self._last_time:
-            raise NonMonotonicTime(
-                f"arrival at {arrival_time} precedes previous {self._last_time}"
-            )
-        self._last_time = arrival_time
-        self.event_timestamps.append(arrival_time)
-        self._prune(arrival_time)
+    def window_rates(self, arrivals: np.ndarray, now: float) -> tuple:
+        """(long-window rate, short-window rate) of sorted `arrivals` at `now`."""
+        cutoffs = (now - self.long_window, now - self.short_window, now)
+        first_long, first_short, end = np.searchsorted(
+            arrivals, cutoffs, side="right"
+        ).tolist()
+        long_rate = (end - first_long) / self.long_window
+        return long_rate, (end - first_short) / self.short_window
 
-    def _prune(self, now: float):
-        cutoff = now - self.long_window
-        buf = self.event_timestamps
-        while buf and buf[0] <= cutoff:
-            buf.popleft()
+    def update(self, arrivals: np.ndarray, now: float) -> float:
+        """Commit the estimate at tick time `now` and return it.
 
-    def window_rates(self, now: float) -> tuple:
-        """(long-window rate, short-window rate) at time `now`."""
-        self._prune(now)
-        n_long = len(self.event_timestamps)
-        cutoff = now - self.short_window
-        n_short = 0
-        for ts in reversed(self.event_timestamps):
-            if ts <= cutoff:
-                break
-            n_short += 1
-        return n_long / self.long_window, n_short / self.short_window
-
-    def estimate(self, now: float) -> float:
-        """Rate estimate at `now` without committing EWMA state."""
-        r_long, r_short = self.window_rates(now)
+        `arrivals` is the function's whole sorted arrival array; times after
+        `now` are not counted.
+        """
+        r_long, r_short = self.window_rates(arrivals, now)
         if r_short > 0 and r_short >= self.burst_factor * r_long:
-            return r_short
-        if self.ewma is None:
-            value = r_long
+            value = r_short
         else:
-            value = self.alpha * r_long + (1 - self.alpha) * self.ewma
-        # below half an arrival per long window the EWMA tail is noise;
-        # snap to zero so idle functions actually release their resources
-        if value < 0.5 / self.long_window:
-            value = 0.0
-        return value
-
-    def update(self, now: float) -> float:
-        """Commit the estimate at a tick and return it."""
-        value = self.estimate(now)
+            if self.ewma is None:
+                value = r_long
+            else:
+                value = self.alpha * r_long + (1 - self.alpha) * self.ewma
+            # below half an arrival per long window the EWMA tail is noise;
+            # snap to zero so idle functions actually release their resources
+            if value < 0.5 / self.long_window:
+                value = 0.0
         self.ewma = value
         return value
 

@@ -8,7 +8,7 @@ REPO_ROOT = Path(__file__).parent.parent
 
 
 def make_scenario(functions, nodes=None, horizon=120.0, seed=7, controller=None,
-                  estimator=None, dispatch="wrr"):
+                  estimator=None, dispatch="wrr", users=None):
     doc = {
         "horizon_seconds": horizon,
         "seed": seed,
@@ -19,6 +19,8 @@ def make_scenario(functions, nodes=None, horizon=120.0, seed=7, controller=None,
     }
     if estimator:
         doc["estimator"] = estimator
+    if users:
+        doc["users"] = users
     return scenario_mod.from_dict(doc, base_dir=REPO_ROOT)
 
 

@@ -60,6 +60,23 @@ class TestScenarioLoading:
         scn = scenario_mod.load(mini_scenario, overrides=[f"controller.inflation={value}"])
         assert scn.controller.inflation_enabled is enabled
 
+    @pytest.mark.parametrize("overrides, field", [
+        (["estimator.tick=0"], "estimator.tick"),
+        (["estimator.tick=-5"], "estimator.tick"),
+        (["estimator.tick=.inf"], "estimator.tick"),
+        (["estimator.tick=.nan"], "estimator.tick"),
+        (["estimator.alpha=x"], "estimator.alpha"),
+        (["estimator.window=3"], "estimator.window"),
+        (["users=[{weight: 2}]"], r"users\[0\]"),
+        (["users=[{id: u1, weight: 0}]", "functions.f1.user=u1"], "users.u1.weight"),
+        (["functions.f1.weight=0"], "functions.f1.weight"),
+        (["functions.f1.workload.rate=.inf"], "functions.f1.workload.rate"),
+        (["functions.f1.workload.rate=.nan"], "functions.f1.workload.rate"),
+    ])
+    def test_bad_input_names_field(self, mini_scenario, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            scenario_mod.load(mini_scenario, overrides=overrides)
+
     def test_override_matches_file_edit(self, mini_scenario, tmp_path):
         by_override = scenario_mod.load(
             mini_scenario, overrides=["functions.f1.workload.rate=9"]

@@ -1,50 +1,46 @@
-"""Fair-share math: guaranteed minimums, overload detection, water-filling."""
+"""Fair-share math: flattened scenario weights, guaranteed minimums, overload
+detection, water-filling."""
 
 import numpy as np
 import pytest
 
-from edgescale.errors import EmptyUser, InvalidParameter
-from edgescale.fairshare import (
-    WeightTree,
-    adjust_allocations,
-    detect_overload,
-    flatten_weights,
-    guaranteed_shares,
-)
+from edgescale.errors import ConfigError
+from edgescale.fairshare import adjust_allocations, detect_overload, guaranteed_shares
+from scenario_builders import basic_function, make_scenario
 
 
-def tree(*users):
-    return WeightTree(users=tuple(users))
+def flattened(users, functions):
+    """Effective weights from a scenario with (id, weight) users and
+    (function id, user id, weight) functions."""
+    scn = make_scenario(
+        [basic_function(fid, user=user, weight=w) for fid, user, w in functions],
+        users=[{"id": uid, "weight": w} for uid, w in users],
+    )
+    return {fid: spec.weight for fid, spec in scn.functions.items()}
 
 
 class TestFlattenWeights:
     def test_single_user_even_split(self):
-        t = tree(("u1", 1.0, (("a", 1.0), ("b", 1.0))))
-        assert flatten_weights(t) == {"a": 0.5, "b": 0.5}
+        w = flattened([("u1", 1.0)], [("a", "u1", 1.0), ("b", "u1", 1.0)])
+        assert w == {"a": 0.5, "b": 0.5}
 
     def test_two_users_33_66(self):
         # user2 at twice user1's weight: per-function shares land at 1/9 vs 2/9,
         # i.e. the users split capacity 33%/66%
-        t = tree(
-            ("u1", 1.0, (("a", 1.0), ("b", 1.0), ("c", 1.0))),
-            ("u2", 2.0, (("d", 1.0), ("e", 1.0), ("f", 1.0))),
+        w = flattened(
+            [("u1", 1.0), ("u2", 2.0)],
+            [(f, "u1", 1.0) for f in "abc"] + [(f, "u2", 1.0) for f in "def"],
         )
-        w = flatten_weights(t)
         total = sum(w.values())
         assert sum(w[f] for f in "abc") / total == pytest.approx(1 / 3)
         assert sum(w[f] for f in "def") / total == pytest.approx(2 / 3)
 
     def test_single_function_gets_user_weight(self):
-        t = tree(("u1", 3.0, (("only", 42.0),)))
-        assert flatten_weights(t) == {"only": 3.0}
-
-    def test_empty_user_rejected(self):
-        with pytest.raises(EmptyUser):
-            tree(("u1", 1.0, ()))
+        assert flattened([("u1", 3.0)], [("only", "u1", 42.0)]) == {"only": 3.0}
 
     def test_duplicate_function_rejected(self):
-        with pytest.raises(InvalidParameter):
-            tree(("u1", 1.0, (("a", 1.0),)), ("u2", 1.0, (("a", 1.0),)))
+        with pytest.raises(ConfigError, match="functions.a: duplicate function id"):
+            flattened([("u1", 1.0), ("u2", 1.0)], [("a", "u1", 1.0), ("a", "u2", 1.0)])
 
 
 class TestGuaranteedShares:

@@ -7,7 +7,6 @@ import pytest
 
 from edgescale.errors import (
     InvalidSchedule,
-    NonMonotonicTime,
     ParseError,
     SchemaError,
 )
@@ -135,32 +134,29 @@ class TestTraceLoader:
 
 
 class TestRateEstimator:
-    def test_observe_appends_and_evicts(self):
-        est = RateEstimator()
-        est.observe(1.0)
-        assert len(est.event_timestamps) == 1
-        est.observe(121.5)  # first entry now older than the 120 s window
-        assert list(est.event_timestamps) == [121.5]
-
-    def test_buffer_holds_window_only(self):
-        est = RateEstimator()
-        for i in range(1200):
-            est.observe(i * 0.1)
-        cutoff = 119.9 - est.long_window
-        assert all(ts > cutoff for ts in est.event_timestamps)
-
-    def test_non_monotonic_rejected(self):
-        est = RateEstimator()
-        est.observe(5.0)
-        with pytest.raises(NonMonotonicTime):
-            est.observe(4.0)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_window_counts_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        est = RateEstimator(long_window=float(rng.integers(20, 130)),
+                            short_window=float(rng.integers(1, 20)))
+        now = float(rng.integers(0, 300)) + rng.choice([0.0, 0.25, 0.5])
+        edges = [now - est.long_window, now - est.short_window, now]
+        times = np.concatenate([
+            rng.uniform(now - 2 * est.long_window, now + 20.0, rng.integers(0, 200)),
+            np.repeat(edges, rng.integers(1, 4, size=3)),  # repeated, at each cutoff
+            np.round(rng.uniform(now - est.long_window, now, 30)),  # integer ties
+        ])
+        arrivals = np.sort(times)
+        r_long, r_short = est.window_rates(arrivals, now)
+        for window, rate in ((est.long_window, r_long), (est.short_window, r_short)):
+            count = sum(1 for t in arrivals.tolist() if now - window < t <= now)
+            assert rate == count / window
 
     def test_steady_rate_recovered(self):
         est = RateEstimator()
-        for i in range(10 * 130):
-            est.observe(i * 0.1)  # exactly 10/s for 130 s
+        arrivals = np.arange(10 * 130) * 0.1  # exactly 10/s for 130 s
         for tick in range(25, 27):
-            est.update(tick * 5.0)
+            est.update(arrivals, tick * 5.0)
         assert est.value == pytest.approx(10.0, abs=1.0)
 
     def test_burst_bypasses_smoothing(self):
@@ -168,44 +164,47 @@ class TestRateEstimator:
         est.ewma = 5.0
         # long window ~5/s, short window 12/s => 12 >= 2*long -> burst
         t = 200.0
-        for i in range(550):
-            est.observe(80.0 + i * (110.0 / 550.0))
-        for i in range(120):
-            est.observe(190.0 + i * (10.0 / 120.0))
-        r_long, r_short = est.window_rates(t)
+        arrivals = np.concatenate([
+            80.0 + np.arange(550) * (110.0 / 550.0),
+            190.0 + np.arange(120) * (10.0 / 120.0),
+        ])
+        r_long, r_short = est.window_rates(arrivals, t)
         assert r_short >= 2 * r_long
-        assert est.estimate(t) == pytest.approx(r_short)
+        assert est.update(arrivals, t) == pytest.approx(r_short)
 
     def test_ewma_weighting(self):
         est = RateEstimator(alpha=0.7)
         est.ewma = 10.0
         # craft a non-burst raw of 20/s in the long window
-        for i in range(20 * 120):
-            est.observe(i / 20.0)
-        now = est.event_timestamps[-1]
-        r_long, r_short = est.window_rates(now)
+        arrivals = np.arange(20 * 120) / 20.0
+        now = float(arrivals[-1])
+        r_long, r_short = est.window_rates(arrivals, now)
         assert r_long == pytest.approx(20.0, abs=0.1)
-        assert est.estimate(now) == pytest.approx(0.7 * r_long + 0.3 * 10.0, abs=0.1)
+        assert est.update(arrivals, now) == pytest.approx(0.7 * r_long + 0.3 * 10.0, abs=0.1)
 
     def test_empty_state_yields_zero(self):
         est = RateEstimator()
-        assert est.estimate(100.0) == 0.0
+        assert est.value == 0.0
+        assert est.update(np.array([]), 100.0) == 0.0
         assert est.value == 0.0
 
     def test_step_detection_lag(self):
         # step a=4/s -> b=12/s at t=300: within short_window + tick the next
-        # update sees the burst and returns >= 0.8*b undamped
-        est = RateEstimator()
+        # update sees the burst and returns >= 0.8*b undamped; every update
+        # gets the whole array, arrivals after its tick included
+        times = []
         t = 0.0
         while t < 300.0:
-            est.observe(t)
+            times.append(t)
             t += 1 / 4.0
         while t < 320.0:
-            est.observe(t)
+            times.append(t)
             t += 1 / 12.0
+        arrivals = np.array(times)
+        est = RateEstimator()
         for tick_time in np.arange(5.0, 301.0, 5.0):
-            est.update(float(tick_time))
-        value = est.update(315.0)  # first tick after short window fills
+            est.update(arrivals, float(tick_time))
+        value = est.update(arrivals, 315.0)  # first tick after short window fills
         assert value >= 0.8 * 12.0
 
     def test_invalid_config(self):
