@@ -252,9 +252,8 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
         rate = max(0.0, estimates.get(fid, 0.0))
         infeasible = False
         if rate <= 0:
-            kept = min(len(active), spec.min_containers)
             c_new = spec.min_containers
-            demand = kept * spec.vcpu + (c_new - kept) * spec.vcpu
+            demand = c_new * spec.vcpu
         else:
             try:
                 c_new, demand = required_pool(spec, active, rate, cfg)

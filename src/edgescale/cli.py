@@ -1,11 +1,10 @@
-"""Command-line entry points: scenario runs, model validation, planner benchmarks.
+"""Command-line entry points: scenario runs, trace replays, sweeps, model validation.
 
 Subcommands:
-  run           simulate a scenario file, write requests.csv/epochs.csv/summary.txt
-  validate      compare model predictions against the Monte-Carlo oracle
-  bench-planner time the heterogeneous pool-sizing search at various pool sizes
-  replay        shortcut: build a scenario from a trace CSV and run it
-  sweep         run a scenario across a grid of overrides
+  run       simulate a scenario file, write requests.csv/epochs.csv/summary.txt
+  validate  compare model predictions against the Monte-Carlo oracle
+  replay    shortcut: build a scenario from a trace CSV and run it
+  sweep     run a scenario across a grid of overrides
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import math
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -167,26 +165,6 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench_planner(args) -> int:
-    target = WaitTarget(t=args.deadline, percentile=args.percentile)
-    rng = np.random.default_rng(args.seed)
-    print(f"{'pool_size':>10}{'mean_ms':>10}{'max_ms':>10}  (burst={args.burst:g})")
-    for n in (int(x) for x in args.pool_sizes.split(",")):
-        # a provisioned pool with random deflation within tau
-        fracs = 1.0 - rng.uniform(0.0, 0.3, size=n)
-        mult = 1.0 - 0.1 * ((1.0 - fracs) / 0.3)
-        rates = np.sort(args.service_rate * mult)
-        lam = 0.7 * float(rates.sum())
-        burst_lam = (1.0 + args.burst) * lam
-        times = []
-        for _ in range(args.runs):
-            t0 = time.perf_counter()
-            queuing.find_c_heterogeneous(burst_lam, rates, args.service_rate, target)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        print(f"{n:>10}{statistics.fmean(times):>10.3f}{max(times):>10.3f}")
-    return 0
-
-
 def cmd_replay(args) -> int:
     from .workload import load_trace
 
@@ -263,16 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--requests", type=int, default=120_000)
     val_p.add_argument("--seed", type=int, default=0)
     val_p.set_defaults(func=cmd_validate)
-
-    bench_p = sub.add_parser("bench-planner", help="time the pool-sizing search")
-    bench_p.add_argument("--pool-sizes", default="10,100,1000")
-    bench_p.add_argument("--burst", type=float, default=0.1)
-    bench_p.add_argument("--runs", type=int, default=20)
-    bench_p.add_argument("--service-rate", type=float, default=10.0)
-    bench_p.add_argument("--deadline", type=float, default=0.1)
-    bench_p.add_argument("--percentile", type=float, default=0.99)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.set_defaults(func=cmd_bench_planner)
 
     rep_p = sub.add_parser("replay", help="run a trace CSV with default settings")
     rep_p.add_argument("trace")

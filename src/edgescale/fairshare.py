@@ -34,14 +34,8 @@ def guaranteed_shares(weights: dict, capacity: float, quantum: float = 1.0) -> d
     }
 
 
-def detect_overload(demands: dict, capacity: float) -> bool:
-    """True iff aggregate demand strictly exceeds capacity (equality is fine)."""
-    return sum(demands.values()) > capacity + _EPS
-
-
 @dataclass(frozen=True)
 class ShareResult:
-    guaranteed: dict
     adjusted: dict
     overloaded: bool
 
@@ -49,7 +43,7 @@ class ShareResult:
 def adjust_allocations(
     demands: dict, weights: dict, capacity: float, quantum: float = 1.0
 ) -> ShareResult:
-    """Cap demands to fair shares under overload; pass them through otherwise.
+    """Cap demands to fair shares when sum > capacity; pass them through otherwise.
 
     Well-behaved functions (demand <= guaranteed share) keep their demand.
     The remaining capacity is split across the overloaded ones in proportion
@@ -60,10 +54,10 @@ def adjust_allocations(
     """
     if any(d < 0 for d in demands.values()):
         raise InvalidParameter("demands must be >= 0")
-    guar = guaranteed_shares(weights, capacity, quantum)
-    if not detect_overload(demands, capacity):
-        return ShareResult(guaranteed=guar, adjusted=dict(demands), overloaded=False)
+    if sum(demands.values()) <= capacity + _EPS:
+        return ShareResult(adjusted=dict(demands), overloaded=False)
 
+    guar = guaranteed_shares(weights, capacity, quantum)
     adjusted = {}
     over = []
     budget = capacity
@@ -108,4 +102,4 @@ def adjust_allocations(
             adjusted[fid] += quantum
             leftover -= quantum
 
-    return ShareResult(guaranteed=guar, adjusted=adjusted, overloaded=True)
+    return ShareResult(adjusted=adjusted, overloaded=True)

@@ -23,8 +23,6 @@ POLICIES = ("fastest-idle", "slowest-idle")
 @dataclass(frozen=True)
 class OracleResult:
     p_wait_le_t: float
-    p95_wait: float
-    mean_wait: float
     sample_count: int
     stderr: float
 
@@ -118,42 +116,7 @@ def mc_wait(
 
     return OracleResult(
         p_wait_le_t=p_hat,
-        p95_wait=float(np.percentile(measured, 95)),
-        mean_wait=float(measured.mean()),
         sample_count=len(measured),
         stderr=stderr,
     )
 
-
-def little_check(
-    lam: float, rates, num_requests: int = 100_000, seed: int = 0
-) -> tuple[float, float]:
-    """Return (time-averaged jobs in system, lam * mean response) over a window.
-
-    Both sides of Little's law are computed from different views of one run:
-    the left by integrating the occupancy process over an interior window, the
-    right from nominal lam and per-request sojourns. Edge effects make this a
-    real consistency check rather than an identity.
-    """
-    rates = sorted(float(r) for r in rates)
-    if lam >= sum(rates):
-        raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
-    arrivals, _, completions = _shared_queue(lam, rates, num_requests, seed, True)
-
-    lo = float(arrivals[num_requests // 10])
-    hi = float(arrivals[9 * num_requests // 10])
-    times = np.concatenate([arrivals, completions])
-    deltas = np.concatenate([np.ones(num_requests), -np.ones(num_requests)])
-    order = np.argsort(times, kind="stable")
-    times, deltas = times[order], deltas[order]
-    occupancy = np.cumsum(deltas)
-    inside = (times >= lo) & (times <= hi)
-    seg_times = np.concatenate([[lo], times[inside], [hi]])
-    start_occ = occupancy[np.searchsorted(times, lo, side="right") - 1]
-    seg_occ = np.concatenate([[start_occ], occupancy[inside]])
-    area = float(np.sum(seg_occ * np.diff(seg_times)))
-    l_avg = area / (hi - lo)
-
-    in_window = (arrivals >= lo) & (arrivals <= hi)
-    mean_response = float((completions[in_window] - arrivals[in_window]).mean())
-    return l_avg, lam * mean_response

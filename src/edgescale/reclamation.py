@@ -53,20 +53,15 @@ class ServiceProfile:
             raise InvalidParameter("curve fractions must be strictly increasing")
         if mults != sorted(mults):
             raise InvalidParameter("curve multiplier must be nonincreasing as CPU shrinks")
-        if abs(self.multiplier_at(curve, 1.0) - 1.0) > 1e-9:
+        if abs(float(np.interp(1.0, fracs, mults)) - 1.0) > 1e-9:
             raise InvalidParameter("degradation curve must give multiplier 1.0 at full size")
         object.__setattr__(self, "curve", curve)
-
-    @staticmethod
-    def multiplier_at(curve, fraction: float) -> float:
-        fracs = [f for f, _ in curve]
-        mults = [m for _, m in curve]
-        return float(np.interp(fraction, fracs, mults))
 
     def multiplier(self, cpu_fraction: float) -> float:
         if not 0 < cpu_fraction <= 1:
             raise InvalidFraction(f"cpu fraction must be in (0, 1], got {cpu_fraction}")
-        return self.multiplier_at(self.curve, cpu_fraction)
+        fracs, mults = zip(*self.curve)
+        return float(np.interp(cpu_fraction, fracs, mults))
 
     def service_quantile(self, q: float) -> float:
         """Quantile of the service-time distribution at full container size."""
@@ -77,11 +72,6 @@ class ServiceProfile:
         if self.distribution == "exponential":
             return -math.log(1.0 - q) / self.base_rate
         return float(np.quantile(np.array(self.samples), q))
-
-
-def service_rate(profile: ServiceProfile, cpu_fraction: float) -> float:
-    """Effective request rate of a container running at `cpu_fraction`."""
-    return profile.base_rate * profile.multiplier(cpu_fraction)
 
 
 def load_profile_curve(path) -> tuple:
@@ -142,7 +132,7 @@ class ContainerState:
 
     @property
     def effective_rate(self) -> float:
-        return service_rate(self.profile, self.cpu_fraction)
+        return self.profile.base_rate * self.profile.multiplier(self.cpu_fraction)
 
 
 @dataclass(frozen=True)

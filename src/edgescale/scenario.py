@@ -18,9 +18,9 @@ import yaml
 
 from .allocator import ControllerConfig, FunctionSpec, SloPolicy
 from .cluster import Node
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSchedule
 from .reclamation import DEFAULT_CURVE, ServiceProfile, load_profile_curve
-from .workload import WorkloadSpec, load_trace
+from .workload import RateEstimator, WorkloadSpec, load_trace
 
 DEFAULT_ESTIMATOR = {
     "long_window": 120.0,
@@ -44,8 +44,15 @@ class Scenario:
     initial_fractions: dict = field(default_factory=dict)
 
 
+def _expect(value, kind, where):
+    if not isinstance(value, kind):
+        noun = "mapping" if kind is dict else "list"
+        raise ConfigError(f"{where}: expected a {noun}, got {value!r}")
+    return value
+
+
 def _need(mapping, key, where):
-    if key not in mapping:
+    if key not in _expect(mapping, dict, where):
         raise ConfigError(f"{where}: missing required field {key!r}")
     return mapping[key]
 
@@ -62,11 +69,27 @@ def _as_float(value, where, minimum=None):
     return out
 
 
+def _as_int(value, where):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where}: expected an integer >= 0, got {value!r}")
+    return value
+
+
 def _positive(value, where):
     out = _as_float(value, where)
     if out <= 0:
         raise ConfigError(f"{where}: must be > 0, got {out}")
     return out
+
+
+def _pairs(doc, key, where):
+    pairs = []
+    for i, entry in enumerate(_expect(_need(doc, key, where), list, f"{where}.{key}")):
+        at = f"{where}.{key}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(f"{at}: expected a [time, rate] pair, got {entry!r}")
+        pairs.append((_as_float(entry[0], at), _as_float(entry[1], at, minimum=0.0)))
+    return tuple(pairs)
 
 
 def _workload_from(doc, where, base_dir):
@@ -75,11 +98,9 @@ def _workload_from(doc, where, base_dir):
         rate = _as_float(_need(doc, "rate", where), f"{where}.rate", minimum=0.0)
         return WorkloadSpec(mode="static", rate_schedule=((0.0, rate),))
     if mode == "discrete":
-        schedule = _need(doc, "schedule", where)
-        return WorkloadSpec(mode="discrete", rate_schedule=tuple(map(tuple, schedule)))
+        return WorkloadSpec(mode="discrete", rate_schedule=_pairs(doc, "schedule", where))
     if mode == "continuous":
-        points = _need(doc, "points", where)
-        return WorkloadSpec(mode="continuous", rate_points=tuple(map(tuple, points)))
+        return WorkloadSpec(mode="continuous", rate_points=_pairs(doc, "points", where))
     if mode == "trace":
         path = base_dir / _need(doc, "file", where)
         if not path.exists():
@@ -95,7 +116,7 @@ def _workload_from(doc, where, base_dir):
 
 
 def _profile_from(doc, where, base_dir):
-    dist = doc.get("distribution", "exponential")
+    dist = _expect(doc, dict, where).get("distribution", "exponential")
     rate = _as_float(_need(doc, "rate", where), f"{where}.rate")
     curve = DEFAULT_CURVE
     if "profile_file" in doc:
@@ -117,7 +138,8 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
 
     cluster_doc = _need(doc, "cluster", "scenario")
     nodes = []
-    for i, node in enumerate(_need(cluster_doc, "nodes", "cluster")):
+    node_docs = _expect(_need(cluster_doc, "nodes", "cluster"), list, "cluster.nodes")
+    for i, node in enumerate(node_docs):
         nodes.append(
             Node(
                 vcpu=_as_float(_need(node, "vcpu", f"cluster.nodes[{i}]"),
@@ -129,7 +151,7 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
     if not nodes:
         raise ConfigError("cluster.nodes: at least one node required")
 
-    ctrl_doc = doc.get("controller", {})
+    ctrl_doc = _expect(doc.get("controller", {}), dict, "controller")
     mode = ctrl_doc.get("reclamation", "deflation")
     if mode not in ("deflation", "termination"):
         raise ConfigError(f"controller.reclamation: must be deflation|termination, got {mode!r}")
@@ -146,23 +168,27 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
     )
 
     est = dict(DEFAULT_ESTIMATOR)
-    for key, value in doc.get("estimator", {}).items():
+    for key, value in _expect(doc.get("estimator", {}), dict, "estimator").items():
         if key not in est:
             raise ConfigError(f"estimator.{key}: unknown key; known: {', '.join(est)}")
         est[key] = _as_float(value, f"estimator.{key}")
     _positive(est["tick"], "estimator.tick")
+    try:
+        RateEstimator(**est)
+    except InvalidSchedule as exc:
+        raise ConfigError(f"estimator.{exc}") from None
 
-    fn_docs = _need(doc, "functions", "scenario")
+    fn_docs = _expect(_need(doc, "functions", "scenario"), list, "functions")
     if not fn_docs:
         raise ConfigError("functions: at least one function required")
 
     user_weights = {}
-    for i, user_doc in enumerate(doc.get("users", [])):
+    for i, user_doc in enumerate(_expect(doc.get("users", []), list, "users")):
         uid = _need(user_doc, "id", f"users[{i}]")
         user_weights[uid] = _positive(user_doc.get("weight", 1.0), f"users.{uid}.weight")
     by_user: dict = {}
-    for fn in fn_docs:
-        fid = _need(fn, "id", "functions[]")
+    for i, fn in enumerate(fn_docs):
+        fid = _need(fn, "id", f"functions[{i}]")
         user = fn.get("user", "default")
         if user_weights and user not in user_weights:
             raise ConfigError(f"functions.{fid}.user: unknown user {user!r}")
@@ -184,7 +210,7 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
         if fid in functions:
             raise ConfigError(f"{where}: duplicate function id")
         size = _need(fn, "size", where)
-        slo_doc = _need(fn, "slo", where)
+        slo_doc = _expect(_need(fn, "slo", where), dict, f"{where}.slo")
         applies_to = slo_doc.get("applies_to", "waiting")
         if applies_to not in ("waiting", "response"):
             raise ConfigError(f"{where}.slo.applies_to: waiting|response, got {applies_to!r}")
@@ -206,7 +232,7 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
             profile=profile,
             cold_start_s=_as_float(fn.get("cold_start_seconds", 0.5),
                                    f"{where}.cold_start_seconds", minimum=0.0),
-            min_containers=int(fn.get("min_containers", 0)),
+            min_containers=_as_int(fn.get("min_containers", 0), f"{where}.min_containers"),
             timeout_s=None if timeout is None else _as_float(timeout, f"{where}.timeout_seconds"),
         )
         workloads[fid] = _workload_from(_need(fn, "workload", where), f"{where}.workload",
@@ -229,7 +255,7 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
         estimator_params=est,
         horizon_s=_as_float(_need(doc, "horizon_seconds", "scenario"), "horizon_seconds",
                             minimum=1e-9),
-        seed=int(doc.get("seed", 0)),
+        seed=_as_int(doc.get("seed", 0), "seed"),
         dispatch=dispatch,
         initial_fractions=initial_fractions,
     )

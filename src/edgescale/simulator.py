@@ -127,14 +127,6 @@ class SimMetrics:
         denom = self.capacity_vcpu * self.horizon
         return self.allocated_vcpu_time / denom if denom > 0 else 0.0
 
-    def counts(self, function_id=None) -> dict:
-        out = {"generated": 0, "completed": 0, "inflight": 0, "dropped": 0}
-        for r in self.requests:
-            if function_id is None or r.function_id == function_id:
-                out["generated"] += 1
-                out[r.status] += 1
-        return out
-
 
 class Simulation:
     def __init__(self, scenario, seed=None):
@@ -149,7 +141,6 @@ class Simulation:
         self._events: list = []
         self._seq = 0
         self._container_seq = 0
-        self._now = 0.0
         self._busy: dict = {}  # container_id -> (request, since)
         self._alloc_since: dict = {}  # container_id -> (time, vcpu)
         self._multiplier: dict = {}  # container_id -> service rate multiplier
@@ -193,7 +184,6 @@ class Simulation:
             time, kind, _, payload = heapq.heappop(self._events)
             if time > self.horizon:
                 break
-            self._now = time
             if kind == EV_COMPLETE:
                 self._on_complete(time, payload)
             elif kind == EV_ARRIVAL:
@@ -377,7 +367,6 @@ class Simulation:
         else:
             self.functions[spec.id].idle[container.id] = container
             self._drain_pending(time, spec.id, container)
-        return container
 
     def _terminate(self, time: float, container_id: int):
         container = self.cluster.containers[container_id]

@@ -196,12 +196,13 @@ class RateEstimator:
     ewma: float | None = None
 
     def __post_init__(self):
+        # each message starts with its field; scenario.from_dict adds the section
         if not self.short_window < self.long_window:
-            raise InvalidSchedule("short_window must be < long_window")
+            raise InvalidSchedule("short_window: must be < long_window")
         if not 0 < self.alpha <= 1:
-            raise InvalidSchedule(f"alpha must be in (0, 1], got {self.alpha}")
+            raise InvalidSchedule(f"alpha: must be in (0, 1], got {self.alpha}")
         if not self.burst_factor > 1:
-            raise InvalidSchedule(f"burst_factor must be > 1, got {self.burst_factor}")
+            raise InvalidSchedule(f"burst_factor: must be > 1, got {self.burst_factor}")
 
     def window_rates(self, arrivals: np.ndarray, now: float) -> tuple:
         """(long-window rate, short-window rate) of sorted `arrivals` at `now`."""

@@ -24,6 +24,16 @@ def make_scenario(functions, nodes=None, horizon=120.0, seed=7, controller=None,
     return scenario_mod.from_dict(doc, base_dir=REPO_ROOT)
 
 
+def request_counts(metrics, function_id=None) -> dict:
+    """Requests generated, and per final status, over one function or all."""
+    out = {"generated": 0, "completed": 0, "inflight": 0, "dropped": 0}
+    for r in metrics.requests:
+        if function_id is None or r.function_id == function_id:
+            out["generated"] += 1
+            out[r.status] += 1
+    return out
+
+
 def basic_function(fid="f1", rate=10.0, mu=10.0, vcpu=1.0, initial=2, **extra):
     fn = {
         "id": fid,

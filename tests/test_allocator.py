@@ -141,6 +141,15 @@ class TestPlanEpoch:
         plan = plan_epoch(cl, {"f1": 0.0}, specs, CFG)
         assert plan["f1"].c_new == 1
         assert plan["f1"].grow == [CreateContainer("f1")]
+        # more active containers than the floor: demand is the floor alone,
+        # and the surplus is marked lazy, smallest first
+        pool = [container(vcpu=0.5) for _ in range(4)]
+        cl = cluster_with([(4.0, 8192.0)] * 2, pool)
+        plan = plan_epoch(cl, {"f1": 0.0}, {"f1": spec_for(vcpu=0.5, min_containers=2)}, CFG)
+        assert plan["f1"].c_new == 2
+        assert plan["f1"].demand_vcpu == 2 * 0.5
+        assert plan["f1"].shrink == [MarkLazy(c.id) for c in pool[:2]]
+        assert plan["f1"].grow == []
 
     def test_rate_step_scales_up(self):
         pool = [container()]

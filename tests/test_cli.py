@@ -1,6 +1,7 @@
 """Scenario loading, overrides, and the CLI subcommands."""
 
 import csv
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,41 @@ class TestScenarioLoading:
     def test_bad_input_names_field(self, mini_scenario, overrides, field):
         with pytest.raises(ConfigError, match=field):
             scenario_mod.load(mini_scenario, overrides=overrides)
+
+    @pytest.mark.parametrize("overrides, field", [
+        # sections and list entries that are not mappings
+        (["cluster=5"], "cluster"),
+        (["cluster.nodes=[7]"], "cluster.nodes[0]"),
+        (["controller=[]"], "controller"),
+        (["estimator=5"], "estimator"),
+        (["users=[null]"], "users[0]"),
+        (["functions=[null]"], "functions[0]"),
+        (["functions.f1.size=1"], "functions.f1.size"),
+        (["functions.f1.slo=1"], "functions.f1.slo"),
+        (["functions.f1.service=1"], "functions.f1.service"),
+        (["functions.f1.workload=1"], "functions.f1.workload"),
+        # estimator ranges
+        (["estimator.alpha=5"], "estimator.alpha"),
+        (["estimator.burst_factor=1"], "estimator.burst_factor"),
+        (["estimator.short_window=200"], "estimator.short_window"),
+        # numbers inside workload lists, and the integer fields
+        (["functions.f1.workload={mode: discrete, schedule: [[0, .inf]]}"],
+         "functions.f1.workload.schedule[0]"),
+        (["functions.f1.workload={mode: continuous, points: [[0, .nan]]}"],
+         "functions.f1.workload.points[0]"),
+        (["functions.f1.workload={mode: discrete, schedule: [[0]]}"],
+         "functions.f1.workload.schedule[0]"),
+        (["functions.f1.workload={mode: discrete, schedule: [[0, x]]}"],
+         "functions.f1.workload.schedule[0]"),
+        (["functions.f1.min_containers=x"], "functions.f1.min_containers"),
+        (["seed=x"], "seed"),
+    ])
+    def test_malformed_input_names_path(self, overrides, field):
+        doc = yaml.safe_load(MINI)
+        for item in overrides:
+            doc = scenario_mod.apply_override(doc, item)
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            scenario_mod.from_dict(doc)
 
     def test_override_matches_file_edit(self, mini_scenario, tmp_path):
         by_override = scenario_mod.load(
@@ -194,14 +230,6 @@ class TestValidateCommand:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestBenchCommand:
-    def test_small_pools_run(self, capsys):
-        rc = main(["bench-planner", "--pool-sizes", "10,50", "--runs", "3"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "10" in out and "50" in out
 
 
 class TestReplayCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgescale.errors import ConfigError
-from edgescale.fairshare import adjust_allocations, detect_overload, guaranteed_shares
+from edgescale.fairshare import adjust_allocations, guaranteed_shares
 from scenario_builders import basic_function, make_scenario
 
 
@@ -56,14 +56,16 @@ class TestGuaranteedShares:
 
 
 class TestDetectOverload:
+    """Overload means aggregate demand strictly above capacity."""
+
     def test_under(self):
-        assert not detect_overload({"a": 3, "b": 3}, 10)
+        assert not adjust_allocations({"a": 3, "b": 3}, {"a": 1, "b": 1}, 10).overloaded
 
     def test_over(self):
-        assert detect_overload({"a": 6, "b": 6}, 10)
+        assert adjust_allocations({"a": 6, "b": 6}, {"a": 1, "b": 1}, 10).overloaded
 
     def test_equality_is_not_overload(self):
-        assert not detect_overload({"a": 5, "b": 5}, 10)
+        assert not adjust_allocations({"a": 5, "b": 5}, {"a": 1, "b": 1}, 10).overloaded
 
 
 class TestAdjustAllocations:
@@ -75,11 +77,11 @@ class TestAdjustAllocations:
     def test_well_behaved_keeps_demand(self):
         res = adjust_allocations({"a": 3, "b": 20}, {"a": 1, "b": 1}, 10)
         assert res.adjusted == {"a": 3.0, "b": 7.0}
-        assert res.adjusted["b"] >= res.guaranteed["b"]
+        assert res.adjusted["b"] >= guaranteed_shares({"a": 1, "b": 1}, 10)["b"]
 
     def test_weighted_hand_trace(self):
         res = adjust_allocations({"a": 6, "b": 20}, {"a": 1, "b": 3}, 12)
-        assert res.guaranteed == {"a": 3.0, "b": 9.0}
+        assert guaranteed_shares({"a": 1, "b": 3}, 12) == {"a": 3.0, "b": 9.0}
         assert res.adjusted == {"a": 3.0, "b": 9.0}
 
     def test_no_overload_passthrough(self):
@@ -97,7 +99,8 @@ class TestAdjustAllocations:
         r1 = adjust_allocations({"a": 9, "b": 14}, {"a": 1, "b": 2}, 12)
         r2 = adjust_allocations({"a": 9, "b": 14}, {"a": 10, "b": 20}, 12)
         assert r1.adjusted == r2.adjusted
-        assert r1.guaranteed == r2.guaranteed
+        assert guaranteed_shares({"a": 1, "b": 2}, 12) == guaranteed_shares(
+            {"a": 10, "b": 20}, 12)
 
 
 def _random_instance(rng):
@@ -123,11 +126,12 @@ class TestLemmaProperties:
             if not res.overloaded:
                 assert res.adjusted == demands
                 continue
+            guar = guaranteed_shares(weights, capacity)
             for f in fids:
-                if demands[f] <= res.guaranteed[f]:
+                if demands[f] <= guar[f]:
                     assert res.adjusted[f] == demands[f]  # lemma 2, well-behaved
                 else:
-                    assert res.adjusted[f] >= res.guaranteed[f] - 1e-9  # lemmas 1/2
+                    assert res.adjusted[f] >= guar[f] - 1e-9  # lemmas 1/2
                     assert res.adjusted[f] <= demands[f] + 1e-9
 
     def test_all_overloaded_case(self):
@@ -139,6 +143,7 @@ class TestLemmaProperties:
             if not res.overloaded:
                 assert capacity >= sum(demands.values())
                 continue
+            guar = guaranteed_shares(weights, capacity)
             for f in fids:
-                assert res.adjusted[f] >= res.guaranteed[f] - 1e-9
+                assert res.adjusted[f] >= guar[f] - 1e-9
             assert sum(res.adjusted.values()) <= capacity + 1e-6

@@ -13,7 +13,6 @@ from edgescale.reclamation import (
     plan_inflation,
     reclaim_by_deflation_grouped,
     reclaim_by_termination,
-    service_rate,
 )
 
 PROF = ServiceProfile(base_rate=10.0)
@@ -43,23 +42,23 @@ def apply_actions(pool, actions):
 
 class TestServiceRate:
     def test_full_size_identity(self):
-        assert service_rate(PROF, 1.0) == pytest.approx(10.0)
+        assert PROF.base_rate * PROF.multiplier(1.0) == pytest.approx(10.0)
 
     def test_thirty_percent_deflation_small_penalty(self):
-        assert service_rate(PROF, 0.7) == pytest.approx(9.0)
+        assert PROF.base_rate * PROF.multiplier(0.7) == pytest.approx(9.0)
 
     def test_proportional_regime_endpoint(self):
-        assert service_rate(PROF, 0.3) == pytest.approx(3.0)
+        assert PROF.base_rate * PROF.multiplier(0.3) == pytest.approx(3.0)
 
     def test_interpolation_between_anchors(self):
-        assert service_rate(PROF, 0.85) == pytest.approx(10 * 0.95)
-        assert service_rate(PROF, 0.5) == pytest.approx(10 * 0.6)
+        assert PROF.base_rate * PROF.multiplier(0.85) == pytest.approx(10 * 0.95)
+        assert PROF.base_rate * PROF.multiplier(0.5) == pytest.approx(10 * 0.6)
 
     def test_invalid_fraction(self):
         with pytest.raises(InvalidFraction):
-            service_rate(PROF, 0.0)
+            PROF.base_rate * PROF.multiplier(0.0)
         with pytest.raises(InvalidFraction):
-            service_rate(PROF, 1.2)
+            PROF.base_rate * PROF.multiplier(1.2)
 
     def test_monotone_and_continuous(self):
         fracs = np.linspace(0.01, 1.0, 200)

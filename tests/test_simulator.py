@@ -9,7 +9,7 @@ from edgescale import simulator
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import ContainerState, ServiceProfile
 from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
-from scenario_builders import basic_function, churn_scenario, make_scenario
+from scenario_builders import basic_function, churn_scenario, make_scenario, request_counts
 
 PROF = ServiceProfile(base_rate=10.0)
 
@@ -84,7 +84,7 @@ class TestLifecycle:
     def test_conservation(self):
         scn = make_scenario([basic_function(rate=20.0, initial=2)], horizon=90.0)
         m = run(scn)
-        counts = m.counts("f1")
+        counts = request_counts(m, "f1")
         assert counts["generated"] == counts["completed"] + counts["inflight"] + counts["dropped"]
         assert counts["generated"] > 0
 
@@ -122,7 +122,7 @@ class TestLifecycle:
     def test_zero_workload(self):
         scn = make_scenario([basic_function(rate=0.0, initial=0)], horizon=60.0)
         m = run(scn)
-        assert m.counts()["generated"] == 0
+        assert request_counts(m)["generated"] == 0
         assert m.utilization == 0.0
 
 
@@ -210,7 +210,7 @@ class TestTimeout:
         fn = basic_function(rate=30.0, mu=5.0, initial=1, timeout_seconds=0.5)
         scn = make_scenario([fn], horizon=60.0, controller={"epoch_seconds": 1e9})
         m = run(scn)
-        assert m.counts()["dropped"] > 0
+        assert request_counts(m)["dropped"] > 0
 
 
 class TestCapacityConservation:
@@ -229,13 +229,13 @@ class TestCapacityConservation:
             assert free_mem >= -1e-9
 
 
-def assert_cluster_invariants(sim):
+def assert_cluster_invariants(sim, time):
     """No node has negative free CPU or memory; every CPU fraction is in (0, 1]."""
     for idx in range(len(sim.cluster.nodes)):
         free_cpu, free_mem = sim.cluster.node_free(idx)
-        assert free_cpu >= -1e-9 and free_mem >= -1e-9, (sim._now, idx)
+        assert free_cpu >= -1e-9 and free_mem >= -1e-9, (time, idx)
     for c in sim.cluster.containers.values():
-        assert 0 < c.cpu_fraction <= 1, (sim._now, c.id, c.cpu_fraction)
+        assert 0 < c.cpu_fraction <= 1, (time, c.id, c.cpu_fraction)
 
 
 class InvariantSimulation(Simulation):
@@ -249,14 +249,14 @@ class InvariantSimulation(Simulation):
 
     def _on_epoch(self, time, epoch_idx):
         super()._on_epoch(time, epoch_idx)
-        assert_cluster_invariants(self)
+        assert_cluster_invariants(self, time)
         self.epochs_checked += 1
 
     def run(self):
         m = super().run()
-        assert_cluster_invariants(self)
+        assert_cluster_invariants(self, self.horizon)
         for fid, rt in self.functions.items():
-            n = m.counts(fid)
+            n = request_counts(m, fid)
             assert n["generated"] == len(rt.arrivals), fid
             assert n["generated"] == n["completed"] + n["inflight"] + n["dropped"], fid
         return m
@@ -311,7 +311,7 @@ class TestInvariants:
                     (cid,) = self.cluster.containers
                     self._set_fraction(time, cid, 1.0)
                     assert self.cluster.containers[cid].cpu_fraction == 1.0
-                    assert_cluster_invariants(self)
+                    assert_cluster_invariants(self, time)
                 super()._on_estimator(time)
 
         m = InflateAtFirstTick(scn).run()
@@ -327,34 +327,34 @@ class CheckedSimulation(Simulation):
 
     checks = 0
 
-    def _check_idle_index(self):
+    def _check_idle_index(self, time):
         warming = {payload for _, kind, _, payload in self._events if kind == EV_READY}
         for fid, rt in self.functions.items():
             expected = {c.id for c in self.cluster.of_function(fid)
                         if c.id not in warming and c.id not in self._busy}
-            assert set(rt.idle) == expected, (self._now, fid)
+            assert set(rt.idle) == expected, (time, fid)
             assert all(rt.idle[cid] is self.cluster.containers[cid] for cid in expected)
         self.checks += 1
 
     def _on_complete(self, time, payload):
         super()._on_complete(time, payload)
-        self._check_idle_index()
+        self._check_idle_index(time)
 
     def _on_arrival(self, time, fid):
         super()._on_arrival(time, fid)
-        self._check_idle_index()
+        self._check_idle_index(time)
 
     def _on_ready(self, time, container_id):
         super()._on_ready(time, container_id)
-        self._check_idle_index()
+        self._check_idle_index(time)
 
     def _on_estimator(self, time):
         super()._on_estimator(time)
-        self._check_idle_index()
+        self._check_idle_index(time)
 
     def _on_epoch(self, time, epoch_idx):
         super()._on_epoch(time, epoch_idx)
-        self._check_idle_index()
+        self._check_idle_index(time)
 
 
 class TestTrackedState:
