@@ -127,13 +127,26 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _rate_list(text):
+    try:
+        return sorted(float(x) for x in text.split(",")) if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def cmd_validate(args) -> int:
     target = WaitTarget(t=args.deadline, percentile=args.percentile)
-    rows = []
     if args.rates:
-        rates = sorted(float(x) for x in args.rates.split(","))
-        k = queuing.find_c_heterogeneous(args.arrival_rate, rates, args.service_rate, target)
-        pool = sorted(rates + [args.service_rate] * k)
+        k = queuing.find_c_heterogeneous(args.arrival_rate, args.rates, args.service_rate,
+                                         target)
+        pool = sorted(args.rates + [args.service_rate] * k)
         model = queuing.HeterogeneousModel(args.arrival_rate, tuple(pool))
         p_model = queuing.wait_cdf_heterogeneous(model, args.deadline)
         policy = "slowest-idle"
@@ -233,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="model vs Monte-Carlo oracle")
     val_p.add_argument("--arrival-rate", type=float, required=True)
     val_p.add_argument("--service-rate", type=float, required=True)
-    val_p.add_argument("--rates", default="",
+    val_p.add_argument("--rates", type=_rate_list, default="",
                        help="existing heterogeneous pool rates, comma separated")
     val_p.add_argument("--deadline", type=float, default=0.1)
     val_p.add_argument("--percentile", type=float, default=0.95)
-    val_p.add_argument("--replications", type=int, default=3)
+    val_p.add_argument("--replications", type=_positive_int, default=3)
     val_p.add_argument("--requests", type=int, default=120_000)
     val_p.add_argument("--seed", type=int, default=0)
     val_p.set_defaults(func=cmd_validate)

@@ -247,10 +247,8 @@ def find_c_heterogeneous(
 
     Returns k >= 0 such that the pool (existing_rates + k copies of
     standard_mu), re-sorted ascending, meets the waiting target under the
-    worst-case heterogeneous model. The pool's drain rates are running sums
-    of its rates, so with an empty pool this matches find_c_homogeneous only
-    up to float rounding of the cutoff: find_c_heterogeneous(11, [], 0.7,
-    WaitTarget(0.5, 0.95)) is 21 where find_c_homogeneous gives 20.
+    worst-case heterogeneous model. An empty existing pool takes the equal
+    drains find_c_homogeneous uses, so the two agree on it.
     """
     if standard_mu <= 0 or not math.isfinite(standard_mu):
         raise InvalidParameter(f"standard rate must be finite and > 0, got {standard_mu}")
@@ -274,7 +272,7 @@ def find_c_heterogeneous(
             pool = np.concatenate(
                 [base[:insert_at], np.full(k, float(standard_mu)), base[insert_at:]]
             )
-            drains = np.cumsum(pool)
+            drains = np.cumsum(pool) if base.size else _equal_drains(standard_mu, k)
             if lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile:
                 return k
         k += 1

@@ -10,7 +10,6 @@ are interchangeable.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,17 +17,85 @@ import yaml
 
 from .allocator import ControllerConfig, FunctionSpec, SloPolicy
 from .cluster import Node
-from .errors import ConfigError, InvalidSchedule
-from .reclamation import DEFAULT_CURVE, ServiceProfile, load_profile_curve
-from .workload import RateEstimator, WorkloadSpec, load_trace
+from .errors import ConfigError, InvalidParameter, InvalidSchedule, ParseError, SchemaError
+from .queuing import DEFAULT_CONTAINER_CAP
+from .reclamation import DEFAULT_CURVE, DISTRIBUTIONS, ServiceProfile, load_profile_curve
+from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals, load_trace
 
-DEFAULT_ESTIMATOR = {
-    "long_window": 120.0,
-    "short_window": 10.0,
-    "tick": 5.0,
-    "burst_factor": 2.0,
-    "alpha": 0.7,
+# Arrivals are generated before the run starts, and trace_headroom peaks at
+# 92 MB for 167k requests, so 10M expected arrivals is roughly 3 GB.
+MAX_ARRIVALS = 10_000_000
+
+REQUIRED = object()
+POSITIVE, NONNEGATIVE = "(0, inf)", "[0, inf)"
+
+# section -> key -> (kind, default, range). A kind is float, int, bool, str,
+# a tuple of allowed values, the name of a nested section, "[name]" for a
+# list of such sections (each named by its id, else by its index), "pairs"
+# for a list of [time, rate], "floats" for a list of numbers, or "fractions"
+# for a list of CPU fractions or a count of full-size containers. The range,
+# in interval notation, bounds every number in the field. A required list
+# must not be empty. A section with a "mode" also takes "<section>.<mode>".
+FIELDS = {
+    "scenario": {
+        "horizon_seconds": (float, REQUIRED, POSITIVE),
+        "seed": (int, 0, NONNEGATIVE),
+        "dispatch": (("wrr", "worst_case"), "wrr"),
+        "cluster": ("cluster", REQUIRED),
+        "controller": ("controller", {}),
+        "estimator": ("estimator", {}),
+        "users": ("[user]", []),
+        "functions": ("[function]", REQUIRED),
+    },
+    "cluster": {"nodes": ("[resources]", REQUIRED)},
+    "resources": {"vcpu": (float, REQUIRED, POSITIVE), "memory_mb": (float, REQUIRED, POSITIVE)},
+    "controller": {
+        "epoch_seconds": (float, 10.0, POSITIVE),
+        "reclamation": (("deflation", "termination"), "deflation"),
+        "tau": (float, 0.3, "(0, 1)"),
+        "deflation_step": (float, 0.05, "(0, 1]"),
+        "inflation": (bool, True),
+    },
+    "estimator": {
+        "long_window": (float, 120.0, POSITIVE),
+        "short_window": (float, 10.0, POSITIVE),
+        "tick": (float, 5.0, POSITIVE),
+        "burst_factor": (float, 2.0, "(1, inf)"),
+        "alpha": (float, 0.7, "(0, 1]"),
+    },
+    "user": {"id": (str, REQUIRED), "weight": (float, 1.0, POSITIVE)},
+    "function": {
+        "id": (str, REQUIRED),
+        "user": (str, "default"),
+        "weight": (float, 1.0, POSITIVE),
+        "size": ("resources", REQUIRED),
+        "slo": ("slo", REQUIRED),
+        "service": ("service", REQUIRED),
+        "workload": ("workload", REQUIRED),
+        "cold_start_seconds": (float, 0.5, NONNEGATIVE),
+        "min_containers": (int, 0, f"[0, {DEFAULT_CONTAINER_CAP}]"),
+        "initial_containers": ("fractions", 0, "(0, 1]"),
+        "timeout_seconds": (float, None, POSITIVE),
+    },
+    "slo": {
+        "deadline": (float, REQUIRED, POSITIVE),
+        "percentile": (float, 0.99, "(0, 1)"),
+        "applies_to": (("waiting", "response"), "waiting"),
+    },
+    "service": {
+        "distribution": (DISTRIBUTIONS, "exponential"),
+        "rate": (float, REQUIRED, POSITIVE),
+        "profile_file": (str, None),
+        "samples": ("floats", [], POSITIVE),
+    },
+    "workload": {"mode": (MODES, REQUIRED)},
+    "workload.static": {"rate": (float, REQUIRED, NONNEGATIVE)},
+    "workload.discrete": {"schedule": ("pairs", REQUIRED, NONNEGATIVE)},
+    "workload.continuous": {"points": ("pairs", REQUIRED, NONNEGATIVE)},
+    "workload.trace": {"file": (str, REQUIRED), "function": (str, REQUIRED)},
 }
+
+DEFAULT_ESTIMATOR = {key: spec[1] for key, spec in FIELDS["estimator"].items()}
 
 
 @dataclass
@@ -44,222 +111,155 @@ class Scenario:
     initial_fractions: dict = field(default_factory=dict)
 
 
-def _expect(value, kind, where):
-    if not isinstance(value, kind):
-        noun = "mapping" if kind is dict else "list"
-        raise ConfigError(f"{where}: expected a {noun}, got {value!r}")
-    return value
+def _read(doc, section, where):
+    """Check `doc` against FIELDS[section]; return its values, defaults filled in."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'scenario'}: expected a mapping, got {doc!r}")
+    table = FIELDS[section]
+    if "mode" in table and doc.get("mode") in table["mode"][0]:
+        table = {**table, **FIELDS[f"{section}.{doc['mode']}"]}
+    prefix, out = f"{where}." if where else "", {}
+    for key, (kind, default, *interval) in table.items():
+        if key not in doc and default is REQUIRED:
+            raise ConfigError(f"{where or 'scenario'}: missing required field {key!r}")
+        value = doc.get(key, default)
+        out[key] = None if value is None and default is None else _value(
+            value, kind, prefix + key, *interval)
+        if default is REQUIRED and out[key] in ([], ()):
+            raise ConfigError(f"{prefix}{key}: must not be empty")
+    for key in doc:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown key; known: {', '.join(table)}")
+    return out
 
 
-def _need(mapping, key, where):
-    if key not in _expect(mapping, dict, where):
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+def _value(value, kind, at, interval=None):
+    if kind in (float, int):
+        return _number(value, kind, interval, at)
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            noun = "true or false" if kind is bool else "a string"
+            raise ConfigError(f"{at}: expected {noun}, got {value!r}")
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{at}: must be one of {'|'.join(kind)}, got {value!r}")
+        return value
+    if kind in FIELDS:
+        return _read(value, kind, at)
+    if kind == "fractions" and isinstance(value, int) and not isinstance(value, bool):
+        return [1.0] * _number(value, int, f"[0, {DEFAULT_CONTAINER_CAP}]", at)
+    if not isinstance(value, list):
+        noun = "a count or a list" if kind == "fractions" else "a list"
+        raise ConfigError(f"{at}: expected {noun}, got {value!r}")
+    if kind == "pairs":
+        for i, entry in enumerate(value):
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ConfigError(f"{at}[{i}]: expected a [time, rate] pair, got {entry!r}")
+        return tuple((_number(t, float, interval, f"{at}[{i}]"),
+                      _number(r, float, interval, f"{at}[{i}]")) for i, (t, r) in enumerate(value))
+    if kind in ("floats", "fractions"):
+        return [_number(x, float, interval, f"{at}[{i}]") for i, x in enumerate(value)]
+    out, names = [], set()
+    for i, entry in enumerate(value):
+        ident = entry.get("id") if isinstance(entry, dict) else None
+        name = f"{at}.{ident}" if isinstance(ident, str) else f"{at}[{i}]"
+        if name in names:
+            raise ConfigError(f"{name}: duplicate {kind[1:-1]} id")
+        names.add(name)
+        out.append(_read(entry, kind[1:-1], name))
+    return out
 
 
-def _as_float(value, where, minimum=None):
+def _number(value, kind, interval, at):
     try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{where}: must be finite, got {out}")
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {out}")
-    return out
+        if isinstance(value, bool) or (kind is int and not isinstance(value, int)):
+            raise TypeError
+        x = kind(value)  # float() also reads strings: PyYAML loads 1e9 as one
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{at}: expected {noun}, got {value!r}") from None
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not ((lo < x if interval[0] == "(" else lo <= x)
+            and (x < hi if interval[-1] == ")" else x <= hi)):
+        raise ConfigError(f"{at}: must be in {interval}, got {x}")
+    return x
 
 
-def _as_int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{where}: expected an integer >= 0, got {value!r}")
-    return value
+def _build(make, prefix, **kwargs):
+    """Call a constructor or file loader; its errors are re-raised under `prefix`."""
+    try:
+        return make(**kwargs)
+    except (InvalidParameter, InvalidSchedule, ParseError, SchemaError, OSError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _positive(value, where):
-    out = _as_float(value, where)
-    if out <= 0:
-        raise ConfigError(f"{where}: must be > 0, got {out}")
-    return out
-
-
-def _pairs(doc, key, where):
-    pairs = []
-    for i, entry in enumerate(_expect(_need(doc, key, where), list, f"{where}.{key}")):
-        at = f"{where}.{key}[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"{at}: expected a [time, rate] pair, got {entry!r}")
-        pairs.append((_as_float(entry[0], at), _as_float(entry[1], at, minimum=0.0)))
-    return tuple(pairs)
-
-
-def _workload_from(doc, where, base_dir):
-    mode = _need(doc, "mode", where)
-    if mode == "static":
-        rate = _as_float(_need(doc, "rate", where), f"{where}.rate", minimum=0.0)
-        return WorkloadSpec(mode="static", rate_schedule=((0.0, rate),))
-    if mode == "discrete":
-        return WorkloadSpec(mode="discrete", rate_schedule=_pairs(doc, "schedule", where))
-    if mode == "continuous":
-        return WorkloadSpec(mode="continuous", rate_points=_pairs(doc, "points", where))
-    if mode == "trace":
-        path = base_dir / _need(doc, "file", where)
-        if not path.exists():
-            raise ConfigError(f"{where}.file: trace file not found: {path}")
-        wanted = doc.get("function")
-        traces = {t.function_id: t for t in load_trace(path)}
-        if wanted is None:
-            raise ConfigError(f"{where}: trace mode needs a 'function' row id")
-        if wanted not in traces:
-            raise ConfigError(f"{where}: function {wanted!r} not in trace {path}")
-        return traces[wanted].to_workload()
-    raise ConfigError(f"{where}.mode: unknown workload mode {mode!r}")
-
-
-def _profile_from(doc, where, base_dir):
-    dist = _expect(doc, dict, where).get("distribution", "exponential")
-    rate = _as_float(_need(doc, "rate", where), f"{where}.rate")
-    curve = DEFAULT_CURVE
-    if "profile_file" in doc:
-        path = base_dir / doc["profile_file"]
-        if not path.exists():
-            raise ConfigError(f"{where}.profile_file: not found: {path}")
-        curve = load_profile_curve(path)
-    samples = tuple(doc.get("samples", ()))
-    return ServiceProfile(
-        base_rate=rate, distribution=dist, curve=curve, samples=samples
-    )
+def _workload(doc, where, base_dir):
+    if doc["mode"] == "trace":
+        path = base_dir / doc["file"]
+        traces = {t.function_id: t for t in _build(load_trace, f"{where}.file: ", path=path)}
+        if doc["function"] not in traces:
+            raise ConfigError(f"{where}.function: {doc['function']!r} not in trace {path}")
+        return traces[doc["function"]].to_workload()
+    schedule = ((0.0, doc["rate"]),) if doc["mode"] == "static" else doc.get("schedule", ())
+    return _build(WorkloadSpec, f"{where}: ", mode=doc["mode"], rate_schedule=schedule,
+                  rate_points=doc.get("points", ()))
 
 
 def from_dict(doc: dict, base_dir=".") -> Scenario:
     """Build a validated Scenario from a parsed YAML document."""
     base_dir = Path(base_dir)
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a mapping")
+    top = _read(doc, "scenario", "")
+    _build(RateEstimator, "estimator.", **top["estimator"])
 
-    cluster_doc = _need(doc, "cluster", "scenario")
-    nodes = []
-    node_docs = _expect(_need(cluster_doc, "nodes", "cluster"), list, "cluster.nodes")
-    for i, node in enumerate(node_docs):
-        nodes.append(
-            Node(
-                vcpu=_as_float(_need(node, "vcpu", f"cluster.nodes[{i}]"),
-                               f"cluster.nodes[{i}].vcpu"),
-                memory_mb=_as_float(_need(node, "memory_mb", f"cluster.nodes[{i}]"),
-                                    f"cluster.nodes[{i}].memory_mb"),
-            )
-        )
-    if not nodes:
-        raise ConfigError("cluster.nodes: at least one node required")
+    user_weights = {user["id"]: user["weight"] for user in top["users"]}
+    in_user_total: dict = {}
+    for fn in top["functions"]:
+        if user_weights and fn["user"] not in user_weights:
+            raise ConfigError(f"functions.{fn['id']}.user: unknown user {fn['user']!r}")
+        in_user_total[fn["user"]] = in_user_total.get(fn["user"], 0) + fn["weight"]
 
-    ctrl_doc = _expect(doc.get("controller", {}), dict, "controller")
-    mode = ctrl_doc.get("reclamation", "deflation")
-    if mode not in ("deflation", "termination"):
-        raise ConfigError(f"controller.reclamation: must be deflation|termination, got {mode!r}")
-    inflation = ctrl_doc.get("inflation", True)
-    if not isinstance(inflation, bool):
-        raise ConfigError(f"controller.inflation: must be true or false, got {inflation!r}")
-    controller = ControllerConfig(
-        epoch_s=_as_float(ctrl_doc.get("epoch_seconds", 10.0), "controller.epoch_seconds"),
-        reclamation_mode=mode,
-        tau=_as_float(ctrl_doc.get("tau", 0.3), "controller.tau"),
-        deflation_step=_as_float(ctrl_doc.get("deflation_step", 0.05),
-                                 "controller.deflation_step"),
-        inflation_enabled=inflation,
-    )
-
-    est = dict(DEFAULT_ESTIMATOR)
-    for key, value in _expect(doc.get("estimator", {}), dict, "estimator").items():
-        if key not in est:
-            raise ConfigError(f"estimator.{key}: unknown key; known: {', '.join(est)}")
-        est[key] = _as_float(value, f"estimator.{key}")
-    _positive(est["tick"], "estimator.tick")
-    try:
-        RateEstimator(**est)
-    except InvalidSchedule as exc:
-        raise ConfigError(f"estimator.{exc}") from None
-
-    fn_docs = _expect(_need(doc, "functions", "scenario"), list, "functions")
-    if not fn_docs:
-        raise ConfigError("functions: at least one function required")
-
-    user_weights = {}
-    for i, user_doc in enumerate(_expect(doc.get("users", []), list, "users")):
-        uid = _need(user_doc, "id", f"users[{i}]")
-        user_weights[uid] = _positive(user_doc.get("weight", 1.0), f"users.{uid}.weight")
-    by_user: dict = {}
-    for i, fn in enumerate(fn_docs):
-        fid = _need(fn, "id", f"functions[{i}]")
-        user = fn.get("user", "default")
-        if user_weights and user not in user_weights:
-            raise ConfigError(f"functions.{fid}.user: unknown user {user!r}")
-        by_user.setdefault(user, []).append(
-            (fid, _positive(fn.get("weight", 1.0), f"functions.{fid}.weight"))
-        )
-    effective = {}
-    for user, fns in by_user.items():
-        in_user_total = sum(w for _, w in fns)
-        for fid, w in fns:
-            effective[fid] = user_weights.get(user, 1.0) * w / in_user_total
-
-    functions = {}
-    workloads = {}
-    initial_fractions = {}
-    for fn in fn_docs:
-        fid = fn["id"]
+    functions, workloads, initial_fractions = {}, {}, {}
+    for fn in top["functions"]:
+        fid, service = fn["id"], fn["service"]
         where = f"functions.{fid}"
-        if fid in functions:
-            raise ConfigError(f"{where}: duplicate function id")
-        size = _need(fn, "size", where)
-        slo_doc = _expect(_need(fn, "slo", where), dict, f"{where}.slo")
-        applies_to = slo_doc.get("applies_to", "waiting")
-        if applies_to not in ("waiting", "response"):
-            raise ConfigError(f"{where}.slo.applies_to: waiting|response, got {applies_to!r}")
-        slo = SloPolicy(
-            deadline=_as_float(_need(slo_doc, "deadline", f"{where}.slo"),
-                               f"{where}.slo.deadline"),
-            percentile=_as_float(slo_doc.get("percentile", 0.99), f"{where}.slo.percentile"),
-            applies_to=applies_to,
-        )
-        profile = _profile_from(_need(fn, "service", where), f"{where}.service", base_dir)
-        timeout = fn.get("timeout_seconds")
+        curve = DEFAULT_CURVE
+        if service["profile_file"] is not None:
+            curve = _build(load_profile_curve, f"{where}.service.profile_file: ",
+                           path=base_dir / service["profile_file"])
         functions[fid] = FunctionSpec(
             id=fid,
-            weight=effective[fid],
-            slo=slo,
-            vcpu=_as_float(_need(size, "vcpu", f"{where}.size"), f"{where}.size.vcpu"),
-            memory_mb=_as_float(_need(size, "memory_mb", f"{where}.size"),
-                                f"{where}.size.memory_mb"),
-            profile=profile,
-            cold_start_s=_as_float(fn.get("cold_start_seconds", 0.5),
-                                   f"{where}.cold_start_seconds", minimum=0.0),
-            min_containers=_as_int(fn.get("min_containers", 0), f"{where}.min_containers"),
-            timeout_s=None if timeout is None else _as_float(timeout, f"{where}.timeout_seconds"),
-        )
-        workloads[fid] = _workload_from(_need(fn, "workload", where), f"{where}.workload",
-                                        base_dir)
-        initial = fn.get("initial_containers", 0)
-        if isinstance(initial, int):
-            initial_fractions[fid] = [1.0] * initial
-        else:
-            initial_fractions[fid] = [float(x) for x in initial]
+            weight=user_weights.get(fn["user"], 1.0) * fn["weight"] / in_user_total[fn["user"]],
+            slo=SloPolicy(**fn["slo"]),
+            vcpu=fn["size"]["vcpu"], memory_mb=fn["size"]["memory_mb"],
+            profile=_build(ServiceProfile, f"{where}.service: ", base_rate=service["rate"],
+                           distribution=service["distribution"], curve=curve,
+                           samples=tuple(service["samples"])),
+            cold_start_s=fn["cold_start_seconds"], min_containers=fn["min_containers"],
+            timeout_s=fn["timeout_seconds"])
+        workloads[fid] = _workload(fn["workload"], f"{where}.workload", base_dir)
+        initial_fractions[fid] = fn["initial_containers"]
 
-    dispatch = doc.get("dispatch", "wrr")
-    if dispatch not in ("wrr", "worst_case"):
-        raise ConfigError(f"dispatch: must be wrr|worst_case, got {dispatch!r}")
+    horizon = top["horizon_seconds"]
+    expected = {fid: expected_arrivals(spec, horizon) for fid, spec in workloads.items()}
+    if sum(expected.values()) > MAX_ARRIVALS:
+        worst = max(expected, key=expected.get)
+        raise ConfigError(f"functions.{worst}.workload: expects {expected[worst]:.3g} of "
+                          f"{sum(expected.values()):.3g} arrivals, over the {MAX_ARRIVALS:,} limit")
 
+    ctrl = top["controller"]
     return Scenario(
-        nodes=nodes,
+        nodes=[Node(**node) for node in top["cluster"]["nodes"]],
         functions=functions,
         workloads=workloads,
-        controller=controller,
-        estimator_params=est,
-        horizon_s=_as_float(_need(doc, "horizon_seconds", "scenario"), "horizon_seconds",
-                            minimum=1e-9),
-        seed=_as_int(doc.get("seed", 0), "seed"),
-        dispatch=dispatch,
+        controller=ControllerConfig(
+            epoch_s=ctrl["epoch_seconds"], reclamation_mode=ctrl["reclamation"],
+            tau=ctrl["tau"], deflation_step=ctrl["deflation_step"],
+            inflation_enabled=ctrl["inflation"]),
+        estimator_params=top["estimator"],
+        horizon_s=horizon, seed=top["seed"], dispatch=top["dispatch"],
         initial_fractions=initial_fractions,
     )
-
 
 def load(path, overrides=()) -> Scenario:
     """Load a scenario file, applying `key=value` overrides before parsing."""

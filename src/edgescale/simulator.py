@@ -46,7 +46,7 @@ from .allocator import (
     plan_epoch,
 )
 from .cluster import ClusterState
-from .errors import NoCapacity
+from .errors import ConfigError, NoCapacity
 from .reclamation import ContainerState, SetFraction, Terminate
 
 EV_COMPLETE, EV_ARRIVAL, EV_READY, EV_ESTIMATOR, EV_EPOCH = range(5)
@@ -173,8 +173,13 @@ class Simulation:
             rt = self.functions[fid]
             if len(rt.arrivals):
                 self._push(float(rt.arrivals[0]), EV_ARRIVAL, fid)
-            for fraction in self.scenario.initial_fractions.get(fid, []):
-                self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
+            for i, fraction in enumerate(self.scenario.initial_fractions.get(fid, [])):
+                try:
+                    self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
+                except NoCapacity as exc:
+                    raise ConfigError(
+                        f"functions.{fid}.initial_containers: container {i + 1}: {exc}"
+                    ) from None
         self._est_tick = self.scenario.estimator_params["tick"]
         self._push(self._est_tick, EV_ESTIMATOR, None)
         if self.cfg.epoch_s > 0:

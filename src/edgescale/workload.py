@@ -12,6 +12,7 @@ undamped.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,22 @@ def generate_arrivals(spec: WorkloadSpec, horizon: float, seed) -> np.ndarray:
 
     arr = np.array(sorted(out), dtype=float)
     return arr
+
+
+def expected_arrivals(spec: WorkloadSpec, horizon: float) -> float:
+    """Mean number of draws `generate_arrivals` makes over [0, horizon).
+
+    That is the expected arrival count, except in continuous mode, where it
+    counts the thinning draws at the envelope rate.
+    """
+    if spec.mode == "continuous":
+        return max(r for _, r in spec.rate_points) * horizon
+    if spec.mode == "trace":
+        return float(sum(spec.per_minute_counts[: math.ceil(horizon / 60.0)]))
+    sched = spec.rate_schedule
+    ends = [t for t, _ in sched[1:]] + [horizon]
+    return sum(r * (min(end, horizon) - min(start, horizon))
+               for (start, r), end in zip(sched, ends))
 
 
 def load_trace(path) -> list:

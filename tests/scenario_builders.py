@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import edgescale.scenario as scenario_mod
+from edgescale.simulator import Simulation
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -81,3 +82,36 @@ def churn_scenario(dispatch="wrr", **controller):
     return make_scenario(CHURN_FUNCTIONS, horizon=180.0, seed=11, dispatch=dispatch,
                          nodes=[{"vcpu": 4.0, "memory_mb": 4096.0}] * 2,
                          controller={"epoch_seconds": 10.0, **controller})
+
+
+def assert_cluster_invariants(sim, time):
+    """No node has negative free CPU or memory; every CPU fraction is in (0, 1]."""
+    for idx in range(len(sim.cluster.nodes)):
+        free_cpu, free_mem = sim.cluster.node_free(idx)
+        assert free_cpu >= -1e-9 and free_mem >= -1e-9, (time, idx)
+    for c in sim.cluster.containers.values():
+        assert 0 < c.cpu_fraction <= 1, (time, c.id, c.cpu_fraction)
+
+
+class InvariantSimulation(Simulation):
+    """Checks the cluster invariants after every epoch and at the horizon.
+
+    At the end of the run every function's generated requests must equal its
+    arrivals and completed + inflight + dropped.
+    """
+
+    epochs_checked = 0
+
+    def _on_epoch(self, time, epoch_idx):
+        super()._on_epoch(time, epoch_idx)
+        assert_cluster_invariants(self, time)
+        self.epochs_checked += 1
+
+    def run(self):
+        m = super().run()
+        assert_cluster_invariants(self, self.horizon)
+        for fid, rt in self.functions.items():
+            n = request_counts(m, fid)
+            assert n["generated"] == len(rt.arrivals), fid
+            assert n["generated"] == n["completed"] + n["inflight"] + n["dropped"], fid
+        return m

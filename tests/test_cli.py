@@ -105,6 +105,12 @@ class TestScenarioLoading:
          "functions.f1.workload.schedule[0]"),
         (["functions.f1.min_containers=x"], "functions.f1.min_containers"),
         (["seed=x"], "seed"),
+        # booleans are not numbers, and container counts stop at the planner's cap
+        (["functions.f1.workload.rate=true"], "functions.f1.workload.rate"),
+        (["functions.f1.min_containers=100000"], "functions.f1.min_containers"),
+        (["functions.f1.initial_containers=100000"], "functions.f1.initial_containers"),
+        (["horizon_seconds=1e400"], "horizon_seconds"),
+        (["functions.f1.slo.deadline=" + "9" * 400], "functions.f1.slo.deadline"),
     ])
     def test_malformed_input_names_path(self, overrides, field):
         doc = yaml.safe_load(MINI)
@@ -126,6 +132,11 @@ class TestScenarioLoading:
             by_override.workloads["f1"].rate_schedule
             == by_edit.workloads["f1"].rate_schedule
         )
+
+    def test_number_written_as_a_string_loads(self, mini_scenario):
+        # YAML 1.1 reads 1e1 (no dot) as a string; float() has always taken it
+        scn = scenario_mod.load(mini_scenario, overrides=["functions.f1.workload.rate=1e1"])
+        assert scn.workloads["f1"].rate_schedule == ((0.0, 10.0),)
 
     def test_hierarchical_weights_resolved(self, tmp_path):
         doc = yaml.safe_load(MINI)
@@ -197,6 +208,47 @@ class TestRunCommand:
             rows = list(csv.DictReader(fh))
         assert any(int(r["deflates"]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("override, field", [
+        ("controller.epoch_seconds=-5", "controller.epoch_seconds"),
+        ("controller.tau=5", "controller.tau"),
+        ("controller.deflation_step=0", "controller.deflation_step"),
+        ("functions.f1.size.vcpu=0", "functions.f1.size.vcpu"),
+        ("functions.f1.timeout_seconds=-1", "functions.f1.timeout_seconds"),
+        ("functions.f1.initial_containers=-1", "functions.f1.initial_containers"),
+        ("functions.f1.workload={mode: discrete, schedule: [[-50, 10]]}",
+         "functions.f1.workload.schedule[0]"),
+        ("functions.f1.memory=3", "functions.f1.memory"),
+        ("functions.f1.slo.percentile=1.5", "functions.f1.slo.percentile"),
+        ("functions.f1.slo.deadline=0", "functions.f1.slo.deadline"),
+        ("functions.f1.service.rate=0", "functions.f1.service.rate"),
+        ("functions.f1.service.distribution=foo", "functions.f1.service.distribution"),
+        ("functions.f1.initial_containers=[2.0]", "functions.f1.initial_containers[0]"),
+        ("functions.f1.workload={mode: discrete, schedule: []}",
+         "functions.f1.workload.schedule"),
+        ("functions.f1.workload={mode: discrete, schedule: [[0, 5], [0, 6]]}",
+         "functions.f1.workload"),
+        ("functions.f1.initial_containers=9", "functions.f1.initial_containers"),
+        ("functions.f1.service.samples=5", "functions.f1.service.samples"),
+        ("functions.f1.initial_containers=x", "functions.f1.initial_containers"),
+        ("functions.f1.id=[1]", "functions[0].id"),
+        ("functions.f1.workload.rate=1.0e+9", "functions.f1.workload"),
+        ("horizon_seconds=1.0e+9", "functions.f1.workload"),
+    ])
+    def test_bad_field_exits_1_naming_its_path(self, mini_scenario, tmp_path, capsys,
+                                               override, field):
+        rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),
+                   "--override", override])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_arrival_bound_names_the_largest_workload(self):
+        doc = yaml.safe_load(MINI)
+        doc["functions"].append(dict(doc["functions"][0], id="f2",
+                                     workload={"mode": "static", "rate": 1e5}))
+        doc["horizon_seconds"] = 1000
+        with pytest.raises(ConfigError, match=r"^functions\.f2\.workload: "):
+            scenario_mod.from_dict(doc)
+
     def test_reproducible_byte_identical(self, mini_scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", str(mini_scenario), "--out", str(out1)])
@@ -222,6 +274,15 @@ class TestValidateCommand:
         ])
         out = capsys.readouterr().out
         assert rc == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rates", ","), ("--rates", "a"), ("--replications", "0"),
+    ])
+    def test_bad_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--arrival-rate", "5", "--service-rate", "10", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_unstable_reports_cleanly(self, capsys):
         rc = main([

@@ -255,6 +255,9 @@ class TestFindCHeterogeneous:
         t = WaitTarget(0.1, 0.99)
         for lam in (5, 18, 50):
             assert find_c_heterogeneous(lam, [], 10, t) == find_c_homogeneous(lam, 10, t)
+        # running sums of 0.7 round differently from 0.7 * c at this cutoff
+        t = WaitTarget(0.5, 0.95)
+        assert find_c_heterogeneous(11, [], 0.7, t) == find_c_homogeneous(11, 0.7, t) == 20
 
     def test_deflated_pool_oracle_value(self):
         # Monte-Carlo search (400k requests, slowest-idle) over k: the smallest

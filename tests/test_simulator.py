@@ -9,7 +9,8 @@ from edgescale import simulator
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import ContainerState, ServiceProfile
 from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
-from scenario_builders import basic_function, churn_scenario, make_scenario, request_counts
+from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
+                               churn_scenario, make_scenario, request_counts)
 
 PROF = ServiceProfile(base_rate=10.0)
 
@@ -227,39 +228,6 @@ class TestCapacityConservation:
             free_cpu, free_mem = sim.cluster.node_free(idx)
             assert free_cpu >= -1e-9
             assert free_mem >= -1e-9
-
-
-def assert_cluster_invariants(sim, time):
-    """No node has negative free CPU or memory; every CPU fraction is in (0, 1]."""
-    for idx in range(len(sim.cluster.nodes)):
-        free_cpu, free_mem = sim.cluster.node_free(idx)
-        assert free_cpu >= -1e-9 and free_mem >= -1e-9, (time, idx)
-    for c in sim.cluster.containers.values():
-        assert 0 < c.cpu_fraction <= 1, (time, c.id, c.cpu_fraction)
-
-
-class InvariantSimulation(Simulation):
-    """Checks the cluster invariants after every epoch and at the horizon.
-
-    At the end of the run every function's generated requests must equal its
-    arrivals and completed + inflight + dropped.
-    """
-
-    epochs_checked = 0
-
-    def _on_epoch(self, time, epoch_idx):
-        super()._on_epoch(time, epoch_idx)
-        assert_cluster_invariants(self, time)
-        self.epochs_checked += 1
-
-    def run(self):
-        m = super().run()
-        assert_cluster_invariants(self, self.horizon)
-        for fid, rt in self.functions.items():
-            n = request_counts(m, fid)
-            assert n["generated"] == len(rt.arrivals), fid
-            assert n["generated"] == n["completed"] + n["inflight"] + n["dropped"], fid
-        return m
 
 
 class TestInvariants:

@@ -14,6 +14,7 @@ from edgescale.workload import (
     InvocationTrace,
     RateEstimator,
     WorkloadSpec,
+    expected_arrivals,
     generate_arrivals,
     load_trace,
 )
@@ -58,6 +59,19 @@ class TestGenerator:
         arr = generate_arrivals(spec, 60.0 * len(counts), seed=5)
         binned = np.bincount((arr // 60).astype(int), minlength=len(counts))
         assert tuple(binned) == counts
+
+    def test_expected_arrivals_clip_to_the_horizon(self):
+        discrete = WorkloadSpec(mode="discrete",
+                                rate_schedule=((0.0, 2.0), (5.0, 4.0), (50.0, 9.0)))
+        assert expected_arrivals(discrete, 10.0) == 2.0 * 5 + 4.0 * 5
+        assert expected_arrivals(discrete, 60.0) == 2.0 * 5 + 4.0 * 45 + 9.0 * 10
+        # continuous mode counts the thinning draws at the envelope rate
+        ramp = WorkloadSpec(mode="continuous", rate_points=((0.0, 1.0), (10.0, 3.0)))
+        assert expected_arrivals(ramp, 20.0) == 3.0 * 20
+        # a trace minute that starts before the horizon draws all its arrivals
+        trace = WorkloadSpec(mode="trace", per_minute_counts=(5, 7, 9))
+        assert expected_arrivals(trace, 120.0) == 12
+        assert expected_arrivals(trace, 121.0) == 21
 
     def test_invalid_schedules(self):
         with pytest.raises(InvalidSchedule):
