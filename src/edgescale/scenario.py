@@ -25,6 +25,16 @@ from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals, loa
 # Arrivals are generated before the run starts, and trace_headroom peaks at
 # 92 MB for 167k requests, so 10M expected arrivals is roughly 3 GB.
 MAX_ARRIVALS = 10_000_000
+# An estimator tick costs 6 us (one function) to 28 us (six), so 1M ticks
+# take under half a minute. An epoch costs 20 us to 1.5 ms (trace_headroom's
+# planner) and keeps a 0.5 KB record per function: 100k epochs take at most
+# a few minutes and 50 MB per function.
+MAX_TICKS = 1_000_000
+MAX_EPOCHS = 100_000
+
+# libyaml parses tenant_churn.yaml in 5 ms where the pure-Python parser takes
+# 38 ms; PyYAML built without libyaml has only the latter
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 REQUIRED = object()
 POSITIVE, NONNEGATIVE = "(0, inf)", "[0, inf)"
@@ -248,6 +258,11 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
                           f"{sum(expected.values()):.3g} arrivals, over the {MAX_ARRIVALS:,} limit")
 
     ctrl = top["controller"]
+    for at, step, limit in (("estimator.tick", top["estimator"]["tick"], MAX_TICKS),
+                            ("controller.epoch_seconds", ctrl["epoch_seconds"], MAX_EPOCHS)):
+        if horizon / step > limit:
+            raise ConfigError(f"{at}: horizon_seconds / {at} is {horizon / step:.3g} events, "
+                              f"over the {limit:,} limit")
     return Scenario(
         nodes=[Node(**node) for node in top["cluster"]["nodes"]],
         functions=functions,
@@ -268,7 +283,7 @@ def load(path, overrides=()) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     with open(path) as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     for item in overrides:
@@ -286,7 +301,7 @@ def apply_override(doc: dict, assignment: str) -> dict:
     if "=" not in assignment:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     key, raw_value = assignment.split("=", 1)
-    value = yaml.safe_load(raw_value)
+    value = yaml.load(raw_value, Loader=LOADER)
     doc = copy.deepcopy(doc)
     node = doc
     parts = key.strip().split(".")

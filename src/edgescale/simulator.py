@@ -12,8 +12,9 @@ container-ready, then estimator ticks, then epoch ticks, then sequence
 number), which together with per-stream seeded RNGs makes runs bit-identical
 for equal (scenario, seed).
 
-Arrivals and completions cost the same however many containers run, because
-two pieces of tracked state replace per-request scans:
+Arrivals and completions cost the same however many containers run, and
+cost few interpreter steps, because tracked state replaces per-request scans
+and lookups:
 
 - Each function's `idle` index holds its ready, not-busy containers. A
   container enters it when it becomes ready (`_on_ready`, or
@@ -21,9 +22,23 @@ two pieces of tracked state replace per-request scans:
   (`_on_complete`); it leaves when service starts (`_start_service`) or it is
   terminated (`_terminate`). Dispatch policies break ties on container id, so
   the index's order does not matter.
-- Each container's service multiplier is cached on first use. Only
-  `_set_fraction` changes `cpu_fraction`, so the cache is dropped there, and
-  in `_terminate`; the value is still computed by `ServiceProfile.multiplier`.
+- Two per-container caches sit side by side, keyed by container id: the
+  service multiplier, computed by `ServiceProfile.multiplier` on first use,
+  and the WRR weight units, computed by `wrr_weight_units` when the container
+  is created, so that `dispatch_wrr` reads them. Only `_set_fraction` changes
+  `cpu_fraction`; it drops the multiplier and recomputes the units.
+  `_terminate` drops both.
+- Service times are drawn in blocks of `BLOCK` per function from that
+  function's own RNG stream. `run` gives each function one buffer, and
+  `refill_draws` overwrites it with one numpy call once it has been read
+  through. A block holds exactly the values that `BLOCK` scalar draws
+  (`exponential(1 / rate)`, or `integers(k)` indexing the empirical samples)
+  would give, so outputs do not depend on the block size.
+- An arrival event carries its function's `_FnRuntime`, not the function id,
+  so the request path (`_on_arrival`, `_start_service`, `_drain_pending`)
+  never looks the function up. Each function has at most one arrival on the
+  heap: handling it pushes the next one, read from the arrival array. A
+  completion event likewise carries its container, not the container id.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ from .errors import ConfigError, NoCapacity
 from .reclamation import ContainerState, SetFraction, Terminate
 
 EV_COMPLETE, EV_ARRIVAL, EV_READY, EV_ESTIMATOR, EV_EPOCH = range(5)
+BLOCK = 4096  # service times drawn per RNG call
 
 
 @dataclass(slots=True)
@@ -67,19 +83,24 @@ def wrr_weight_units(container) -> int:
     return max(1, int(round(container.allocated_vcpu / VCPU_QUANTUM)))
 
 
-def dispatch_wrr(candidates, state: dict) -> int:
+def dispatch_wrr(candidates, state: dict, units: dict | None = None) -> int:
     """Smooth weighted round robin over the candidate containers.
 
     Over any W consecutive picks (W = total integerised weight) each
     candidate is chosen in proportion to its weight, and the pick sequence is
-    maximally interleaved. Ties go to the lowest container id.
+    maximally interleaved. Ties go to the lowest container id. A candidate's
+    weight is `units[c.id]`; the simulator passes its per-container cache of
+    `wrr_weight_units`, kept current as fractions change. Without `units`
+    the weights are computed from the candidates.
     """
+    if units is None:
+        units = {c.id: wrr_weight_units(c) for c in candidates}
     total = 0
     chosen = None
     for c in candidates:
-        units = wrr_weight_units(c)
-        current = state[c.id] = state.get(c.id, 0) + units
-        total += units
+        weight = units[c.id]
+        current = state[c.id] = state.get(c.id, 0) + weight
+        total += weight
         if chosen is None or current > best or (current == best and c.id < chosen.id):
             chosen, best = c, current
     state[chosen.id] -= total
@@ -101,6 +122,21 @@ class _FnRuntime:
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
     wrr_state: dict = field(default_factory=dict)
     next_arrival: int = 0
+    draws: np.ndarray | None = None  # a block of service times, allocated by `run`
+    next_draw: int = BLOCK  # index of the next unread draw in `draws`
+
+    def refill_draws(self):
+        """Overwrite `draws` with the next `BLOCK` service times at full container size."""
+        prof, out = self.spec.profile, self.draws
+        if prof.distribution == "exponential":
+            self.service_rng.standard_exponential(out=out)
+            out *= 1.0 / prof.base_rate
+        elif prof.distribution == "empirical":
+            np.take(prof.samples, self.service_rng.integers(len(prof.samples), size=BLOCK),
+                    out=out)
+        else:
+            out.fill(1.0 / prof.base_rate)
+        self.next_draw = 0
 
 
 class SimMetrics:
@@ -144,6 +180,7 @@ class Simulation:
         self._busy: dict = {}  # container_id -> (request, since)
         self._alloc_since: dict = {}  # container_id -> (time, vcpu)
         self._multiplier: dict = {}  # container_id -> service rate multiplier
+        self._units: dict = {}  # container_id -> WRR weight units
 
         ss = np.random.SeedSequence(self.seed)
         fids = sorted(scenario.functions)
@@ -171,8 +208,10 @@ class Simulation:
     def run(self) -> SimMetrics:
         for fid in sorted(self.functions):
             rt = self.functions[fid]
+            # refilled in place, so the run allocates no more blocks
+            rt.draws = np.empty(BLOCK)
             if len(rt.arrivals):
-                self._push(float(rt.arrivals[0]), EV_ARRIVAL, fid)
+                self._push(rt.arrivals.item(0), EV_ARRIVAL, rt)
             for i, fraction in enumerate(self.scenario.initial_fractions.get(fid, [])):
                 try:
                     self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
@@ -205,15 +244,15 @@ class Simulation:
 
     # -- request lifecycle --------------------------------------------------
 
-    def _on_arrival(self, time: float, fid: str):
-        rt = self.functions[fid]
-        req = Request(function_id=fid, arrival=time)
+    def _on_arrival(self, time: float, rt: _FnRuntime):
+        req = Request(function_id=rt.spec.id, arrival=time)
         self.metrics.requests.append(req)
-        rt.next_arrival += 1
-        if rt.next_arrival < len(rt.arrivals):
-            self._push(float(rt.arrivals[rt.next_arrival]), EV_ARRIVAL, fid)
+        i = rt.next_arrival = rt.next_arrival + 1
+        if i < len(rt.arrivals):
+            self._seq += 1
+            heapq.heappush(self._events, (rt.arrivals.item(i), EV_ARRIVAL, self._seq, rt))
         if rt.idle:
-            self._start_service(time, self._select(rt), req)
+            self._start_service(time, rt, self._select(rt), req)
         else:
             rt.pending.append(req)
 
@@ -221,64 +260,59 @@ class Simulation:
         if self.worst_case_dispatch:
             chosen = pick_slowest_idle(rt.idle.values())
         else:
-            chosen = dispatch_wrr(rt.idle.values(), rt.wrr_state)
+            chosen = dispatch_wrr(rt.idle.values(), rt.wrr_state, self._units)
         return rt.idle[chosen]
 
-    def _start_service(self, time: float, container, req: Request):
-        rt = self.functions[req.function_id]
-        del rt.idle[container.id]
+    def _start_service(self, time: float, rt: _FnRuntime, container, req: Request):
+        cid = container.id
+        del rt.idle[cid]
         req.dispatch = time
-        req.container_id = container.id
-        base = self._sample_service(req.function_id)
-        multiplier = self._multiplier.get(container.id)
+        req.container_id = cid
+        if rt.next_draw == BLOCK:
+            rt.refill_draws()
+        i = rt.next_draw
+        rt.next_draw = i + 1
+        multiplier = self._multiplier.get(cid)
         if multiplier is None:
-            multiplier = rt.spec.profile.multiplier(container.cpu_fraction)
-            self._multiplier[container.id] = multiplier
-        duration = base / multiplier
-        self._busy[container.id] = (req, time)
-        self._push(time + duration, EV_COMPLETE, container.id)
+            multiplier = self._multiplier[cid] = rt.spec.profile.multiplier(container.cpu_fraction)
+        self._busy[cid] = (req, time)
+        self._seq += 1
+        heapq.heappush(self._events,
+                       (time + rt.draws.item(i) / multiplier, EV_COMPLETE, self._seq, container))
 
-    def _sample_service(self, fid: str) -> float:
-        rt = self.functions[fid]
-        prof = rt.spec.profile
-        if prof.distribution == "deterministic":
-            return 1.0 / prof.base_rate
-        if prof.distribution == "exponential":
-            return float(rt.service_rng.exponential(1.0 / prof.base_rate))
-        idx = int(rt.service_rng.integers(len(prof.samples)))
-        return prof.samples[idx]
-
-    def _on_complete(self, time: float, container_id: int):
+    def _on_complete(self, time: float, container):
         # ids are never reused and only termination cancels a service, so a
         # completion whose container serves nothing belongs to a terminated one
+        container_id = container.id
         entry = self._busy.pop(container_id, None)
         if entry is None:
             return
         req, since = entry
-        container = self.cluster.containers[container_id]
         self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
         req.completion = time
         req.status = "completed"
-        self.functions[req.function_id].idle[container_id] = container
-        self._drain_pending(time, req.function_id, container)
+        rt = self.functions[req.function_id]
+        rt.idle[container_id] = container
+        if rt.pending:
+            self._drain_pending(time, rt, container)
 
-    def _drain_pending(self, time: float, fid: str, container):
-        rt = self.functions[fid]
+    def _drain_pending(self, time: float, rt: _FnRuntime, container):
+        timeout = rt.spec.timeout_s
         while rt.pending:
             req = rt.pending.popleft()
-            timeout = rt.spec.timeout_s
             if timeout is not None and time - req.arrival > timeout:
                 req.status = "dropped"
                 continue
-            self._start_service(time, container, req)
+            self._start_service(time, rt, container, req)
             return
 
     def _on_ready(self, time: float, container_id: int):
         container = self.cluster.containers.get(container_id)
         if container is None:
             return  # terminated before warming up
-        self.functions[container.function_id].idle[container_id] = container
-        self._drain_pending(time, container.function_id, container)
+        rt = self.functions[container.function_id]
+        rt.idle[container_id] = container
+        self._drain_pending(time, rt, container)
 
     # -- controller hooks ----------------------------------------------------
 
@@ -366,12 +400,14 @@ class Simulation:
         )
         self.cluster.add(container)
         self._alloc_since[container.id] = (time, container.allocated_vcpu)
+        self._units[container.id] = wrr_weight_units(container)
         if delay > 0:
             self.metrics.cold_starts += 1
             self._push(time + delay, EV_READY, container.id)
         else:
-            self.functions[spec.id].idle[container.id] = container
-            self._drain_pending(time, spec.id, container)
+            rt = self.functions[spec.id]
+            rt.idle[container.id] = container
+            self._drain_pending(time, rt, container)
 
     def _terminate(self, time: float, container_id: int):
         container = self.cluster.containers[container_id]
@@ -389,10 +425,11 @@ class Simulation:
         rt = self.functions[container.function_id]
         rt.idle.pop(container_id, None)
         self._multiplier.pop(container_id, None)
+        del self._units[container_id]
         self.cluster.remove(container_id)
         # an idle sibling may be able to pick up the rerun right away
         if rt.pending and rt.idle:
-            self._drain_pending(time, container.function_id, self._select(rt))
+            self._drain_pending(time, rt, self._select(rt))
 
     def _set_fraction(self, time: float, container_id: int, fraction: float):
         container = self.cluster.containers[container_id]
@@ -416,6 +453,7 @@ class Simulation:
             self._busy[container_id] = (req, time)
         container.cpu_fraction = fraction
         self._multiplier.pop(container_id, None)
+        self._units[container_id] = wrr_weight_units(container)
         self._alloc_since[container_id] = (time, container.allocated_vcpu)
 
     def _finalize(self):

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import yaml
 import edgescale.scenario as scenario_mod
 from edgescale.cli import main
 from edgescale.errors import ConfigError
+from scenario_builders import REPO_ROOT
 
 MINI = """
 horizon_seconds: 40
@@ -45,6 +47,23 @@ class TestScenarioLoading:
         p = tmp_path / "bad.yaml"
         p.write_text("horizon_seconds: 10\ncluster: {nodes: [{vcpu: 1, memory_mb: 1}]}\n")
         with pytest.raises(ConfigError, match="functions"):
+            scenario_mod.load(p)
+
+    @pytest.mark.parametrize("path", [
+        *sorted((REPO_ROOT / "perfbench" / "scenarios").glob("*.yaml")), None,
+    ], ids=lambda path: "MINI" if path is None else path.stem)
+    def test_libyaml_parse_equals_pure_python(self, path):
+        text = MINI if path is None else path.read_text()
+        if yaml.__with_libyaml__:
+            assert scenario_mod.LOADER is yaml.CSafeLoader
+        assert yaml.load(text, Loader=scenario_mod.LOADER) == yaml.load(
+            text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("text", ["functions: [a, b", "a: b: c", "key: [1, 2]]"])
+    def test_malformed_yaml_names_the_file(self, tmp_path, text):
+        p = tmp_path / "broken.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: invalid YAML")):
             scenario_mod.load(p)
 
     def test_bad_reclamation_mode(self, mini_scenario):
@@ -240,6 +259,24 @@ class TestRunCommand:
                    "--override", override])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("overrides, field, named", [
+        (["horizon_seconds=1.0e+9", "functions.f1.workload.rate=0"], "estimator.tick",
+         "horizon_seconds"),
+        (["estimator.tick=1e-6"], "estimator.tick", "estimator.tick"),
+        (["controller.epoch_seconds=1e-6"], "controller.epoch_seconds",
+         "controller.epoch_seconds"),
+    ])
+    def test_event_count_bound_exits_1_at_load(self, mini_scenario, tmp_path, capsys,
+                                               overrides, field, named):
+        argv = ["run", str(mini_scenario), "--out", str(tmp_path / "o")]
+        for override in overrides:
+            argv += ["--override", override]
+        start = time.monotonic()
+        rc = main(argv)
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith(f"error: {field}: ") and named in err
 
     def test_arrival_bound_names_the_largest_workload(self):
         doc = yaml.safe_load(MINI)

@@ -8,14 +8,18 @@ before the simulator's idle index and multiplier cache went in. The
 controller variants pin the heterogeneous sizing branch (inflation off) and
 termination-mode reclamation, which no benchmark workload runs; their digests
 were recorded before the epoch plan and the epoch record became one type.
+The trace replay draws more than one 4,096-element block of service times for
+every function; its digests were recorded before service times were drawn in
+blocks.
 """
 
 import hashlib
 
 import pytest
+import yaml
 
-from edgescale import cli, queuing
-from scenario_builders import churn_scenario
+from edgescale import cli, queuing, scenario
+from scenario_builders import REPO_ROOT, churn_scenario
 
 GOLDEN = {
     "wrr": {
@@ -58,6 +62,39 @@ GOLDEN_CONTROLLERS = {
     },
 }
 
+GOLDEN_TRACE = {
+    "wrr": {
+        "requests.csv": "c0454c00de1ac9a5bfca0dbc26ac4b88dd1a2a72c7eacf22e428afb625878547",
+        "epochs.csv": "19c580620764339832afd5bafebaee36c7b9ae06a98359b54b63722e7c8340d8",
+        "summary.txt": "75ba6d4a6070962c35e2c789dde31bcb661cbdbbffafc86d07290bc81e39c0ba",
+    },
+    "worst_case": {
+        "requests.csv": "819400047b05d0410f7cc0b0ef1b5482b091f008ee1d200880a46650b81c2ef8",
+        "epochs.csv": "19c580620764339832afd5bafebaee36c7b9ae06a98359b54b63722e7c8340d8",
+        "summary.txt": "75ba6d4a6070962c35e2c789dde31bcb661cbdbbffafc86d07290bc81e39c0ba",
+    },
+}
+
+BLOCK = 4096
+
+
+def trace_replay_scenario(dispatch):
+    """The trace_headroom benchmark scenario cut to its first 20 minutes.
+
+    `mobilenet` is left out: its trace holds 3,770 arrivals in the whole hour,
+    fewer than one block. `squeezenet` gets an empirical service distribution,
+    so index draws cross blocks too.
+    """
+    path = REPO_ROOT / "perfbench" / "scenarios" / "trace_headroom.yaml"
+    doc = yaml.safe_load(path.read_text())
+    doc.update(horizon_seconds=1200.0, dispatch=dispatch)
+    doc["functions"] = [fn for fn in doc["functions"] if fn["id"] != "mobilenet"]
+    for fn in doc["functions"]:
+        if fn["id"] == "squeezenet":
+            fn["service"] = {"distribution": "empirical", "rate": 10.0,
+                             "samples": [0.02, 0.05, 0.08, 0.1, 0.15, 0.3]}
+    return scenario.from_dict(doc, base_dir=path.parent)
+
 
 def _digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
@@ -93,3 +130,14 @@ def test_controller_variants_match_pinned_digests(variant, dispatch, tmp_path, m
         assert sum(e.deflates for e in metrics.epochs) == 0
     want = GOLDEN_CONTROLLERS[variant, dispatch]
     assert _digests(tmp_path, want) == want
+
+
+@pytest.mark.parametrize("dispatch", sorted(GOLDEN_TRACE))
+def test_trace_replay_across_draw_blocks_matches_pinned_digests(dispatch, tmp_path):
+    metrics = cli.run_scenario_to_dir(trace_replay_scenario(dispatch), tmp_path)
+    draws = {}
+    for r in metrics.requests:
+        if r.status == "completed":
+            draws[r.function_id] = draws.get(r.function_id, 0) + 1
+    assert len(draws) == 5 and min(draws.values()) > BLOCK
+    assert _digests(tmp_path, GOLDEN_TRACE[dispatch]) == GOLDEN_TRACE[dispatch]

@@ -127,6 +127,33 @@ class TestLifecycle:
         assert m.utilization == 0.0
 
 
+SAMPLES = (0.05, 0.1, 0.3)
+
+
+class TestServiceDraws:
+    @pytest.mark.parametrize("service, scalar_draw", [
+        ({"distribution": "exponential", "rate": 10.0}, lambda rng: rng.exponential(1 / 10.0)),
+        ({"distribution": "deterministic", "rate": 10.0}, lambda rng: 1.0 / 10.0),
+        ({"distribution": "empirical", "rate": 10.0, "samples": list(SAMPLES)},
+         lambda rng: SAMPLES[rng.integers(len(SAMPLES))]),
+    ], ids=["exponential", "deterministic", "empirical"])
+    def test_service_times_equal_scalar_draws_across_blocks(self, service, scalar_draw):
+        # one full-size container serves requests 2 s apart, so each is
+        # dispatched on arrival and completes at arrival + its draw exactly
+        n = 2 * 4096 + 1
+        fn = basic_function(rate=1.0, initial=1, service=service)
+        scn = make_scenario([fn], horizon=2.0 * n, controller={"epoch_seconds": 1e9})
+        sim = Simulation(scn)
+        sim.functions["f1"].arrivals = np.arange(n) * 2.0
+        m = sim.run()
+        rng = np.random.default_rng(np.random.SeedSequence(scn.seed).spawn(2)[1])
+        want = [float(scalar_draw(rng)) for _ in range(n)]
+        assert [r.status for r in m.requests] == ["completed"] * n
+        assert all(r.dispatch == r.arrival for r in m.requests)
+        assert [r.completion for r in m.requests] == [r.arrival + w
+                                                      for r, w in zip(m.requests, want)]
+
+
 class TestColdStart:
     def test_no_dispatch_before_ready(self):
         fn = basic_function(rate=10.0, initial=0, cold_start_seconds=0.5)
@@ -287,42 +314,52 @@ class TestInvariants:
 
 
 class CheckedSimulation(Simulation):
-    """Checks each function's idle index against its definition after every event.
+    """Checks the simulator's tracked state against its definition after every event.
 
     A container is idle when it is placed, its cold start has ended (no
-    ready event for it is still queued) and it serves no request.
+    ready event for it is still queued) and it serves no request. Every
+    placed container has cached WRR units and may have a cached multiplier;
+    each cached value equals what it caches, and no entry outlives its
+    container.
     """
 
     checks = 0
 
-    def _check_idle_index(self, time):
+    def _check_tracked_state(self, time):
         warming = {payload for _, kind, _, payload in self._events if kind == EV_READY}
         for fid, rt in self.functions.items():
             expected = {c.id for c in self.cluster.of_function(fid)
                         if c.id not in warming and c.id not in self._busy}
             assert set(rt.idle) == expected, (time, fid)
             assert all(rt.idle[cid] is self.cluster.containers[cid] for cid in expected)
+        placed = self.cluster.containers
+        assert set(self._units) == set(placed), time
+        assert set(self._multiplier) <= set(placed), time
+        for cid, c in placed.items():
+            assert self._units[cid] == simulator.wrr_weight_units(c), (time, cid)
+            if cid in self._multiplier:
+                assert self._multiplier[cid] == c.profile.multiplier(c.cpu_fraction), (time, cid)
         self.checks += 1
 
     def _on_complete(self, time, payload):
         super()._on_complete(time, payload)
-        self._check_idle_index(time)
+        self._check_tracked_state(time)
 
-    def _on_arrival(self, time, fid):
-        super()._on_arrival(time, fid)
-        self._check_idle_index(time)
+    def _on_arrival(self, time, rt):
+        super()._on_arrival(time, rt)
+        self._check_tracked_state(time)
 
     def _on_ready(self, time, container_id):
         super()._on_ready(time, container_id)
-        self._check_idle_index(time)
+        self._check_tracked_state(time)
 
     def _on_estimator(self, time):
         super()._on_estimator(time)
-        self._check_idle_index(time)
+        self._check_tracked_state(time)
 
     def _on_epoch(self, time, epoch_idx):
         super()._on_epoch(time, epoch_idx)
-        self._check_idle_index(time)
+        self._check_tracked_state(time)
 
 
 class TestTrackedState:
