@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, queuing, scenario as scenario_mod, simulator
-from .errors import EdgeScaleError
+from .errors import EdgeScaleError, InvalidParameter
 from .queuing import WaitTarget
 
 
@@ -129,16 +129,43 @@ def cmd_run(args) -> int:
 
 def _rate_list(text):
     try:
-        return sorted(float(x) for x in text.split(",")) if text else []
+        rates = sorted(float(x) for x in text.split(",")) if text else []
     except ValueError:
+        rates = [math.nan]
+    if not all(math.isfinite(r) for r in rates):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+            f"expected comma-separated finite numbers, got {text!r}")
+    return rates
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text):
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
+    value = _nonnegative_int(text)
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+    return value
 
 
 def cmd_validate(args) -> int:
@@ -161,10 +188,15 @@ def cmd_validate(args) -> int:
 
     estimates = []
     for rep in range(args.replications):
-        res = oracle.mc_wait(
-            args.arrival_rate, pool, args.deadline,
-            num_requests=args.requests, seed=args.seed + rep, policy=policy,
-        )
+        try:
+            res = oracle.mc_wait(
+                args.arrival_rate, pool, args.deadline,
+                num_requests=args.requests, seed=args.seed + rep, policy=policy,
+            )
+        except InvalidParameter as exc:
+            # the rates and the deadline passed the sizing step above, and
+            # argparse took a positive arrival rate: the request count is left
+            raise InvalidParameter(f"--requests: {exc}") from None
         estimates.append(res)
     p_mc = statistics.fmean(r.p_wait_le_t for r in estimates)
     se = max(r.stderr for r in estimates) / math.sqrt(len(estimates))
@@ -244,15 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate", help="model vs Monte-Carlo oracle")
-    val_p.add_argument("--arrival-rate", type=float, required=True)
-    val_p.add_argument("--service-rate", type=float, required=True)
+    val_p.add_argument("--arrival-rate", type=_positive_float, required=True)
+    val_p.add_argument("--service-rate", type=_positive_float, required=True)
     val_p.add_argument("--rates", type=_rate_list, default="",
                        help="existing heterogeneous pool rates, comma separated")
-    val_p.add_argument("--deadline", type=float, default=0.1)
-    val_p.add_argument("--percentile", type=float, default=0.95)
+    val_p.add_argument("--deadline", type=_finite_float, default=0.1)
+    val_p.add_argument("--percentile", type=_finite_float, default=0.95)
     val_p.add_argument("--replications", type=_positive_int, default=3)
-    val_p.add_argument("--requests", type=int, default=120_000)
-    val_p.add_argument("--seed", type=int, default=0)
+    val_p.add_argument("--requests", type=_positive_int, default=120_000)
+    val_p.add_argument("--seed", type=_nonnegative_int, default=0)
     val_p.set_defaults(func=cmd_validate)
 
     rep_p = sub.add_parser("replay", help="run a trace CSV with default settings")

@@ -6,10 +6,17 @@ servers, matching the abstraction of the analytical models exactly. The only
 policy knob is which idle server a request takes when several are free --
 "fastest-idle" (sensible dispatcher) or "slowest-idle" (the worst case the
 heterogeneous model assumes).
+
+Two tie rules fix the schedule exactly: a server that completes at exactly a
+request's start time counts as idle for it, and idle servers are ranked by
+index, which is rate order because rates are sorted ascending. Under them a
+request costs O(log c) on two heaps, idle and busy, and gets the same start
+time and server as a scan over all c servers would give it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -18,6 +25,7 @@ import numpy as np
 from .errors import InvalidParameter, UnstableSystem
 
 POLICIES = ("fastest-idle", "slowest-idle")
+SLICE = 1024  # requests read from the draw arrays per pass, as Python floats
 
 
 @dataclass(frozen=True)
@@ -35,38 +43,43 @@ def _shared_queue(lam: float, rates, num_requests: int, seed: int, pick_fastest:
     slowest when `pick_fastest` is false; service time is exponential at that
     server's rate. `rates` must be sorted ascending. Returns the arrival,
     service-start and completion times, in arrival order.
+
+    Tie rules: a server that completes at exactly `start` counts as idle, and
+    idle ties go by index, which is rate order. The idle heap holds exactly
+    the servers free at `start`, keyed by index (negated for fastest-idle);
+    the busy heap holds `(free_at, index)` for the rest. `start` never moves
+    back, since request n starts no earlier than request n-1.
     """
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
     unit_service = rng.exponential(1.0, size=num_requests)
 
-    c = len(rates)
-    free_at = [0.0] * c
+    sign = -1 if pick_fastest else 1
+    idle = sorted(sign * j for j in range(len(rates)))  # a sorted list is a heap
+    busy = []
+    start = 0.0
     starts = np.empty(num_requests)
     completions = np.empty(num_requests)
+    push, pop = heapq.heappush, heapq.heappop
 
-    for i in range(num_requests):
-        arrived = arrivals[i]
-        start = min(free_at)
-        if start < arrived:
-            start = arrived
-        # among servers already free at `start`, take per policy; rates are
-        # sorted ascending so index order is slowness order
-        chosen = -1
-        if pick_fastest:
-            for j in range(c - 1, -1, -1):
-                if free_at[j] <= start:
-                    chosen = j
-                    break
-        else:
-            for j in range(c):
-                if free_at[j] <= start:
-                    chosen = j
-                    break
-        done = start + unit_service[i] / rates[chosen]
-        free_at[chosen] = done
-        starts[i] = start
-        completions[i] = done
+    for lo in range(0, num_requests, SLICE):
+        hi = min(lo + SLICE, num_requests)
+        slice_starts = []
+        slice_done = []
+        for arrived, unit in zip(arrivals[lo:hi].tolist(), unit_service[lo:hi].tolist()):
+            if arrived > start:
+                start = arrived
+            if not idle and busy[0][0] > start:
+                start = busy[0][0]
+            while busy and busy[0][0] <= start:
+                push(idle, sign * pop(busy)[1])
+            j = sign * pop(idle)
+            done = start + unit / rates[j]
+            push(busy, (done, j))
+            slice_starts.append(start)
+            slice_done.append(done)
+        starts[lo:hi] = slice_starts
+        completions[lo:hi] = slice_done
     return arrivals, starts, completions
 
 
@@ -86,21 +99,33 @@ def mc_wait(
     The standard error is computed by batch means, which keeps it honest in
     the presence of the serial correlation queueing induces.
     """
-    rates = sorted(float(r) for r in rates)
-    if not rates or rates[0] <= 0:
-        raise InvalidParameter("rates must be non-empty and positive")
-    if lam <= 0:
-        raise InvalidParameter(f"arrival rate must be > 0, got {lam}")
+    # NaN fails every comparison, so each check passes only a finite value in
+    # range; a NaN time would also break the busy heap's order silently
+    rates = [float(r) for r in rates]
+    if not rates or not all(0 < r < math.inf for r in rates):
+        raise InvalidParameter("rates must be non-empty, finite and > 0")
+    rates.sort()
+    if not 0 < lam < math.inf:
+        raise InvalidParameter(f"arrival rate must be finite and > 0, got {lam}")
+    if not 0 <= t < math.inf:
+        raise InvalidParameter(f"t must be finite and >= 0, got {t}")
     if policy not in POLICIES:
         raise InvalidParameter(f"policy must be one of {POLICIES}, got {policy!r}")
     if lam >= sum(rates):
         raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
     if num_requests < 100:
         raise InvalidParameter("need at least 100 requests")
+    if batches < 2:
+        raise InvalidParameter(f"batch means need at least 2 batches, got {batches}")
     if warmup is None:
         warmup = max(1000, num_requests // 100)
-    if warmup >= num_requests:
-        raise InvalidParameter("warmup must leave samples to measure")
+    if warmup < 0:
+        raise InvalidParameter(f"warmup must be >= 0, got {warmup}")
+    if num_requests - warmup < batches:
+        raise InvalidParameter(
+            f"{num_requests} requests leave {max(num_requests - warmup, 0)} samples "
+            f"after a warmup of {warmup}, fewer than the {batches} batches"
+        )
 
     pick_fastest = policy == "fastest-idle"
     arrivals, starts, _ = _shared_queue(lam, rates, num_requests, seed, pick_fastest)

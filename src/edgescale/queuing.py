@@ -224,8 +224,8 @@ def find_c_homogeneous(
     """
     if mu <= 0 or not math.isfinite(mu):
         raise InvalidParameter(f"service rate must be finite and > 0, got {mu}")
-    if lam < 0:
-        raise InvalidParameter(f"arrival rate must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
     if c_start < 0:
         raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
     c = max(c_start, min_stable_count(lam, mu))
@@ -252,8 +252,8 @@ def find_c_heterogeneous(
     """
     if standard_mu <= 0 or not math.isfinite(standard_mu):
         raise InvalidParameter(f"standard rate must be finite and > 0, got {standard_mu}")
-    if not lam >= 0:
-        raise InvalidParameter(f"arrival rate must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
     base = np.sort(np.asarray(list(existing_rates), dtype=float))
     if base.size and not (base[0] > 0 and np.isfinite(base[-1])):
         raise InvalidParameter("every existing rate must be finite and > 0")

@@ -313,13 +313,28 @@ class TestValidateCommand:
         assert rc == 0 and "PASS" in out
 
     @pytest.mark.parametrize("flag, value", [
-        ("--rates", ","), ("--rates", "a"), ("--replications", "0"),
+        ("--rates", ","), ("--rates", "a"), ("--rates", "7,nan"), ("--replications", "0"),
+        ("--arrival-rate", "nan"), ("--arrival-rate", "inf"), ("--arrival-rate", "0"),
+        ("--service-rate", "inf"), ("--deadline", "inf"), ("--deadline", "nan"),
+        ("--seed", "-1"), ("--requests", "0"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
             main(["validate", "--arrival-rate", "5", "--service-rate", "10", flag, value])
         assert exit_info.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("requests, samples", [
+        ("1050", "50 samples"), ("150", "0 samples"), ("99", "at least 100 requests"),
+    ])
+    def test_too_few_requests_names_the_flag(self, capsys, requests, samples):
+        # 1,050 requests once gave 50 samples for 100 batch means: nan and FAIL
+        rc = main(["validate", "--arrival-rate", "5", "--service-rate", "1",
+                   "--replications", "1", "--requests", requests])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: --requests: ")
+        assert samples in captured.err
 
     def test_unstable_reports_cleanly(self, capsys):
         rc = main([

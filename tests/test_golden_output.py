@@ -11,9 +11,14 @@ were recorded before the epoch plan and the epoch record became one type.
 The trace replay draws more than one 4,096-element block of service times for
 every function; its digests were recorded before service times were drawn in
 blocks.
+
+`edgescale validate` is pinned the same way, by its exact stdout on the
+benchmark's validate cases. That text was recorded while the oracle still
+scanned every server per request, before its idle and busy heaps went in.
 """
 
 import hashlib
+import importlib.util
 
 import pytest
 import yaml
@@ -75,7 +80,24 @@ GOLDEN_TRACE = {
     },
 }
 
+HEADER = "pool                    model P(wait<=t)      oracle     +-3se  verdict\n"
+
+GOLDEN_VALIDATE = {
+    "homog_c55": HEADER + "homog c=55                       0.96234     0.95454   0.03066  PASS\n",
+    "hetero_deflated30":
+        HEADER + "hetero c=40 (+10 std)            0.95433     0.95846   0.03470  PASS\n",
+    "o3_low_load": HEADER + "homog c=1                        0.84451     0.84114   0.00733  PASS\n",
+}
+
 BLOCK = 4096
+
+
+def _validate_cases():
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.VALIDATE_CASES
 
 
 def trace_replay_scenario(dispatch):
@@ -141,3 +163,11 @@ def test_trace_replay_across_draw_blocks_matches_pinned_digests(dispatch, tmp_pa
             draws[r.function_id] = draws.get(r.function_id, 0) + 1
     assert len(draws) == 5 and min(draws.values()) > BLOCK
     assert _digests(tmp_path, GOLDEN_TRACE[dispatch]) == GOLDEN_TRACE[dispatch]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VALIDATE))
+def test_validate_stdout_matches_pinned_text(case, capsys):
+    argv = ["validate", *_validate_cases()[case],
+            "--replications", "3", "--requests", "20000", "--seed", "0"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_VALIDATE[case]

@@ -80,3 +80,111 @@ def test_input_validation():
         mc_wait(5, [], 0.1)
     with pytest.raises(InvalidParameter):
         mc_wait(5, [10.0], 0.1, policy="round-robin")
+
+
+@pytest.mark.parametrize("lam, rates, t, match", [
+    (5, [math.nan, 10.0], 0.1, "rates"),
+    (5, [10.0, math.nan, 4.0], 0.1, "rates"),
+    (5, [math.inf], 0.1, "rates"),
+    (math.nan, [10.0], 0.1, "arrival rate"),
+    (math.inf, [10.0], 0.1, "arrival rate"),
+    (5, [10.0], math.nan, "t must"),
+    (5, [10.0], math.inf, "t must"),
+    (5, [10.0], -0.1, "t must"),
+])
+def test_non_finite_or_negative_input_rejected(lam, rates, t, match):
+    with pytest.raises(InvalidParameter, match=match):
+        mc_wait(lam, rates, t, num_requests=2_000)
+
+
+def test_warmup_and_batches_must_leave_samples():
+    # the default warmup of 1,000 leaves 50 samples for 100 batches
+    with pytest.raises(InvalidParameter, match="50 samples"):
+        mc_wait(5, [1.0] * 10, 0.1, num_requests=1_050)
+    with pytest.raises(InvalidParameter, match="batches"):
+        mc_wait(5, [1.0] * 10, 0.1, num_requests=2_000, batches=1)
+    # a negative warmup would measure only the last requests
+    with pytest.raises(InvalidParameter, match="warmup"):
+        mc_wait(5, [1.0] * 10, 0.1, num_requests=2_000, warmup=-150)
+    res = mc_wait(5, [1.0] * 10, 0.1, num_requests=1_100)
+    assert res.sample_count == 100 and math.isfinite(res.stderr)
+
+
+def scan_reference(lam, rates, num_requests, seed, pick_fastest):
+    """`_shared_queue` as one O(c) scan over every server per request."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
+    unit_service = rng.exponential(1.0, size=num_requests)
+    free_at = [0.0] * len(rates)
+    starts = np.empty(num_requests)
+    completions = np.empty(num_requests)
+    for i in range(num_requests):
+        start = max(arrivals[i], min(free_at))
+        order = range(len(rates) - 1, -1, -1) if pick_fastest else range(len(rates))
+        chosen = next(j for j in order if free_at[j] <= start)
+        free_at[chosen] = start + unit_service[i] / rates[chosen]
+        starts[i] = start
+        completions[i] = free_at[chosen]
+    return arrivals, starts, completions
+
+
+def _random_pools(count, seed):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        c = int(rng.integers(1, 61))
+        kind = ("equal", "mixed", "repeated")[k % 3]
+        if kind == "equal":
+            rates = [float(rng.uniform(0.5, 20.0))] * c
+        elif kind == "mixed":
+            rates = sorted(rng.uniform(0.5, 20.0, size=c).tolist())
+        else:
+            rates = sorted(rng.choice([1.0, 2.5, 6.0, 9.0, 10.0], size=c).tolist())
+        yield pytest.param(float(rng.uniform(0.2, 0.97)) * sum(rates), rates,
+                           id=f"{kind}-c{c}")
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False], ids=["fastest", "slowest"])
+@pytest.mark.parametrize("lam, rates", [
+    pytest.param(45.0, [1.0] * 55, id="homog_c55"),
+    pytest.param(300.0, sorted([6.0] * 15 + [9.0] * 15 + [10.0] * 10), id="hetero_c40"),
+    *_random_pools(18, seed=11),
+])
+def test_heaps_equal_scan_bit_for_bit(lam, rates, pick_fastest):
+    n = 2 * oracle.SLICE + 37
+    want = scan_reference(lam, rates, n, 4, pick_fastest)
+    got = oracle._shared_queue(lam, rates, n, 4, pick_fastest)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+class _FixedDraws:
+    """Stands in for a numpy Generator: hands out preset exponential draws."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def exponential(self, scale, size):
+        return scale * np.array(self.draws.pop(0), dtype=float)
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False])
+def test_tied_completions_count_as_idle(monkeypatch, pick_fastest):
+    """Three servers all free up at exactly t=2 while requests queue from t=1.
+
+    Request 3 starts at 2.0 on the fastest (or slowest) of them. Request 4
+    arrives at 1.5 and must also start at 2.0, on the next of the tied
+    servers: the two left idle at 2.0 do not make it start at its arrival.
+    """
+    gaps = [1.0, 0.0, 0.0, 0.0, 0.5, 3.0]
+    units = [4.0, 2.0, 1.0, 4.0, 2.0, 1.0]  # 1 s on rates 4, 2, 1 in turn
+    rates = [1.0, 2.0, 4.0]
+    results = []
+    for kernel in (scan_reference, oracle._shared_queue):
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _FixedDraws(gaps, units if pick_fastest
+                                                     else units[::-1]))
+        results.append(kernel(1.0, rates, len(gaps), 0, pick_fastest))
+    want, got = results
+    assert want[1].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 4.5]
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)

@@ -190,8 +190,11 @@ class TestFindC:
                 find_c_heterogeneous(5, [10.0], bad, t)
             with pytest.raises(InvalidParameter):
                 find_c_heterogeneous(5, [bad], 10, t)
-        with pytest.raises(InvalidParameter):
-            find_c_heterogeneous(math.nan, [10.0], 10, t)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameter, match="arrival rate"):
+                find_c_homogeneous(bad, 10, t)
+            with pytest.raises(InvalidParameter, match="arrival rate"):
+                find_c_heterogeneous(bad, [10.0], 10, t)
 
     def test_sizing_at_float_boundaries(self):
         # t*c*mu + c - 1 lands on an integer here; the cutoff must use the
