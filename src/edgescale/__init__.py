@@ -23,4 +23,4 @@ from .queuing import (  # noqa: F401
     wait_tail,
 )
 from .reclamation import ContainerState, ServiceProfile  # noqa: F401
-from .workload import InvocationTrace, RateEstimator, WorkloadSpec  # noqa: F401
+from .workload import RateEstimator, WorkloadSpec  # noqa: F401

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import fairshare, queuing, reclamation
 from .errors import InfeasibleDeadline, NoCapacity
 from .queuing import WaitTarget
@@ -133,7 +135,8 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
     """Size one function's pool for the estimated rate.
 
     Returns (c_new, demand_vcpu): the pool's container count after this
-    epoch's sizing, and its demand in vCPU.
+    epoch's sizing, and its demand in vCPU. A zero rate needs no containers,
+    and no pool is sized below `spec.min_containers`.
 
     With inflation enabled, a deflated pool is restorable to full size at no
     cost, so demand is always full-size equivalents from the homogeneous
@@ -142,31 +145,29 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
     heterogeneous model, which only adds standard containers; shrinking is
     probed by dropping the smallest members while the target still holds.
     """
-    target = spec.slo.wait_target(spec.profile)
-    base_rate = spec.profile.base_rate
-    uniform = all(abs(c.cpu_fraction - 1.0) < 1e-12 for c in active)
-    if uniform or cfg.inflation_enabled:
-        c_needed = queuing.find_c_homogeneous(rate, base_rate, target)
-        c_needed = max(c_needed, spec.min_containers)
-        return c_needed, c_needed * spec.vcpu
-
-    rates = sorted(c.effective_rate for c in active)
-    extra = queuing.find_c_heterogeneous(rate, rates, base_rate, target)
-    pool = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
-    if extra == 0:
-        # probe shrinking: drop smallest-capacity members while still meeting
-        # the target (the additive heterogeneous search never scales down)
-        while len(pool) > max(1, spec.min_containers):
-            trial = sorted(c.effective_rate for c in pool[1:])
-            model = queuing.HeterogeneousModel(rate, tuple(trial))
-            if not model.is_stable:
-                break
-            if queuing.wait_tail(model, target) < target.percentile:
-                break
-            pool = pool[1:]
-    kept = {c.id for c in pool}
-    demand = sum(c.allocated_vcpu for c in active if c.id in kept)
-    return len(pool) + extra, demand + extra * spec.vcpu
+    kept, extra = [], 0
+    if rate > 0:
+        target = spec.slo.wait_target(spec.profile)
+        base_rate = spec.profile.base_rate
+        uniform = all(abs(c.cpu_fraction - 1.0) < 1e-12 for c in active)
+        if uniform or cfg.inflation_enabled:
+            extra = queuing.find_c_homogeneous(rate, base_rate, target)
+        else:
+            rates = sorted(c.effective_rate for c in active)
+            extra = queuing.find_c_heterogeneous(rate, rates, base_rate, target)
+            kept = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
+            # probe shrinking: drop smallest-capacity members while the target
+            # holds (the additive heterogeneous search never scales down)
+            while extra == 0 and len(kept) > max(1, spec.min_containers):
+                trial = np.cumsum(sorted(c.effective_rate for c in kept[1:]))
+                if not queuing.meets_target(rate, trial, target):
+                    break
+                kept = kept[1:]
+    extra = max(extra, spec.min_containers - len(kept))
+    # summed in `active` order, which fixes the float result
+    ids = {c.id for c in kept}
+    demand = sum(c.allocated_vcpu for c in active if c.id in ids)
+    return len(kept) + extra, demand + extra * spec.vcpu
 
 
 def reconcile(
@@ -251,16 +252,12 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
         active = [c for c in pools[fid] if not c.lazy_marked]
         rate = max(0.0, estimates.get(fid, 0.0))
         infeasible = False
-        if rate <= 0:
-            c_new = spec.min_containers
-            demand = c_new * spec.vcpu
-        else:
-            try:
-                c_new, demand = required_pool(spec, active, rate, cfg)
-            except InfeasibleDeadline:
-                # no container count can meet the SLO; hold the fair share
-                infeasible = True
-                c_new, demand = len(active), guar[fid]
+        try:
+            c_new, demand = required_pool(spec, active, rate, cfg)
+        except InfeasibleDeadline:
+            # no container count can meet the SLO; hold the fair share
+            infeasible = True
+            c_new, demand = len(active), guar[fid]
         records[fid] = EpochRecord(
             function_id=fid,
             rate_estimate=rate,

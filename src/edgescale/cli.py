@@ -217,23 +217,25 @@ def cmd_replay(args) -> int:
     if not traces:
         print("trace file has no rows", file=sys.stderr)
         return 1
-    horizon = args.horizon or max(len(t.per_minute_counts) for t in traces) * 60.0
+    horizon = args.horizon
+    if horizon is None:
+        horizon = max(len(counts) for counts in traces.values()) * 60.0
     doc = {
         "horizon_seconds": horizon,
-        "seed": args.seed or 0,
+        "seed": args.seed,
         "cluster": {"nodes": [{"vcpu": args.node_vcpu, "memory_mb": args.node_memory_mb}
                               for _ in range(args.nodes)]},
         "controller": {"reclamation": args.reclamation},
         "functions": [
             {
-                "id": t.function_id,
+                "id": fid,
                 "size": {"vcpu": args.vcpu, "memory_mb": args.memory_mb},
                 "slo": {"deadline": args.deadline, "percentile": args.percentile},
                 "service": {"distribution": "exponential", "rate": args.service_rate},
                 "workload": {"mode": "trace", "file": str(Path(args.trace).name),
-                             "function": t.function_id},
+                             "function": fid},
             }
-            for t in traces
+            for fid in traces
         ],
     }
     scn = scenario_mod.from_dict(doc, base_dir=Path(args.trace).parent)
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate a scenario file")
     run_p.add_argument("scenario")
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--seed", type=int, default=None)
+    run_p.add_argument("--seed", type=_nonnegative_int, default=None)
     run_p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE")
     run_p.set_defaults(func=cmd_run)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("trace")
     rep_p.add_argument("--out", required=True)
     rep_p.add_argument("--horizon", type=float, default=None)
-    rep_p.add_argument("--seed", type=int, default=0)
+    rep_p.add_argument("--seed", type=_nonnegative_int, default=0)
     rep_p.add_argument("--nodes", type=int, default=3)
     rep_p.add_argument("--node-vcpu", type=float, default=4.0)
     rep_p.add_argument("--node-memory-mb", type=float, default=16384.0)

@@ -8,6 +8,12 @@ on any real dispatcher's. The M/M/c pool of c identical containers is the
 equal-rate case, D_n = n*mu, built from the exact products: a running sum of
 c copies of mu would shift the sizing cutoff at float boundaries.
 
+Pools are sized by one upward search over existing rates + k standard
+containers (`_search`), with one stability floor (`min_stable_count`) and one
+sizing rule (`meets_target`), which the allocator's shrink probe also tests.
+`find_c_homogeneous` and `find_c_heterogeneous` stay two entry points, neither
+calling the other, because the benchmark's layer tracer counts each by name.
+
 All factorial/power terms are accumulated as log-space recurrences so the math
 stays finite for pools up to the hard cap (10 000 containers) and offered loads
 up to 10 000; naive factorial evaluation overflows around c = 170.
@@ -75,12 +81,8 @@ class HeterogeneousModel:
     def drain_rate(self) -> float:
         return float(self.drains[-1])
 
-    @property
-    def is_stable(self) -> bool:
-        return self.lam < self.drain_rate
-
     def require_stable(self):
-        if not self.is_stable:
+        if not self.lam < self.drain_rate:
             raise UnstableSystem(
                 f"lam={self.lam} >= total rate {self.drain_rate}; no steady state"
             )
@@ -200,14 +202,56 @@ def wait_cdf_heterogeneous(model: HeterogeneousModel, t: float) -> float:
     return _wait_cdf(model, t)
 
 
-def min_stable_count(lam: float, mu: float) -> int:
-    """Smallest c with lam < c*mu (at least 1)."""
-    if lam <= 0:
-        return 1
-    c = int(math.floor(lam / mu)) + 1
-    while c * mu <= lam:  # float-division rounding guard
-        c += 1
-    return max(1, c)
+def min_stable_count(lam: float, mu: float, base: float = 0.0) -> int:
+    """The stability floor: smallest k with base + k*mu > lam.
+
+    `base` is the summed rate of the containers a pool already holds; with
+    none (the default) the answer is the smallest stable M/M/c pool, at least
+    1 for lam >= 0.
+    """
+    k = 0
+    if lam >= base:
+        k = int(math.floor((lam - base) / mu)) + 1
+    while base + k * mu <= lam:  # float-division rounding guard
+        k += 1
+    return k
+
+
+def meets_target(lam: float, drains: np.ndarray, target: WaitTarget) -> bool:
+    """The sizing rule: the pool with cumulative drain rates `drains` is stable
+    and its occupancy-cutoff P(wait <= t) reaches the target percentile."""
+    return lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile
+
+
+def _search(lam: float, base: np.ndarray, mu: float, target: WaitTarget, k: int, cap: int) -> int:
+    """Smallest count of rate-`mu` containers, at least k and the stability
+    floor, that merged into the sorted pool `base` meets the sizing rule.
+
+    An empty pool takes the exact products of `_equal_drains`; otherwise the
+    drains are the running sum of the merged pool, slowest first.
+    """
+    # an empty pool, as in every homogeneous call, needs neither numpy call
+    total, insert_at = (0.0, 0) if not base.size else (
+        float(base.sum()), int(np.searchsorted(base, mu)))
+    k = max(k, min_stable_count(lam, mu, total))
+    while base.size + k <= cap:
+        if base.size:
+            drains = np.cumsum(np.concatenate([base[:insert_at], np.full(k, float(mu)),
+                                               base[insert_at:]]))
+        else:
+            drains = _equal_drains(mu, k)
+        if meets_target(lam, drains, target):
+            return k
+        k += 1
+    raise CapExceeded(f"no pool of <= {cap} containers meets P(wait <= {target.t}) "
+                      f">= {target.percentile}")
+
+
+def _check_rates(lam: float, mu: float, name: str):
+    if mu <= 0 or not math.isfinite(mu):
+        raise InvalidParameter(f"{name} must be finite and > 0, got {mu}")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
 
 
 def find_c_homogeneous(
@@ -222,18 +266,10 @@ def find_c_homogeneous(
     The scan begins at max(c_start, stability floor); c_start is a warm start
     (the current pool size), not an upper bound on the answer.
     """
-    if mu <= 0 or not math.isfinite(mu):
-        raise InvalidParameter(f"service rate must be finite and > 0, got {mu}")
-    if not 0 <= lam < math.inf:
-        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
+    _check_rates(lam, mu, "service rate")
     if c_start < 0:
         raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
-    c = max(c_start, min_stable_count(lam, mu))
-    while c <= cap:
-        if _wait_tail(lam, _equal_drains(mu, c), target.t) >= target.percentile:
-            return c
-        c += 1
-    raise CapExceeded(f"no c <= {cap} meets P(wait <= {target.t}) >= {target.percentile}")
+    return _search(lam, np.empty(0), mu, target, c_start, cap)
 
 
 def find_c_heterogeneous(
@@ -250,35 +286,11 @@ def find_c_heterogeneous(
     worst-case heterogeneous model. An empty existing pool takes the equal
     drains find_c_homogeneous uses, so the two agree on it.
     """
-    if standard_mu <= 0 or not math.isfinite(standard_mu):
-        raise InvalidParameter(f"standard rate must be finite and > 0, got {standard_mu}")
-    if not 0 <= lam < math.inf:
-        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
+    _check_rates(lam, standard_mu, "standard rate")
     base = np.sort(np.asarray(list(existing_rates), dtype=float))
     if base.size and not (base[0] > 0 and np.isfinite(base[-1])):
         raise InvalidParameter("every existing rate must be finite and > 0")
-    insert_at = int(np.searchsorted(base, standard_mu))
-    base_sum = float(base.sum())
-
-    # skip straight to the stability floor: need base_sum + k*standard_mu > lam
-    k = 0
-    if lam >= base_sum:
-        k = int(math.floor((lam - base_sum) / standard_mu)) + 1
-    while base_sum + k * standard_mu <= lam:
-        k += 1
-
-    while base.size + k <= cap:
-        if base.size + k > 0:
-            pool = np.concatenate(
-                [base[:insert_at], np.full(k, float(standard_mu)), base[insert_at:]]
-            )
-            drains = np.cumsum(pool) if base.size else _equal_drains(standard_mu, k)
-            if lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile:
-                return k
-        k += 1
-    raise CapExceeded(
-        f"pool would exceed {cap} containers before meeting the waiting target"
-    )
+    return _search(lam, base, standard_mu, target, 0, cap)
 
 
 def wait_budget(deadline: float, profile, percentile: float = DEFAULT_PERCENTILE) -> WaitTarget:

@@ -204,13 +204,15 @@ def _build(make, prefix, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _workload(doc, where, base_dir):
+def _workload(doc, where, base_dir, traces):
+    """The function's WorkloadSpec; `traces` caches each trace file by path."""
     if doc["mode"] == "trace":
         path = base_dir / doc["file"]
-        traces = {t.function_id: t for t in _build(load_trace, f"{where}.file: ", path=path)}
-        if doc["function"] not in traces:
+        if path not in traces:
+            traces[path] = _build(load_trace, f"{where}.file: ", path=path)
+        if doc["function"] not in traces[path]:
             raise ConfigError(f"{where}.function: {doc['function']!r} not in trace {path}")
-        return traces[doc["function"]].to_workload()
+        return WorkloadSpec(mode="trace", per_minute_counts=traces[path][doc["function"]])
     schedule = ((0.0, doc["rate"]),) if doc["mode"] == "static" else doc.get("schedule", ())
     return _build(WorkloadSpec, f"{where}: ", mode=doc["mode"], rate_schedule=schedule,
                   rate_points=doc.get("points", ()))
@@ -229,7 +231,7 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
             raise ConfigError(f"functions.{fn['id']}.user: unknown user {fn['user']!r}")
         in_user_total[fn["user"]] = in_user_total.get(fn["user"], 0) + fn["weight"]
 
-    functions, workloads, initial_fractions = {}, {}, {}
+    functions, workloads, initial_fractions, traces = {}, {}, {}, {}
     for fn in top["functions"]:
         fid, service = fn["id"], fn["service"]
         where = f"functions.{fid}"
@@ -247,7 +249,7 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
                            samples=tuple(service["samples"])),
             cold_start_s=fn["cold_start_seconds"], min_containers=fn["min_containers"],
             timeout_s=fn["timeout_seconds"])
-        workloads[fid] = _workload(fn["workload"], f"{where}.workload", base_dir)
+        workloads[fid] = _workload(fn["workload"], f"{where}.workload", base_dir, traces)
         initial_fractions[fid] = fn["initial_containers"]
 
     horizon = top["horizon_seconds"]

@@ -27,7 +27,7 @@ and lookups:
   and the WRR weight units, computed by `wrr_weight_units` when the container
   is created, so that `dispatch_wrr` reads them. Only `_set_fraction` changes
   `cpu_fraction`; it drops the multiplier and recomputes the units.
-  `_terminate` drops both.
+  `_terminate` drops both, and the container's WRR counter.
 - Service times are drawn in blocks of `BLOCK` per function from that
   function's own RNG stream. `run` gives each function one buffer, and
   `refill_draws` overwrites it with one numpy call once it has been read
@@ -165,9 +165,8 @@ class SimMetrics:
 
 
 class Simulation:
-    def __init__(self, scenario, seed=None):
+    def __init__(self, scenario):
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
         self.cfg: ControllerConfig = scenario.controller
         self.cluster = ClusterState(nodes=list(scenario.nodes))
         self.horizon = scenario.horizon_s
@@ -182,7 +181,7 @@ class Simulation:
         self._multiplier: dict = {}  # container_id -> service rate multiplier
         self._units: dict = {}  # container_id -> WRR weight units
 
-        ss = np.random.SeedSequence(self.seed)
+        ss = np.random.SeedSequence(scenario.seed)
         fids = sorted(scenario.functions)
         children = ss.spawn(2 * len(fids))
         self.functions: dict = {}
@@ -424,6 +423,7 @@ class Simulation:
         self.metrics.allocated_vcpu_time += (time - since) * vcpu
         rt = self.functions[container.function_id]
         rt.idle.pop(container_id, None)
+        rt.wrr_state.pop(container_id, None)
         self._multiplier.pop(container_id, None)
         del self._units[container_id]
         self.cluster.remove(container_id)
@@ -465,6 +465,6 @@ class Simulation:
             self.metrics.busy_vcpu_time += (end - since) * container.allocated_vcpu
 
 
-def run(scenario, seed=None) -> SimMetrics:
+def run(scenario) -> SimMetrics:
     """Simulate a scenario to its horizon; deterministic for equal inputs."""
-    return Simulation(scenario, seed=seed).run()
+    return Simulation(scenario).run()

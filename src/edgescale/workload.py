@@ -67,17 +67,6 @@ class WorkloadSpec:
             object.__setattr__(self, "per_minute_counts", counts)
 
 
-@dataclass(frozen=True)
-class InvocationTrace:
-    """Per-minute request counts for one function, index 0 = first minute."""
-
-    function_id: str
-    per_minute_counts: tuple
-
-    def to_workload(self) -> WorkloadSpec:
-        return WorkloadSpec(mode="trace", per_minute_counts=self.per_minute_counts)
-
-
 def _poisson_segment(rng, rate, start, end, out):
     """Append Poisson arrivals at constant `rate` over [start, end) to `out`."""
     if rate <= 0:
@@ -144,15 +133,14 @@ def expected_arrivals(spec: WorkloadSpec, horizon: float) -> float:
                for (start, r), end in zip(sched, ends))
 
 
-def load_trace(path) -> list:
-    """Read a trace CSV (`function_id,minute_index,count`) into InvocationTraces.
+def load_trace(path) -> dict:
+    """Read a trace CSV (`function_id,minute_index,count`) into per-minute counts.
 
     Rows for a function may appear in any order but must not repeat a minute;
-    minutes absent from the file count as zero. Returns one trace per function
-    in first-appearance order.
+    minutes absent from the file count as zero. Returns {function_id: counts},
+    counts[0] being the first minute, in first-appearance order.
     """
     per_fn: dict = {}
-    order: list = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -180,16 +168,8 @@ def load_trace(path) -> list:
                     f"line {lineno}: duplicate minute {minute} for function {fn!r}"
                 )
             minutes[minute] = count
-            if fn not in order:
-                order.append(fn)
-
-    traces = []
-    for fn in order:
-        minutes = per_fn[fn]
-        top = max(minutes)
-        counts = tuple(minutes.get(m, 0) for m in range(top + 1))
-        traces.append(InvocationTrace(function_id=fn, per_minute_counts=counts))
-    return traces
+    return {fn: tuple(minutes.get(m, 0) for m in range(max(minutes) + 1))
+            for fn, minutes in per_fn.items()}
 
 
 @dataclass

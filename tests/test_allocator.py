@@ -14,6 +14,7 @@ from edgescale.allocator import (
     place,
     plan_epoch,
     reconcile,
+    required_pool,
 )
 from edgescale.cluster import ClusterState, Node
 from edgescale.errors import NoCapacity
@@ -150,6 +151,17 @@ class TestPlanEpoch:
         assert plan["f1"].demand_vcpu == 2 * 0.5
         assert plan["f1"].shrink == [MarkLazy(c.id) for c in pool[:2]]
         assert plan["f1"].grow == []
+
+    def test_min_containers_floor_holds_with_inflation_off(self):
+        # one container at 0.8 CPU needs one standard container added at
+        # lam=1; the floor of 3 still applies, with or without inflation
+        spec = spec_for(min_containers=3)
+        pool = [container(fraction=0.8)]
+        for inflation in (False, True):
+            cfg = ControllerConfig(epoch_s=10.0, inflation_enabled=inflation)
+            c_new, demand = required_pool(spec, pool, 1.0, cfg)
+            assert c_new == 3
+            assert demand == pytest.approx(2.8 if not inflation else 3.0)
 
     def test_rate_step_scales_up(self):
         pool = [container()]

@@ -286,6 +286,22 @@ class TestRunCommand:
         with pytest.raises(ConfigError, match=r"^functions\.f2\.workload: "):
             scenario_mod.from_dict(doc)
 
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_bad_seed_is_a_usage_error(self, mini_scenario, tmp_path, capsys, value):
+        # -1 once passed argparse and ended in a numpy traceback
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(mini_scenario), "--out", str(tmp_path / "o"), "--seed", value])
+        assert exit_info.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_equals_seed_override(self, mini_scenario, tmp_path):
+        flag, override = tmp_path / "flag", tmp_path / "override"
+        assert main(["run", str(mini_scenario), "--out", str(flag), "--seed", "7"]) == 0
+        assert main(["run", str(mini_scenario), "--out", str(override),
+                     "--override", "seed=7"]) == 0
+        assert (flag / "requests.csv").read_bytes() == (override / "requests.csv").read_bytes()
+
     def test_reproducible_byte_identical(self, mini_scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", str(mini_scenario), "--out", str(out1)])
@@ -355,6 +371,34 @@ class TestReplayCommand:
         ])
         assert rc == 0
         assert (out / "summary.txt").exists()
+
+    def test_bad_seed_is_a_usage_error(self, tmp_path, repo_root, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
+                  "--out", str(tmp_path / "rep"), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "-60"])
+    def test_bad_horizon_names_horizon_seconds(self, tmp_path, repo_root, capsys, horizon):
+        # 0 once fell back to the trace's full length
+        rc = main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
+                   "--out", str(tmp_path / "rep"), "--horizon", horizon])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: horizon_seconds: ")
+        assert not (tmp_path / "rep").exists()
+
+    def test_trace_file_parsed_once_per_load(self, repo_root, monkeypatch):
+        calls = []
+        real = scenario_mod.load_trace
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(scenario_mod, "load_trace", counting)
+        scn = scenario_mod.load(repo_root / "perfbench" / "scenarios" / "trace_headroom.yaml")
+        assert len(scn.workloads) == 6 and len(calls) == 1
 
 
 class TestSweepCommand:

@@ -7,12 +7,14 @@ import pytest
 
 from edgescale.errors import (
     CapExceeded,
+    EdgeScaleError,
     InfeasibleDeadline,
     InvalidParameter,
     UnstableSystem,
 )
 from edgescale.oracle import mc_wait
 from edgescale.queuing import (
+    DEFAULT_CONTAINER_CAP,
     HeterogeneousModel,
     HomogeneousModel,
     WaitTarget,
@@ -24,6 +26,8 @@ from edgescale.queuing import (
     wait_cdf_heterogeneous,
     wait_cdf_homogeneous,
     wait_tail,
+    _equal_drains,
+    _wait_tail,
 )
 from edgescale.reclamation import ServiceProfile
 
@@ -207,6 +211,126 @@ class TestFindC:
         assert min_stable_count(0, 10) == 1
         assert min_stable_count(30, 10) == 4  # strict inequality: 3*10 == 30 unstable
         assert min_stable_count(29.9, 10) == 3
+
+
+def homogeneous_reference(lam, mu, target, c_start=0, cap=DEFAULT_CONTAINER_CAP):
+    """`find_c_homogeneous` as its own scan: own floor loop, own rule check."""
+    if mu <= 0 or not math.isfinite(mu):
+        raise InvalidParameter("service rate")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameter("arrival rate")
+    if c_start < 0:
+        raise InvalidParameter("c_start")
+    floor = 1
+    if lam > 0:
+        floor = int(math.floor(lam / mu)) + 1
+        while floor * mu <= lam:
+            floor += 1
+    c = max(c_start, floor)
+    while c <= cap:
+        if _wait_tail(lam, _equal_drains(mu, c), target.t) >= target.percentile:
+            return c
+        c += 1
+    raise CapExceeded("cap")
+
+
+def heterogeneous_reference(lam, existing_rates, standard_mu, target, cap=DEFAULT_CONTAINER_CAP):
+    """`find_c_heterogeneous` as its own scan: own floor loop, own rule check."""
+    if standard_mu <= 0 or not math.isfinite(standard_mu):
+        raise InvalidParameter("standard rate")
+    if not 0 <= lam < math.inf:
+        raise InvalidParameter("arrival rate")
+    base = np.sort(np.asarray(list(existing_rates), dtype=float))
+    if base.size and not (base[0] > 0 and np.isfinite(base[-1])):
+        raise InvalidParameter("existing rate")
+    insert_at = int(np.searchsorted(base, standard_mu))
+    base_sum = float(base.sum())
+    k = 0
+    if lam >= base_sum:
+        k = int(math.floor((lam - base_sum) / standard_mu)) + 1
+    while base_sum + k * standard_mu <= lam:
+        k += 1
+    while base.size + k <= cap:
+        if base.size + k > 0:
+            pool = np.concatenate(
+                [base[:insert_at], np.full(k, float(standard_mu)), base[insert_at:]]
+            )
+            drains = np.cumsum(pool) if base.size else _equal_drains(standard_mu, k)
+            if lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile:
+                return k
+        k += 1
+    raise CapExceeded("cap")
+
+
+def outcome(fn, *args, **kwargs):
+    """The answer, or the type of the edgescale error raised instead."""
+    try:
+        return fn(*args, **kwargs)
+    except EdgeScaleError as exc:
+        return type(exc)
+
+
+def o3_grid():
+    for mu in (1.0, 10.0):
+        for lam in np.logspace(math.log10(0.5), math.log10(2000.0), 60):
+            for t in (0.01, 0.05, 0.1, 0.5):
+                for p in (0.9, 0.95, 0.99):
+                    yield float(lam), mu, WaitTarget(t, p)
+
+
+def random_pools(count, seed):
+    """(lam, existing rates, standard rate, target, cap): empty pools, rates on
+    both sides of the standard rate, unstable and idle loads, and caps at,
+    below and above the answer."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        mu = float(rng.uniform(0.5, 20.0))
+        c = 0 if i % 7 == 0 else int(rng.integers(1, 12))
+        rates = (mu * rng.uniform(0.3, 1.6, size=c)).tolist()
+        total = sum(rates) + mu * int(rng.integers(0, 6))
+        lam = 0.0 if i % 50 == 0 else float(rng.uniform(0.05, 1.5)) * total + float(rng.uniform(0, 1))
+        target = WaitTarget(float(rng.uniform(0.005, 1.0) / mu),
+                            float(rng.choice([0.5, 0.9, 0.95, 0.99, 0.999])))
+        cap = DEFAULT_CONTAINER_CAP
+        if i % 3 == 0:
+            cap = c + int(rng.integers(0, 8))
+        yield lam, rates, mu, target, cap
+
+
+class TestOneSearch:
+    """The shared search gives the two scans' answers and raises their errors."""
+
+    def test_o3_grid_matches_homogeneous_scan(self):
+        for lam, mu, target in o3_grid():
+            want = outcome(homogeneous_reference, lam, mu, target)
+            assert outcome(find_c_homogeneous, lam, mu, target) == want, (lam, mu, target)
+            assert outcome(find_c_heterogeneous, lam, [], mu, target) == want, (lam, mu, target)
+
+    def test_warm_starts_and_caps_match_homogeneous_scan(self):
+        for i, (lam, mu, target) in enumerate(o3_grid()):
+            if i % 5:
+                continue
+            c = homogeneous_reference(lam, mu, target)
+            for c_start, cap in ((0, c), (0, c - 1), (c + 3, c + 3), (c + 3, c + 2), (-1, c)):
+                want = outcome(homogeneous_reference, lam, mu, target, c_start, cap)
+                got = outcome(find_c_homogeneous, lam, mu, target, c_start, cap)
+                assert got == want, (lam, mu, target, c_start, cap)
+
+    def test_random_pools_match_heterogeneous_scan(self):
+        cases = 0
+        for lam, rates, mu, target, cap in random_pools(3000, seed=10):
+            want = outcome(heterogeneous_reference, lam, rates, mu, target, cap)
+            assert outcome(find_c_heterogeneous, lam, rates, mu, target, cap) == want, (
+                lam, rates, mu, target, cap)
+            if isinstance(want, int):
+                # the cap edge: the answer fits exactly, one less does not
+                edge = len(rates) + want
+                assert find_c_heterogeneous(lam, rates, mu, target, edge) == want
+                assert outcome(heterogeneous_reference, lam, rates, mu, target, edge - 1) \
+                    == outcome(find_c_heterogeneous, lam, rates, mu, target, edge - 1) \
+                    == CapExceeded
+            cases += 1
+        assert cases == 3000
 
 
 class TestHeterogeneous:

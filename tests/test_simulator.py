@@ -318,9 +318,9 @@ class CheckedSimulation(Simulation):
 
     A container is idle when it is placed, its cold start has ended (no
     ready event for it is still queued) and it serves no request. Every
-    placed container has cached WRR units and may have a cached multiplier;
-    each cached value equals what it caches, and no entry outlives its
-    container.
+    placed container has cached WRR units and may have a cached multiplier
+    and a WRR counter of its function; each cached value equals what it
+    caches, and no entry outlives its container.
     """
 
     checks = 0
@@ -328,10 +328,11 @@ class CheckedSimulation(Simulation):
     def _check_tracked_state(self, time):
         warming = {payload for _, kind, _, payload in self._events if kind == EV_READY}
         for fid, rt in self.functions.items():
-            expected = {c.id for c in self.cluster.of_function(fid)
-                        if c.id not in warming and c.id not in self._busy}
+            placed = {c.id for c in self.cluster.of_function(fid)}
+            expected = {cid for cid in placed if cid not in warming and cid not in self._busy}
             assert set(rt.idle) == expected, (time, fid)
             assert all(rt.idle[cid] is self.cluster.containers[cid] for cid in expected)
+            assert set(rt.wrr_state) <= placed, (time, fid)
         placed = self.cluster.containers
         assert set(self._units) == set(placed), time
         assert set(self._multiplier) <= set(placed), time

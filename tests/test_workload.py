@@ -11,7 +11,6 @@ from edgescale.errors import (
     SchemaError,
 )
 from edgescale.workload import (
-    InvocationTrace,
     RateEstimator,
     WorkloadSpec,
     expected_arrivals,
@@ -93,18 +92,24 @@ class TestTraceLoader:
         )
         traces = load_trace(p)
         assert len(traces) == 1
-        assert traces[0].function_id == "f1"
-        assert traces[0].per_minute_counts == (3,) * 60
+        assert list(traces) == ["f1"]
+        assert traces["f1"] == (3,) * 60
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("")
-        assert load_trace(p) == []
+        assert load_trace(p) == {}
 
     def test_gaps_fill_with_zero(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("f1,0,5\nf1,3,2\n")
-        assert load_trace(p)[0].per_minute_counts == (5, 0, 0, 2)
+        assert load_trace(p)["f1"] == (5, 0, 0, 2)
+
+    def test_functions_in_first_appearance_order(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("zz,1,1\naa,0,2\nzz,0,3\n")
+        assert load_trace(p) == {"zz": (3, 1), "aa": (2,)}
+        assert list(load_trace(p)) == ["zz", "aa"]
 
     def test_parse_error_carries_line(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -136,13 +141,13 @@ class TestTraceLoader:
         fixture = Path(__file__).parent.parent / "traces" / "six_function_hour.csv"
         traces = load_trace(fixture)
         assert len(traces) == 6
-        for t in traces:
-            assert len(t.per_minute_counts) == 60
+        for counts in traces.values():
+            assert len(counts) == 60
         # one sporadic on/off trace: long idle stretches yet real load overall
         sporadic = [
-            t for t in traces
-            if sum(1 for c in t.per_minute_counts if c == 0) >= 20
-            and sum(t.per_minute_counts) > 0
+            counts for counts in traces.values()
+            if sum(1 for c in counts if c == 0) >= 20
+            and sum(counts) > 0
         ]
         assert sporadic, "fixture must include an on/off function"
 
