@@ -19,8 +19,6 @@ from .queuing import (  # noqa: F401
     WaitTarget,
     find_c_heterogeneous,
     find_c_homogeneous,
-    steady_prob,
-    wait_tail,
 )
 from .reclamation import ContainerState, ServiceProfile  # noqa: F401
 from .workload import RateEstimator, WorkloadSpec  # noqa: F401

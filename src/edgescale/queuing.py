@@ -128,7 +128,14 @@ def _chain(lam: float, drains: np.ndarray) -> tuple:
 
 
 def _wait_tail(lam: float, drains: np.ndarray, t: float) -> float:
-    """P(N <= L) with L = floor(t*D_c + c - 1), for a stable chain."""
+    """Worst-case P(wait <= t) by occupancy cutoff, for a stable chain: the
+    rule pools are sized by.
+
+    A request that finds n others in a saturated pool waits about
+    (n - c + 1)/D_c, where D_c is the full drain rate, so bounding the wait
+    by t is bounding the occupancy it sees by L = floor(t*D_c + c - 1). The
+    result is P(N <= L). For an M/M/c pool D_c = c*mu.
+    """
     if lam == 0:
         return 1.0
     c = len(drains)
@@ -143,38 +150,10 @@ def _wait_tail(lam: float, drains: np.ndarray, t: float) -> float:
     return min(1.0, math.exp(float(log_num) - log_z))
 
 
-def steady_prob(model: HeterogeneousModel, n: int) -> float:
-    """P(exactly n requests in the system) for a stable pool."""
-    model.require_stable()
-    if n < 0 or n != int(n):
-        raise InvalidParameter(f"occupancy must be a nonnegative integer, got {n}")
-    if model.lam == 0:
-        return 1.0 if n == 0 else 0.0
-    c = model.c
-    log_head, log_ratio, _, log_z = _chain(model.lam, model.drains)
-    if n <= c:
-        log_term = float(log_head[n])
-    else:
-        log_term = float(log_head[c]) + (n - c) * log_ratio
-    return math.exp(log_term - log_z)
-
-
-def wait_tail(model: HeterogeneousModel, target: WaitTarget) -> float:
-    """Worst-case P(wait <= t) by occupancy cutoff: the rule pools are sized by.
-
-    A request that finds n others in a saturated pool waits about
-    (n - c + 1)/D_c, where D_c = sum(rates) is the full drain rate, so bounding
-    the wait by t is bounding the occupancy it sees by
-    L = floor(t*D_c + c - 1). For an M/M/c pool D_c = c*mu.
-    """
-    model.require_stable()
-    return _wait_tail(model.lam, model.drains, target.t)
-
-
 def _wait_cdf(model: HeterogeneousModel, t: float) -> float:
     """Waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(D_c - lam)*t).
 
-    Unlike wait_tail (the occupancy-cutoff rule used for sizing, which treats
+    Unlike _wait_tail (the occupancy-cutoff rule used for sizing, which treats
     each queued request's wait as its conditional mean), this integrates the
     true wait: given a queue position it is an Erlang sum at the saturated
     drain rate D_c, since every completion backfills from the queue while

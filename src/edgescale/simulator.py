@@ -7,21 +7,46 @@ at a time; a container's private queue is therefore just its in-service
 request, and terminating a busy container reruns exactly that request.
 Controller planning fires on epoch ticks, rate estimation on estimator ticks.
 
-Event ordering at equal timestamps is fixed (completions, then arrivals, then
-container-ready, then estimator ticks, then epoch ticks, then sequence
-number), which together with per-stream seeded RNGs makes runs bit-identical
-for equal (scenario, seed).
+Between two controller ticks functions do not interact, so each function runs
+its own event loop (`_advance`) on its own heap of arrivals, completions and
+container-ready events. `run` walks the merged tick schedule (tick times are
+built by repeated addition; estimator ticks go before epoch ticks at equal
+times): at each tick it advances every function to the tick time, inclusive,
+then runs the controller hook. Within a function, events at equal times go
+completions, then arrivals, then container-ready, then in push order; with
+per-stream seeded RNGs this makes runs bit-identical for equal (scenario,
+seed).
+
+`_advance` has one dispatch path. Each pass first hands waiting requests to
+idle containers at the current time (dropping those past their timeout),
+then handles one event: an arrival joins the queue, a completion or a ready
+container joins the idle index. After every event a function's queue or its
+idle index is empty, so a container freed while requests wait is the only
+idle one, and the head of the queue goes to it.
+When a controller action frees a container or queues a rerun, the action
+calls `_advance` at the tick time, where only the hand-out has work.
+
+Every function logs its requests in its own list. When the run ends, or
+raises, `_merge_requests` moves them into `metrics.requests` in the order one
+heap of every function's arrivals would pop them: by time and, at equal times
+across functions, first the function whose previous arrival was handled
+earlier (first arrivals before any other, in function id order). Arrivals
+stay heap events, one pending per function and pushed, from the arrival
+array, as the previous one is handled: one loop then orders every kind of
+event, and the heap pops still count each arrival and each completion.
+`busy_vcpu_time` is summed per function between ticks, so its last bits
+depend on that grouping.
 
 Arrivals and completions cost the same however many containers run, and
 cost few interpreter steps, because tracked state replaces per-request scans
 and lookups:
 
 - Each function's `idle` index holds its ready, not-busy containers. A
-  container enters it when it becomes ready (`_on_ready`, or
-  `_create_container` with no cold start) and when its service completes
-  (`_on_complete`); it leaves when service starts (`_start_service`) or it is
-  terminated (`_terminate`). Dispatch policies break ties on container id, so
-  the index's order does not matter.
+  container enters it when it becomes ready or its service completes, and
+  leaves it when service starts or it is terminated (`_terminate`). Dispatch
+  policies break ties on container id, so the index's order does not matter;
+  a lone idle container is taken without a policy call, which for WRR leaves
+  every counter's value as the call would.
 - Two per-container caches sit side by side, keyed by container id: the
   service multiplier, computed by `ServiceProfile.multiplier` on first use,
   and the WRR weight units, computed by `wrr_weight_units` when the container
@@ -34,16 +59,14 @@ and lookups:
   through. A block holds exactly the values that `BLOCK` scalar draws
   (`exponential(1 / rate)`, or `integers(k)` indexing the empirical samples)
   would give, so outputs do not depend on the block size.
-- An arrival event carries its function's `_FnRuntime`, not the function id,
-  so the request path (`_on_arrival`, `_start_service`, `_drain_pending`)
-  never looks the function up. Each function has at most one arrival on the
-  heap: handling it pushes the next one, read from the arrival array. A
-  completion event likewise carries its container, not the container id.
+- A completion event carries its container, not the container id, so the
+  request path never looks a container up.
 """
-
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -64,7 +87,7 @@ from .cluster import ClusterState
 from .errors import ConfigError, NoCapacity
 from .reclamation import ContainerState, SetFraction, Terminate
 
-EV_COMPLETE, EV_ARRIVAL, EV_READY, EV_ESTIMATOR, EV_EPOCH = range(5)
+EV_COMPLETE, EV_ARRIVAL, EV_READY = range(3)  # event order at equal times
 BLOCK = 4096  # service times drawn per RNG call
 
 
@@ -118,6 +141,9 @@ class _FnRuntime:
     arrivals: np.ndarray
     service_rng: np.random.Generator
     estimator: workload.RateEstimator
+    events: list = field(default_factory=list)  # this function's event heap
+    seq: itertools.count = field(default_factory=itertools.count)  # heap tie-breaker
+    log: list = field(default_factory=list)  # this function's requests, in arrival order
     pending: deque = field(default_factory=deque)
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
     wrr_state: dict = field(default_factory=dict)
@@ -136,7 +162,6 @@ class _FnRuntime:
                     out=out)
         else:
             out.fill(1.0 / prof.base_rate)
-        self.next_draw = 0
 
 
 class SimMetrics:
@@ -173,8 +198,6 @@ class Simulation:
         self.worst_case_dispatch = scenario.dispatch == "worst_case"
         self.metrics = SimMetrics(self.horizon, self.cluster.capacity_vcpu)
 
-        self._events: list = []
-        self._seq = 0
         self._container_seq = 0
         self._busy: dict = {}  # container_id -> (request, since)
         self._alloc_since: dict = {}  # container_id -> (time, vcpu)
@@ -198,120 +221,162 @@ class Simulation:
                 estimator=est,
             )
 
-    # -- event plumbing -----------------------------------------------------
-
-    def _push(self, time: float, kind: int, payload):
-        self._seq += 1
-        heapq.heappush(self._events, (time, kind, self._seq, payload))
+    # -- event loops ----------------------------------------------------------
 
     def run(self) -> SimMetrics:
-        for fid in sorted(self.functions):
-            rt = self.functions[fid]
-            # refilled in place, so the run allocates no more blocks
-            rt.draws = np.empty(BLOCK)
-            if len(rt.arrivals):
-                self._push(rt.arrivals.item(0), EV_ARRIVAL, rt)
-            for i, fraction in enumerate(self.scenario.initial_fractions.get(fid, [])):
-                try:
-                    self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
-                except NoCapacity as exc:
-                    raise ConfigError(
-                        f"functions.{fid}.initial_containers: container {i + 1}: {exc}"
-                    ) from None
-        self._est_tick = self.scenario.estimator_params["tick"]
-        self._push(self._est_tick, EV_ESTIMATOR, None)
-        if self.cfg.epoch_s > 0:
-            self._push(self.cfg.epoch_s, EV_EPOCH, 0)
+        try:
+            for fid in sorted(self.functions):
+                rt = self.functions[fid]
+                # refilled in place, so the run allocates no more blocks
+                rt.draws = np.empty(BLOCK)
+                for i, fraction in enumerate(self.scenario.initial_fractions.get(fid, [])):
+                    try:
+                        self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
+                    except NoCapacity as exc:
+                        raise ConfigError(
+                            f"functions.{fid}.initial_containers: container {i + 1}: {exc}"
+                        ) from None
+                # pushed once the pool is placed, so an arrival at t=0 sees all of it
+                if len(rt.arrivals):
+                    heapq.heappush(rt.events,
+                                   (rt.arrivals.item(0), EV_ARRIVAL, next(rt.seq), None))
 
-        while self._events:
-            time, kind, _, payload = heapq.heappop(self._events)
-            if time > self.horizon:
-                break
-            if kind == EV_COMPLETE:
-                self._on_complete(time, payload)
-            elif kind == EV_ARRIVAL:
-                self._on_arrival(time, payload)
-            elif kind == EV_READY:
-                self._on_ready(time, payload)
-            elif kind == EV_ESTIMATOR:
-                self._on_estimator(time)
-            else:
-                self._on_epoch(time, payload)
-
-        self._finalize()
+            est_tick, epoch_s = self.scenario.estimator_params["tick"], self.cfg.epoch_s
+            next_est, epoch_idx = est_tick, 0
+            next_epoch = epoch_s if epoch_s > 0 else math.inf
+            while min(next_est, next_epoch) <= self.horizon:
+                time = min(next_est, next_epoch)
+                for rt in self.functions.values():
+                    self._advance(rt, time)
+                if next_est <= next_epoch:  # estimator first at equal times
+                    self._on_estimator(time)
+                    next_est = time + est_tick
+                else:
+                    self._on_epoch(time, epoch_idx)
+                    next_epoch, epoch_idx = time + epoch_s, epoch_idx + 1
+            for rt in self.functions.values():
+                self._advance(rt, self.horizon)
+            self._finalize()
+        finally:
+            self._merge_requests()
         return self.metrics
 
-    # -- request lifecycle --------------------------------------------------
+    def _advance(self, rt: _FnRuntime, until: float):
+        """Run one function's events up to `until`, inclusive.
 
-    def _on_arrival(self, time: float, rt: _FnRuntime):
-        req = Request(function_id=rt.spec.id, arrival=time)
-        self.metrics.requests.append(req)
-        i = rt.next_arrival = rt.next_arrival + 1
-        if i < len(rt.arrivals):
-            self._seq += 1
-            heapq.heappush(self._events, (rt.arrivals.item(i), EV_ARRIVAL, self._seq, rt))
-        if rt.idle:
-            self._start_service(time, rt, self._select(rt), req)
-        else:
-            rt.pending.append(req)
+        Each pass first hands waiting requests to idle containers at the
+        current time, then handles one event. Called at a controller tick
+        after every earlier event is done, only the hand-out runs, at the
+        tick time.
+        """
+        events, pending, idle, log = rt.events, rt.pending, rt.idle, rt.log
+        heappush, heappop = heapq.heappush, heapq.heappop
+        busy, multipliers, units, seq = self._busy, self._multiplier, self._units, rt.seq
+        fid, arrivals, timeout = rt.spec.id, rt.arrivals, rt.spec.timeout_s
+        n_arrivals, next_arrival, draws, next_draw = (len(arrivals), rt.next_arrival,
+                                                      rt.draws, rt.next_draw)
+        busy_time = 0.0
+        time = until
+        while True:
+            while pending and idle:
+                # the pick comes first: it advances the WRR counters even
+                # when every waiting request turns out to have expired
+                if len(idle) == 1:
+                    (container,) = idle.values()
+                elif self.worst_case_dispatch:
+                    container = idle[pick_slowest_idle(idle.values())]
+                else:
+                    container = idle[dispatch_wrr(idle.values(), rt.wrr_state, units)]
+                if timeout is not None:
+                    while pending and time - pending[0].arrival > timeout:
+                        pending.popleft().status = "dropped"
+                    if not pending:
+                        break
+                req = pending.popleft()
+                cid = container.id
+                del idle[cid]
+                req.dispatch = time
+                req.container_id = cid
+                if next_draw == BLOCK:
+                    rt.refill_draws()
+                    next_draw = 0
+                multiplier = multipliers.get(cid)
+                if multiplier is None:
+                    multiplier = multipliers[cid] = rt.spec.profile.multiplier(
+                        container.cpu_fraction)
+                busy[cid] = (req, time)
+                heappush(events, (time + draws.item(next_draw) / multiplier, EV_COMPLETE,
+                                  next(seq), container))
+                next_draw += 1
+            if not events or events[0][0] > until:
+                break
+            time, kind, _, payload = heappop(events)
+            if kind == EV_COMPLETE:
+                # ids are never reused and only termination cancels a service,
+                # so a completion whose container serves nothing belongs to a
+                # terminated one
+                entry = busy.pop(payload.id, None)
+                if entry is not None:
+                    req, since = entry
+                    busy_time += (time - since) * payload.allocated_vcpu
+                    req.completion = time
+                    req.status = "completed"
+                    idle[payload.id] = payload
+            elif kind == EV_ARRIVAL:
+                req = Request(fid, time)
+                log.append(req)
+                pending.append(req)
+                next_arrival += 1
+                if next_arrival < n_arrivals:
+                    heappush(events, (arrivals.item(next_arrival), EV_ARRIVAL, next(seq), None))
+            else:
+                container = self.cluster.containers.get(payload)
+                if container is not None:  # else terminated before warming up
+                    idle[payload] = container
+        rt.next_arrival, rt.next_draw = next_arrival, next_draw
+        self.metrics.busy_vcpu_time += busy_time
 
-    def _select(self, rt: _FnRuntime):
-        if self.worst_case_dispatch:
-            chosen = pick_slowest_idle(rt.idle.values())
-        else:
-            chosen = dispatch_wrr(rt.idle.values(), rt.wrr_state, self._units)
-        return rt.idle[chosen]
+    def _merge_requests(self):
+        """Move every function's requests into `metrics.requests`, in arrival order.
 
-    def _start_service(self, time: float, rt: _FnRuntime, container, req: Request):
-        cid = container.id
-        del rt.idle[cid]
-        req.dispatch = time
-        req.container_id = cid
-        if rt.next_draw == BLOCK:
-            rt.refill_draws()
-        i = rt.next_draw
-        rt.next_draw = i + 1
-        multiplier = self._multiplier.get(cid)
-        if multiplier is None:
-            multiplier = self._multiplier[cid] = rt.spec.profile.multiplier(container.cpu_fraction)
-        self._busy[cid] = (req, time)
-        self._seq += 1
-        heapq.heappush(self._events,
-                       (time + rt.draws.item(i) / multiplier, EV_COMPLETE, self._seq, container))
-
-    def _on_complete(self, time: float, container):
-        # ids are never reused and only termination cancels a service, so a
-        # completion whose container serves nothing belongs to a terminated one
-        container_id = container.id
-        entry = self._busy.pop(container_id, None)
-        if entry is None:
-            return
-        req, since = entry
-        self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
-        req.completion = time
-        req.status = "completed"
-        rt = self.functions[req.function_id]
-        rt.idle[container_id] = container
-        if rt.pending:
-            self._drain_pending(time, rt, container)
-
-    def _drain_pending(self, time: float, rt: _FnRuntime, container):
-        timeout = rt.spec.timeout_s
-        while rt.pending:
-            req = rt.pending.popleft()
-            if timeout is not None and time - req.arrival > timeout:
-                req.status = "dropped"
-                continue
-            self._start_service(time, rt, container, req)
-            return
-
-    def _on_ready(self, time: float, container_id: int):
-        container = self.cluster.containers.get(container_id)
-        if container is None:
-            return  # terminated before warming up
-        rt = self.functions[container.function_id]
-        rt.idle[container_id] = container
-        self._drain_pending(time, rt, container)
+        That is the order a single heap of every function's arrivals pops
+        them in: by time and, at equal times, by when each was pushed, that
+        is by when the function's previous arrival was handled. First
+        arrivals are pushed before the run starts, in function id order.
+        """
+        rts = [self.functions[fid] for fid in sorted(self.functions)]
+        lens = [len(rt.log) for rt in rts]
+        flat = [req for rt in rts for req in rt.log]
+        times = np.concatenate([rt.arrivals[:n] for rt, n in zip(rts, lens)])
+        fn = np.repeat(np.arange(len(rts)), lens)
+        order = np.argsort(times, kind="stable")  # time, then function id, then index
+        ts, fs = times[order], fn[order]
+        tied = (ts[1:] == ts[:-1]) & (fs[1:] != fs[:-1])
+        if tied.any():
+            # at a time two functions share, a function's first arrival there
+            # goes by the place of its predecessor (before the run for a
+            # first arrival, in function id order), and the function's
+            # further arrivals at that time follow round by round in the
+            # same function order
+            place = np.empty(len(order), dtype=np.int64)
+            place[order] = np.arange(len(order))
+            start = np.cumsum([0] + lens)
+            fn = fn.tolist()
+            for t in np.unique(ts[1:][tied]).tolist():
+                lo, hi = np.searchsorted(ts, t, "left"), np.searchsorted(ts, t, "right")
+                first: dict = {}
+                for k in order[lo:hi].tolist():  # each function's in index order
+                    first.setdefault(fn[k], k)
+                rank = {f: place[k - 1] if k > start[f] else f - len(rts)
+                        for f, k in first.items()}
+                group = sorted(order[lo:hi].tolist(),
+                               key=lambda k: (k - first[fn[k]], rank[fn[k]]))
+                order[lo:hi] = group
+                place[group] = np.arange(lo, hi)
+        # from the array itself: a list of Python ints would raise the peak memory
+        self.metrics.requests = list(map(flat.__getitem__, order))
+        for rt in rts:
+            rt.log = []
 
     # -- controller hooks ----------------------------------------------------
 
@@ -319,9 +384,6 @@ class Simulation:
         for fid in sorted(self.functions):
             rt = self.functions[fid]
             rt.estimator.update(rt.arrivals, time)
-        nxt = time + self._est_tick
-        if nxt <= self.horizon:
-            self._push(nxt, EV_ESTIMATOR, None)
 
     def _on_epoch(self, time: float, epoch_idx: int):
         estimates = {fid: rt.estimator.value for fid, rt in self.functions.items()}
@@ -342,10 +404,6 @@ class Simulation:
             rec.c_active = len(active)
             rec.c_lazy = len(pool) - len(active)
             self.metrics.epochs.append(rec)
-
-        nxt = time + self.cfg.epoch_s
-        if nxt <= self.horizon:
-            self._push(nxt, EV_EPOCH, epoch_idx + 1)
 
     def _apply(self, time: float, fid: str, action, rec: EpochRecord):
         if not isinstance(action, CreateContainer):
@@ -400,16 +458,17 @@ class Simulation:
         self.cluster.add(container)
         self._alloc_since[container.id] = (time, container.allocated_vcpu)
         self._units[container.id] = wrr_weight_units(container)
+        rt = self.functions[spec.id]
         if delay > 0:
             self.metrics.cold_starts += 1
-            self._push(time + delay, EV_READY, container.id)
+            heapq.heappush(rt.events, (time + delay, EV_READY, next(rt.seq), container.id))
         else:
-            rt = self.functions[spec.id]
             rt.idle[container.id] = container
-            self._drain_pending(time, rt, container)
+            self._advance(rt, time)
 
     def _terminate(self, time: float, container_id: int):
         container = self.cluster.containers[container_id]
+        rt = self.functions[container.function_id]
         entry = self._busy.pop(container_id, None)
         if entry is not None:
             req, since = entry
@@ -418,18 +477,16 @@ class Simulation:
             req.dispatch = float("nan")
             req.container_id = -1
             self.metrics.reruns += 1
-            self.functions[req.function_id].pending.appendleft(req)
+            rt.pending.appendleft(req)
         since, vcpu = self._alloc_since.pop(container_id)
         self.metrics.allocated_vcpu_time += (time - since) * vcpu
-        rt = self.functions[container.function_id]
         rt.idle.pop(container_id, None)
         rt.wrr_state.pop(container_id, None)
         self._multiplier.pop(container_id, None)
         del self._units[container_id]
         self.cluster.remove(container_id)
         # an idle sibling may be able to pick up the rerun right away
-        if rt.pending and rt.idle:
-            self._drain_pending(time, rt, self._select(rt))
+        self._advance(rt, time)
 
     def _set_fraction(self, time: float, container_id: int, fraction: float):
         container = self.cluster.containers[container_id]

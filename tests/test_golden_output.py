@@ -12,18 +12,25 @@ The trace replay draws more than one 4,096-element block of service times for
 every function; its digests were recorded before service times were drawn in
 blocks.
 
+`requests.csv` is also checked against what `csv.writer`, which wrote it
+before rows were formatted directly, makes of the same records, with function
+ids that need quoting.
+
 `edgescale validate` is pinned the same way, by its exact stdout on the
 benchmark's validate cases. That text was recorded while the oracle still
 scanned every server per request, before its idle and busy heaps went in.
 """
 
+import csv
 import hashlib
 import importlib.util
+import math
 
 import pytest
 import yaml
 
 from edgescale import cli, queuing, scenario
+from edgescale.simulator import Request
 from scenario_builders import REPO_ROOT, churn_scenario
 
 GOLDEN = {
@@ -171,3 +178,38 @@ def test_validate_stdout_matches_pinned_text(case, capsys):
             "--replications", "3", "--requests", "20000", "--seed", "0"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == GOLDEN_VALIDATE[case]
+
+
+def _csv_writer_requests(path, metrics):
+    """`requests.csv` as `csv.writer` writes it, one call per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["function_id", "arrival_s", "dispatch_s", "completion_s", "wait_s",
+                    "service_s", "container_id", "status", "reruns"])
+        for r in metrics.requests:
+            dispatch = "" if math.isnan(r.dispatch) else f"{r.dispatch:.6f}"
+            completion = "" if math.isnan(r.completion) else f"{r.completion:.6f}"
+            wait = "" if math.isnan(r.dispatch) else f"{r.dispatch - r.arrival:.6f}"
+            service = ("" if math.isnan(r.completion) or math.isnan(r.dispatch)
+                       else f"{r.completion - r.dispatch:.6f}")
+            w.writerow([r.function_id, f"{r.arrival:.6f}", dispatch, completion, wait, service,
+                        r.container_id if r.container_id >= 0 else "", r.status, r.reruns])
+
+
+def test_requests_csv_is_what_csv_writer_writes(tmp_path):
+    metrics = cli.run_scenario_to_dir(churn_scenario(), tmp_path / "run")
+    for r in metrics.requests:
+        r.function_id = f'{r.function_id},"q"'
+    nan = float("nan")
+    metrics.requests += [
+        Request('a,"b"', 1 / 3, 0, 0.5000005, 2.0000015, 12, "completed"),
+        Request("line\nbreak", 2.5, 2, nan, nan, -1, "dropped"),
+        Request("plain", 3599.9999996, 1, 3599.9999999, nan, 7, "inflight"),
+        Request('"', 4.0),
+    ]
+    statuses = {(r.status, r.reruns > 0, math.isnan(r.dispatch)) for r in metrics.requests}
+    assert {("completed", True, False), ("inflight", False, False),
+            ("inflight", False, True)} <= statuses
+    cli._write_requests_csv(tmp_path / "fast.csv", metrics)
+    _csv_writer_requests(tmp_path / "reference.csv", metrics)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

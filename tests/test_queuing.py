@@ -20,12 +20,12 @@ from edgescale.queuing import (
     WaitTarget,
     find_c_heterogeneous,
     find_c_homogeneous,
+    meets_target,
     min_stable_count,
-    steady_prob,
     wait_budget,
     wait_cdf_heterogeneous,
     wait_cdf_homogeneous,
-    wait_tail,
+    _chain,
     _equal_drains,
     _wait_tail,
 )
@@ -40,31 +40,46 @@ def naive_p_zero(lam, mu, c):
     return 1.0 / (head + (r**c / math.factorial(c)) / (1 - rho))
 
 
+def occupancy_prob(model, n):
+    """P(exactly n requests present) in a stable pool, from its `_chain`."""
+    log_head, log_ratio, _, log_z = _chain(model.lam, model.drains)
+    c = model.c
+    log_term = log_head[n] if n <= c else log_head[c] + (n - c) * log_ratio
+    return math.exp(float(log_term) - log_z)
+
+
+def cutoff_tail(model, target):
+    """The sizing rule's occupancy-cutoff P(wait <= t) of a stable pool."""
+    return _wait_tail(model.lam, model.drains, target.t)
+
+
 class TestPZero:
     def test_mm1_is_one_minus_rho(self):
-        assert steady_prob(HomogeneousModel(5, 10, 1), 0) == pytest.approx(0.5)
+        assert occupancy_prob(HomogeneousModel(5, 10, 1), 0) == pytest.approx(0.5)
 
     def test_mm2_r_one(self):
         # hand evaluation: r=1, rho=0.5, bracket = 1/(2*0.5) + (1 + 1) = 3
-        assert steady_prob(HomogeneousModel(10, 10, 2), 0) == pytest.approx(1 / 3)
+        assert occupancy_prob(HomogeneousModel(10, 10, 2), 0) == pytest.approx(1 / 3)
 
     def test_matches_naive_series(self):
         # independent raw-factorial oracle, viable for small c
-        assert steady_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
+        assert occupancy_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
             naive_p_zero(40, 10, 8), abs=1e-12
         )
-        assert steady_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
+        assert occupancy_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
             0.018162947586922683, abs=1e-12
         )
 
     def test_full_distribution_normalises(self):
         m = HomogeneousModel(40, 10, 8)
-        total = sum(steady_prob(m, n) for n in range(400))
+        total = sum(occupancy_prob(m, n) for n in range(400))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unstable_rejected(self):
+        model = HomogeneousModel(20, 10, 2)
         with pytest.raises(UnstableSystem):
-            steady_prob(HomogeneousModel(20, 10, 2), 0)
+            model.require_stable()
+        assert not meets_target(model.lam, model.drains, WaitTarget(0.1))
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
@@ -79,15 +94,15 @@ class TestSteadyProbs:
     def test_mm1_geometric(self):
         m = HomogeneousModel(5, 10, 1)
         for k in range(12):
-            assert steady_prob(m, k) == pytest.approx(0.5 * 0.5**k)
+            assert occupancy_prob(m, k) == pytest.approx(0.5 * 0.5**k)
 
     def test_mm2_cases(self):
         m = HomogeneousModel(10, 10, 2)
-        assert steady_prob(m, 0) == pytest.approx(1 / 3)
+        assert occupancy_prob(m, 0) == pytest.approx(1 / 3)
         # r=1, n=3 > c: P3 = r^3/(c^(n-c) c!) P0 = (1/3)/4 = 1/12, confirmed by
         # normalisation of the full series
-        assert steady_prob(m, 3) == pytest.approx(1 / 12)
-        assert sum(steady_prob(m, n) for n in range(200)) == pytest.approx(
+        assert occupancy_prob(m, 3) == pytest.approx(1 / 12)
+        assert sum(occupancy_prob(m, n) for n in range(200)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -97,24 +112,24 @@ class TestSteadyProbs:
             m = HomogeneousModel(lam, mu, c)
             rho = lam / (c * mu)
             n_max = 10 * c * math.ceil(1 / (1 - rho))
-            total = sum(steady_prob(m, n) for n in range(n_max + 1))
+            total = sum(occupancy_prob(m, n) for n in range(n_max + 1))
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestWaitTail:
     def test_empty_system_never_waits(self):
-        p = wait_tail(HomogeneousModel(1e-12, 10, 1), WaitTarget(0.1))
+        p = cutoff_tail(HomogeneousModel(1e-12, 10, 1), WaitTarget(0.1))
         assert p == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_c(self):
         t = WaitTarget(0.1)
-        p1 = wait_tail(HomogeneousModel(5, 10, 3), t)
-        p2 = wait_tail(HomogeneousModel(5, 10, 4), t)
+        p1 = cutoff_tail(HomogeneousModel(5, 10, 3), t)
+        p2 = cutoff_tail(HomogeneousModel(5, 10, 4), t)
         assert p2 >= p1
 
     def test_monotone_in_t(self):
         m = HomogeneousModel(25, 10, 4)
-        probs = [wait_tail(m, WaitTarget(t)) for t in (0.02, 0.1, 0.3, 1.0)]
+        probs = [cutoff_tail(m, WaitTarget(t)) for t in (0.02, 0.1, 0.3, 1.0)]
         assert probs == sorted(probs)
 
     def test_against_oracle_instance(self):
@@ -123,7 +138,7 @@ class TestWaitTail:
         # approximation and lands about 0.023 above it; the exact CDF agrees
         # with the oracle to within 3 standard errors.
         m = HomogeneousModel(15, 10, 3)
-        approx_p = wait_tail(m, WaitTarget(0.1))
+        approx_p = cutoff_tail(m, WaitTarget(0.1))
         exact_p = wait_cdf_homogeneous(m, 0.1)
         assert approx_p == pytest.approx(0.97039, abs=1e-4)
         assert exact_p == pytest.approx(0.94715, abs=1e-4)
@@ -133,7 +148,7 @@ class TestWaitTail:
 
     def test_no_overflow_at_cap(self):
         m = HomogeneousModel(9999 * 10, 10, 10_000)
-        p = wait_tail(m, WaitTarget(0.1, 0.99))
+        p = cutoff_tail(m, WaitTarget(0.1, 0.99))
         assert 0.0 <= p <= 1.0 and math.isfinite(p)
 
 
@@ -338,18 +353,18 @@ class TestHeterogeneous:
         hom = HomogeneousModel(10, 10, 2)
         het = HeterogeneousModel(10, (10.0, 10.0))
         for n in range(40):
-            assert steady_prob(het, n) == pytest.approx(steady_prob(hom, n), abs=1e-9)
+            assert occupancy_prob(het, n) == pytest.approx(occupancy_prob(hom, n), abs=1e-9)
         t = WaitTarget(0.13)
-        assert wait_tail(het, t) == pytest.approx(wait_tail(hom, t), abs=1e-9)
+        assert cutoff_tail(het, t) == pytest.approx(cutoff_tail(hom, t), abs=1e-9)
 
     def test_slowest_first_denominator(self):
         # n=1 term divides by the slowest rate: P1 = P0 * 5/5 = P0
         het = HeterogeneousModel(5, (5.0, 10.0))
-        assert steady_prob(het, 1) == pytest.approx(steady_prob(het, 0))
+        assert occupancy_prob(het, 1) == pytest.approx(occupancy_prob(het, 0))
 
     def test_distribution_normalises(self):
         het = HeterogeneousModel(12, (4.0, 6.0, 8.0))
-        total = sum(steady_prob(het, n) for n in range(2000))
+        total = sum(occupancy_prob(het, n) for n in range(2000))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_rates_must_be_sorted(self):
@@ -357,8 +372,10 @@ class TestHeterogeneous:
             HeterogeneousModel(5, (10.0, 5.0))
 
     def test_unstable(self):
+        model = HeterogeneousModel(20, (5.0, 10.0))
         with pytest.raises(UnstableSystem):
-            wait_tail(HeterogeneousModel(20, (5.0, 10.0)), WaitTarget(0.1))
+            model.require_stable()
+        assert not meets_target(model.lam, model.drains, WaitTarget(0.1))
 
     def test_conservative_vs_homogeneous(self):
         # a pool with some slower containers never gets a better tail than the
@@ -369,8 +386,8 @@ class TestHeterogeneous:
             k = find_c_heterogeneous(lam, [7.0, 7.0], 10, t)
             assert k + 2 >= c_hom or (k + 2) * 10 >= lam  # never fewer total containers
             pool = tuple(sorted([7.0, 7.0] + [10.0] * k))
-            slower = wait_tail(HeterogeneousModel(lam, pool), t)
-            same_count = wait_tail(HomogeneousModel(lam, 10, len(pool)), t)
+            slower = cutoff_tail(HeterogeneousModel(lam, pool), t)
+            same_count = cutoff_tail(HomogeneousModel(lam, 10, len(pool)), t)
             assert slower <= same_count + 1e-12
 
 

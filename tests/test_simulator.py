@@ -1,5 +1,6 @@
 """The discrete-event simulator: lifecycle, dispatch, cold starts, determinism."""
 
+import heapq
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from edgescale import simulator
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
-from edgescale.reclamation import ContainerState, ServiceProfile
+from edgescale.reclamation import ContainerState, ServiceProfile, Terminate
 from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
 from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
                                churn_scenario, make_scenario, request_counts)
@@ -313,6 +314,109 @@ class TestInvariants:
         assert any(r.dispatch > 5.0 for r in m.requests)
 
 
+DETERMINISTIC = {"distribution": "deterministic", "rate": 10.0}
+
+
+def _records(m):
+    return [(r.function_id, r.arrival, r.dispatch, r.completion, r.container_id, r.status,
+             r.reruns) for r in m.requests]
+
+
+class TestEventOrder:
+    """Orderings that per-function event loops must reproduce exactly."""
+
+    def test_cross_function_ties_follow_the_earlier_predecessor(self):
+        # at t=2 and t=3, `b` goes first: its previous arrival (0.5) was
+        # handled before `a`'s (1.0), although "a" sorts first
+        fns = [basic_function("a", initial=1, service=DETERMINISTIC),
+               basic_function("b", initial=1, service=DETERMINISTIC)]
+        sim = Simulation(make_scenario(fns, horizon=10.0, controller={"epoch_seconds": 1e9}))
+        sim.functions["a"].arrivals = np.array([1.0, 2.0, 3.0])
+        sim.functions["b"].arrivals = np.array([0.5, 2.0, 3.0])
+        m = sim.run()
+        assert [(r.function_id, r.arrival) for r in m.requests] == [
+            ("b", 0.5), ("a", 1.0), ("b", 2.0), ("a", 2.0), ("b", 3.0), ("a", 3.0)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_request_log_is_the_order_of_one_arrival_heap(self, seed):
+        # arrivals on a coarse grid tie within and across functions; the
+        # reference pops one heap holding each function's next arrival, as
+        # a single event loop over every function does
+        rng = np.random.default_rng(seed)
+        arrivals = {f"f{i}": np.sort(rng.integers(0, 12, size=n)).astype(float) / 2
+                    for i, n in enumerate((9, 14, 0, 11))}
+        fns = [basic_function(fid, initial=1, service=DETERMINISTIC) for fid in arrivals]
+        sim = Simulation(make_scenario(fns, horizon=10.0, controller={"epoch_seconds": 1e9}))
+        for fid, arr in arrivals.items():
+            sim.functions[fid].arrivals = arr
+        m = sim.run()
+
+        heap = [(arr[0], k, fid) for k, (fid, arr) in enumerate(sorted(arrivals.items()))
+                if len(arr)]
+        heapq.heapify(heap)
+        seen, want = {fid: 0 for fid in arrivals}, []
+        while heap:
+            t, _, fid = heapq.heappop(heap)
+            want.append((fid, t))
+            seen[fid] += 1
+            if seen[fid] < len(arrivals[fid]):
+                heapq.heappush(heap, (arrivals[fid][seen[fid]], len(want) + len(arrivals), fid))
+        assert [(r.function_id, r.arrival) for r in m.requests] == want
+
+    def test_arrivals_at_zero_see_every_initial_container(self):
+        # the first arrival is a WRR pick over both initial containers, which
+        # leaves container 2 ahead for the pick at 0.3
+        fn = basic_function(initial=2, service=DETERMINISTIC)
+        sim = Simulation(make_scenario([fn], horizon=10.0, controller={"epoch_seconds": 1e9}))
+        sim.functions["f1"].arrivals = np.array([0.0, 0.0, 0.0, 0.3])
+        m = sim.run()
+        assert [(r.dispatch, r.container_id) for r in m.requests] == [
+            (0.0, 1), (0.0, 2), (0.1, 1), (0.3, 2)]
+
+    @staticmethod
+    def _terminate_first_busy(monkeypatch, arrivals, timeout):
+        """Three 2 s containers; the epoch at t=1 terminates container 1 and does nothing else."""
+        real = simulator.plan_epoch
+        calls = []
+
+        def plan(cluster, *args):
+            records = real(cluster, *args)
+            for rec in records.values():
+                rec.shrink, rec.grow = [], []
+            if not calls:
+                records["f1"].shrink = [Terminate(1)]
+            calls.append(1)
+            return records
+
+        monkeypatch.setattr(simulator, "plan_epoch", plan)
+        fn = basic_function(initial=3, timeout_seconds=timeout,
+                            service={"distribution": "deterministic", "rate": 0.5})
+        sim = Simulation(make_scenario([fn], horizon=10.0, controller={"epoch_seconds": 1.0}))
+        sim.functions["f1"].arrivals = np.array(arrivals)
+        return sim.run()
+
+    def test_rerun_lands_on_an_idle_sibling_and_late_requests_drop(self, monkeypatch):
+        m = self._terminate_first_busy(monkeypatch, [0.2, 0.4, 2.5, 2.6, 2.7, 2.8], 1.0)
+        nan = float("nan")
+        assert m.reruns == 1 and m.epochs[0].terminates == 1
+        got = _records(m)
+        want = [("f1", 0.2, 1.0, 3.0, 3, "completed", 1),
+                ("f1", 0.4, 0.4, 2.4, 2, "completed", 0),
+                ("f1", 2.5, 2.5, 4.5, 2, "completed", 0),
+                ("f1", 2.6, 3.0, 5.0, 3, "completed", 0),
+                ("f1", 2.7, nan, nan, -1, "dropped", 0),
+                ("f1", 2.8, nan, nan, -1, "dropped", 0)]
+        assert [r[:2] + r[4:] for r in got] == [r[:2] + r[4:] for r in want]
+        assert np.array_equal([r[2:4] for r in got], [r[2:4] for r in want], equal_nan=True)
+
+    def test_an_expired_rerun_still_advances_the_wrr_counters(self, monkeypatch):
+        # the rerun of the 0.2 request has waited 0.8 s > 0.5 s at t=1 and is
+        # dropped, but the pick made for it leaves container 3 next in line
+        m = self._terminate_first_busy(monkeypatch, [0.2, 1.5], 0.5)
+        assert [(r.status, r.reruns, r.container_id) for r in m.requests] == [
+            ("dropped", 1, -1), ("completed", 0, 3)]
+
+
 class CheckedSimulation(Simulation):
     """Checks the simulator's tracked state against its definition after every event.
 
@@ -320,13 +424,15 @@ class CheckedSimulation(Simulation):
     ready event for it is still queued) and it serves no request. Every
     placed container has cached WRR units and may have a cached multiplier
     and a WRR counter of its function; each cached value equals what it
-    caches, and no entry outlives its container.
+    caches, and no entry outlives its container. A function's events are
+    run one event time at a time, with a check after each.
     """
 
     checks = 0
 
     def _check_tracked_state(self, time):
-        warming = {payload for _, kind, _, payload in self._events if kind == EV_READY}
+        warming = {payload for rt in self.functions.values()
+                   for _, kind, _, payload in rt.events if kind == EV_READY}
         for fid, rt in self.functions.items():
             placed = {c.id for c in self.cluster.of_function(fid)}
             expected = {cid for cid in placed if cid not in warming and cid not in self._busy}
@@ -342,17 +448,13 @@ class CheckedSimulation(Simulation):
                 assert self._multiplier[cid] == c.profile.multiplier(c.cpu_fraction), (time, cid)
         self.checks += 1
 
-    def _on_complete(self, time, payload):
-        super()._on_complete(time, payload)
-        self._check_tracked_state(time)
-
-    def _on_arrival(self, time, rt):
-        super()._on_arrival(time, rt)
-        self._check_tracked_state(time)
-
-    def _on_ready(self, time, container_id):
-        super()._on_ready(time, container_id)
-        self._check_tracked_state(time)
+    def _advance(self, rt, until):
+        while True:
+            step = min(rt.events[0][0], until) if rt.events else until
+            super()._advance(rt, step)
+            self._check_tracked_state(step)
+            if step == until:
+                return
 
     def _on_estimator(self, time):
         super()._on_estimator(time)
