@@ -9,10 +9,9 @@ reclaimed capacity is available to under-provisioned functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import fairshare, queuing, reclamation
 from .errors import InfeasibleDeadline, NoCapacity
@@ -159,7 +158,7 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
             # probe shrinking: drop smallest-capacity members while the target
             # holds (the additive heterogeneous search never scales down)
             while extra == 0 and len(kept) > max(1, spec.min_containers):
-                trial = np.cumsum(sorted(c.effective_rate for c in kept[1:]))
+                trial = list(itertools.accumulate(sorted(c.effective_rate for c in kept[1:])))
                 if not queuing.meets_target(rate, trial, target):
                     break
                 kept = kept[1:]

@@ -3,29 +3,33 @@
 Every pool is one occupancy chain. Requests arrive as a Poisson stream at
 `lam`; with n requests present the pool drains at D_n, the summed rate of its
 min(n, c) slowest containers, as if the dispatcher always picked the slowest
-idle one. That worst case makes the computed waiting-time tail a lower bound
-on any real dispatcher's. The M/M/c pool of c identical containers is the
-equal-rate case, D_n = n*mu, built from the exact products: a running sum of
-c copies of mu would shift the sizing cutoff at float boundaries.
+idle one, so the computed waiting-time tail lower-bounds any real
+dispatcher's. The M/M/c pool is the equal-rate case, D_n = n*mu, built from
+the exact products: a running sum of copies of mu would shift the sizing
+cutoff at float boundaries.
 
 Pools are sized by one upward search over existing rates + k standard
 containers (`_search`), with one stability floor (`min_stable_count`) and one
 sizing rule (`meets_target`), which the allocator's shrink probe also tests.
-`find_c_homogeneous` and `find_c_heterogeneous` stay two entry points, neither
-calling the other, because the benchmark's layer tracer counts each by name.
+`find_c_homogeneous` and `find_c_heterogeneous` stay two entry points because
+the benchmark's layer tracer counts each by name.
 
-All factorial/power terms are accumulated as log-space recurrences so the math
-stays finite for pools up to the hard cap (10 000 containers) and offered loads
-up to 10 000; naive factorial evaluation overflows around c = 170.
+`_Chain` keeps the log head weights log(lam^n / (D_1*...*D_n)) and their
+running prefix log-sums, finite up to the hard cap (10 000 containers) where
+raw factorials overflow near c = 170. It appends a drain rate in O(1), so the
+search grows a pool one container per step. It is plain Python floats, not
+numpy: the planner's pools stay below 30 containers, where a numpy call's
+fixed cost outweighs the arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CapExceeded, InfeasibleDeadline, InvalidParameter, UnstableSystem
 
@@ -50,14 +54,11 @@ class WaitTarget:
 @dataclass(frozen=True)
 class HeterogeneousModel:
     """Pool with per-container rates, slowest first (worst-case dispatch order).
-
-    `drains` holds the chain's cumulative drain rates D_1..D_c; it defaults to
-    the running sum of `rates`.
-    """
+    `drains`, the cumulative drain rates D_1..D_c, default to their running sum."""
 
     lam: float
     rates: tuple
-    drains: np.ndarray = field(default=None, repr=False, compare=False)
+    drains: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lam < 0 or not math.isfinite(self.lam):
@@ -71,15 +72,11 @@ class HeterogeneousModel:
             raise InvalidParameter("rates must be sorted ascending (slowest first)")
         object.__setattr__(self, "rates", rates)
         if self.drains is None:
-            object.__setattr__(self, "drains", np.cumsum(rates))
-
-    @property
-    def c(self) -> int:
-        return len(self.rates)
+            object.__setattr__(self, "drains", tuple(itertools.accumulate(rates)))
 
     @property
     def drain_rate(self) -> float:
-        return float(self.drains[-1])
+        return self.drains[-1]
 
     def require_stable(self):
         if not self.lam < self.drain_rate:
@@ -88,77 +85,84 @@ class HeterogeneousModel:
             )
 
 
-def _equal_drains(mu: float, c: int) -> np.ndarray:
-    """Drain rates of c equal containers: the exact products mu, 2*mu, ..., c*mu."""
-    return mu * np.arange(1, c + 1)
-
-
 def HomogeneousModel(lam: float, mu: float, c: int) -> HeterogeneousModel:
     """M/M/c pool: Poisson arrivals at `lam`, c identical containers of rate `mu`."""
     if c < 1 or c != int(c):
         raise InvalidParameter(f"container count must be a positive integer, got {c}")
     c = int(c)
-    return HeterogeneousModel(lam, (mu,) * c, drains=_equal_drains(mu, c))
+    return HeterogeneousModel(lam, (mu,) * c, drains=tuple(mu * n for n in range(1, c + 1)))
 
 
-def _logsumexp(terms: np.ndarray) -> float:
-    hi = float(np.max(terms))
-    if hi == -math.inf:
-        return -math.inf
-    return hi + math.log(float(np.sum(np.exp(terms - hi))))
+def _logaddexp(a: float, b: float) -> float:
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
 
 
-def _chain(lam: float, drains: np.ndarray) -> tuple:
-    """Log-space occupancy chain for lam > 0 below the total drain rate.
+class _Chain:
+    """Occupancy chain of a pool, grown one container at a time. With drains
+    D_1..D_c pushed, head[n] is the log weight of n requests present and
+    sums[n] the log of the weights' total over 0..n, for n <= c. Beyond c the
+    weights decay geometrically by ratio = lam / D_c."""
 
-    Returns (log_head, log_ratio, log_one_minus_ratio, log_z). The
-    unnormalised weight of n requests is lam^n / (D_1*...*D_n), with log
-    log_head[n] for n <= c, and decays geometrically by ratio = lam / D_c
-    beyond c. log_z is the log of the weights' total.
-    """
-    c = len(drains)
-    log_head = np.empty(c + 1)
-    log_head[0] = 0.0
-    log_head[1:] = np.cumsum(math.log(lam) - np.log(drains))
-    log_ratio = math.log(lam / float(drains[-1]))
-    # log(1 - ratio) via expm1 stays accurate for ratio near both 0 and 1
-    log_one_minus_ratio = math.log(-math.expm1(log_ratio))
-    log_z = _logsumexp(np.append(log_head[:c], log_head[c] - log_one_minus_ratio))
-    return log_head, log_ratio, log_one_minus_ratio, log_z
+    __slots__ = ("lam", "log_lam", "drains", "head", "sums")
 
+    def __init__(self, lam: float, drains: Sequence[float] = ()):
+        self.lam, self.log_lam = lam, math.log(lam) if lam else -math.inf
+        self.drains, self.head, self.sums = [], [0.0], [0.0]
+        for drain in drains:
+            self.push(drain)
 
-def _wait_tail(lam: float, drains: np.ndarray, t: float) -> float:
-    """Worst-case P(wait <= t) by occupancy cutoff, for a stable chain: the
-    rule pools are sized by.
+    def push(self, drain: float):
+        head = self.head[-1] + (self.log_lam - math.log(drain))
+        self.drains.append(drain)
+        self.head.append(head)
+        self.sums.append(_logaddexp(self.sums[-1], head))
 
-    A request that finds n others in a saturated pool waits about
-    (n - c + 1)/D_c, where D_c is the full drain rate, so bounding the wait
-    by t is bounding the occupancy it sees by L = floor(t*D_c + c - 1). The
-    result is P(N <= L). For an M/M/c pool D_c = c*mu.
-    """
-    if lam == 0:
-        return 1.0
-    c = len(drains)
-    upto = math.floor(t * float(drains[-1]) + c - 1)
-    log_head, log_ratio, log_one_minus_ratio, log_z = _chain(lam, drains)
-    if upto < c:
-        log_num = _logsumexp(log_head[: upto + 1])
-    else:
-        m = upto - c + 1
-        log_partial = math.log(-math.expm1(m * log_ratio)) - log_one_minus_ratio
-        log_num = np.logaddexp(_logsumexp(log_head[:c]), log_head[c] + log_partial)
-    return min(1.0, math.exp(float(log_num) - log_z))
+    def truncate(self, c: int):
+        """Keep the first c containers."""
+        del self.drains[c:], self.head[c + 1:], self.sums[c + 1:]
+
+    def _tail(self) -> tuple:
+        """(log ratio, log(1 - ratio), log of the weights' total); 0 < lam < D_c."""
+        log_ratio = math.log(self.lam / self.drains[-1])
+        # log(1 - ratio) via expm1 stays accurate for ratio near both 0 and 1
+        log_one_minus_ratio = math.log(-math.expm1(log_ratio))
+        log_z = _logaddexp(self.sums[-2], self.head[-1] - log_one_minus_ratio)
+        return log_ratio, log_one_minus_ratio, log_z
+
+    def cutoff_p(self, t: float) -> float:
+        """Worst-case P(wait <= t) by occupancy cutoff, for 0 < lam < D_c.
+
+        A request that finds n others in a saturated pool waits about
+        (n - c + 1)/D_c, so bounding the wait by t bounds the occupancy it
+        sees by L = floor(t*D_c + c - 1). The result is P(N <= L): a prefix
+        sum, plus the geometric tail when L >= c.
+        """
+        c = len(self.drains)
+        upto = math.floor(t * self.drains[-1] + c - 1)
+        log_ratio, log_one_minus_ratio, log_z = self._tail()
+        if upto < c:
+            log_num = self.sums[upto]
+        else:
+            log_partial = (math.log(-math.expm1((upto - c + 1) * log_ratio))
+                           - log_one_minus_ratio)
+            log_num = _logaddexp(self.sums[c - 1], self.head[c] + log_partial)
+        return min(1.0, math.exp(log_num - log_z))
+
+    def meets(self, target: WaitTarget) -> bool:
+        """The sizing rule: stable, and the cutoff P(wait <= t) reaches p."""
+        return self.lam < self.drains[-1] and (
+            self.lam == 0 or self.cutoff_p(target.t) >= target.percentile)
 
 
 def _wait_cdf(model: HeterogeneousModel, t: float) -> float:
     """Waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(D_c - lam)*t).
 
-    Unlike _wait_tail (the occupancy-cutoff rule used for sizing, which treats
-    each queued request's wait as its conditional mean), this integrates the
-    true wait: given a queue position it is an Erlang sum at the saturated
-    drain rate D_c, since every completion backfills from the queue while
-    anyone waits. For an M/M/c pool it is exact, and it is what a measurement
-    of the same system converges to; for a heterogeneous pool it
+    Unlike the sizing rule's cutoff, which takes each queued request's wait
+    as its conditional mean, this integrates the true wait: an Erlang sum at
+    the saturated drain rate D_c, since every completion backfills from the
+    queue. It is exact for an M/M/c pool, and for a heterogeneous pool it
     lower-bounds the waiting CDF of any real dispatcher.
     """
     model.require_stable()
@@ -166,8 +170,9 @@ def _wait_cdf(model: HeterogeneousModel, t: float) -> float:
         raise InvalidParameter(f"t must be >= 0, got {t}")
     if model.lam == 0:
         return 1.0
-    log_head, _, log_one_minus_ratio, log_z = _chain(model.lam, model.drains)
-    log_queued = float(log_head[model.c]) - log_one_minus_ratio - log_z
+    chain = _Chain(model.lam, model.drains)
+    _, log_one_minus_ratio, log_z = chain._tail()
+    log_queued = chain.head[-1] - log_one_minus_ratio - log_z  # log P(N >= c)
     return 1.0 - math.exp(log_queued - (model.drain_rate - model.lam) * t)
 
 
@@ -182,12 +187,9 @@ def wait_cdf_heterogeneous(model: HeterogeneousModel, t: float) -> float:
 
 
 def min_stable_count(lam: float, mu: float, base: float = 0.0) -> int:
-    """The stability floor: smallest k with base + k*mu > lam.
-
-    `base` is the summed rate of the containers a pool already holds; with
-    none (the default) the answer is the smallest stable M/M/c pool, at least
-    1 for lam >= 0.
-    """
+    """The stability floor: smallest k with base + k*mu > lam, where `base` is
+    the summed rate of the containers a pool already holds. With none (the
+    default) it is the smallest stable M/M/c pool, at least 1."""
     k = 0
     if lam >= base:
         k = int(math.floor((lam - base) / mu)) + 1
@@ -196,80 +198,78 @@ def min_stable_count(lam: float, mu: float, base: float = 0.0) -> int:
     return k
 
 
-def meets_target(lam: float, drains: np.ndarray, target: WaitTarget) -> bool:
-    """The sizing rule: the pool with cumulative drain rates `drains` is stable
-    and its occupancy-cutoff P(wait <= t) reaches the target percentile."""
-    return lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile
+def meets_target(lam: float, drains: Sequence[float], target: WaitTarget) -> bool:
+    """The sizing rule for the pool with cumulative drain rates `drains`."""
+    return _Chain(lam, drains).meets(target)
 
 
-def _search(lam: float, base: np.ndarray, mu: float, target: WaitTarget, k: int, cap: int) -> int:
+def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int, cap: int) -> int:
     """Smallest count of rate-`mu` containers, at least k and the stability
     floor, that merged into the sorted pool `base` meets the sizing rule.
 
-    An empty pool takes the exact products of `_equal_drains`; otherwise the
-    drains are the running sum of the merged pool, slowest first.
+    An empty pool takes the exact products mu*k; otherwise the drains are the
+    running sum of the merged pool, slowest first. Each step keeps the chain
+    below the standard containers, pushes one more and rebuilds the suffix.
     """
-    # an empty pool, as in every homogeneous call, needs neither numpy call
-    total, insert_at = (0.0, 0) if not base.size else (
-        float(base.sum()), int(np.searchsorted(base, mu)))
-    k = max(k, min_stable_count(lam, mu, total))
-    while base.size + k <= cap:
-        if base.size:
-            drains = np.cumsum(np.concatenate([base[:insert_at], np.full(k, float(mu)),
-                                               base[insert_at:]]))
-        else:
-            drains = _equal_drains(mu, k)
-        if meets_target(lam, drains, target):
+    k = max(k, min_stable_count(lam, mu, sum(base)))
+    insert_at = bisect.bisect_left(base, mu)
+    chain, drain, pushed = _Chain(lam), 0.0, 0
+    for rate in base[:insert_at]:
+        drain += rate
+        chain.push(drain)
+    while len(base) + k <= cap:
+        while pushed < k:
+            pushed += 1
+            drain = drain + mu if base else mu * pushed
+            chain.push(drain)
+        total = drain
+        for rate in base[insert_at:]:
+            total += rate
+            chain.push(total)
+        if chain.meets(target):
             return k
+        chain.truncate(insert_at + k)
         k += 1
     raise CapExceeded(f"no pool of <= {cap} containers meets P(wait <= {target.t}) "
                       f">= {target.percentile}")
 
 
-def _check_rates(lam: float, mu: float, name: str):
+def _check_inputs(lam: float, mu: float, name: str, c_start, cap):
     if mu <= 0 or not math.isfinite(mu):
         raise InvalidParameter(f"{name} must be finite and > 0, got {mu}")
     if not 0 <= lam < math.inf:
         raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
+    for count, value in (("c_start", c_start), ("cap", cap)):
+        if not isinstance(value, (int, numbers.Integral)):  # int first: the fast check
+            raise InvalidParameter(f"{count} must be an integer, got {value!r}")
+    if c_start < 0:
+        raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
 
 
-def find_c_homogeneous(
-    lam: float,
-    mu: float,
-    target: WaitTarget,
-    c_start: int = 0,
-    cap: int = DEFAULT_CONTAINER_CAP,
-) -> int:
+def find_c_homogeneous(lam: float, mu: float, target: WaitTarget, c_start: int = 0,
+                       cap: int = DEFAULT_CONTAINER_CAP) -> int:
     """Smallest container count meeting the waiting target, scanning upward.
 
     The scan begins at max(c_start, stability floor); c_start is a warm start
     (the current pool size), not an upper bound on the answer.
     """
-    _check_rates(lam, mu, "service rate")
-    if c_start < 0:
-        raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
-    return _search(lam, np.empty(0), mu, target, c_start, cap)
+    _check_inputs(lam, mu, "service rate", c_start, cap)
+    return _search(lam, [], mu, target, c_start, cap)
 
 
-def find_c_heterogeneous(
-    lam: float,
-    existing_rates: Sequence[float],
-    standard_mu: float,
-    target: WaitTarget,
-    cap: int = DEFAULT_CONTAINER_CAP,
-) -> int:
+def find_c_heterogeneous(lam: float, existing_rates: Sequence[float], standard_mu: float,
+                         target: WaitTarget, cap: int = DEFAULT_CONTAINER_CAP) -> int:
     """Smallest number of standard containers to add to an existing pool.
 
-    Returns k >= 0 such that the pool (existing_rates + k copies of
-    standard_mu), re-sorted ascending, meets the waiting target under the
-    worst-case heterogeneous model. An empty existing pool takes the equal
-    drains find_c_homogeneous uses, so the two agree on it.
+    Returns k >= 0 such that existing_rates + k copies of standard_mu,
+    re-sorted ascending, meets the target under the worst-case model. An empty
+    existing pool takes find_c_homogeneous's equal drains, so the two agree.
     """
-    _check_rates(lam, standard_mu, "standard rate")
-    base = np.sort(np.asarray(list(existing_rates), dtype=float))
-    if base.size and not (base[0] > 0 and np.isfinite(base[-1])):
+    _check_inputs(lam, standard_mu, "standard rate", 0, cap)
+    base = [float(r) for r in existing_rates]
+    if not all(0 < r < math.inf for r in base):
         raise InvalidParameter("every existing rate must be finite and > 0")
-    return _search(lam, base, standard_mu, target, 0, cap)
+    return _search(lam, sorted(base), standard_mu, target, 0, cap)
 
 
 def wait_budget(deadline: float, profile, percentile: float = DEFAULT_PERCENTILE) -> WaitTarget:

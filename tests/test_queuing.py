@@ -1,6 +1,8 @@
 """Closed-form queueing math against hand values, brute-force series, and the oracle."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +27,7 @@ from edgescale.queuing import (
     wait_budget,
     wait_cdf_heterogeneous,
     wait_cdf_homogeneous,
-    _chain,
-    _equal_drains,
-    _wait_tail,
+    _Chain,
 )
 from edgescale.reclamation import ServiceProfile
 
@@ -40,17 +40,70 @@ def naive_p_zero(lam, mu, c):
     return 1.0 / (head + (r**c / math.factorial(c)) / (1 - rho))
 
 
+# The reference kernel: the occupancy chain in numpy, rebuilt whole for each
+# pool and summed by log-sum-exp. `queuing._Chain` must give its values and,
+# away from exact ties (TestExactTies), its sizing decisions.
+
+
+def _logsumexp(terms: np.ndarray) -> float:
+    hi = float(np.max(terms))
+    if hi == -math.inf:
+        return -math.inf
+    return hi + math.log(float(np.sum(np.exp(terms - hi))))
+
+
+def _chain(lam: float, drains: np.ndarray) -> tuple:
+    """Reference occupancy chain for lam > 0 below the total drain rate.
+
+    Returns (log_head, log_ratio, log_one_minus_ratio, log_z). The
+    unnormalised weight of n requests is lam^n / (D_1*...*D_n), with log
+    log_head[n] for n <= c, and decays geometrically by ratio = lam / D_c
+    beyond c. log_z is the log of the weights' total.
+    """
+    c = len(drains)
+    log_head = np.empty(c + 1)
+    log_head[0] = 0.0
+    log_head[1:] = np.cumsum(math.log(lam) - np.log(drains))
+    log_ratio = math.log(lam / float(drains[-1]))
+    log_one_minus_ratio = math.log(-math.expm1(log_ratio))
+    log_z = _logsumexp(np.append(log_head[:c], log_head[c] - log_one_minus_ratio))
+    return log_head, log_ratio, log_one_minus_ratio, log_z
+
+
+def _wait_tail(lam: float, drains: np.ndarray, t: float) -> float:
+    """Reference occupancy-cutoff P(wait <= t) of a stable chain: P(N <= L)
+    with L = floor(t*D_c + c - 1)."""
+    if lam == 0:
+        return 1.0
+    c = len(drains)
+    upto = math.floor(t * float(drains[-1]) + c - 1)
+    log_head, log_ratio, log_one_minus_ratio, log_z = _chain(lam, drains)
+    if upto < c:
+        log_num = _logsumexp(log_head[: upto + 1])
+    else:
+        m = upto - c + 1
+        log_partial = math.log(-math.expm1(m * log_ratio)) - log_one_minus_ratio
+        log_num = np.logaddexp(_logsumexp(log_head[:c]), log_head[c] + log_partial)
+    return min(1.0, math.exp(float(log_num) - log_z))
+
+
+def _equal_drains(mu: float, c: int) -> np.ndarray:
+    """Drain rates of c equal containers: the exact products mu, ..., c*mu."""
+    return mu * np.arange(1, c + 1)
+
+
 def occupancy_prob(model, n):
-    """P(exactly n requests present) in a stable pool, from its `_chain`."""
-    log_head, log_ratio, _, log_z = _chain(model.lam, model.drains)
-    c = model.c
-    log_term = log_head[n] if n <= c else log_head[c] + (n - c) * log_ratio
-    return math.exp(float(log_term) - log_z)
+    """P(exactly n requests present) in a stable pool, from its `_Chain`."""
+    chain = _Chain(model.lam, model.drains)
+    log_ratio, _, log_z = chain._tail()
+    c = len(model.drains)
+    log_term = chain.head[n] if n <= c else chain.head[c] + (n - c) * log_ratio
+    return math.exp(log_term - log_z)
 
 
 def cutoff_tail(model, target):
     """The sizing rule's occupancy-cutoff P(wait <= t) of a stable pool."""
-    return _wait_tail(model.lam, model.drains, target.t)
+    return _Chain(model.lam, model.drains).cutoff_p(target.t)
 
 
 class TestPZero:
@@ -147,9 +200,11 @@ class TestWaitTail:
         assert abs(approx_p - mc.p_wait_le_t) <= 0.03
 
     def test_no_overflow_at_cap(self):
-        m = HomogeneousModel(9999 * 10, 10, 10_000)
-        p = cutoff_tail(m, WaitTarget(0.1, 0.99))
-        assert 0.0 <= p <= 1.0 and math.isfinite(p)
+        het = HeterogeneousModel(0.999 * 105_000, tuple(np.linspace(1.0, 20.0, 10_000)))
+        for m in (HomogeneousModel(9999 * 10, 10, 10_000), het):
+            p = cutoff_tail(m, WaitTarget(0.1, 0.99))
+            assert 0.0 <= p <= 1.0 and math.isfinite(p)
+            assert p == pytest.approx(_wait_tail(m.lam, np.asarray(m.drains), 0.1), rel=1e-9)
 
 
 class TestExactWaitCdf:
@@ -222,6 +277,17 @@ class TestFindC:
         assert find_c_homogeneous(55, 0.3, WaitTarget(0.1, 0.9)) == 200
         assert find_c_homogeneous(191, 0.7, WaitTarget(0.1, 0.99)) == 300
 
+    def test_non_integer_counts_rejected(self):
+        t = WaitTarget(0.1, 0.95)
+        for c_start in (2.5, 3.0):
+            with pytest.raises(InvalidParameter, match="c_start"):
+                find_c_homogeneous(5.0, 10.0, t, c_start=c_start)
+        with pytest.raises(InvalidParameter, match="cap"):
+            find_c_homogeneous(5.0, 10.0, t, cap=2.5)
+        with pytest.raises(InvalidParameter, match="cap"):
+            find_c_heterogeneous(5.0, [10.0], 10.0, t, cap=2.0)
+        assert find_c_homogeneous(5.0, 10.0, t, c_start=np.int64(3), cap=np.int64(3)) == 3
+
     def test_min_stable_count(self):
         assert min_stable_count(0, 10) == 1
         assert min_stable_count(30, 10) == 4  # strict inequality: 3*10 == 30 unstable
@@ -229,7 +295,7 @@ class TestFindC:
 
 
 def homogeneous_reference(lam, mu, target, c_start=0, cap=DEFAULT_CONTAINER_CAP):
-    """`find_c_homogeneous` as its own scan: own floor loop, own rule check."""
+    """`find_c_homogeneous` as its own scan: own floor loop, reference kernel."""
     if mu <= 0 or not math.isfinite(mu):
         raise InvalidParameter("service rate")
     if not 0 <= lam < math.inf:
@@ -250,7 +316,7 @@ def homogeneous_reference(lam, mu, target, c_start=0, cap=DEFAULT_CONTAINER_CAP)
 
 
 def heterogeneous_reference(lam, existing_rates, standard_mu, target, cap=DEFAULT_CONTAINER_CAP):
-    """`find_c_heterogeneous` as its own scan: own floor loop, own rule check."""
+    """`find_c_heterogeneous` as its own scan: own floor loop, reference kernel."""
     if standard_mu <= 0 or not math.isfinite(standard_mu):
         raise InvalidParameter("standard rate")
     if not 0 <= lam < math.inf:
@@ -346,6 +412,120 @@ class TestOneSearch:
                     == CapExceeded
             cases += 1
         assert cases == 3000
+
+
+def reference_wait_cdf(model, t):
+    """`_wait_cdf` on the numpy reference chain."""
+    log_head, _, log_one_minus_ratio, log_z = _chain(model.lam, np.asarray(model.drains))
+    log_queued = float(log_head[-1]) - log_one_minus_ratio - log_z
+    return 1.0 - math.exp(log_queued - (model.drain_rate - model.lam) * t)
+
+
+class TestScalarChain:
+    """The scalar chain gives the numpy reference's values and decisions."""
+
+    def test_wait_cdf_and_cutoff_match_reference(self):
+        checked = 0
+        for lam, rates, mu, target, _ in random_pools(1500, seed=21):
+            pool = sorted(rates + [mu] * 3)
+            models = [HeterogeneousModel(lam, tuple(pool)), HomogeneousModel(lam, mu, len(pool))]
+            for model in models:
+                if not 0 < lam < model.drain_rate:
+                    continue
+                for t in (0.0, target.t, 10 * target.t):
+                    assert wait_cdf_heterogeneous(model, t) == pytest.approx(
+                        reference_wait_cdf(model, t), rel=1e-12, abs=0)
+                assert cutoff_tail(model, target) == pytest.approx(
+                    _wait_tail(lam, np.asarray(model.drains), target.t), rel=1e-12, abs=0)
+                checked += 1
+        assert checked > 2000
+
+    def test_shrink_probe_matches_reference(self):
+        # the allocator's probe: the sorted pool's running sums, stable or not
+        outcomes = set()
+        for lam, rates, mu, target, _ in random_pools(3000, seed=22):
+            drains = np.cumsum(sorted(rates + [mu]))
+            want = bool(lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile)
+            assert meets_target(lam, list(drains), target) == want, (lam, rates, mu, target)
+            outcomes.add((want, bool(lam < drains[-1])))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def exact_cutoff_p(lam, mu, c, t):
+    """The sizing rule's P(N <= L) of c equal containers in rational arithmetic
+    on the float inputs, with the kernel's float cutoff L."""
+    upto = math.floor(t * (mu * c) + c - 1)
+    weights = [Fraction(1)]
+    for n in range(1, c + 1):
+        weights.append(weights[-1] * Fraction(lam) / Fraction(mu * n))
+    ratio = Fraction(lam) / Fraction(mu * c)
+    head = sum(weights[:c])
+    total = head + weights[c] / (1 - ratio)
+    if upto < c:
+        return sum(weights[: upto + 1]) / total
+    return (head + weights[c] * (1 - ratio ** (upto - c + 1)) / (1 - ratio)) / total
+
+
+def exact_c(lam, mu, target):
+    """The sizing rule's answer with P exact and p the decimal it is written as."""
+    c, p = min_stable_count(lam, mu), Fraction(str(target.percentile))
+    while exact_cutoff_p(lam, mu, c, target.t) < p:
+        c += 1
+    return c
+
+
+def tie_grid():
+    """Small pools at simple rational loads, where P(N <= L) can equal p exactly."""
+    lams = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 9.0, 10.0, 12.0, 15.0, 20.0)
+    for lam, mu, t, p in itertools.product(lams, (1.0, 2.0, 4.0, 5.0, 10.0),
+                                           (0.01, 0.05, 0.1, 0.25, 0.5, 1.0),
+                                           (0.5, 0.75, 0.8, 0.9, 0.95, 0.99)):
+        yield lam, mu, WaitTarget(t, p)
+
+
+# (lam, mu, t, p) where the numpy reference answers c = 2 although the exact
+# P(N <= L) of one container is p itself: the `>=` rule takes c = 1 there.
+REFERENCE_TIE_MISSES = {
+    (0.25, 1.0, 0.01, 0.75), (0.25, 1.0, 0.05, 0.75), (0.25, 1.0, 0.1, 0.75),
+    (0.25, 1.0, 0.25, 0.75), (0.25, 1.0, 0.5, 0.75),
+    (0.5, 2.0, 0.01, 0.75), (0.5, 2.0, 0.05, 0.75), (0.5, 2.0, 0.1, 0.75),
+    (0.5, 2.0, 0.25, 0.75),
+    (0.5, 5.0, 0.01, 0.9), (0.5, 5.0, 0.05, 0.9), (0.5, 5.0, 0.1, 0.9),
+    (1.0, 4.0, 0.01, 0.75), (1.0, 4.0, 0.05, 0.75), (1.0, 4.0, 0.1, 0.75),
+    (1.0, 10.0, 0.01, 0.9), (1.0, 10.0, 0.05, 0.9), (1.0, 10.0, 0.1, 0.99),
+}
+
+
+class TestExactTies:
+    """Where exact arithmetic puts P(N <= L) on p itself, `>=` takes the pool."""
+
+    def test_one_container_at_nine_tenths(self):
+        target = WaitTarget(0.01, 0.9)
+        assert exact_cutoff_p(1.0, 10.0, 1, target.t) == Fraction(9, 10)
+        assert find_c_homogeneous(1.0, 10.0, target) == 1
+        assert find_c_heterogeneous(1.0, [], 10.0, target) == 1
+        assert homogeneous_reference(1.0, 10.0, target) == 2
+
+    def test_two_containers_at_nine_tenths(self):
+        for t in (0.01, 0.05, 0.1):
+            assert exact_cutoff_p(0.5, 1.0, 1, t) == Fraction(1, 2)
+            assert exact_cutoff_p(0.5, 1.0, 2, t) == Fraction(9, 10)
+            assert find_c_homogeneous(0.5, 1.0, WaitTarget(t, 0.9)) == 2
+            assert homogeneous_reference(0.5, 1.0, WaitTarget(t, 0.9)) == 2
+
+    def test_small_pools_follow_exact_arithmetic(self):
+        for lam, mu, target in tie_grid():
+            assert find_c_homogeneous(lam, mu, target) == exact_c(lam, mu, target), (
+                lam, mu, target)
+
+    def test_reference_differs_only_at_pinned_ties(self):
+        misses = set()
+        for lam, mu, target in tie_grid():
+            got = find_c_homogeneous(lam, mu, target)
+            if got != homogeneous_reference(lam, mu, target):
+                assert exact_cutoff_p(lam, mu, got, target.t) == Fraction(str(target.percentile))
+                misses.add((lam, mu, target.t, target.percentile))
+        assert misses == REFERENCE_TIE_MISSES
 
 
 class TestHeterogeneous:
