@@ -9,7 +9,6 @@ reclaimed capacity is available to under-provisioned functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -158,8 +157,7 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
             # probe shrinking: drop smallest-capacity members while the target
             # holds (the additive heterogeneous search never scales down)
             while extra == 0 and len(kept) > max(1, spec.min_containers):
-                trial = list(itertools.accumulate(sorted(c.effective_rate for c in kept[1:])))
-                if not queuing.meets_target(rate, trial, target):
+                if not queuing.meets_target(rate, [c.effective_rate for c in kept[1:]], target):
                     break
                 kept = kept[1:]
     extra = max(extra, spec.min_containers - len(kept))

@@ -189,15 +189,14 @@ def cmd_validate(args) -> int:
         k = queuing.find_c_heterogeneous(args.arrival_rate, args.rates, args.service_rate,
                                          target)
         pool = sorted(args.rates + [args.service_rate] * k)
-        model = queuing.HeterogeneousModel(args.arrival_rate, tuple(pool))
-        p_model = queuing.wait_cdf_heterogeneous(model, args.deadline)
+        p_model = queuing.wait_cdf_heterogeneous(args.arrival_rate, pool, args.deadline)
         policy = "slowest-idle"
         label = f"hetero c={len(pool)} (+{k} std)"
     else:
         c = queuing.find_c_homogeneous(args.arrival_rate, args.service_rate, target)
         pool = [args.service_rate] * c
-        model = queuing.HomogeneousModel(args.arrival_rate, args.service_rate, c)
-        p_model = queuing.wait_cdf_homogeneous(model, args.deadline)
+        p_model = queuing.wait_cdf_homogeneous(args.arrival_rate, args.service_rate, c,
+                                               args.deadline)
         policy = "fastest-idle"
         label = f"homog c={c}"
 

@@ -26,6 +26,8 @@ from .errors import InvalidParameter, UnstableSystem
 
 POLICIES = ("fastest-idle", "slowest-idle")
 SLICE = 1024  # requests read from the draw arrays per pass, as Python floats
+MIN_WARMUP = 1000  # requests dropped before measuring: this many, or 1% if more
+BATCHES = 100  # batch means behind the standard error
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,6 @@ def mc_wait(
     num_requests: int = 200_000,
     seed: int = 0,
     policy: str = "fastest-idle",
-    warmup: int | None = None,
-    batches: int = 100,
 ) -> OracleResult:
     """Estimate P(wait <= t) for a shared-queue pool with the given idle policy.
 
@@ -115,16 +115,11 @@ def mc_wait(
         raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
     if num_requests < 100:
         raise InvalidParameter("need at least 100 requests")
-    if batches < 2:
-        raise InvalidParameter(f"batch means need at least 2 batches, got {batches}")
-    if warmup is None:
-        warmup = max(1000, num_requests // 100)
-    if warmup < 0:
-        raise InvalidParameter(f"warmup must be >= 0, got {warmup}")
-    if num_requests - warmup < batches:
+    warmup = max(MIN_WARMUP, num_requests // 100)
+    if num_requests - warmup < BATCHES:
         raise InvalidParameter(
             f"{num_requests} requests leave {max(num_requests - warmup, 0)} samples "
-            f"after a warmup of {warmup}, fewer than the {batches} batches"
+            f"after a warmup of {warmup}, fewer than the {BATCHES} batches"
         )
 
     pick_fastest = policy == "fastest-idle"
@@ -133,9 +128,9 @@ def mc_wait(
     hits = (measured <= t).astype(float)
     p_hat = float(hits.mean())
 
-    usable = (len(hits) // batches) * batches
-    per_batch = hits[:usable].reshape(batches, -1).mean(axis=1)
-    se_batch = float(per_batch.std(ddof=1)) / math.sqrt(batches)
+    usable = (len(hits) // BATCHES) * BATCHES
+    per_batch = hits[:usable].reshape(BATCHES, -1).mean(axis=1)
+    se_batch = float(per_batch.std(ddof=1)) / math.sqrt(BATCHES)
     se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / len(hits))
     stderr = max(se_batch, se_binom)
 

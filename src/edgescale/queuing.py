@@ -11,8 +11,10 @@ cutoff at float boundaries.
 Pools are sized by one upward search over existing rates + k standard
 containers (`_search`), with one stability floor (`min_stable_count`) and one
 sizing rule (`meets_target`), which the allocator's shrink probe also tests.
-`find_c_homogeneous` and `find_c_heterogeneous` stay two entry points because
-the benchmark's layer tracer counts each by name.
+`find_c_homogeneous` and `find_c_heterogeneous` stay two entry points, as do
+the exact CDFs `wait_cdf_homogeneous` and `wait_cdf_heterogeneous`, because
+the benchmark's layer tracer counts each by name. Callers pass pools as rates
+in any order; the drains are built only here.
 
 `_Chain` keeps the log head weights log(lam^n / (D_1*...*D_n)) and their
 running prefix log-sums, finite up to the hard cap (10 000 containers) where
@@ -28,7 +30,7 @@ import bisect
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded, InfeasibleDeadline, InvalidParameter, UnstableSystem
@@ -51,46 +53,20 @@ class WaitTarget:
             raise InvalidParameter(f"percentile must be in (0, 1), got {self.percentile}")
 
 
-@dataclass(frozen=True)
-class HeterogeneousModel:
-    """Pool with per-container rates, slowest first (worst-case dispatch order).
-    `drains`, the cumulative drain rates D_1..D_c, default to their running sum."""
-
-    lam: float
-    rates: tuple
-    drains: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.lam < 0 or not math.isfinite(self.lam):
-            raise InvalidParameter(f"arrival rate must be finite and >= 0, got {self.lam}")
-        rates = tuple(float(r) for r in self.rates)
-        if not rates:
-            raise InvalidParameter("rates must be non-empty")
-        if any(r <= 0 or not math.isfinite(r) for r in rates):
-            raise InvalidParameter("every container rate must be finite and > 0")
-        if any(a > b for a, b in zip(rates, rates[1:])):
-            raise InvalidParameter("rates must be sorted ascending (slowest first)")
-        object.__setattr__(self, "rates", rates)
-        if self.drains is None:
-            object.__setattr__(self, "drains", tuple(itertools.accumulate(rates)))
-
-    @property
-    def drain_rate(self) -> float:
-        return self.drains[-1]
-
-    def require_stable(self):
-        if not self.lam < self.drain_rate:
-            raise UnstableSystem(
-                f"lam={self.lam} >= total rate {self.drain_rate}; no steady state"
-            )
+def _sorted_rates(rates: Sequence[float]) -> list:
+    """Container rates as floats, slowest first; each must be finite and > 0."""
+    rates = sorted(float(r) for r in rates)
+    if not all(0 < r < math.inf for r in rates):
+        raise InvalidParameter("every container rate must be finite and > 0")
+    return rates
 
 
-def HomogeneousModel(lam: float, mu: float, c: int) -> HeterogeneousModel:
-    """M/M/c pool: Poisson arrivals at `lam`, c identical containers of rate `mu`."""
-    if c < 1 or c != int(c):
-        raise InvalidParameter(f"container count must be a positive integer, got {c}")
-    c = int(c)
-    return HeterogeneousModel(lam, (mu,) * c, drains=tuple(mu * n for n in range(1, c + 1)))
+def _running_drains(rates: Sequence[float]) -> list:
+    """Cumulative drain rates D_1..D_c of a non-empty pool, slowest first."""
+    drains = list(itertools.accumulate(_sorted_rates(rates)))
+    if not drains:
+        raise InvalidParameter("rates must be non-empty")
+    return drains
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -156,7 +132,7 @@ class _Chain:
             self.lam == 0 or self.cutoff_p(target.t) >= target.percentile)
 
 
-def _wait_cdf(model: HeterogeneousModel, t: float) -> float:
+def _wait_cdf(lam: float, drains: list, t: float) -> float:
     """Waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(D_c - lam)*t).
 
     Unlike the sizing rule's cutoff, which takes each queued request's wait
@@ -165,25 +141,31 @@ def _wait_cdf(model: HeterogeneousModel, t: float) -> float:
     queue. It is exact for an M/M/c pool, and for a heterogeneous pool it
     lower-bounds the waiting CDF of any real dispatcher.
     """
-    model.require_stable()
-    if t < 0:
-        raise InvalidParameter(f"t must be >= 0, got {t}")
-    if model.lam == 0:
+    if not 0 <= lam < math.inf:
+        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
+    if not lam < drains[-1]:
+        raise UnstableSystem(f"lam={lam} >= total rate {drains[-1]}; no steady state")
+    if not 0 <= t < math.inf:
+        raise InvalidParameter(f"t must be finite and >= 0, got {t}")
+    if lam == 0:
         return 1.0
-    chain = _Chain(model.lam, model.drains)
+    chain = _Chain(lam, drains)
     _, log_one_minus_ratio, log_z = chain._tail()
     log_queued = chain.head[-1] - log_one_minus_ratio - log_z  # log P(N >= c)
-    return 1.0 - math.exp(log_queued - (model.drain_rate - model.lam) * t)
+    return 1.0 - math.exp(log_queued - (drains[-1] - lam) * t)
 
 
-def wait_cdf_homogeneous(model: HeterogeneousModel, t: float) -> float:
-    """Exact M/M/c waiting-time CDF of a `HomogeneousModel` pool."""
-    return _wait_cdf(model, t)
+def wait_cdf_homogeneous(lam: float, mu: float, c: int, t: float) -> float:
+    """Exact waiting-time CDF of an M/M/c pool: c containers of rate `mu`."""
+    if not 1 <= c < math.inf or c != int(c):
+        raise InvalidParameter(f"container count must be a positive integer, got {c}")
+    _sorted_rates([mu])
+    return _wait_cdf(lam, [mu * n for n in range(1, int(c) + 1)], t)
 
 
-def wait_cdf_heterogeneous(model: HeterogeneousModel, t: float) -> float:
-    """Worst-case (slowest-first) waiting-time CDF of a heterogeneous pool."""
-    return _wait_cdf(model, t)
+def wait_cdf_heterogeneous(lam: float, rates: Sequence[float], t: float) -> float:
+    """Worst-case (slowest-first) waiting-time CDF of a pool with these rates."""
+    return _wait_cdf(lam, _running_drains(rates), t)
 
 
 def min_stable_count(lam: float, mu: float, base: float = 0.0) -> int:
@@ -198,9 +180,9 @@ def min_stable_count(lam: float, mu: float, base: float = 0.0) -> int:
     return k
 
 
-def meets_target(lam: float, drains: Sequence[float], target: WaitTarget) -> bool:
-    """The sizing rule for the pool with cumulative drain rates `drains`."""
-    return _Chain(lam, drains).meets(target)
+def meets_target(lam: float, rates: Sequence[float], target: WaitTarget) -> bool:
+    """The sizing rule for the pool with container rates `rates`."""
+    return _Chain(lam, _running_drains(rates)).meets(target)
 
 
 def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int, cap: int) -> int:
@@ -266,10 +248,7 @@ def find_c_heterogeneous(lam: float, existing_rates: Sequence[float], standard_m
     existing pool takes find_c_homogeneous's equal drains, so the two agree.
     """
     _check_inputs(lam, standard_mu, "standard rate", 0, cap)
-    base = [float(r) for r in existing_rates]
-    if not all(0 < r < math.inf for r in base):
-        raise InvalidParameter("every existing rate must be finite and > 0")
-    return _search(lam, sorted(base), standard_mu, target, 0, cap)
+    return _search(lam, _sorted_rates(existing_rates), standard_mu, target, 0, cap)
 
 
 def wait_budget(deadline: float, profile, percentile: float = DEFAULT_PERCENTILE) -> WaitTarget:

@@ -106,18 +106,15 @@ def wrr_weight_units(container) -> int:
     return max(1, int(round(container.allocated_vcpu / VCPU_QUANTUM)))
 
 
-def dispatch_wrr(candidates, state: dict, units: dict | None = None) -> int:
+def dispatch_wrr(candidates, state: dict, units: dict) -> int:
     """Smooth weighted round robin over the candidate containers.
 
     Over any W consecutive picks (W = total integerised weight) each
     candidate is chosen in proportion to its weight, and the pick sequence is
     maximally interleaved. Ties go to the lowest container id. A candidate's
     weight is `units[c.id]`; the simulator passes its per-container cache of
-    `wrr_weight_units`, kept current as fractions change. Without `units`
-    the weights are computed from the candidates.
+    `wrr_weight_units`, kept current as fractions change.
     """
-    if units is None:
-        units = {c.id: wrr_weight_units(c) for c in candidates}
     total = 0
     chosen = None
     for c in candidates:

@@ -98,14 +98,9 @@ def test_non_finite_or_negative_input_rejected(lam, rates, t, match):
 
 
 def test_warmup_and_batches_must_leave_samples():
-    # the default warmup of 1,000 leaves 50 samples for 100 batches
+    # the warmup of 1,000 leaves 50 samples for 100 batches
     with pytest.raises(InvalidParameter, match="50 samples"):
         mc_wait(5, [1.0] * 10, 0.1, num_requests=1_050)
-    with pytest.raises(InvalidParameter, match="batches"):
-        mc_wait(5, [1.0] * 10, 0.1, num_requests=2_000, batches=1)
-    # a negative warmup would measure only the last requests
-    with pytest.raises(InvalidParameter, match="warmup"):
-        mc_wait(5, [1.0] * 10, 0.1, num_requests=2_000, warmup=-150)
     res = mc_wait(5, [1.0] * 10, 0.1, num_requests=1_100)
     assert res.sample_count == 100 and math.isfinite(res.stderr)
 

@@ -17,8 +17,6 @@ from edgescale.errors import (
 from edgescale.oracle import mc_wait
 from edgescale.queuing import (
     DEFAULT_CONTAINER_CAP,
-    HeterogeneousModel,
-    HomogeneousModel,
     WaitTarget,
     find_c_heterogeneous,
     find_c_homogeneous,
@@ -92,65 +90,100 @@ def _equal_drains(mu: float, c: int) -> np.ndarray:
     return mu * np.arange(1, c + 1)
 
 
-def occupancy_prob(model, n):
+# A pool below is (lam, drains), the arrival rate and the cumulative drain
+# rates D_1..D_c that `queuing` builds from the pool's container rates.
+
+
+def equal_pool(lam, mu, c):
+    """c containers of rate mu: the exact products mu, ..., c*mu."""
+    return lam, [mu * n for n in range(1, c + 1)]
+
+
+def rate_pool(lam, rates):
+    """Containers at `rates`: their running sums, slowest first."""
+    return lam, list(itertools.accumulate(sorted(float(r) for r in rates)))
+
+
+def occupancy_prob(pool, n):
     """P(exactly n requests present) in a stable pool, from its `_Chain`."""
-    chain = _Chain(model.lam, model.drains)
+    lam, drains = pool
+    chain = _Chain(lam, drains)
     log_ratio, _, log_z = chain._tail()
-    c = len(model.drains)
+    c = len(drains)
     log_term = chain.head[n] if n <= c else chain.head[c] + (n - c) * log_ratio
     return math.exp(log_term - log_z)
 
 
-def cutoff_tail(model, target):
+def cutoff_tail(pool, target):
     """The sizing rule's occupancy-cutoff P(wait <= t) of a stable pool."""
-    return _Chain(model.lam, model.drains).cutoff_p(target.t)
+    return _Chain(*pool).cutoff_p(target.t)
 
 
 class TestPZero:
     def test_mm1_is_one_minus_rho(self):
-        assert occupancy_prob(HomogeneousModel(5, 10, 1), 0) == pytest.approx(0.5)
+        assert occupancy_prob(equal_pool(5, 10, 1), 0) == pytest.approx(0.5)
 
     def test_mm2_r_one(self):
         # hand evaluation: r=1, rho=0.5, bracket = 1/(2*0.5) + (1 + 1) = 3
-        assert occupancy_prob(HomogeneousModel(10, 10, 2), 0) == pytest.approx(1 / 3)
+        assert occupancy_prob(equal_pool(10, 10, 2), 0) == pytest.approx(1 / 3)
 
     def test_matches_naive_series(self):
         # independent raw-factorial oracle, viable for small c
-        assert occupancy_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
+        assert occupancy_prob(equal_pool(40, 10, 8), 0) == pytest.approx(
             naive_p_zero(40, 10, 8), abs=1e-12
         )
-        assert occupancy_prob(HomogeneousModel(40, 10, 8), 0) == pytest.approx(
+        assert occupancy_prob(equal_pool(40, 10, 8), 0) == pytest.approx(
             0.018162947586922683, abs=1e-12
         )
 
     def test_full_distribution_normalises(self):
-        m = HomogeneousModel(40, 10, 8)
+        m = equal_pool(40, 10, 8)
         total = sum(occupancy_prob(m, n) for n in range(400))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unstable_rejected(self):
-        model = HomogeneousModel(20, 10, 2)
+        target = WaitTarget(0.1)
         with pytest.raises(UnstableSystem):
-            model.require_stable()
-        assert not meets_target(model.lam, model.drains, WaitTarget(0.1))
+            wait_cdf_homogeneous(20, 10, 2, 0.1)
+        assert not meets_target(20, [10.0, 10.0], target)
+        # the search starts at the stability floor, never at an unstable pool
+        assert find_c_homogeneous(20, 10, target, c_start=2) >= 3
 
     def test_invalid_parameters(self):
+        t = WaitTarget(0.1)
+        for lam, mu, c in ((5, 0, 1), (5, 10, 0), (-1, 10, 1), (5, 10, 2.5),
+                           (5, math.nan, 1), (math.nan, 10, 1), (5, 10, math.inf)):
+            with pytest.raises(InvalidParameter):
+                wait_cdf_homogeneous(lam, mu, c, 0.1)
         with pytest.raises(InvalidParameter):
-            HomogeneousModel(5, 0, 1)
+            find_c_homogeneous(5, 0, t)
         with pytest.raises(InvalidParameter):
-            HomogeneousModel(5, 10, 0)
+            find_c_homogeneous(-1, 10, t)
+        for rates in ((), (0.0, 10.0), (-1.0,), (math.nan, 10.0)):
+            with pytest.raises(InvalidParameter):
+                wait_cdf_heterogeneous(5, rates, 0.1)
+            with pytest.raises(InvalidParameter):
+                meets_target(5, rates, t)
         with pytest.raises(InvalidParameter):
-            HomogeneousModel(-1, 10, 1)
+            wait_cdf_heterogeneous(-1, (10.0,), 0.1)
+        with pytest.raises(InvalidParameter):
+            find_c_heterogeneous(5, [0.0, 10.0], 10, t)
+        # the waiting-time bound must be finite and >= 0; NaN is neither
+        for bound in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidParameter, match="t must"):
+                wait_cdf_homogeneous(5, 10, 2, bound)
+            with pytest.raises(InvalidParameter, match="t must"):
+                wait_cdf_heterogeneous(5, (10.0, 10.0), bound)
 
 
 class TestSteadyProbs:
     def test_mm1_geometric(self):
-        m = HomogeneousModel(5, 10, 1)
+        m = equal_pool(5, 10, 1)
         for k in range(12):
             assert occupancy_prob(m, k) == pytest.approx(0.5 * 0.5**k)
 
     def test_mm2_cases(self):
-        m = HomogeneousModel(10, 10, 2)
+        m = equal_pool(10, 10, 2)
         assert occupancy_prob(m, 0) == pytest.approx(1 / 3)
         # r=1, n=3 > c: P3 = r^3/(c^(n-c) c!) P0 = (1/3)/4 = 1/12, confirmed by
         # normalisation of the full series
@@ -162,7 +195,7 @@ class TestSteadyProbs:
     def test_partial_sum_convergence(self):
         # partial sums reach 1 within 1e-6 at N = 10*c*ceil(1/(1-rho))
         for lam, mu, c in [(5, 10, 1), (18, 10, 2), (45, 10, 5), (70, 10, 8)]:
-            m = HomogeneousModel(lam, mu, c)
+            m = equal_pool(lam, mu, c)
             rho = lam / (c * mu)
             n_max = 10 * c * math.ceil(1 / (1 - rho))
             total = sum(occupancy_prob(m, n) for n in range(n_max + 1))
@@ -171,17 +204,17 @@ class TestSteadyProbs:
 
 class TestWaitTail:
     def test_empty_system_never_waits(self):
-        p = cutoff_tail(HomogeneousModel(1e-12, 10, 1), WaitTarget(0.1))
+        p = cutoff_tail(equal_pool(1e-12, 10, 1), WaitTarget(0.1))
         assert p == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_c(self):
         t = WaitTarget(0.1)
-        p1 = cutoff_tail(HomogeneousModel(5, 10, 3), t)
-        p2 = cutoff_tail(HomogeneousModel(5, 10, 4), t)
+        p1 = cutoff_tail(equal_pool(5, 10, 3), t)
+        p2 = cutoff_tail(equal_pool(5, 10, 4), t)
         assert p2 >= p1
 
     def test_monotone_in_t(self):
-        m = HomogeneousModel(25, 10, 4)
+        m = equal_pool(25, 10, 4)
         probs = [cutoff_tail(m, WaitTarget(t)) for t in (0.02, 0.1, 0.3, 1.0)]
         assert probs == sorted(probs)
 
@@ -190,9 +223,8 @@ class TestWaitTail:
         # p = 0.94737 +- 0.0006. The occupancy-cutoff rule is a mean-field
         # approximation and lands about 0.023 above it; the exact CDF agrees
         # with the oracle to within 3 standard errors.
-        m = HomogeneousModel(15, 10, 3)
-        approx_p = cutoff_tail(m, WaitTarget(0.1))
-        exact_p = wait_cdf_homogeneous(m, 0.1)
+        approx_p = cutoff_tail(equal_pool(15, 10, 3), WaitTarget(0.1))
+        exact_p = wait_cdf_homogeneous(15, 10, 3, 0.1)
         assert approx_p == pytest.approx(0.97039, abs=1e-4)
         assert exact_p == pytest.approx(0.94715, abs=1e-4)
         mc = mc_wait(15, [10] * 3, 0.1, num_requests=150_000, seed=42)
@@ -200,11 +232,12 @@ class TestWaitTail:
         assert abs(approx_p - mc.p_wait_le_t) <= 0.03
 
     def test_no_overflow_at_cap(self):
-        het = HeterogeneousModel(0.999 * 105_000, tuple(np.linspace(1.0, 20.0, 10_000)))
-        for m in (HomogeneousModel(9999 * 10, 10, 10_000), het):
+        het = rate_pool(0.999 * 105_000, tuple(np.linspace(1.0, 20.0, 10_000)))
+        for m in (equal_pool(9999 * 10, 10, 10_000), het):
             p = cutoff_tail(m, WaitTarget(0.1, 0.99))
             assert 0.0 <= p <= 1.0 and math.isfinite(p)
-            assert p == pytest.approx(_wait_tail(m.lam, np.asarray(m.drains), 0.1), rel=1e-9)
+            lam, drains = m
+            assert p == pytest.approx(_wait_tail(lam, np.asarray(drains), 0.1), rel=1e-9)
 
 
 class TestExactWaitCdf:
@@ -212,7 +245,7 @@ class TestExactWaitCdf:
         # M/M/1: P(W > t) = rho * exp(-mu (1-rho) t)
         lam, mu, t = 5.0, 10.0, 0.5
         expected = 1 - (lam / mu) * math.exp(-(mu - lam) * t)
-        assert wait_cdf_homogeneous(HomogeneousModel(lam, mu, 1), t) == pytest.approx(expected)
+        assert wait_cdf_homogeneous(lam, mu, 1, t) == pytest.approx(expected)
 
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(11)
@@ -221,9 +254,8 @@ class TestExactWaitCdf:
             mu = float(rng.uniform(1, 20))
             lam = float(rng.uniform(0.1, 0.92)) * c * mu
             t = float(rng.uniform(0.2, 3.0)) / (c * mu - lam)
-            m = HomogeneousModel(lam, mu, c)
             mc = mc_wait(lam, [mu] * c, t, num_requests=120_000, seed=500 + i)
-            assert abs(wait_cdf_homogeneous(m, t) - mc.p_wait_le_t) <= 3 * mc.stderr
+            assert abs(wait_cdf_homogeneous(lam, mu, c, t) - mc.p_wait_le_t) <= 3 * mc.stderr
 
 
 class TestFindC:
@@ -414,11 +446,11 @@ class TestOneSearch:
         assert cases == 3000
 
 
-def reference_wait_cdf(model, t):
+def reference_wait_cdf(lam, drains, t):
     """`_wait_cdf` on the numpy reference chain."""
-    log_head, _, log_one_minus_ratio, log_z = _chain(model.lam, np.asarray(model.drains))
+    log_head, _, log_one_minus_ratio, log_z = _chain(lam, np.asarray(drains))
     log_queued = float(log_head[-1]) - log_one_minus_ratio - log_z
-    return 1.0 - math.exp(log_queued - (model.drain_rate - model.lam) * t)
+    return 1.0 - math.exp(log_queued - (drains[-1] - lam) * t)
 
 
 class TestScalarChain:
@@ -427,16 +459,18 @@ class TestScalarChain:
     def test_wait_cdf_and_cutoff_match_reference(self):
         checked = 0
         for lam, rates, mu, target, _ in random_pools(1500, seed=21):
-            pool = sorted(rates + [mu] * 3)
-            models = [HeterogeneousModel(lam, tuple(pool)), HomogeneousModel(lam, mu, len(pool))]
-            for model in models:
-                if not 0 < lam < model.drain_rate:
+            rates = rates + [mu] * 3
+            c = len(rates)
+            cdfs = [(rate_pool(lam, rates), lambda t: wait_cdf_heterogeneous(lam, rates, t)),
+                    (equal_pool(lam, mu, c), lambda t: wait_cdf_homogeneous(lam, mu, c, t))]
+            for (_, drains), wait_cdf in cdfs:
+                if not 0 < lam < drains[-1]:
                     continue
                 for t in (0.0, target.t, 10 * target.t):
-                    assert wait_cdf_heterogeneous(model, t) == pytest.approx(
-                        reference_wait_cdf(model, t), rel=1e-12, abs=0)
-                assert cutoff_tail(model, target) == pytest.approx(
-                    _wait_tail(lam, np.asarray(model.drains), target.t), rel=1e-12, abs=0)
+                    assert wait_cdf(t) == pytest.approx(
+                        reference_wait_cdf(lam, drains, t), rel=1e-12, abs=0)
+                assert cutoff_tail((lam, drains), target) == pytest.approx(
+                    _wait_tail(lam, np.asarray(drains), target.t), rel=1e-12, abs=0)
                 checked += 1
         assert checked > 2000
 
@@ -446,7 +480,7 @@ class TestScalarChain:
         for lam, rates, mu, target, _ in random_pools(3000, seed=22):
             drains = np.cumsum(sorted(rates + [mu]))
             want = bool(lam < drains[-1] and _wait_tail(lam, drains, target.t) >= target.percentile)
-            assert meets_target(lam, list(drains), target) == want, (lam, rates, mu, target)
+            assert meets_target(lam, rates + [mu], target) == want, (lam, rates, mu, target)
             outcomes.add((want, bool(lam < drains[-1])))
         assert outcomes == {(True, True), (False, True), (False, False)}
 
@@ -530,8 +564,8 @@ class TestExactTies:
 
 class TestHeterogeneous:
     def test_degenerate_equals_homogeneous(self):
-        hom = HomogeneousModel(10, 10, 2)
-        het = HeterogeneousModel(10, (10.0, 10.0))
+        hom = equal_pool(10, 10, 2)
+        het = rate_pool(10, (10.0, 10.0))
         for n in range(40):
             assert occupancy_prob(het, n) == pytest.approx(occupancy_prob(hom, n), abs=1e-9)
         t = WaitTarget(0.13)
@@ -539,23 +573,31 @@ class TestHeterogeneous:
 
     def test_slowest_first_denominator(self):
         # n=1 term divides by the slowest rate: P1 = P0 * 5/5 = P0
-        het = HeterogeneousModel(5, (5.0, 10.0))
+        het = rate_pool(5, (5.0, 10.0))
         assert occupancy_prob(het, 1) == pytest.approx(occupancy_prob(het, 0))
 
     def test_distribution_normalises(self):
-        het = HeterogeneousModel(12, (4.0, 6.0, 8.0))
+        het = rate_pool(12, (4.0, 6.0, 8.0))
         total = sum(occupancy_prob(het, n) for n in range(2000))
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_rates_must_be_sorted(self):
-        with pytest.raises(InvalidParameter):
-            HeterogeneousModel(5, (10.0, 5.0))
+    def test_rates_are_sorted_slowest_first(self):
+        # any order gives the slowest-first pool
+        for lam, t in ((5, WaitTarget(0.1, 0.9)), (12, WaitTarget(0.05, 0.99))):
+            assert wait_cdf_heterogeneous(lam, (10.0, 5.0), t.t) == \
+                wait_cdf_heterogeneous(lam, (5.0, 10.0), t.t)
+            assert meets_target(lam, (10.0, 5.0), t) == meets_target(lam, (5.0, 10.0), t)
+        assert meets_target(5, (10.0, 5.0), WaitTarget(0.1, 0.9))
+        assert not meets_target(12, (10.0, 5.0), WaitTarget(0.05, 0.99))
 
     def test_unstable(self):
-        model = HeterogeneousModel(20, (5.0, 10.0))
+        target = WaitTarget(0.1)
         with pytest.raises(UnstableSystem):
-            model.require_stable()
-        assert not meets_target(model.lam, model.drains, WaitTarget(0.1))
+            wait_cdf_heterogeneous(20, (5.0, 10.0), 0.1)
+        assert not meets_target(20, (5.0, 10.0), target)
+        # the search restores stability before it tests the target
+        k = find_c_heterogeneous(20, [5.0, 10.0], 10, target)
+        assert 15 + 10 * k > 20
 
     def test_conservative_vs_homogeneous(self):
         # a pool with some slower containers never gets a better tail than the
@@ -566,8 +608,8 @@ class TestHeterogeneous:
             k = find_c_heterogeneous(lam, [7.0, 7.0], 10, t)
             assert k + 2 >= c_hom or (k + 2) * 10 >= lam  # never fewer total containers
             pool = tuple(sorted([7.0, 7.0] + [10.0] * k))
-            slower = cutoff_tail(HeterogeneousModel(lam, pool), t)
-            same_count = cutoff_tail(HomogeneousModel(lam, 10, len(pool)), t)
+            slower = cutoff_tail(rate_pool(lam, pool), t)
+            same_count = cutoff_tail(equal_pool(lam, 10, len(pool)), t)
             assert slower <= same_count + 1e-12
 
 
@@ -607,7 +649,7 @@ class TestFindCHeterogeneous:
             rates = np.sort(10.0 * (1 - 0.1 * (1 - fracs) / 0.3))
             lam = float(rng.uniform(0.4, 0.8)) * float(rates.sum())
             t = float(rng.uniform(0.05, 0.2))
-            bound = wait_cdf_heterogeneous(HeterogeneousModel(lam, tuple(rates)), t)
+            bound = wait_cdf_heterogeneous(lam, rates, t)
             mc = mc_wait(lam, rates, t, num_requests=120_000, seed=900 + i,
                          policy="slowest-idle")
             assert mc.p_wait_le_t >= bound - 3 * mc.stderr

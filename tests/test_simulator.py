@@ -33,13 +33,15 @@ class TestDispatchWrr:
     def test_equal_weights_alternate(self):
         pool = containers([1.0, 1.0])
         state = {}
-        picks = [dispatch_wrr(pool, state) for _ in range(8)]
+        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
+        picks = [dispatch_wrr(pool, state, units) for _ in range(8)]
         assert picks == [pool[0].id, pool[1].id] * 4
 
     def test_two_to_one_ratio(self):
         pool = containers([1.0, 0.5])
         state = {}
-        picks = [dispatch_wrr(pool, state) for _ in range(30)]
+        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
+        picks = [dispatch_wrr(pool, state, units) for _ in range(30)]
         for i in range(0, 30, 3):
             window = picks[i : i + 3]
             assert 1 <= window.count(pool[1].id) <= 2 or window.count(pool[0].id) >= 2
@@ -49,13 +51,15 @@ class TestDispatchWrr:
     def test_single_container_always_chosen(self):
         pool = containers([0.4])
         state = {}
-        assert all(dispatch_wrr(pool, state) == pool[0].id for _ in range(5))
+        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
+        assert all(dispatch_wrr(pool, state, units) == pool[0].id for _ in range(5))
 
     def test_proportionality_window(self):
         pool = containers([1.0, 0.6, 0.4])
         state = {}
+        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
         total_units = sum(max(1, round(c.allocated_vcpu / 0.05)) for c in pool)
-        picks = [dispatch_wrr(pool, state) for _ in range(total_units * 3)]
+        picks = [dispatch_wrr(pool, state, units) for _ in range(total_units * 3)]
         for c in pool:
             share = max(1, round(c.allocated_vcpu / 0.05))
             got = picks[:total_units].count(c.id)
