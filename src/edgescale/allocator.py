@@ -266,7 +266,7 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
         )
 
     demands = {fid: rec.demand_vcpu for fid, rec in records.items()}
-    share = fairshare.adjust_allocations(demands, weights, capacity, quantum=VCPU_QUANTUM)
+    share = fairshare.adjust_allocations(demands, weights, guar, capacity, quantum=VCPU_QUANTUM)
     for fid, rec in records.items():
         rec.overloaded = share.overloaded
         if share.overloaded:

@@ -24,10 +24,26 @@ class ClusterState:
     Placement reserves a container's standard vCPU times its current fraction
     and its full memory; deflating a container returns CPU headroom to its
     node. `capacity_vcpu` is the fair-share capacity C.
+
+    `containers` (id -> container) is the record; `add` and `remove` keep two
+    views of it, per node and per function, each an id -> container dict in
+    `containers`' insertion order. `node_free` and `of_function` walk one view
+    instead of every container. Walking a view visits a node's containers in
+    the order a scan of `containers` would, so `node_free`'s float sums, and
+    with them placement and inflation clamps, keep their last bits. Change
+    `containers` only through `add` and `remove`, and never a placed
+    container's `node_id` or `function_id`.
     """
 
     nodes: list
     containers: dict = field(default_factory=dict)  # id -> ContainerState
+    _by_node: dict = field(init=False, repr=False, compare=False)  # node id -> {id: c}
+    _by_function: dict = field(init=False, repr=False, compare=False)  # fid -> {id: c}
+
+    def __post_init__(self):
+        self._by_node, self._by_function = {}, {}
+        for c in self.containers.values():
+            self._index(c)
 
     @property
     def capacity_vcpu(self) -> float:
@@ -37,17 +53,13 @@ class ClusterState:
         node = self.nodes[node_id]
         used_cpu = 0.0
         used_mem = 0.0
-        for c in self.containers.values():
-            if c.node_id == node_id:
-                used_cpu += c.allocated_vcpu
-                used_mem += c.memory_mb
+        for c in self._by_node.get(node_id, {}).values():
+            used_cpu += c.allocated_vcpu
+            used_mem += c.memory_mb
         return node.vcpu - used_cpu, node.memory_mb - used_mem
 
     def of_function(self, function_id: str) -> list:
-        return sorted(
-            (c for c in self.containers.values() if c.function_id == function_id),
-            key=lambda c: c.id,
-        )
+        return sorted(self._by_function.get(function_id, {}).values(), key=lambda c: c.id)
 
     def lazy_marked(self) -> list:
         return sorted(
@@ -55,7 +67,16 @@ class ClusterState:
         )
 
     def add(self, container):
+        self.remove(container.id)
         self.containers[container.id] = container
+        self._index(container)
 
     def remove(self, container_id: int):
-        self.containers.pop(container_id, None)
+        container = self.containers.pop(container_id, None)
+        if container is not None:
+            del self._by_node[container.node_id][container_id]
+            del self._by_function[container.function_id][container_id]
+
+    def _index(self, container):
+        self._by_node.setdefault(container.node_id, {})[container.id] = container
+        self._by_function.setdefault(container.function_id, {})[container.id] = container

@@ -41,9 +41,12 @@ class ShareResult:
 
 
 def adjust_allocations(
-    demands: dict, weights: dict, capacity: float, quantum: float = 1.0
+    demands: dict, weights: dict, guar: dict, capacity: float, quantum: float = 1.0
 ) -> ShareResult:
     """Cap demands to fair shares when sum > capacity; pass them through otherwise.
+
+    `guar` is `guaranteed_shares(weights, capacity, quantum)`; `plan_epoch`
+    computes it once per epoch, for its records and for this call.
 
     Well-behaved functions (demand <= guaranteed share) keep their demand.
     The remaining capacity is split across the overloaded ones in proportion
@@ -57,7 +60,6 @@ def adjust_allocations(
     if sum(demands.values()) <= capacity + _EPS:
         return ShareResult(adjusted=dict(demands), overloaded=False)
 
-    guar = guaranteed_shares(weights, capacity, quantum)
     adjusted = {}
     over = []
     budget = capacity

@@ -31,9 +31,9 @@ raises, `_merge_requests` moves them into `metrics.requests` in the order one
 heap of every function's arrivals would pop them: by time and, at equal times
 across functions, first the function whose previous arrival was handled
 earlier (first arrivals before any other, in function id order). Arrivals
-stay heap events, one pending per function and pushed, from the arrival
-array, as the previous one is handled: one loop then orders every kind of
-event, and the heap pops still count each arrival and each completion.
+stay heap events, one pending per function and pushed as the previous one is
+handled: one loop then orders every kind of event, and the heap pops still
+count each arrival and each completion.
 `busy_vcpu_time` is summed per function between ticks, so its last bits
 depend on that grouping.
 
@@ -54,16 +54,36 @@ and lookups:
   `cpu_fraction`; it drops the multiplier and recomputes the units.
   `_terminate` drops both, and the container's WRR counter.
 - Service times are drawn in blocks of `BLOCK` per function from that
-  function's own RNG stream. `run` gives each function one buffer, and
-  `refill_draws` overwrites it with one numpy call once it has been read
-  through. A block holds exactly the values that `BLOCK` scalar draws
-  (`exponential(1 / rate)`, or `integers(k)` indexing the empirical samples)
-  would give, so outputs do not depend on the block size.
+  function's own RNG stream: `refill_draws` makes one numpy call once the
+  previous block has been read through. A block holds exactly the values
+  that `BLOCK` scalar draws (`exponential(1 / rate)`, or `integers(k)`
+  indexing the empirical samples) would give, so outputs do not depend on
+  the block size.
+- Per-request values are read from Python lists: indexing a list costs a
+  fifth of `ndarray.item`. The service-time block becomes a list when it is
+  drawn, and arrival times are copied from the arrival array `BLOCK` at a
+  time (`_FnRuntime.next_slice`). `run` drops both when it ends, so they do
+  not outlive it.
 - A completion event carries its container, not the container id, so the
   request path never looks a container up.
+- A busy container's `_busy` entry is (request, service start, allocated
+  vCPU). The vCPU comes from the container's `_alloc_since` record, and
+  `_set_fraction` closes the entry's busy time at the old vCPU and restarts
+  it at the new one, so a completion reads the vCPU from the entry.
+
+`run` pauses Python's cyclic garbage collector and restores the state it
+found when it returns or raises. Every request allocates a few tracked
+objects (the `Request`, its `_busy` entry, two heap tuples), so the
+collector would run every few hundred requests, and its full passes walk
+every live request; yet a run frees everything it drops by reference
+counting alone, because it builds no reference cycles, and a collection
+during a run finds nothing to free. Pausing therefore changes no output and
+holds back no memory. `tests/test_simulator.py` checks that a paused run
+leaves the collector nothing.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
@@ -144,21 +164,30 @@ class _FnRuntime:
     pending: deque = field(default_factory=deque)
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
     wrr_state: dict = field(default_factory=dict)
-    next_arrival: int = 0
-    draws: np.ndarray | None = None  # a block of service times, allocated by `run`
+    upcoming: list = field(default_factory=list)  # a slice of `arrivals`, as floats
+    next_up: int = 0  # index in `upcoming` of the next arrival to push
+    sliced: int = 0  # arrivals copied into slices so far
+    draws: list = field(default_factory=list)  # a block of service times, as floats
     next_draw: int = BLOCK  # index of the next unread draw in `draws`
 
+    def next_slice(self) -> list:
+        """The next `BLOCK` arrival times as Python floats; fewer, or none, at the end."""
+        lo = self.sliced
+        self.sliced = lo + BLOCK
+        return self.arrivals[lo:lo + BLOCK].tolist()
+
     def refill_draws(self):
-        """Overwrite `draws` with the next `BLOCK` service times at full container size."""
-        prof, out = self.spec.profile, self.draws
+        """Replace `draws` with the next `BLOCK` service times at full container size."""
+        prof, rng = self.spec.profile, self.service_rng
         if prof.distribution == "exponential":
-            self.service_rng.standard_exponential(out=out)
-            out *= 1.0 / prof.base_rate
+            block = rng.standard_exponential(BLOCK)
+            block *= 1.0 / prof.base_rate
+            self.draws = block.tolist()
         elif prof.distribution == "empirical":
-            np.take(prof.samples, self.service_rng.integers(len(prof.samples), size=BLOCK),
-                    out=out)
+            picks = rng.integers(len(prof.samples), size=BLOCK)
+            self.draws = np.take(prof.samples, picks).tolist()
         else:
-            out.fill(1.0 / prof.base_rate)
+            self.draws = [1.0 / prof.base_rate] * BLOCK
 
 
 class SimMetrics:
@@ -196,7 +225,7 @@ class Simulation:
         self.metrics = SimMetrics(self.horizon, self.cluster.capacity_vcpu)
 
         self._container_seq = 0
-        self._busy: dict = {}  # container_id -> (request, since)
+        self._busy: dict = {}  # container_id -> (request, since, allocated vcpu)
         self._alloc_since: dict = {}  # container_id -> (time, vcpu)
         self._multiplier: dict = {}  # container_id -> service rate multiplier
         self._units: dict = {}  # container_id -> WRR weight units
@@ -221,11 +250,11 @@ class Simulation:
     # -- event loops ----------------------------------------------------------
 
     def run(self) -> SimMetrics:
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             for fid in sorted(self.functions):
                 rt = self.functions[fid]
-                # refilled in place, so the run allocates no more blocks
-                rt.draws = np.empty(BLOCK)
                 for i, fraction in enumerate(self.scenario.initial_fractions.get(fid, [])):
                     try:
                         self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
@@ -234,9 +263,10 @@ class Simulation:
                             f"functions.{fid}.initial_containers: container {i + 1}: {exc}"
                         ) from None
                 # pushed once the pool is placed, so an arrival at t=0 sees all of it
-                if len(rt.arrivals):
-                    heapq.heappush(rt.events,
-                                   (rt.arrivals.item(0), EV_ARRIVAL, next(rt.seq), None))
+                rt.upcoming = rt.next_slice()
+                if rt.upcoming:
+                    heapq.heappush(rt.events, (rt.upcoming[0], EV_ARRIVAL, next(rt.seq), None))
+                    rt.next_up = 1
 
             est_tick, epoch_s = self.scenario.estimator_params["tick"], self.cfg.epoch_s
             next_est, epoch_idx = est_tick, 0
@@ -255,7 +285,11 @@ class Simulation:
                 self._advance(rt, self.horizon)
             self._finalize()
         finally:
+            if collecting:
+                gc.enable()
             self._merge_requests()
+            for rt in self.functions.values():
+                rt.upcoming, rt.draws = [], []
         return self.metrics
 
     def _advance(self, rt: _FnRuntime, until: float):
@@ -269,9 +303,9 @@ class Simulation:
         events, pending, idle, log = rt.events, rt.pending, rt.idle, rt.log
         heappush, heappop = heapq.heappush, heapq.heappop
         busy, multipliers, units, seq = self._busy, self._multiplier, self._units, rt.seq
-        fid, arrivals, timeout = rt.spec.id, rt.arrivals, rt.spec.timeout_s
-        n_arrivals, next_arrival, draws, next_draw = (len(arrivals), rt.next_arrival,
-                                                      rt.draws, rt.next_draw)
+        alloc, fid, timeout = self._alloc_since, rt.spec.id, rt.spec.timeout_s
+        upcoming, next_up, draws, next_draw = rt.upcoming, rt.next_up, rt.draws, rt.next_draw
+        n_up = len(upcoming)
         busy_time = 0.0
         time = until
         while True:
@@ -296,13 +330,13 @@ class Simulation:
                 req.container_id = cid
                 if next_draw == BLOCK:
                     rt.refill_draws()
-                    next_draw = 0
+                    draws, next_draw = rt.draws, 0
                 multiplier = multipliers.get(cid)
                 if multiplier is None:
                     multiplier = multipliers[cid] = rt.spec.profile.multiplier(
                         container.cpu_fraction)
-                busy[cid] = (req, time)
-                heappush(events, (time + draws.item(next_draw) / multiplier, EV_COMPLETE,
+                busy[cid] = (req, time, alloc[cid][1])
+                heappush(events, (time + draws[next_draw] / multiplier, EV_COMPLETE,
                                   next(seq), container))
                 next_draw += 1
             if not events or events[0][0] > until:
@@ -314,8 +348,8 @@ class Simulation:
                 # terminated one
                 entry = busy.pop(payload.id, None)
                 if entry is not None:
-                    req, since = entry
-                    busy_time += (time - since) * payload.allocated_vcpu
+                    req, since, vcpu = entry
+                    busy_time += (time - since) * vcpu
                     req.completion = time
                     req.status = "completed"
                     idle[payload.id] = payload
@@ -323,14 +357,17 @@ class Simulation:
                 req = Request(fid, time)
                 log.append(req)
                 pending.append(req)
-                next_arrival += 1
-                if next_arrival < n_arrivals:
-                    heappush(events, (arrivals.item(next_arrival), EV_ARRIVAL, next(seq), None))
+                if next_up == n_up:
+                    upcoming, next_up = rt.next_slice(), 0
+                    n_up = len(upcoming)
+                if next_up < n_up:
+                    heappush(events, (upcoming[next_up], EV_ARRIVAL, next(seq), None))
+                    next_up += 1
             else:
                 container = self.cluster.containers.get(payload)
                 if container is not None:  # else terminated before warming up
                     idle[payload] = container
-        rt.next_arrival, rt.next_draw = next_arrival, next_draw
+        rt.upcoming, rt.next_up, rt.next_draw = upcoming, next_up, next_draw
         self.metrics.busy_vcpu_time += busy_time
 
     def _merge_requests(self):
@@ -468,8 +505,8 @@ class Simulation:
         rt = self.functions[container.function_id]
         entry = self._busy.pop(container_id, None)
         if entry is not None:
-            req, since = entry
-            self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
+            req, since, vcpu = entry
+            self.metrics.busy_vcpu_time += (time - since) * vcpu
             req.reruns += 1
             req.dispatch = float("nan")
             req.container_id = -1
@@ -500,23 +537,22 @@ class Simulation:
                     return
         since, vcpu = self._alloc_since[container_id]
         self.metrics.allocated_vcpu_time += (time - since) * vcpu
-        entry = self._busy.get(container_id)
-        if entry is not None:
-            req, busy_since = entry
-            self.metrics.busy_vcpu_time += (time - busy_since) * container.allocated_vcpu
-            self._busy[container_id] = (req, time)
         container.cpu_fraction = fraction
         self._multiplier.pop(container_id, None)
         self._units[container_id] = wrr_weight_units(container)
         self._alloc_since[container_id] = (time, container.allocated_vcpu)
+        entry = self._busy.get(container_id)
+        if entry is not None:
+            req, busy_since, vcpu = entry
+            self.metrics.busy_vcpu_time += (time - busy_since) * vcpu
+            self._busy[container_id] = (req, time, container.allocated_vcpu)
 
     def _finalize(self):
         end = self.horizon
         for cid, (since, vcpu) in self._alloc_since.items():
             self.metrics.allocated_vcpu_time += (end - since) * vcpu
-        for cid, (req, since) in self._busy.items():
-            container = self.cluster.containers[cid]
-            self.metrics.busy_vcpu_time += (end - since) * container.allocated_vcpu
+        for req, since, vcpu in self._busy.values():
+            self.metrics.busy_vcpu_time += (end - since) * vcpu
 
 
 def run(scenario) -> SimMetrics:

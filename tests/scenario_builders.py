@@ -84,10 +84,40 @@ def churn_scenario(dispatch="wrr", **controller):
                          controller={"epoch_seconds": 10.0, **controller})
 
 
+def scanned_free(cluster, node_id) -> tuple:
+    """A node's free CPU and memory, summed over a scan of every placed container.
+
+    The scan visits `cluster.containers` in insertion order, the order in
+    which `ClusterState.node_free` must sum too.
+    """
+    node = cluster.nodes[node_id]
+    used_cpu = used_mem = 0.0
+    for c in cluster.containers.values():
+        if c.node_id == node_id:
+            used_cpu += c.allocated_vcpu
+            used_mem += c.memory_mb
+    return node.vcpu - used_cpu, node.memory_mb - used_mem
+
+
+def cluster_views(cluster) -> tuple:
+    """The cluster's non-empty per-node and per-function views, as id lists."""
+    return ({k: list(v) for k, v in cluster._by_node.items() if v},
+            {k: list(v) for k, v in cluster._by_function.items() if v})
+
+
+def scanned_views(cluster) -> tuple:
+    """What `cluster_views` must be: ids by node and by function, in `containers`' order."""
+    by_node, by_function = {}, {}
+    for cid, c in cluster.containers.items():
+        by_node.setdefault(c.node_id, []).append(cid)
+        by_function.setdefault(c.function_id, []).append(cid)
+    return by_node, by_function
+
+
 def assert_cluster_invariants(sim, time):
     """No node has negative free CPU or memory; every CPU fraction is in (0, 1]."""
     for idx in range(len(sim.cluster.nodes)):
-        free_cpu, free_mem = sim.cluster.node_free(idx)
+        free_cpu, free_mem = scanned_free(sim.cluster, idx)
         assert free_cpu >= -1e-9 and free_mem >= -1e-9, (time, idx)
     for c in sim.cluster.containers.values():
         assert 0 < c.cpu_fraction <= 1, (time, c.id, c.cpu_fraction)

@@ -9,6 +9,11 @@ from edgescale.fairshare import adjust_allocations, guaranteed_shares
 from scenario_builders import basic_function, make_scenario
 
 
+def adjust(demands, weights, capacity):
+    """`adjust_allocations` given the guaranteed shares, as `plan_epoch` gives them."""
+    return adjust_allocations(demands, weights, guaranteed_shares(weights, capacity), capacity)
+
+
 def flattened(users, functions):
     """Effective weights from a scenario with (id, weight) users and
     (function id, user id, weight) functions."""
@@ -59,45 +64,45 @@ class TestDetectOverload:
     """Overload means aggregate demand strictly above capacity."""
 
     def test_under(self):
-        assert not adjust_allocations({"a": 3, "b": 3}, {"a": 1, "b": 1}, 10).overloaded
+        assert not adjust({"a": 3, "b": 3}, {"a": 1, "b": 1}, 10).overloaded
 
     def test_over(self):
-        assert adjust_allocations({"a": 6, "b": 6}, {"a": 1, "b": 1}, 10).overloaded
+        assert adjust({"a": 6, "b": 6}, {"a": 1, "b": 1}, 10).overloaded
 
     def test_equality_is_not_overload(self):
-        assert not adjust_allocations({"a": 5, "b": 5}, {"a": 1, "b": 1}, 10).overloaded
+        assert not adjust({"a": 5, "b": 5}, {"a": 1, "b": 1}, 10).overloaded
 
 
 class TestAdjustAllocations:
     def test_all_overloaded_get_fair_share(self):
-        res = adjust_allocations({"a": 20, "b": 20}, {"a": 1, "b": 1}, 10)
+        res = adjust({"a": 20, "b": 20}, {"a": 1, "b": 1}, 10)
         assert res.overloaded
         assert res.adjusted == {"a": 5.0, "b": 5.0}
 
     def test_well_behaved_keeps_demand(self):
-        res = adjust_allocations({"a": 3, "b": 20}, {"a": 1, "b": 1}, 10)
+        res = adjust({"a": 3, "b": 20}, {"a": 1, "b": 1}, 10)
         assert res.adjusted == {"a": 3.0, "b": 7.0}
         assert res.adjusted["b"] >= guaranteed_shares({"a": 1, "b": 1}, 10)["b"]
 
     def test_weighted_hand_trace(self):
-        res = adjust_allocations({"a": 6, "b": 20}, {"a": 1, "b": 3}, 12)
+        res = adjust({"a": 6, "b": 20}, {"a": 1, "b": 3}, 12)
         assert guaranteed_shares({"a": 1, "b": 3}, 12) == {"a": 3.0, "b": 9.0}
         assert res.adjusted == {"a": 3.0, "b": 9.0}
 
     def test_no_overload_passthrough(self):
-        res = adjust_allocations({"a": 4, "b": 5}, {"a": 1, "b": 1}, 10)
+        res = adjust({"a": 4, "b": 5}, {"a": 1, "b": 1}, 10)
         assert not res.overloaded
         assert res.adjusted == {"a": 4, "b": 5}
 
     def test_water_filling_caps_at_demand(self):
         # b's proportional share (8) exceeds its demand; surplus flows to a
-        res = adjust_allocations({"a": 30, "b": 6}, {"a": 1, "b": 1}, 16)
+        res = adjust({"a": 30, "b": 6}, {"a": 1, "b": 1}, 16)
         assert res.adjusted["b"] == 6.0
         assert res.adjusted["a"] == 10.0
 
     def test_weight_scale_invariance(self):
-        r1 = adjust_allocations({"a": 9, "b": 14}, {"a": 1, "b": 2}, 12)
-        r2 = adjust_allocations({"a": 9, "b": 14}, {"a": 10, "b": 20}, 12)
+        r1 = adjust({"a": 9, "b": 14}, {"a": 1, "b": 2}, 12)
+        r2 = adjust({"a": 9, "b": 14}, {"a": 10, "b": 20}, 12)
         assert r1.adjusted == r2.adjusted
         assert guaranteed_shares({"a": 1, "b": 2}, 12) == guaranteed_shares(
             {"a": 10, "b": 20}, 12)
@@ -121,7 +126,7 @@ class TestLemmaProperties:
         rng = np.random.default_rng(1234)
         for _ in range(self.N):
             fids, weights, demands, capacity = _random_instance(rng)
-            res = adjust_allocations(demands, weights, capacity)
+            res = adjust(demands, weights, capacity)
             assert sum(res.adjusted.values()) <= capacity + 1e-6 or not res.overloaded
             if not res.overloaded:
                 assert res.adjusted == demands
@@ -139,7 +144,7 @@ class TestLemmaProperties:
         for _ in range(500):
             fids, weights, _, capacity = _random_instance(rng)
             demands = {f: capacity + float(rng.integers(1, 50)) for f in fids}
-            res = adjust_allocations(demands, weights, capacity)
+            res = adjust(demands, weights, capacity)
             if not res.overloaded:
                 assert capacity >= sum(demands.values())
                 continue

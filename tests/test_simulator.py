@@ -1,5 +1,6 @@
 """The discrete-event simulator: lifecycle, dispatch, cold starts, determinism."""
 
+import gc
 import heapq
 import math
 
@@ -11,7 +12,8 @@ from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import ContainerState, ServiceProfile, Terminate
 from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
 from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
-                               churn_scenario, make_scenario, request_counts)
+                               churn_scenario, cluster_views, make_scenario, request_counts,
+                               scanned_free, scanned_views)
 
 PROF = ServiceProfile(base_rate=10.0)
 
@@ -257,7 +259,7 @@ class TestCapacityConservation:
         sim = Simulation(scn)
         sim.run()
         for idx in range(len(sim.cluster.nodes)):
-            free_cpu, free_mem = sim.cluster.node_free(idx)
+            free_cpu, free_mem = scanned_free(sim.cluster, idx)
             assert free_cpu >= -1e-9
             assert free_mem >= -1e-9
 
@@ -428,8 +430,12 @@ class CheckedSimulation(Simulation):
     ready event for it is still queued) and it serves no request. Every
     placed container has cached WRR units and may have a cached multiplier
     and a WRR counter of its function; each cached value equals what it
-    caches, and no entry outlives its container. A function's events are
-    run one event time at a time, with a check after each.
+    caches, and no entry outlives its container. A busy container's entry
+    and its allocation record carry its current vCPU. The cluster's
+    per-node and per-function views hold the containers a scan of
+    `cluster.containers` finds, in the scan's order. "Placed" is read from
+    that scan, not from the views. A function's events are run one event
+    time at a time, with a check after each.
     """
 
     checks = 0
@@ -437,19 +443,25 @@ class CheckedSimulation(Simulation):
     def _check_tracked_state(self, time):
         warming = {payload for rt in self.functions.values()
                    for _, kind, _, payload in rt.events if kind == EV_READY}
-        for fid, rt in self.functions.items():
-            placed = {c.id for c in self.cluster.of_function(fid)}
-            expected = {cid for cid in placed if cid not in warming and cid not in self._busy}
-            assert set(rt.idle) == expected, (time, fid)
-            assert all(rt.idle[cid] is self.cluster.containers[cid] for cid in expected)
-            assert set(rt.wrr_state) <= placed, (time, fid)
         placed = self.cluster.containers
+        _, by_function = views = scanned_views(self.cluster)
+        assert cluster_views(self.cluster) == views, time
+        for fid, rt in self.functions.items():
+            ids = set(by_function.get(fid, ()))
+            expected = {cid for cid in ids if cid not in warming and cid not in self._busy}
+            assert set(rt.idle) == expected, (time, fid)
+            assert all(rt.idle[cid] is placed[cid] for cid in expected)
+            assert set(rt.wrr_state) <= ids, (time, fid)
         assert set(self._units) == set(placed), time
         assert set(self._multiplier) <= set(placed), time
+        assert set(self._busy) <= set(placed), time
         for cid, c in placed.items():
             assert self._units[cid] == simulator.wrr_weight_units(c), (time, cid)
             if cid in self._multiplier:
                 assert self._multiplier[cid] == c.profile.multiplier(c.cpu_fraction), (time, cid)
+            assert self._alloc_since[cid][1] == c.allocated_vcpu, (time, cid)
+            if cid in self._busy:
+                assert self._busy[cid][2] == c.allocated_vcpu, (time, cid)
         self.checks += 1
 
     def _advance(self, rt, until):
@@ -504,3 +516,79 @@ class TestTrackedState:
         deflated = 1.0 / (10.0 * profile.multiplier(0.7))
         assert deflated != pytest.approx(0.1)
         assert all(d == pytest.approx(deflated, abs=1e-12) for d in after)
+
+    def test_deflation_mid_service_splits_busy_time_at_the_change(self):
+        # a 2 vCPU container serves one 2 s request from t=4 and is deflated
+        # to 0.7 at t=5: busy time is 1 s at 2.0 vCPU, then 1 s at 1.4 vCPU
+        fn = basic_function(rate=1.0, vcpu=2.0, initial=1,
+                            service={"distribution": "deterministic", "rate": 0.5})
+        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9})
+
+        class DeflateAtFirstTick(Simulation):
+            def _on_estimator(self, time):
+                if time == 5.0:
+                    (cid,) = self.cluster.containers
+                    self._set_fraction(time, cid, 0.7)
+                super()._on_estimator(time)
+
+        sim = DeflateAtFirstTick(scn)
+        sim.functions["f1"].arrivals = np.array([4.0])
+        m = sim.run()
+        assert [(r.dispatch, r.completion) for r in m.requests] == [(4.0, 6.0)]
+        assert m.busy_vcpu_time == 1.0 * 2.0 + 1.0 * 1.4
+
+
+class TestCollectorPause:
+    """`run` pauses the cyclic collector and restores the state it found."""
+
+    @staticmethod
+    def small_scenario():
+        return make_scenario([basic_function(rate=20.0)], horizon=30.0)
+
+    @pytest.fixture
+    def collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_run_restores_the_state_it_found(self, enabled, collector_state):
+        seen = []
+
+        class Recording(Simulation):
+            def _on_epoch(self, time, epoch_idx):
+                seen.append(gc.isenabled())
+                super()._on_epoch(time, epoch_idx)
+
+        sim = Recording(self.small_scenario())
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        sim.run()
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+
+    def test_a_run_that_raises_restores_the_collector(self, monkeypatch, collector_state):
+        def failing_plan(*args):
+            raise RuntimeError("planner failed")
+
+        monkeypatch.setattr(simulator, "plan_epoch", failing_plan)
+        sim = Simulation(self.small_scenario())
+        gc.enable()
+        with pytest.raises(RuntimeError, match="planner failed"):
+            sim.run()
+        assert gc.isenabled()
+        assert sim.metrics.requests  # the requests of the first 10 s are merged
+
+    def test_a_run_creates_no_reference_cycles(self, collector_state):
+        # what makes the pause safe: a paused run leaves the collector nothing
+        sim = Simulation(churn_scenario())
+        gc.collect()
+        gc.disable()
+        m = sim.run()
+        assert gc.collect() == 0
+        assert m.reruns > 0 and m.cold_starts > 0
