@@ -9,7 +9,6 @@ are interchangeable.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -298,13 +297,13 @@ def apply_override(doc: dict, assignment: str) -> dict:
 
     List elements are addressed by their `id` field (e.g.
     `functions.f1.workload.rate=20`) or by integer index. The value is parsed
-    as YAML, so numbers, booleans and lists all work.
+    as YAML, so numbers, booleans and lists all work. Edits `doc` in place
+    and returns it.
     """
     if "=" not in assignment:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     key, raw_value = assignment.split("=", 1)
     value = yaml.load(raw_value, Loader=LOADER)
-    doc = copy.deepcopy(doc)
     node = doc
     parts = key.strip().split(".")
     for i, part in enumerate(parts):

@@ -7,6 +7,22 @@ two sliding windows (2 min / 10 s by default), each over (now - w, now], on a
 function's sorted arrival stream, and smooths with an EWMA, except when the
 short window shows a burst, in which case the burst rate is passed through
 undamped.
+
+Static and discrete segments draw their gaps `BLOCK` standard exponentials
+at a time, and the arrays equal those of one `rng.exponential(1.0 / rate)`
+call per arrival, bit for bit, because:
+- `rng.exponential(scale)` is `rng.standard_exponential() * scale` from the
+  same stream, and a block of `standard_exponential` draws is the same
+  stream as one scalar draw after another;
+- `np.cumsum` of `[start + g0, g1, ...]` adds left to right, in the scalar
+  loop's order;
+- a segment with k arrivals consumes exactly k + 1 draws, the last one
+  overshooting its end. The unconsumed rest of a block carries over to the
+  next segment, so no RNG state is saved or rewound.
+Trace mode draws the uniforms of every minute before the horizon in one
+`rng.random` call, which is the same stream as one call per minute. The
+continuous mode interleaves exponential and uniform draws in one stream, so
+it keeps its scalar thinning loop.
 """
 
 from __future__ import annotations
@@ -20,6 +36,16 @@ import numpy as np
 from .errors import InvalidSchedule, ParseError, SchemaError
 
 MODES = ("static", "discrete", "continuous", "trace")
+BLOCK = 4096  # exponential gaps drawn per RNG call
+
+
+def _finite_pairs(pairs, what) -> tuple:
+    """`pairs` as (float, float) tuples; a NaN or infinite value is an InvalidSchedule."""
+    out = tuple((float(t), float(r)) for t, r in pairs)
+    for t, r in out:
+        if not (math.isfinite(t) and math.isfinite(r)):
+            raise InvalidSchedule(f"{what} must be finite, got ({t}, {r})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,7 +67,7 @@ class WorkloadSpec:
         if self.mode not in MODES:
             raise InvalidSchedule(f"unknown workload mode {self.mode!r}")
         if self.mode in ("static", "discrete"):
-            sched = tuple((float(t), float(r)) for t, r in self.rate_schedule)
+            sched = _finite_pairs(self.rate_schedule, "schedule times and rates")
             if not sched:
                 raise InvalidSchedule("rate schedule is empty")
             times = [t for t, _ in sched]
@@ -51,7 +77,7 @@ class WorkloadSpec:
                 raise InvalidSchedule("rates must be >= 0")
             object.__setattr__(self, "rate_schedule", sched)
         elif self.mode == "continuous":
-            pts = tuple((float(t), float(r)) for t, r in self.rate_points)
+            pts = _finite_pairs(self.rate_points, "rate point times and rates")
             if len(pts) < 1:
                 raise InvalidSchedule("continuous mode needs at least one rate point")
             times = [t for t, _ in pts]
@@ -61,37 +87,68 @@ class WorkloadSpec:
                 raise InvalidSchedule("rates must be >= 0")
             object.__setattr__(self, "rate_points", pts)
         else:
-            counts = tuple(int(c) for c in self.per_minute_counts)
+            counts = []
+            for c in self.per_minute_counts:
+                try:
+                    counts.append(int(c))
+                except (ValueError, OverflowError):
+                    raise InvalidSchedule(f"trace counts must be finite, got {c}") from None
             if any(c < 0 for c in counts):
                 raise InvalidSchedule("trace counts must be >= 0")
-            object.__setattr__(self, "per_minute_counts", counts)
+            object.__setattr__(self, "per_minute_counts", tuple(counts))
 
 
-def _poisson_segment(rng, rate, start, end, out):
-    """Append Poisson arrivals at constant `rate` over [start, end) to `out`."""
-    if rate <= 0:
-        return
-    t = start + rng.exponential(1.0 / rate)
-    while t < end:
-        out.append(t)
-        t += rng.exponential(1.0 / rate)
+def _segments(sched, horizon) -> list:
+    """(rate, start, end) of each schedule step that starts before `horizon`, cut at it."""
+    ends = [t for t, _ in sched[1:]] + [horizon]
+    return [(rate, start, min(end, horizon))
+            for (start, rate), end in zip(sched, ends) if start < horizon]
+
+
+def _poisson_segments(rng, segments) -> np.ndarray:
+    """Poisson arrivals at constant rate over each (rate, start, end), in order.
+
+    Each segment's arrivals lie in [start, end); a zero rate draws nothing.
+    Gaps are read from blocks of `BLOCK` standard exponentials, and the
+    draws a segment leaves unconsumed start the next one (module docstring).
+    """
+    parts = []
+    draws = np.empty(0)
+    for rate, start, end in segments:
+        if rate <= 0:
+            continue
+        t = start
+        while True:
+            if not len(draws):
+                draws = rng.standard_exponential(BLOCK)
+            # scan a prefix a few deviations past the expected count, not
+            # the whole buffer; if it falls short, go on from its last time
+            expect = rate * (end - t)
+            n = int(min(len(draws), expect + 4.0 * math.sqrt(expect) + 16.0))
+            times = draws[:n] * (1.0 / rate)
+            times[0] += t
+            np.cumsum(times, out=times)
+            k = int(np.searchsorted(times, end))
+            parts.append(times[:k])
+            if k < n:  # times[k] overshoots: k + 1 draws consumed
+                draws = draws[k + 1:]
+                break
+            t = times[-1]
+            draws = draws[n:]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def generate_arrivals(spec: WorkloadSpec, horizon: float, seed) -> np.ndarray:
     """Arrival timestamps in [0, horizon), sorted; deterministic given seed."""
-    if horizon <= 0:
-        raise InvalidSchedule(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise InvalidSchedule(f"horizon must be finite and > 0, got {horizon}")
     rng = np.random.default_rng(seed)
-    out: list = []
 
     if spec.mode in ("static", "discrete"):
-        sched = spec.rate_schedule
-        for i, (start, rate) in enumerate(sched):
-            if start >= horizon:
-                break
-            end = sched[i + 1][0] if i + 1 < len(sched) else horizon
-            _poisson_segment(rng, rate, start, min(end, horizon), out)
-    elif spec.mode == "continuous":
+        # segments are disjoint and in time order, so their arrivals are sorted
+        return _poisson_segments(rng, _segments(spec.rate_schedule, horizon))
+    if spec.mode == "continuous":
+        out: list = []
         times = np.array([t for t, _ in spec.rate_points])
         rates = np.array([r for _, r in spec.rate_points])
         envelope = float(rates.max())
@@ -104,17 +161,17 @@ def generate_arrivals(spec: WorkloadSpec, horizon: float, seed) -> np.ndarray:
                 if rng.random() < rate_here / envelope:
                     out.append(t)
                 t += rng.exponential(1.0 / envelope)
-    else:  # trace
-        for minute, count in enumerate(spec.per_minute_counts):
-            start = 60.0 * minute
-            if start >= horizon:
-                break
-            if count:
-                ts = start + 60.0 * rng.random(count)
-                out.extend(ts[ts < horizon].tolist())
-
-    arr = np.array(sorted(out), dtype=float)
-    return arr
+        return np.array(out, dtype=float)
+    # trace: every minute that starts before the horizon draws all its
+    # arrivals, uniform over the minute; those at or past the horizon are cut
+    starts = 60.0 * np.arange(len(spec.per_minute_counts))
+    starts = starts[starts < horizon]
+    per_minute = np.array(spec.per_minute_counts[:len(starts)], dtype=np.int64)
+    arr = rng.random(int(per_minute.sum()))
+    arr *= 60.0
+    arr += np.repeat(starts, per_minute)
+    arr.sort()
+    return arr[:np.searchsorted(arr, horizon)]
 
 
 def expected_arrivals(spec: WorkloadSpec, horizon: float) -> float:
@@ -127,10 +184,8 @@ def expected_arrivals(spec: WorkloadSpec, horizon: float) -> float:
         return max(r for _, r in spec.rate_points) * horizon
     if spec.mode == "trace":
         return float(sum(spec.per_minute_counts[: math.ceil(horizon / 60.0)]))
-    sched = spec.rate_schedule
-    ends = [t for t, _ in sched[1:]] + [horizon]
-    return sum(r * (min(end, horizon) - min(start, horizon))
-               for (start, r), end in zip(sched, ends))
+    segments = _segments(spec.rate_schedule, horizon)
+    return sum((rate * (end - start) for rate, start, end in segments), 0.0)
 
 
 def load_trace(path) -> dict:

@@ -152,6 +152,11 @@ class TestScenarioLoading:
             == by_edit.workloads["f1"].rate_schedule
         )
 
+    def test_override_edits_the_document_in_place(self):
+        doc = yaml.safe_load(MINI)
+        assert scenario_mod.apply_override(doc, "functions.f1.workload.rate=9") is doc
+        assert doc["functions"][0]["workload"]["rate"] == 9
+
     def test_number_written_as_a_string_loads(self, mini_scenario):
         # YAML 1.1 reads 1e1 (no dot) as a string; float() has always taken it
         scn = scenario_mod.load(mini_scenario, overrides=["functions.f1.workload.rate=1e1"])

@@ -5,18 +5,63 @@ import math
 import numpy as np
 import pytest
 
+from edgescale import scenario
 from edgescale.errors import (
     InvalidSchedule,
     ParseError,
     SchemaError,
 )
 from edgescale.workload import (
+    BLOCK,
     RateEstimator,
     WorkloadSpec,
     expected_arrivals,
     generate_arrivals,
     load_trace,
 )
+from scenario_builders import REPO_ROOT
+
+
+# The reference kernel: one scalar RNG call per arrival in the static and
+# discrete modes, and one per minute in trace mode, gathered in a Python list
+# and sorted. `generate_arrivals` must give its arrays byte for byte.
+
+def reference_arrivals(spec, horizon, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    out = []
+    if spec.mode in ("static", "discrete"):
+        sched = spec.rate_schedule
+        for i, (start, rate) in enumerate(sched):
+            if start >= horizon:
+                break
+            end = min(sched[i + 1][0] if i + 1 < len(sched) else horizon, horizon)
+            if rate <= 0:
+                continue
+            t = start + rng.exponential(1.0 / rate)
+            while t < end:
+                out.append(t)
+                t += rng.exponential(1.0 / rate)
+    else:
+        assert spec.mode == "trace"
+        for minute, count in enumerate(spec.per_minute_counts):
+            start = 60.0 * minute
+            if start >= horizon:
+                break
+            if count:
+                ts = start + 60.0 * rng.random(count)
+                out.extend(ts[ts < horizon].tolist())
+    return np.array(sorted(out), dtype=float)
+
+
+def assert_equals_reference(spec, horizon, seed):
+    got = generate_arrivals(spec, horizon, seed)
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference_arrivals(spec, horizon, seed).tobytes()
+    return got
+
+
+def discrete(*pairs):
+    return WorkloadSpec(mode="discrete", rate_schedule=pairs)
 
 
 class TestGenerator:
@@ -81,6 +126,110 @@ class TestGenerator:
             WorkloadSpec(mode="static", rate_schedule=((0.0, -1.0),))
         with pytest.raises(InvalidSchedule):
             generate_arrivals(WorkloadSpec(mode="static", rate_schedule=((0.0, 1.0),)), 0.0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode, field, pairs", [
+        ("static", "rate_schedule", lambda v: ((0.0, v),)),
+        ("discrete", "rate_schedule", lambda v: ((0.0, 1.0), (v, 2.0))),
+        ("continuous", "rate_points", lambda v: ((0.0, v), (10.0, 1.0))),
+        ("continuous", "rate_points", lambda v: ((v, 1.0),)),
+    ], ids=["static-rate", "discrete-time", "continuous-rate", "continuous-time"])
+    def test_non_finite_schedule_values_rejected(self, mode, field, pairs, bad):
+        with pytest.raises(InvalidSchedule, match=f"finite, got .*{bad}"):
+            WorkloadSpec(mode=mode, **{field: pairs(bad)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_trace_count_rejected(self, bad):
+        with pytest.raises(InvalidSchedule, match=f"finite, got {bad}"):
+            WorkloadSpec(mode="trace", per_minute_counts=(3, bad))
+
+    @pytest.mark.parametrize("spec", [
+        WorkloadSpec(mode="static", rate_schedule=((0.0, 1.0),)),
+        WorkloadSpec(mode="discrete", rate_schedule=((0.0, 1.0), (5.0, 0.0))),
+        WorkloadSpec(mode="continuous", rate_points=((0.0, 1.0),)),
+        WorkloadSpec(mode="trace", per_minute_counts=(3,)),
+    ], ids=lambda spec: spec.mode)
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
+    def test_non_finite_horizon_rejected(self, spec, horizon):
+        with pytest.raises(InvalidSchedule, match=f"got {horizon}"):
+            generate_arrivals(spec, horizon, 1)
+
+
+class TestBlockDraws:
+    """Block draws give the scalar reference kernel's arrays byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_tenant_churn_streams(self, seed):
+        scn = scenario.load(REPO_ROOT / "perfbench" / "scenarios" / "tenant_churn.yaml",
+                            overrides=[f"seed={seed}"])
+        fids = sorted(scn.functions)
+        children = np.random.SeedSequence(seed).spawn(2 * len(fids))
+        assert len(fids) == 12
+        for fid, child in zip(fids, children):
+            arr = assert_equals_reference(scn.workloads[fid], scn.horizon_s, child)
+            assert len(arr) > 4000
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_six_function_trace(self, seed):
+        traces = load_trace(REPO_ROOT / "traces" / "six_function_hour.csv")
+        assert len(traces) == 6
+        for i, counts in enumerate(traces.values()):
+            spec = WorkloadSpec(mode="trace", per_minute_counts=counts)
+            assert_equals_reference(spec, 3600.0, (seed, i))
+
+    @pytest.mark.parametrize("spec, horizon", [
+        (discrete((0.0, 0.0), (10.0, 5.0), (20.0, 0.0), (30.0, 8.0)), 40.0),
+        (discrete((12.5, 3.0), (40.0, 0.5)), 60.0),  # first start after 0
+        (discrete((0.0, 2.0), (50.0, 9.0), (70.0, 4.0)), 50.0),  # start at the horizon
+        (discrete((0.0, 2.0), (80.0, 9.0)), 50.0),  # start past the horizon
+        (discrete((0.0, 4.0), (30.0, 6.0)), 37.3),  # horizon cuts a segment
+        # segments too short or too slow to hold an arrival
+        (discrete((0.0, 0.01), (1.0, 5.0), (1.001, 0.02), (2.0, 3.0)), 9.0),
+        (WorkloadSpec(mode="static", rate_schedule=((0.0, 7.0),)), 100.0),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_discrete_edge_schedules(self, spec, horizon, seed):
+        arr = assert_equals_reference(spec, horizon, seed)
+        if len(arr):
+            assert arr[0] >= spec.rate_schedule[0][0] and arr[-1] < horizon
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segments_longer_than_a_block(self, seed):
+        # each 12/s segment holds about 2.5 blocks of draws
+        spec = discrete((0.0, 12.0), (900.0, 0.0), (1000.0, 3.0), (1100.0, 14.0))
+        assert 12.0 * 900.0 > 2 * BLOCK and 14.0 * 900.0 > 2 * BLOCK
+        assert_equals_reference(spec, 2000.0, seed)
+
+    @pytest.mark.parametrize("counts, horizon", [
+        ((0, 0, 5, 0, 17), 300.0),  # minutes with no arrivals
+        ((4, 9, 300, 2), 150.5),  # a horizon that is not a multiple of 60
+        ((8, 6, 7, 5), 120.0),  # counts past the horizon
+        ((5000, 1, 0, 6000), 200.0),  # more than a block in one minute
+        ((0, 0), 100.0),
+        ((), 30.0),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trace_edge_counts(self, counts, horizon, seed):
+        spec = WorkloadSpec(mode="trace", per_minute_counts=counts)
+        assert_equals_reference(spec, horizon, seed)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_schedules(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(20):
+            k = int(rng.integers(1, 8))
+            starts = np.cumsum(rng.uniform(0.0, 50.0, k))
+            if rng.random() < 0.5:
+                starts[0] = 0.0
+            rates = rng.choice([0.0, 0.5, 3.0, 40.0, 200.0], k)
+            spec = discrete(*zip(starts.tolist(), rates.tolist()))
+            horizon = float(rng.uniform(1.0, 300.0))
+            arr = assert_equals_reference(spec, horizon, int(rng.integers(1 << 30)))
+            # segments are concatenated in time order, with no sort
+            assert np.all(np.diff(arr) >= 0)
+            counts = rng.choice([0, 0, 1, 5, 300, 3000], int(rng.integers(0, 12)))
+            spec = WorkloadSpec(mode="trace", per_minute_counts=tuple(counts.tolist()))
+            assert_equals_reference(spec, float(rng.uniform(1.0, 800.0)), seed)
 
 
 class TestTraceLoader:
