@@ -227,6 +227,10 @@ def cmd_validate(args) -> int:
 def cmd_replay(args) -> int:
     from .workload import load_trace
 
+    if args.nodes > scenario_mod.MAX_NODES:
+        print(f"error: --nodes: {args.nodes:,} nodes, over the {scenario_mod.MAX_NODES:,} limit",
+              file=sys.stderr)
+        return 2
     traces = load_trace(args.trace)
     if not traces:
         print("trace file has no rows", file=sys.stderr)
@@ -308,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--out", required=True)
     rep_p.add_argument("--horizon", type=float, default=None)
     rep_p.add_argument("--seed", type=_nonnegative_int, default=0)
-    rep_p.add_argument("--nodes", type=int, default=3)
-    rep_p.add_argument("--node-vcpu", type=float, default=4.0)
-    rep_p.add_argument("--node-memory-mb", type=float, default=16384.0)
-    rep_p.add_argument("--vcpu", type=float, default=1.0)
-    rep_p.add_argument("--memory-mb", type=float, default=512.0)
-    rep_p.add_argument("--service-rate", type=float, default=10.0)
-    rep_p.add_argument("--deadline", type=float, default=0.1)
-    rep_p.add_argument("--percentile", type=float, default=0.95)
+    rep_p.add_argument("--nodes", type=_positive_int, default=3)
+    rep_p.add_argument("--node-vcpu", type=_positive_float, default=4.0)
+    rep_p.add_argument("--node-memory-mb", type=_positive_float, default=16384.0)
+    rep_p.add_argument("--vcpu", type=_positive_float, default=1.0)
+    rep_p.add_argument("--memory-mb", type=_positive_float, default=512.0)
+    rep_p.add_argument("--service-rate", type=_positive_float, default=10.0)
+    rep_p.add_argument("--deadline", type=_positive_float, default=0.1)
+    rep_p.add_argument("--percentile", type=_finite_float, default=0.95)
     rep_p.add_argument("--reclamation", default="deflation",
                        choices=("deflation", "termination"))
     rep_p.set_defaults(func=cmd_replay)

@@ -109,30 +109,46 @@ def load_profile_curve(path) -> tuple:
     return tuple((f, base / s) for f, s in rows)
 
 
-@dataclass
 class ContainerState:
-    """One running container; CPU can deflate within [1 - tau, 1], memory is fixed."""
+    """One running container; CPU can deflate within [1 - tau, 1], memory is fixed.
 
-    function_id: str
-    node_id: int
-    standard_vcpu: float
-    memory_mb: float
-    profile: ServiceProfile
-    id: int
-    cpu_fraction: float = 1.0
-    lazy_marked: bool = False
+    The `cpu_fraction` setter owns what follows from the fraction. It asks
+    `profile.multiplier` first, which raises `InvalidFraction` outside
+    (0, 1] and so leaves the container as it was; it then stores
+    `allocated_vcpu` (standard vCPU times the fraction) and `multiplier`
+    (the service-rate factor at that size) as plain attributes, which
+    nothing else writes.
+    """
 
-    def __post_init__(self):
-        if not 0 < self.cpu_fraction <= 1:
-            raise InvalidFraction(f"cpu fraction must be in (0, 1], got {self.cpu_fraction}")
+    __slots__ = ("function_id", "node_id", "standard_vcpu", "memory_mb", "profile", "id",
+                 "lazy_marked", "_cpu_fraction", "allocated_vcpu", "multiplier")
+
+    def __init__(self, function_id: str, node_id: int, standard_vcpu: float, memory_mb: float,
+                 profile: ServiceProfile, id: int, cpu_fraction: float = 1.0,
+                 lazy_marked: bool = False):
+        self.function_id = function_id
+        self.node_id = node_id
+        self.standard_vcpu = standard_vcpu
+        self.memory_mb = memory_mb
+        self.profile = profile
+        self.id = id
+        self.lazy_marked = lazy_marked
+        self.cpu_fraction = cpu_fraction
 
     @property
-    def allocated_vcpu(self) -> float:
-        return self.standard_vcpu * self.cpu_fraction
+    def cpu_fraction(self) -> float:
+        return self._cpu_fraction
+
+    @cpu_fraction.setter
+    def cpu_fraction(self, fraction: float):
+        multiplier = self.profile.multiplier(fraction)
+        self._cpu_fraction = fraction
+        self.allocated_vcpu = self.standard_vcpu * fraction
+        self.multiplier = multiplier
 
     @property
     def effective_rate(self) -> float:
-        return self.profile.base_rate * self.profile.multiplier(self.cpu_fraction)
+        return self.profile.base_rate * self.multiplier
 
 
 @dataclass(frozen=True)

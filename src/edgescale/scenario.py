@@ -30,6 +30,9 @@ MAX_ARRIVALS = 10_000_000
 # a few minutes and 50 MB per function.
 MAX_TICKS = 1_000_000
 MAX_EPOCHS = 100_000
+# Placement scans every node per create, at about 0.6 us a node, so a create
+# on 10k nodes costs 6 ms and a few thousand creates take tens of seconds.
+MAX_NODES = 10_000
 
 # libyaml parses tenant_churn.yaml in 5 ms where the pure-Python parser takes
 # 38 ms; PyYAML built without libyaml has only the latter
@@ -221,6 +224,9 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
     """Build a validated Scenario from a parsed YAML document."""
     base_dir = Path(base_dir)
     top = _read(doc, "scenario", "")
+    if len(top["cluster"]["nodes"]) > MAX_NODES:
+        raise ConfigError(f"cluster.nodes: {len(top['cluster']['nodes']):,} nodes, over the "
+                          f"{MAX_NODES:,} limit")
     _build(RateEstimator, "estimator.", **top["estimator"])
 
     user_weights = {user["id"]: user["weight"] for user in top["users"]}

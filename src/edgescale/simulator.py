@@ -27,13 +27,11 @@ When a controller action frees a container or queues a rerun, the action
 calls `_advance` at the tick time, where only the hand-out has work.
 
 Every function logs its requests in its own list. When the run ends, or
-raises, `_merge_requests` moves them into `metrics.requests` in the order one
-heap of every function's arrivals would pop them: by time and, at equal times
-across functions, first the function whose previous arrival was handled
-earlier (first arrivals before any other, in function id order). Arrivals
-stay heap events, one pending per function and pushed as the previous one is
-handled: one loop then orders every kind of event, and the heap pops still
-count each arrival and each completion.
+raises, `_merge_requests` moves them into `metrics.requests` by arrival time,
+then function id, then arrival index. Arrivals stay heap events, one pending
+per function and pushed as the previous one is handled: one loop then orders
+every kind of event, and the heap pops still count each arrival and each
+completion.
 `busy_vcpu_time` is summed per function between ticks, so its last bits
 depend on that grouping.
 
@@ -47,12 +45,11 @@ and lookups:
   policies break ties on container id, so the index's order does not matter;
   a lone idle container is taken without a policy call, which for WRR leaves
   every counter's value as the call would.
-- Two per-container caches sit side by side, keyed by container id: the
-  service multiplier, computed by `ServiceProfile.multiplier` on first use,
-  and the WRR weight units, computed by `wrr_weight_units` when the container
-  is created, so that `dispatch_wrr` reads them. Only `_set_fraction` changes
-  `cpu_fraction`; it drops the multiplier and recomputes the units.
-  `_terminate` drops both, and the container's WRR counter.
+- `_units` caches each container's WRR weight units for `dispatch_wrr`. It
+  is filled on create, refreshed by `_set_fraction` (the only caller that
+  changes `cpu_fraction`) and dropped, with the WRR counter, by
+  `_terminate`. A container's vCPU and service multiplier are its own
+  attributes.
 - Service times are drawn in blocks of `BLOCK` per function from that
   function's own RNG stream: `refill_draws` makes one numpy call once the
   previous block has been read through. A block holds exactly the values
@@ -66,10 +63,10 @@ and lookups:
   not outlive it.
 - A completion event carries its container, not the container id, so the
   request path never looks a container up.
-- A busy container's `_busy` entry is (request, service start, allocated
-  vCPU). The vCPU comes from the container's `_alloc_since` record, and
-  `_set_fraction` closes the entry's busy time at the old vCPU and restarts
-  it at the new one, so a completion reads the vCPU from the entry.
+- A busy container's `_busy` entry is (request, service start), and its
+  `_alloc_since` entry the time its allocation last changed. `_set_fraction`
+  closes both accounts at the old vCPU and restarts them at the change, so
+  a completion charges the container's current vCPU.
 
 `run` pauses Python's cyclic garbage collector and restores the state it
 found when it returns or raises. Every request allocates a few tracked
@@ -225,9 +222,8 @@ class Simulation:
         self.metrics = SimMetrics(self.horizon, self.cluster.capacity_vcpu)
 
         self._container_seq = 0
-        self._busy: dict = {}  # container_id -> (request, since, allocated vcpu)
-        self._alloc_since: dict = {}  # container_id -> (time, vcpu)
-        self._multiplier: dict = {}  # container_id -> service rate multiplier
+        self._busy: dict = {}  # container_id -> (request, service start)
+        self._alloc_since: dict = {}  # container_id -> time its allocation last changed
         self._units: dict = {}  # container_id -> WRR weight units
 
         ss = np.random.SeedSequence(scenario.seed)
@@ -302,8 +298,8 @@ class Simulation:
         """
         events, pending, idle, log = rt.events, rt.pending, rt.idle, rt.log
         heappush, heappop = heapq.heappush, heapq.heappop
-        busy, multipliers, units, seq = self._busy, self._multiplier, self._units, rt.seq
-        alloc, fid, timeout = self._alloc_since, rt.spec.id, rt.spec.timeout_s
+        busy, units, seq = self._busy, self._units, rt.seq
+        fid, timeout = rt.spec.id, rt.spec.timeout_s
         upcoming, next_up, draws, next_draw = rt.upcoming, rt.next_up, rt.draws, rt.next_draw
         n_up = len(upcoming)
         busy_time = 0.0
@@ -331,12 +327,8 @@ class Simulation:
                 if next_draw == BLOCK:
                     rt.refill_draws()
                     draws, next_draw = rt.draws, 0
-                multiplier = multipliers.get(cid)
-                if multiplier is None:
-                    multiplier = multipliers[cid] = rt.spec.profile.multiplier(
-                        container.cpu_fraction)
-                busy[cid] = (req, time, alloc[cid][1])
-                heappush(events, (time + draws[next_draw] / multiplier, EV_COMPLETE,
+                busy[cid] = (req, time)
+                heappush(events, (time + draws[next_draw] / container.multiplier, EV_COMPLETE,
                                   next(seq), container))
                 next_draw += 1
             if not events or events[0][0] > until:
@@ -348,8 +340,8 @@ class Simulation:
                 # terminated one
                 entry = busy.pop(payload.id, None)
                 if entry is not None:
-                    req, since, vcpu = entry
-                    busy_time += (time - since) * vcpu
+                    req, since = entry
+                    busy_time += (time - since) * payload.allocated_vcpu
                     req.completion = time
                     req.status = "completed"
                     idle[payload.id] = payload
@@ -373,40 +365,14 @@ class Simulation:
     def _merge_requests(self):
         """Move every function's requests into `metrics.requests`, in arrival order.
 
-        That is the order a single heap of every function's arrivals pops
-        them in: by time and, at equal times, by when each was pushed, that
-        is by when the function's previous arrival was handled. First
-        arrivals are pushed before the run starts, in function id order.
+        Requests go by arrival time, then function id, then arrival index:
+        one stable sort of the functions' arrivals, concatenated in function
+        id order.
         """
         rts = [self.functions[fid] for fid in sorted(self.functions)]
-        lens = [len(rt.log) for rt in rts]
         flat = [req for rt in rts for req in rt.log]
-        times = np.concatenate([rt.arrivals[:n] for rt, n in zip(rts, lens)])
-        fn = np.repeat(np.arange(len(rts)), lens)
-        order = np.argsort(times, kind="stable")  # time, then function id, then index
-        ts, fs = times[order], fn[order]
-        tied = (ts[1:] == ts[:-1]) & (fs[1:] != fs[:-1])
-        if tied.any():
-            # at a time two functions share, a function's first arrival there
-            # goes by the place of its predecessor (before the run for a
-            # first arrival, in function id order), and the function's
-            # further arrivals at that time follow round by round in the
-            # same function order
-            place = np.empty(len(order), dtype=np.int64)
-            place[order] = np.arange(len(order))
-            start = np.cumsum([0] + lens)
-            fn = fn.tolist()
-            for t in np.unique(ts[1:][tied]).tolist():
-                lo, hi = np.searchsorted(ts, t, "left"), np.searchsorted(ts, t, "right")
-                first: dict = {}
-                for k in order[lo:hi].tolist():  # each function's in index order
-                    first.setdefault(fn[k], k)
-                rank = {f: place[k - 1] if k > start[f] else f - len(rts)
-                        for f, k in first.items()}
-                group = sorted(order[lo:hi].tolist(),
-                               key=lambda k: (k - first[fn[k]], rank[fn[k]]))
-                order[lo:hi] = group
-                place[group] = np.arange(lo, hi)
+        times = np.concatenate([rt.arrivals[:len(rt.log)] for rt in rts])
+        order = np.argsort(times, kind="stable")
         # from the array itself: a list of Python ints would raise the peak memory
         self.metrics.requests = list(map(flat.__getitem__, order))
         for rt in rts:
@@ -490,7 +456,7 @@ class Simulation:
             id=self._container_seq,
         )
         self.cluster.add(container)
-        self._alloc_since[container.id] = (time, container.allocated_vcpu)
+        self._alloc_since[container.id] = time
         self._units[container.id] = wrr_weight_units(container)
         rt = self.functions[spec.id]
         if delay > 0:
@@ -505,18 +471,17 @@ class Simulation:
         rt = self.functions[container.function_id]
         entry = self._busy.pop(container_id, None)
         if entry is not None:
-            req, since, vcpu = entry
-            self.metrics.busy_vcpu_time += (time - since) * vcpu
+            req, since = entry
+            self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
             req.reruns += 1
             req.dispatch = float("nan")
             req.container_id = -1
             self.metrics.reruns += 1
             rt.pending.appendleft(req)
-        since, vcpu = self._alloc_since.pop(container_id)
-        self.metrics.allocated_vcpu_time += (time - since) * vcpu
+        since = self._alloc_since.pop(container_id)
+        self.metrics.allocated_vcpu_time += (time - since) * container.allocated_vcpu
         rt.idle.pop(container_id, None)
         rt.wrr_state.pop(container_id, None)
-        self._multiplier.pop(container_id, None)
         del self._units[container_id]
         self.cluster.remove(container_id)
         # an idle sibling may be able to pick up the rerun right away
@@ -535,24 +500,24 @@ class Simulation:
                 fraction = min(fraction, container.cpu_fraction + steps * step)
                 if fraction <= container.cpu_fraction:
                     return
-        since, vcpu = self._alloc_since[container_id]
-        self.metrics.allocated_vcpu_time += (time - since) * vcpu
-        container.cpu_fraction = fraction
-        self._multiplier.pop(container_id, None)
-        self._units[container_id] = wrr_weight_units(container)
-        self._alloc_since[container_id] = (time, container.allocated_vcpu)
+        # both accounts close at the old size before the fraction changes
+        vcpu = container.allocated_vcpu
+        self.metrics.allocated_vcpu_time += (time - self._alloc_since[container_id]) * vcpu
         entry = self._busy.get(container_id)
         if entry is not None:
-            req, busy_since, vcpu = entry
+            req, busy_since = entry
             self.metrics.busy_vcpu_time += (time - busy_since) * vcpu
-            self._busy[container_id] = (req, time, container.allocated_vcpu)
+            self._busy[container_id] = (req, time)
+        container.cpu_fraction = fraction
+        self._units[container_id] = wrr_weight_units(container)
+        self._alloc_since[container_id] = time
 
     def _finalize(self):
-        end = self.horizon
-        for cid, (since, vcpu) in self._alloc_since.items():
-            self.metrics.allocated_vcpu_time += (end - since) * vcpu
-        for req, since, vcpu in self._busy.values():
-            self.metrics.busy_vcpu_time += (end - since) * vcpu
+        end, placed = self.horizon, self.cluster.containers
+        for cid, since in self._alloc_since.items():
+            self.metrics.allocated_vcpu_time += (end - since) * placed[cid].allocated_vcpu
+        for cid, (_, since) in self._busy.items():
+            self.metrics.busy_vcpu_time += (end - since) * placed[cid].allocated_vcpu
 
 
 def run(scenario) -> SimMetrics:

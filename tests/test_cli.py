@@ -291,6 +291,14 @@ class TestRunCommand:
         with pytest.raises(ConfigError, match=r"^functions\.f2\.workload: "):
             scenario_mod.from_dict(doc)
 
+    def test_node_count_bound(self):
+        doc = yaml.safe_load(MINI)
+        doc["cluster"]["nodes"] *= scenario_mod.MAX_NODES
+        assert len(scenario_mod.from_dict(doc).nodes) == scenario_mod.MAX_NODES
+        doc["cluster"]["nodes"].append(doc["cluster"]["nodes"][0])
+        with pytest.raises(ConfigError, match=r"^cluster\.nodes: "):
+            scenario_mod.from_dict(doc)
+
     @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
     def test_bad_seed_is_a_usage_error(self, mini_scenario, tmp_path, capsys, value):
         # -1 once passed argparse and ended in a numpy traceback
@@ -383,6 +391,33 @@ class TestReplayCommand:
                   "--out", str(tmp_path / "rep"), "--seed", "-1"])
         assert exit_info.value.code == 2
         assert "argument --seed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--nodes", "0"), ("--nodes", "1.5"), ("--node-vcpu", "nan"), ("--node-vcpu", "0"),
+        ("--node-memory-mb", "-1"), ("--vcpu", "inf"), ("--memory-mb", "x"),
+        ("--service-rate", "0"), ("--deadline", "0"), ("--percentile", "nan"),
+    ])
+    def test_bad_flag_is_a_usage_error(self, tmp_path, repo_root, capsys, flag, value):
+        # these once passed argparse and failed at load, naming a scenario path
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
+                  "--out", str(tmp_path / "rep"), flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_percentile_range_is_checked_at_load(self, tmp_path, repo_root, capsys):
+        rc = main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
+                   "--out", str(tmp_path / "rep"), "--percentile", "1.5"])
+        assert rc == 1
+        assert re.match(r"error: functions\.\w+\.slo\.percentile: ", capsys.readouterr().err)
+
+    def test_node_count_over_the_limit_names_the_flag(self, tmp_path, repo_root, capsys):
+        rc = main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
+                   "--out", str(tmp_path / "rep"), "--nodes", str(scenario_mod.MAX_NODES + 1)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --nodes: ")
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-60"])
     def test_bad_horizon_names_horizon_seconds(self, tmp_path, repo_root, capsys, horizon):

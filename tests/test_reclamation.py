@@ -72,6 +72,27 @@ class TestServiceRate:
             ServiceProfile(base_rate=10, curve=((0.0, 0.0), (1.0, 0.9)))
 
 
+class TestContainerFraction:
+    @pytest.mark.parametrize("bad", [0.0, 1.5, float("nan")], ids=["zero", "over_one", "nan"])
+    def test_invalid_fraction_raises_and_changes_nothing(self, bad):
+        (c,) = make_pool([2.0], fractions=[0.7])
+        before = (c.cpu_fraction, c.allocated_vcpu, c.multiplier)
+        with pytest.raises(InvalidFraction):
+            c.cpu_fraction = bad
+        assert (c.cpu_fraction, c.allocated_vcpu, c.multiplier) == before
+
+    def test_valid_fraction_sets_size_and_speed(self):
+        (c,) = make_pool([2.0])
+        c.cpu_fraction = 0.5
+        assert (c.cpu_fraction, c.allocated_vcpu, c.multiplier) == (0.5, 1.0,
+                                                                    PROF.multiplier(0.5))
+        assert c.effective_rate == PROF.base_rate * PROF.multiplier(0.5)
+
+    def test_invalid_initial_fraction_raises(self):
+        with pytest.raises(InvalidFraction):
+            make_pool([2.0], fractions=[0.0])
+
+
 class TestProfileLoader:
     def test_normalises_to_full_size_row(self, tmp_path):
         p = tmp_path / "prof.csv"

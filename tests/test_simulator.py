@@ -1,7 +1,6 @@
 """The discrete-event simulator: lifecycle, dispatch, cold starts, determinism."""
 
 import gc
-import heapq
 import math
 
 import numpy as np
@@ -331,9 +330,9 @@ def _records(m):
 class TestEventOrder:
     """Orderings that per-function event loops must reproduce exactly."""
 
-    def test_cross_function_ties_follow_the_earlier_predecessor(self):
-        # at t=2 and t=3, `b` goes first: its previous arrival (0.5) was
-        # handled before `a`'s (1.0), although "a" sorts first
+    def test_cross_function_ties_go_in_function_id_order(self):
+        # at t=2 and t=3, `a` goes first although `b`'s previous arrival
+        # (0.5) came before `a`'s (1.0)
         fns = [basic_function("a", initial=1, service=DETERMINISTIC),
                basic_function("b", initial=1, service=DETERMINISTIC)]
         sim = Simulation(make_scenario(fns, horizon=10.0, controller={"epoch_seconds": 1e9}))
@@ -341,13 +340,12 @@ class TestEventOrder:
         sim.functions["b"].arrivals = np.array([0.5, 2.0, 3.0])
         m = sim.run()
         assert [(r.function_id, r.arrival) for r in m.requests] == [
-            ("b", 0.5), ("a", 1.0), ("b", 2.0), ("a", 2.0), ("b", 3.0), ("a", 3.0)]
+            ("b", 0.5), ("a", 1.0), ("a", 2.0), ("b", 2.0), ("a", 3.0), ("b", 3.0)]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_request_log_is_the_order_of_one_arrival_heap(self, seed):
+    def test_request_log_is_sorted_by_time_then_function(self, seed):
         # arrivals on a coarse grid tie within and across functions; the
-        # reference pops one heap holding each function's next arrival, as
-        # a single event loop over every function does
+        # reference is a stable sort by (time, function order)
         rng = np.random.default_rng(seed)
         arrivals = {f"f{i}": np.sort(rng.integers(0, 12, size=n)).astype(float) / 2
                     for i, n in enumerate((9, 14, 0, 11))}
@@ -357,16 +355,8 @@ class TestEventOrder:
             sim.functions[fid].arrivals = arr
         m = sim.run()
 
-        heap = [(arr[0], k, fid) for k, (fid, arr) in enumerate(sorted(arrivals.items()))
-                if len(arr)]
-        heapq.heapify(heap)
-        seen, want = {fid: 0 for fid in arrivals}, []
-        while heap:
-            t, _, fid = heapq.heappop(heap)
-            want.append((fid, t))
-            seen[fid] += 1
-            if seen[fid] < len(arrivals[fid]):
-                heapq.heappush(heap, (arrivals[fid][seen[fid]], len(want) + len(arrivals), fid))
+        logged = [(fid, t) for fid, arr in sorted(arrivals.items()) for t in arr.tolist()]
+        want = sorted(logged, key=lambda entry: (entry[1], entry[0]))
         assert [(r.function_id, r.arrival) for r in m.requests] == want
 
     def test_arrivals_at_zero_see_every_initial_container(self):
@@ -428,10 +418,11 @@ class CheckedSimulation(Simulation):
 
     A container is idle when it is placed, its cold start has ended (no
     ready event for it is still queued) and it serves no request. Every
-    placed container has cached WRR units and may have a cached multiplier
-    and a WRR counter of its function; each cached value equals what it
+    placed container has cached WRR units, an allocation record and may
+    have a WRR counter of its function; each cached value equals what it
     caches, and no entry outlives its container. A busy container's entry
-    and its allocation record carry its current vCPU. The cluster's
+    holds a request dispatched to it. Every placed container's vCPU and
+    multiplier follow from its current CPU fraction. The cluster's
     per-node and per-function views hold the containers a scan of
     `cluster.containers` finds, in the scan's order. "Placed" is read from
     that scan, not from the views. A function's events are run one event
@@ -453,15 +444,15 @@ class CheckedSimulation(Simulation):
             assert all(rt.idle[cid] is placed[cid] for cid in expected)
             assert set(rt.wrr_state) <= ids, (time, fid)
         assert set(self._units) == set(placed), time
-        assert set(self._multiplier) <= set(placed), time
+        assert set(self._alloc_since) == set(placed), time
         assert set(self._busy) <= set(placed), time
         for cid, c in placed.items():
             assert self._units[cid] == simulator.wrr_weight_units(c), (time, cid)
-            if cid in self._multiplier:
-                assert self._multiplier[cid] == c.profile.multiplier(c.cpu_fraction), (time, cid)
-            assert self._alloc_since[cid][1] == c.allocated_vcpu, (time, cid)
+            assert c.multiplier == c.profile.multiplier(c.cpu_fraction), (time, cid)
+            assert c.allocated_vcpu == c.standard_vcpu * c.cpu_fraction, (time, cid)
             if cid in self._busy:
-                assert self._busy[cid][2] == c.allocated_vcpu, (time, cid)
+                req, _ = self._busy[cid]
+                assert (req.container_id, req.status) == (cid, "inflight"), (time, cid)
         self.checks += 1
 
     def _advance(self, rt, until):
