@@ -8,16 +8,28 @@ policy knob is which idle server a request takes when several are free --
 heterogeneous model assumes).
 
 Two tie rules fix the schedule exactly: a server that completes at exactly a
-request's start time counts as idle for it, and idle servers are ranked by
-index, which is rate order because rates are sorted ascending. Under them a
-request costs O(log c) on two heaps, idle and busy, and gets the same start
-time and server as a scan over all c servers would give it.
+request's start time counts as idle for it, and among idle servers of
+different rates the policy's choice wins (fastest-idle takes the highest
+rate, slowest-idle the lowest).
+
+Servers of equal rate are interchangeable. A request's completion time is
+its start plus its unit service over the server's rate, so which server of
+a rate it takes changes no start or completion time, only the server's name,
+and the oracle reports no names. The kernel (`_serve`) therefore keeps one
+heap of free-at times per distinct rate, a rate class, and the policy only
+picks a class. Classes whose earliest free-at time is at or before the
+current start are idle, the rest busy, each kept on its own heap, so a
+request costs O(log K) over K classes whatever the pool size. An equal-rate
+pool, the M/M/c case, is one class and costs one `heapreplace` a request.
+The schedule is the one a scan over every server gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +37,7 @@ import numpy as np
 from .errors import InvalidParameter, UnstableSystem
 
 POLICIES = ("fastest-idle", "slowest-idle")
-SLICE = 1024  # requests read from the draw arrays per pass, as Python floats
+SLICE = 1024  # requests read from the input arrays per pass, as Python floats
 MIN_WARMUP = 1000  # requests dropped before measuring: this many, or 1% if more
 BATCHES = 100  # batch means behind the standard error
 
@@ -38,34 +50,74 @@ class OracleResult:
 
 
 def _shared_queue(lam: float, rates, num_requests: int, seed: int, pick_fastest: bool):
-    """Serve Poisson arrivals FCFS from one shared queue over servers at `rates`.
+    """Serve `num_requests` Poisson arrivals at rate `lam` with `_serve`.
 
-    Request n starts service no earlier than request n-1. When several
-    servers are idle at its start time it takes the fastest one, or the
-    slowest when `pick_fastest` is false; service time is exponential at that
-    server's rate. `rates` must be sorted ascending. Returns the arrival,
-    service-start and completion times, in arrival order.
-
-    Tie rules: a server that completes at exactly `start` counts as idle, and
-    idle ties go by index, which is rate order. The idle heap holds exactly
-    the servers free at `start`, keyed by index (negated for fastest-idle);
-    the busy heap holds `(free_at, index)` for the rest. `start` never moves
-    back, since request n starts no earlier than request n-1.
+    Draws the inter-arrival gaps, then the unit-mean service times, from one
+    generator seeded with `seed`. Returns the arrival, service-start and
+    completion times, in arrival order.
     """
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
     unit_service = rng.exponential(1.0, size=num_requests)
+    starts, completions = _serve(arrivals, unit_service, rates, pick_fastest)
+    return arrivals, starts, completions
 
-    sign = -1 if pick_fastest else 1
-    idle = sorted(sign * j for j in range(len(rates)))  # a sorted list is a heap
-    busy = []
+
+def _serve(arrivals, unit_service, rates, pick_fastest: bool):
+    """Serve requests FCFS from one shared queue over servers at `rates`.
+
+    Request n arrives at `arrivals[n]` (non-decreasing) and starts service no
+    earlier than request n-1. When servers of several rates are idle at its
+    start time it takes the fastest, or the slowest when `pick_fastest` is
+    false, and completes `unit_service[n] / rate` later. Returns the start
+    and completion times as arrays, in arrival order.
+
+    Class k is the k-th distinct rate in policy order, so lower is preferred;
+    `free_at[k]` is a heap of its servers' free-at times, or None for a
+    class of one server. `idle` is a heap of the classes whose earliest
+    free-at time is at or before `start`, `busy` a heap of `(earliest
+    free_at, k)` for the others. A taken server is the earliest of its
+    class, which is idle at `start`; its class moves to `busy` when its new
+    earliest time is later than `start`, and a one-server class always moves
+    (a zero service time leaves it on `busy` at `start`, which the next
+    request's sweep undoes). `start` never moves back, so an idle class stays
+    idle until it is taken. With every class busy the request starts at the
+    earliest free-at time, and every class free by then turns idle before
+    the choice, so tied classes go by policy order.
+    """
+    classes = sorted(Counter(rates).items(), reverse=pick_fastest)
+    class_rates = [rate for rate, _ in classes]
+    n = len(arrivals)
+    starts = np.empty(n)
+    completions = np.empty(n)
     start = 0.0
-    starts = np.empty(num_requests)
-    completions = np.empty(num_requests)
-    push, pop = heapq.heappush, heapq.heappop
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
 
-    for lo in range(0, num_requests, SLICE):
-        hi = min(lo + SLICE, num_requests)
+    if len(classes) == 1:
+        # the M/M/c case: the one class is idle once `start` reaches its
+        # earliest free-at time, and service times divide in numpy
+        heap = [0.0] * classes[0][1]  # an all-equal list is a heap
+        for lo in range(0, n, SLICE):
+            hi = min(lo + SLICE, n)
+            service = unit_service[lo:hi] / class_rates[0]
+            slice_starts = []
+            record = slice_starts.append
+            for arrived, needed in zip(arrivals[lo:hi].tolist(), service.tolist()):
+                if arrived > start:
+                    start = arrived
+                if heap[0] > start:
+                    start = heap[0]
+                replace(heap, start + needed)
+                record(start)
+            starts[lo:hi] = slice_starts
+            np.add(starts[lo:hi], service, out=completions[lo:hi])
+        return starts, completions
+
+    free_at = [[0.0] * count if count > 1 else None for _, count in classes]
+    idle = list(range(len(classes)))  # a sorted list is a heap
+    busy = []
+    for lo in range(0, n, SLICE):
+        hi = min(lo + SLICE, n)
         slice_starts = []
         slice_done = []
         for arrived, unit in zip(arrivals[lo:hi].tolist(), unit_service[lo:hi].tolist()):
@@ -74,15 +126,21 @@ def _shared_queue(lam: float, rates, num_requests: int, seed: int, pick_fastest:
             if not idle and busy[0][0] > start:
                 start = busy[0][0]
             while busy and busy[0][0] <= start:
-                push(idle, sign * pop(busy)[1])
-            j = sign * pop(idle)
-            done = start + unit / rates[j]
-            push(busy, (done, j))
+                push(idle, pop(busy)[1])
+            k = idle[0]
+            done = start + unit / class_rates[k]
+            heap = free_at[k]
+            if heap is None:
+                push(busy, (done, pop(idle)))
+            else:
+                replace(heap, done)
+                if heap[0] > start:
+                    push(busy, (heap[0], pop(idle)))
             slice_starts.append(start)
             slice_done.append(done)
         starts[lo:hi] = slice_starts
         completions[lo:hi] = slice_done
-    return arrivals, starts, completions
+    return starts, completions
 
 
 def mc_wait(
@@ -95,7 +153,7 @@ def mc_wait(
 ) -> OracleResult:
     """Estimate P(wait <= t) for a shared-queue pool with the given idle policy.
 
-    The policy picks which idle server a request takes (see `_shared_queue`).
+    The policy picks which idle server a request takes (see `_serve`).
     The standard error is computed by batch means, which keeps it honest in
     the presence of the serial correlation queueing induces.
     """
@@ -113,6 +171,11 @@ def mc_wait(
         raise InvalidParameter(f"policy must be one of {POLICIES}, got {policy!r}")
     if lam >= sum(rates):
         raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
+    for name, value in (("num_requests", num_requests), ("seed", seed)):
+        if not isinstance(value, (int, numbers.Integral)):  # int first: the fast check
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if num_requests < 100:
         raise InvalidParameter("need at least 100 requests")
     warmup = max(MIN_WARMUP, num_requests // 100)

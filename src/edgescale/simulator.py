@@ -76,7 +76,10 @@ every live request; yet a run frees everything it drops by reference
 counting alone, because it builds no reference cycles, and a collection
 during a run finds nothing to free. Pausing therefore changes no output and
 holds back no memory. `tests/test_simulator.py` checks that a paused run
-leaves the collector nothing.
+leaves the collector nothing. Before it re-enables the collector, `run`
+freezes and unfreezes it (unless objects were frozen already): that moves
+the run's objects to the oldest generation and zeroes the allocation counts,
+so the first young pass after the run does not walk them all.
 """
 from __future__ import annotations
 
@@ -282,6 +285,9 @@ class Simulation:
             self._finalize()
         finally:
             if collecting:
+                if not gc.get_freeze_count():  # else it would thaw the caller's objects
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
             self._merge_requests()
             for rt in self.functions.values():

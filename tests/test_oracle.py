@@ -1,5 +1,6 @@
 """The Monte-Carlo oracle itself: closed-form spot checks and self-consistency."""
 
+import copy
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from edgescale import oracle
 from edgescale.errors import InvalidParameter, UnstableSystem
 from edgescale.oracle import mc_wait
+from edgescale.simulator import Simulation, _FnRuntime
+
+from scenario_builders import basic_function, make_scenario
 
 
 def test_mm1_tail_closed_form():
@@ -97,6 +101,24 @@ def test_non_finite_or_negative_input_rejected(lam, rates, t, match):
         mc_wait(lam, rates, t, num_requests=2_000)
 
 
+@pytest.mark.parametrize("num_requests, seed, match", [
+    (120_000.5, 0, "num_requests must be an integer, got 120000.5"),
+    ("5000", 0, "num_requests must be an integer, got '5000'"),
+    (None, 0, "num_requests must be an integer, got None"),
+    (5_000, -1, "seed must be >= 0, got -1"),
+    (5_000, 1.5, "seed must be an integer, got 1.5"),
+    (5_000, None, "seed must be an integer, got None"),
+])
+def test_bad_count_or_seed_rejected(num_requests, seed, match):
+    with pytest.raises(InvalidParameter, match=match):
+        mc_wait(5, [10.0], 0.1, num_requests=num_requests, seed=seed)
+
+
+def test_numpy_integer_count_and_seed_accepted():
+    want = mc_wait(5, [10.0], 0.1, num_requests=5_000, seed=3)
+    assert mc_wait(5, [10.0], 0.1, num_requests=np.int64(5_000), seed=np.uint8(3)) == want
+
+
 def test_warmup_and_batches_must_leave_samples():
     # the warmup of 1,000 leaves 50 samples for 100 batches
     with pytest.raises(InvalidParameter, match="50 samples"):
@@ -183,3 +205,136 @@ def test_tied_completions_count_as_idle(monkeypatch, pick_fastest):
     assert want[1].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 4.5]
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False], ids=["fastest", "slowest"])
+def test_tied_classes_while_every_server_is_busy(monkeypatch, pick_fastest):
+    """Rates 1, 1 and 2: a rate-1 and the rate-2 server both free up at t=2.
+
+    Requests 0-2 take every server at t=0; requests 3 and 4 queue and start
+    at 2.0, the first on the tied rate the policy prefers, the second on the
+    other one. The rate-1 server free at 3 is never used by them.
+    """
+    gaps = [0.0, 0.0, 0.0, 0.5, 0.1]
+    # at t=0 the policy fills rates 2, 1, 1 (fastest) or 1, 1, 2 (slowest)
+    units = [4.0, 2.0, 3.0, 1.0, 1.0] if pick_fastest else [2.0, 3.0, 4.0, 1.0, 1.0]
+    rates = [1.0, 1.0, 2.0]
+    results = []
+    for kernel in (scan_reference, oracle._shared_queue):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(gaps, units))
+        results.append(kernel(1.0, rates, len(gaps), 0, pick_fastest))
+    want, got = results
+    assert want[1].tolist() == [0.0, 0.0, 0.0, 2.0, 2.0]
+    assert want[2].tolist()[3:] == ([2.5, 3.0] if pick_fastest else [3.0, 2.5])
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False], ids=["fastest", "slowest"])
+def test_zero_service_time_leaves_the_server_idle(monkeypatch, pick_fastest):
+    # a one-server class (rate 2) and a two-server class (rate 1): each gets
+    # a zero service time and is the policy's pick again for the next request
+    gaps = [1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.25]
+    units = [0.0, 1.0, 0.0, 3.0, 2.0, 1.0, 1.0]
+    rates = [1.0, 1.0, 2.0]
+    results = []
+    for kernel in (scan_reference, oracle._shared_queue):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(gaps, units))
+        results.append(kernel(1.0, rates, len(gaps), 0, pick_fastest))
+    want, got = results
+    assert want[2][0] == want[1][0] == 1.0 and want[2][2] == want[1][2] == 1.5
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False], ids=["fastest", "slowest"])
+@pytest.mark.parametrize("distinct", [20, 60])
+def test_many_distinct_rates_equal_scan(distinct, pick_fastest):
+    rates = sorted(np.random.default_rng(distinct).uniform(0.5, 20.0, size=distinct).tolist())
+    assert len(set(rates)) == distinct
+    n = 2 * oracle.SLICE + 37
+    want = scan_reference(0.95 * sum(rates), rates, n, 6, pick_fastest)
+    got = oracle._shared_queue(0.95 * sum(rates), rates, n, 6, pick_fastest)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False], ids=["fastest", "slowest"])
+def test_rates_apart_in_the_last_bit_are_separate_classes(pick_fastest):
+    rates = sorted([0.1 + 0.2, 0.3])
+    assert rates[0] < rates[1] and math.nextafter(rates[0], 1.0) == rates[1]
+    n = 2 * oracle.SLICE + 37
+    lam = 0.7 * sum(rates)
+    want = scan_reference(lam, rates, n, 8, pick_fastest)
+    got = oracle._shared_queue(lam, rates, n, 8, pick_fastest)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+    # taken as one class, the pool would complete requests at other times
+    merged = oracle._shared_queue(lam, [rates[0]] * 2, n, 8, pick_fastest)
+    assert not np.array_equal(want[2], merged[2])
+
+
+SERVICES = {
+    "exponential": lambda mu: {"distribution": "exponential", "rate": mu},
+    "deterministic": lambda mu: {"distribution": "deterministic", "rate": mu},
+    "empirical": lambda mu: {"distribution": "empirical", "rate": mu,
+                             "samples": [0.2 / mu, 0.5 / mu, 1.0 / mu, 3.3 / mu]},
+}
+MEAN_SERVICE = {"exponential": 1.0, "deterministic": 1.0, "empirical": 1.25}  # times 1/mu
+
+
+def _fixed_pools(count, seed):
+    """Seeded random pools: 1-6 containers at CPU fractions 0.4-1.0, some repeated."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        kind = tuple(SERVICES)[k % 3]
+        fractions = rng.uniform(0.4, 1.0, size=int(rng.integers(1, 7)))
+        if k % 2:
+            fractions = np.round(fractions, 1)
+        yield pytest.param(kind, fractions.tolist(), float(rng.choice([1.0, 10.0])),
+                           float(rng.uniform(0.3, 0.95)), id=f"{kind}-{k}")
+
+
+@pytest.mark.parametrize("kind, fractions, mu, load", _fixed_pools(30, seed=14))
+def test_simulator_matches_the_kernel_bit_for_bit(kind, fractions, mu, load):
+    """A fixed pool under worst_case dispatch is the kernel's slowest-idle queue.
+
+    One function, no controller and no cold start: every dispatch and
+    completion time of the simulator equals the kernel's when the kernel is
+    fed the function's arrivals and service draws, with the containers'
+    multipliers as rates.
+    """
+    def scenario(lam, horizon):
+        fn = basic_function(rate=lam, mu=mu, initial=fractions,
+                            service=SERVICES[kind](mu), cold_start_seconds=0.0)
+        return make_scenario([fn], horizon=horizon, dispatch="worst_case",
+                             controller={"epoch_seconds": 2 * horizon})
+
+    profile = scenario(1.0, 1.0).functions["f1"].profile
+    rates = [profile.multiplier(f) for f in fractions]
+    lam = load * sum(rates) * mu / MEAN_SERVICE[kind]
+    sim = Simulation(scenario(lam, 2_000 / lam))
+    rt = sim.functions["f1"]
+    draws = _FnRuntime(spec=rt.spec, arrivals=rt.arrivals,
+                       service_rng=copy.deepcopy(rt.service_rng), estimator=None)
+    requests = sim.run().requests
+    assert sorted(c.multiplier for c in sim.cluster.containers.values()) == sorted(rates)
+
+    unit_service = []
+    while len(unit_service) < len(rt.arrivals):
+        draws.refill_draws()
+        unit_service += draws.draws
+    starts, completions = oracle._serve(rt.arrivals, np.array(unit_service[:len(rt.arrivals)]),
+                                        rates, pick_fastest=False)
+
+    horizon = sim.horizon
+    assert len(requests) == len(rt.arrivals) > 1_000
+    served = [r for r in requests if r.status == "completed"]
+    assert len(served) > 0.9 * len(requests)
+    for r, start, done in zip(requests, starts.tolist(), completions.tolist()):
+        if r.status == "completed":
+            assert (r.dispatch, r.completion) == (start, done)
+        elif r.container_id >= 0:  # in service at the horizon
+            assert r.dispatch == start and done > horizon
+        else:
+            assert r.status == "inflight" and start > horizon

@@ -575,6 +575,39 @@ class TestCollectorPause:
         assert gc.isenabled()
         assert sim.metrics.requests  # the requests of the first 10 s are merged
 
+    def test_no_collection_scans_the_run(self, collector_state):
+        # the run's objects leave the young generations unscanned, so
+        # neither `run` nor the first allocation after it starts a pass
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        sim = Simulation(churn_scenario())
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            m = sim.run()
+            after = [object()]
+        finally:
+            gc.callbacks.remove(record)
+        assert collections == []
+        assert after and len(m.requests) > 1000
+
+    def test_objects_frozen_before_the_run_stay_frozen(self, collector_state):
+        sim = Simulation(self.small_scenario())
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            sim.run()
+            # frozen objects the run drops leave the count; none are thawed
+            # or added, and a thaw would leave it at 0
+            assert 0.99 * frozen < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
+
     def test_a_run_creates_no_reference_cycles(self, collector_state):
         # what makes the pause safe: a paused run leaves the collector nothing
         sim = Simulation(churn_scenario())
