@@ -73,17 +73,15 @@ def _serve(arrivals, unit_service, rates, pick_fastest: bool):
     and completion times as arrays, in arrival order.
 
     Class k is the k-th distinct rate in policy order, so lower is preferred;
-    `free_at[k]` is a heap of its servers' free-at times, or None for a
-    class of one server. `idle` is a heap of the classes whose earliest
-    free-at time is at or before `start`, `busy` a heap of `(earliest
-    free_at, k)` for the others. A taken server is the earliest of its
-    class, which is idle at `start`; its class moves to `busy` when its new
-    earliest time is later than `start`, and a one-server class always moves
-    (a zero service time leaves it on `busy` at `start`, which the next
-    request's sweep undoes). `start` never moves back, so an idle class stays
-    idle until it is taken. With every class busy the request starts at the
-    earliest free-at time, and every class free by then turns idle before
-    the choice, so tied classes go by policy order.
+    `free_at[k]` is a heap of its servers' free-at times. `idle` is a heap of
+    the classes whose earliest free-at time is at or before `start`, `busy` a
+    heap of `(earliest free_at, k)` for the others. A taken server is the
+    earliest of its class, which is idle at `start`; its class moves to
+    `busy` when its new earliest time is later than `start`. `start` never
+    moves back, so an idle class stays idle until it is taken. With every
+    class busy the request starts at the earliest free-at time, and every
+    class free by then turns idle before the choice, so tied classes go by
+    policy order.
     """
     classes = sorted(Counter(rates).items(), reverse=pick_fastest)
     class_rates = [rate for rate, _ in classes]
@@ -113,7 +111,7 @@ def _serve(arrivals, unit_service, rates, pick_fastest: bool):
             np.add(starts[lo:hi], service, out=completions[lo:hi])
         return starts, completions
 
-    free_at = [[0.0] * count if count > 1 else None for _, count in classes]
+    free_at = [[0.0] * count for _, count in classes]
     idle = list(range(len(classes)))  # a sorted list is a heap
     busy = []
     for lo in range(0, n, SLICE):
@@ -130,12 +128,9 @@ def _serve(arrivals, unit_service, rates, pick_fastest: bool):
             k = idle[0]
             done = start + unit / class_rates[k]
             heap = free_at[k]
-            if heap is None:
-                push(busy, (done, pop(idle)))
-            else:
-                replace(heap, done)
-                if heap[0] > start:
-                    push(busy, (heap[0], pop(idle)))
+            replace(heap, done)
+            if heap[0] > start:
+                push(busy, (heap[0], pop(idle)))
             slice_starts.append(start)
             slice_done.append(done)
         starts[lo:hi] = slice_starts

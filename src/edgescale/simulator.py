@@ -76,10 +76,15 @@ every live request; yet a run frees everything it drops by reference
 counting alone, because it builds no reference cycles, and a collection
 during a run finds nothing to free. Pausing therefore changes no output and
 holds back no memory. `tests/test_simulator.py` checks that a paused run
-leaves the collector nothing. Before it re-enables the collector, `run`
-freezes and unfreezes it (unless objects were frozen already): that moves
-the run's objects to the oldest generation and zeroes the allocation counts,
-so the first young pass after the run does not walk them all.
+leaves the collector nothing. When a run returns, `run` freezes and
+unfreezes the collector before it re-enables it (unless objects were frozen
+already). That moves every object the collector tracks, in the whole
+interpreter, to the oldest generation without a scan and zeroes the
+allocation counts, so the first young pass after the run does not walk the
+run's objects. The caller's young objects go there too, and any cyclic
+garbage among them waits for the next full collection instead of a young
+one. A run that raises skips the freeze: its exception and traceback form
+cycles that a young pass should free.
 """
 from __future__ import annotations
 
@@ -249,7 +254,7 @@ class Simulation:
     # -- event loops ----------------------------------------------------------
 
     def run(self) -> SimMetrics:
-        collecting = gc.isenabled()
+        collecting, returned = gc.isenabled(), False
         gc.disable()
         try:
             for fid in sorted(self.functions):
@@ -283,9 +288,12 @@ class Simulation:
             for rt in self.functions.values():
                 self._advance(rt, self.horizon)
             self._finalize()
+            returned = True
         finally:
             if collecting:
-                if not gc.get_freeze_count():  # else it would thaw the caller's objects
+                # promotes every tracked object, not only the run's; an
+                # unfreeze would also thaw objects the caller froze
+                if returned and not gc.get_freeze_count():
                     gc.freeze()
                     gc.unfreeze()
                 gc.enable()

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -594,6 +595,27 @@ class TestCollectorPause:
             gc.callbacks.remove(record)
         assert collections == []
         assert after and len(m.requests) > 1000
+
+    def test_a_run_that_raises_leaves_young_garbage_young(self, monkeypatch, collector_state):
+        # without a freeze, cyclic garbage made before a failed run is
+        # still freed by a young collection
+        class Node:
+            pass
+
+        def failing_plan(*args):
+            raise RuntimeError("planner failed")
+
+        monkeypatch.setattr(simulator, "plan_epoch", failing_plan)
+        sim = Simulation(self.small_scenario())
+        gc.enable()
+        node = Node()
+        node.cycle = node
+        alive = weakref.ref(node)
+        del node
+        with pytest.raises(RuntimeError, match="planner failed"):
+            sim.run()
+        gc.collect(1)
+        assert alive() is None
 
     def test_objects_frozen_before_the_run_stay_frozen(self, collector_state):
         sim = Simulation(self.small_scenario())
