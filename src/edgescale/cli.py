@@ -24,9 +24,6 @@ from .errors import EdgeScaleError, InvalidParameter
 from .queuing import WaitTarget
 
 
-REQUEST_ROWS_PER_WRITE = 4096
-
-
 def _csv_field(text: str) -> str:
     """`text` as `csv.writer` writes it inside a row, quoted where it must be."""
     buf = io.StringIO()
@@ -37,27 +34,30 @@ def _csv_field(text: str) -> str:
 def _write_requests_csv(path, metrics):
     """Write one row per request, byte-identical to `csv.writer`'s output.
 
-    Rows are formatted directly and written a block at a time: this file
-    holds every request, and `csv.writer` costs a call per row. A missing
-    time (NaN) leaves its field and those derived from it empty.
+    Rows are formatted directly from the request log's columns, converted to
+    Python values and written a block at a time: this file holds every
+    request, and `csv.writer` costs a call per row. A missing time (NaN)
+    leaves its field and those derived from it empty, and container id -1 an
+    empty field.
     """
-    requests = metrics.requests
-    fields = {fid: _csv_field(fid) for fid in {r.function_id for r in requests}}
+    log = metrics.requests
+    fields = [_csv_field(fid) for fid in log.function_ids]
+    statuses = simulator.STATUSES
     with open(path, "w", newline="") as fh:
         fh.write("function_id,arrival_s,dispatch_s,completion_s,wait_s,service_s,"
                  "container_id,status,reruns\r\n")
-        for start in range(0, len(requests), REQUEST_ROWS_PER_WRITE):
+        for block in log.blocks():
             rows = []
-            for r in requests[start:start + REQUEST_ROWS_PER_WRITE]:
-                a, d, c = r.arrival, r.dispatch, r.completion
+            for f, a, d, c, cid, status, reruns in block:
                 if d != d:
                     times = f"{a:.6f},,{c:.6f},," if c == c else f"{a:.6f},,,,"
                 elif c != c:
                     times = f"{a:.6f},{d:.6f},,{d - a:.6f},"
                 else:
                     times = f"{a:.6f},{d:.6f},{c:.6f},{d - a:.6f},{c - d:.6f}"
-                cid = r.container_id if r.container_id >= 0 else ""
-                rows.append(f"{fields[r.function_id]},{times},{cid},{r.status},{r.reruns}\r\n")
+                if cid < 0:
+                    cid = ""
+                rows.append(f"{fields[f]},{times},{cid},{statuses[status]},{reruns}\r\n")
             fh.write("".join(rows))
 
 
@@ -81,6 +81,12 @@ def _write_epochs_csv(path, metrics):
 
 
 def _write_summary(path, scn, metrics):
+    """Write run totals and per-function request counts, waits and responses.
+
+    Each function's rows are picked from the request log's columns by a
+    mask, in log order; waits and responses are taken over its completed
+    requests.
+    """
     lines = []
     lines.append(f"horizon_s={metrics.horizon:.1f} capacity_vcpu={metrics.capacity_vcpu:.2f}")
     lines.append(f"utilization_busy={metrics.utilization:.4f}")
@@ -96,21 +102,23 @@ def _write_summary(path, scn, metrics):
         f"{'p50_resp':>10}{'p95_resp':>10}{'p99_resp':>10}{'slo_viol':>9}"
     )
     lines.append(header)
-    by_fn: dict = {fid: [] for fid in scn.functions}
-    for r in metrics.requests:
-        by_fn[r.function_id].append(r)
+    log = metrics.requests
+    code = {fid: i for i, fid in enumerate(log.function_ids)}
+    completed = log.status == simulator.COMPLETED
+    dropped = log.status == simulator.DROPPED
     for fid in sorted(scn.functions):
-        requests = by_fn[fid]
-        spec = scn.functions[fid]
-        deadline = spec.slo.deadline
-        completed = [r for r in requests if r.status == "completed"]
-        dropped = sum(1 for r in requests if r.status == "dropped")
-        row = f"{fid:<14}{len(requests):>9}{len(completed):>10}{dropped:>8}"
-        if completed:
-            waits = np.array([r.dispatch - r.arrival for r in completed])
-            resps = np.array([r.completion - r.arrival for r in completed])
+        mine = log.function == code[fid]
+        done = mine & completed
+        n_done = np.count_nonzero(done)
+        row = (f"{fid:<14}{np.count_nonzero(mine):>9}{n_done:>10}"
+               f"{np.count_nonzero(mine & dropped):>8}")
+        if n_done:
+            spec = scn.functions[fid]
+            arrival = log.arrival[done]
+            waits = log.dispatch[done] - arrival
+            resps = log.completion[done] - arrival
             basis = waits if spec.slo.applies_to == "waiting" else resps
-            viol = float(np.mean(basis > deadline))
+            viol = float(np.mean(basis > spec.slo.deadline))
             row += (
                 f"{np.percentile(waits, 50):>10.4f}{np.percentile(waits, 95):>10.4f}"
                 f"{np.percentile(waits, 99):>10.4f}"

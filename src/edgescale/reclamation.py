@@ -11,6 +11,7 @@ to the CPU fraction at 70% deflation and beyond.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,13 @@ DISTRIBUTIONS = ("exponential", "deterministic", "empirical")
 # (cpu_fraction, rate multiplier) anchors; linear in between, proportional
 # below the last anchor
 DEFAULT_CURVE = ((0.0, 0.0), (0.3, 0.3), (0.7, 0.9), (1.0, 1.0))
+
+
+@functools.lru_cache(maxsize=1024)
+def _interpolate(curve: tuple, cpu_fraction: float) -> float:
+    """The curve's multiplier at `cpu_fraction`; memoized, as a pool's fractions repeat."""
+    fracs, mults = zip(*curve)
+    return float(np.interp(cpu_fraction, fracs, mults))
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,7 @@ class ServiceProfile:
     def multiplier(self, cpu_fraction: float) -> float:
         if not 0 < cpu_fraction <= 1:
             raise InvalidFraction(f"cpu fraction must be in (0, 1], got {cpu_fraction}")
-        fracs, mults = zip(*self.curve)
-        return float(np.interp(cpu_fraction, fracs, mults))
+        return _interpolate(self.curve, cpu_fraction)
 
     def service_quantile(self, q: float) -> float:
         """Quantile of the service-time distribution at full container size."""

@@ -26,12 +26,21 @@ idle one, and the head of the queue goes to it.
 When a controller action frees a container or queues a rerun, the action
 calls `_advance` at the tick time, where only the hand-out has work.
 
-Every function logs its requests in its own list. When the run ends, or
-raises, `_merge_requests` moves them into `metrics.requests` by arrival time,
-then function id, then arrival index. Arrivals stay heap events, one pending
-per function and pushed as the previous one is handled: one loop then orders
-every kind of event, and the heap pops still count each arrival and each
-completion.
+Every function logs its requests in its own numpy columns, one row per
+arrival, indexed by arrival index: dispatch and completion time (NaN until
+set), container id (-1 when none), status code (`STATUSES`) and reruns.
+`run` sizes them from `len(arrivals)` when it starts, not `__init__`, so an
+`arrivals` array replaced after construction gets columns of its length.
+Inside `_advance` a request is its row, an int: `pending` holds rows, and
+writes go through a memoryview of each column, which stores a Python value
+faster than an `array.array` or an ndarray item assignment. When the run
+ends, or raises, `_merge_requests` orders the rows by arrival time, then
+function id, then arrival index, with one stable argsort that it applies to
+every column, and builds one `RequestLog` in `metrics.requests`. A run that
+raises logs exactly the prefix of each function's arrivals it handled.
+Arrivals stay heap events, one pending per function and pushed as the
+previous one is handled: one loop then orders every kind of event, and the
+heap pops still count each arrival and each completion.
 `busy_vcpu_time` is summed per function between ticks, so its last bits
 depend on that grouping.
 
@@ -63,28 +72,28 @@ and lookups:
   not outlive it.
 - A completion event carries its container, not the container id, so the
   request path never looks a container up.
-- A busy container's `_busy` entry is (request, service start), and its
+- A busy container's `_busy` entry is (request row, service start), and its
   `_alloc_since` entry the time its allocation last changed. `_set_fraction`
   closes both accounts at the old vCPU and restarts them at the change, so
   a completion charges the container's current vCPU.
 
 `run` pauses Python's cyclic garbage collector and restores the state it
 found when it returns or raises. Every request allocates a few tracked
-objects (the `Request`, its `_busy` entry, two heap tuples), so the
-collector would run every few hundred requests, and its full passes walk
-every live request; yet a run frees everything it drops by reference
-counting alone, because it builds no reference cycles, and a collection
-during a run finds nothing to free. Pausing therefore changes no output and
-holds back no memory. `tests/test_simulator.py` checks that a paused run
-leaves the collector nothing. When a run returns, `run` freezes and
-unfreezes the collector before it re-enables it (unless objects were frozen
-already). That moves every object the collector tracks, in the whole
-interpreter, to the oldest generation without a scan and zeroes the
+objects (its `_busy` entry and two heap tuples), so the collector would run
+every few hundred requests; yet a run frees everything it drops by
+reference counting alone, because it builds no reference cycles, and a
+collection during a run finds nothing to free. Pausing therefore changes no
+output and holds back no memory. `tests/test_simulator.py` checks that a
+paused run leaves the collector nothing. When a run returns, `run` freezes
+and unfreezes the collector before it re-enables it (unless objects were
+frozen already). That moves every object the collector tracks, in the
+whole interpreter, to the oldest generation without a scan and zeroes the
 allocation counts, so the first young pass after the run does not walk the
 run's objects. The caller's young objects go there too, and any cyclic
 garbage among them waits for the next full collection instead of a young
 one. A run that raises skips the freeze: its exception and traceback form
-cycles that a young pass should free.
+cycles that a young pass should free. The merged request log, built after
+the collector is back on, is a few arrays that it does not track.
 """
 from __future__ import annotations
 
@@ -114,6 +123,10 @@ from .reclamation import ContainerState, SetFraction, Terminate
 
 EV_COMPLETE, EV_ARRIVAL, EV_READY = range(3)  # event order at equal times
 BLOCK = 4096  # service times drawn per RNG call
+STATUSES = ("inflight", "completed", "dropped")  # request log status codes
+INFLIGHT, COMPLETED, DROPPED = range(3)
+# a function's request columns that the event loop writes, by arrival index
+_WRITTEN = ("dispatch", "completion", "container_id", "status", "reruns")
 
 
 @dataclass(slots=True)
@@ -125,6 +138,48 @@ class Request:
     completion: float = float("nan")
     container_id: int = -1
     status: str = "inflight"
+
+
+class RequestLog:
+    """Every request's outcome, one numpy column per field, in log order.
+
+    `function` indexes `function_ids` and `status` indexes `STATUSES`. A
+    request not (or no longer) dispatched has a NaN `dispatch` and container
+    id -1; one not completed has a NaN `completion`. Iterating yields
+    `Request` records built `BLOCK` rows at a time, and a slice is a log of
+    views of the columns.
+    """
+
+    FIELDS = ("function", "arrival", "dispatch", "completion", "container_id", "status",
+              "reruns")
+
+    def __init__(self, function_ids, function, arrival, dispatch, completion, container_id,
+                 status, reruns):
+        self.function_ids = list(function_ids)
+        self.function, self.arrival = function, arrival
+        self.dispatch, self.completion = dispatch, completion
+        self.container_id, self.status, self.reruns = container_id, status, reruns
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __getitem__(self, index: slice) -> RequestLog:
+        if not isinstance(index, slice):
+            raise TypeError("a RequestLog takes slices; iterate it for records")
+        return RequestLog(self.function_ids, *(getattr(self, f)[index] for f in self.FIELDS))
+
+    def blocks(self):
+        """Yield the rows `BLOCK` at a time, each a tuple of Python values in `FIELDS` order."""
+        columns = [getattr(self, f) for f in self.FIELDS]
+        for lo in range(0, len(self), BLOCK):
+            yield zip(*(column[lo:lo + BLOCK].tolist() for column in columns))
+
+    def __iter__(self):
+        names = self.function_ids
+        for block in self.blocks():
+            for f, arrival, dispatch, completion, cid, status, reruns in block:
+                yield Request(names[f], arrival, reruns, dispatch, completion, cid,
+                              STATUSES[status])
 
 
 def wrr_weight_units(container) -> int:
@@ -165,8 +220,7 @@ class _FnRuntime:
     estimator: workload.RateEstimator
     events: list = field(default_factory=list)  # this function's event heap
     seq: itertools.count = field(default_factory=itertools.count)  # heap tie-breaker
-    log: list = field(default_factory=list)  # this function's requests, in arrival order
-    pending: deque = field(default_factory=deque)
+    pending: deque = field(default_factory=deque)  # rows of requests waiting, FCFS
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
     wrr_state: dict = field(default_factory=dict)
     upcoming: list = field(default_factory=list)  # a slice of `arrivals`, as floats
@@ -174,6 +228,25 @@ class _FnRuntime:
     sliced: int = 0  # arrivals copied into slices so far
     draws: list = field(default_factory=list)  # a block of service times, as floats
     next_draw: int = BLOCK  # index of the next unread draw in `draws`
+    handled: int = 0  # arrivals handled so far: the rows of the request log in use
+    # memoryviews by arrival index, set by `open_log`: `arrivals`, read for
+    # timeouts, and the request columns
+    arrival: memoryview = None
+    dispatch: memoryview = None
+    completion: memoryview = None
+    container_id: memoryview = None
+    status: memoryview = None
+    reruns: memoryview = None
+
+    def open_log(self):
+        """Size this function's request columns from `arrivals`, every row unhandled."""
+        n = len(self.arrivals)
+        self.arrival = memoryview(self.arrivals)
+        self.dispatch = memoryview(np.full(n, np.nan))
+        self.completion = memoryview(np.full(n, np.nan))
+        self.container_id = memoryview(np.full(n, -1, dtype=np.int32))
+        self.status = memoryview(np.full(n, INFLIGHT, dtype=np.int8))
+        self.reruns = memoryview(np.zeros(n, dtype=np.int32))
 
     def next_slice(self) -> list:
         """The next `BLOCK` arrival times as Python floats; fewer, or none, at the end."""
@@ -196,12 +269,12 @@ class _FnRuntime:
 
 
 class SimMetrics:
-    """Per-request records, per-epoch allocation records, utilization totals."""
+    """The request log, per-epoch allocation records, utilization totals."""
 
     def __init__(self, horizon: float, capacity_vcpu: float):
         self.horizon = horizon
         self.capacity_vcpu = capacity_vcpu
-        self.requests: list = []
+        self.requests: RequestLog | None = None  # set when `Simulation.run` ends
         self.epochs: list = []
         self.busy_vcpu_time = 0.0
         self.allocated_vcpu_time = 0.0
@@ -230,7 +303,7 @@ class Simulation:
         self.metrics = SimMetrics(self.horizon, self.cluster.capacity_vcpu)
 
         self._container_seq = 0
-        self._busy: dict = {}  # container_id -> (request, service start)
+        self._busy: dict = {}  # container_id -> (request row, service start)
         self._alloc_since: dict = {}  # container_id -> time its allocation last changed
         self._units: dict = {}  # container_id -> WRR weight units
 
@@ -254,6 +327,8 @@ class Simulation:
     # -- event loops ----------------------------------------------------------
 
     def run(self) -> SimMetrics:
+        for rt in self.functions.values():
+            rt.open_log()
         collecting, returned = gc.isenabled(), False
         gc.disable()
         try:
@@ -308,89 +383,103 @@ class Simulation:
         Each pass first hands waiting requests to idle containers at the
         current time, then handles one event. Called at a controller tick
         after every earlier event is done, only the hand-out runs, at the
-        tick time.
+        tick time. A request is its row in the function's columns.
         """
-        events, pending, idle, log = rt.events, rt.pending, rt.idle, rt.log
+        events, pending, idle = rt.events, rt.pending, rt.idle
+        arrival, dispatch, completion, served_by, status = (
+            rt.arrival, rt.dispatch, rt.completion, rt.container_id, rt.status)
         heappush, heappop = heapq.heappush, heapq.heappop
         busy, units, seq = self._busy, self._units, rt.seq
-        fid, timeout = rt.spec.id, rt.spec.timeout_s
+        timeout = rt.spec.timeout_s
         upcoming, next_up, draws, next_draw = rt.upcoming, rt.next_up, rt.draws, rt.next_draw
+        handled = rt.handled
         n_up = len(upcoming)
         busy_time = 0.0
         time = until
-        while True:
-            while pending and idle:
-                # the pick comes first: it advances the WRR counters even
-                # when every waiting request turns out to have expired
-                if len(idle) == 1:
-                    (container,) = idle.values()
-                elif self.worst_case_dispatch:
-                    container = idle[pick_slowest_idle(idle.values())]
+        try:
+            while True:
+                while pending and idle:
+                    # the pick comes first: it advances the WRR counters even
+                    # when every waiting request turns out to have expired
+                    if len(idle) == 1:
+                        (container,) = idle.values()
+                    elif self.worst_case_dispatch:
+                        container = idle[pick_slowest_idle(idle.values())]
+                    else:
+                        container = idle[dispatch_wrr(idle.values(), rt.wrr_state, units)]
+                    if timeout is not None:
+                        while pending and time - arrival[pending[0]] > timeout:
+                            status[pending.popleft()] = DROPPED
+                        if not pending:
+                            break
+                    row = pending.popleft()
+                    cid = container.id
+                    del idle[cid]
+                    dispatch[row] = time
+                    served_by[row] = cid
+                    if next_draw == BLOCK:
+                        rt.refill_draws()
+                        draws, next_draw = rt.draws, 0
+                    busy[cid] = (row, time)
+                    heappush(events, (time + draws[next_draw] / container.multiplier,
+                                      EV_COMPLETE, next(seq), container))
+                    next_draw += 1
+                if not events or events[0][0] > until:
+                    break
+                time, kind, _, payload = heappop(events)
+                if kind == EV_COMPLETE:
+                    # ids are never reused and only termination cancels a
+                    # service, so a completion whose container serves nothing
+                    # belongs to a terminated one
+                    entry = busy.pop(payload.id, None)
+                    if entry is not None:
+                        row, since = entry
+                        busy_time += (time - since) * payload.allocated_vcpu
+                        completion[row] = time
+                        status[row] = COMPLETED
+                        idle[payload.id] = payload
+                elif kind == EV_ARRIVAL:
+                    pending.append(handled)
+                    handled += 1
+                    if next_up == n_up:
+                        upcoming, next_up = rt.next_slice(), 0
+                        n_up = len(upcoming)
+                    if next_up < n_up:
+                        heappush(events, (upcoming[next_up], EV_ARRIVAL, next(seq), None))
+                        next_up += 1
                 else:
-                    container = idle[dispatch_wrr(idle.values(), rt.wrr_state, units)]
-                if timeout is not None:
-                    while pending and time - pending[0].arrival > timeout:
-                        pending.popleft().status = "dropped"
-                    if not pending:
-                        break
-                req = pending.popleft()
-                cid = container.id
-                del idle[cid]
-                req.dispatch = time
-                req.container_id = cid
-                if next_draw == BLOCK:
-                    rt.refill_draws()
-                    draws, next_draw = rt.draws, 0
-                busy[cid] = (req, time)
-                heappush(events, (time + draws[next_draw] / container.multiplier, EV_COMPLETE,
-                                  next(seq), container))
-                next_draw += 1
-            if not events or events[0][0] > until:
-                break
-            time, kind, _, payload = heappop(events)
-            if kind == EV_COMPLETE:
-                # ids are never reused and only termination cancels a service,
-                # so a completion whose container serves nothing belongs to a
-                # terminated one
-                entry = busy.pop(payload.id, None)
-                if entry is not None:
-                    req, since = entry
-                    busy_time += (time - since) * payload.allocated_vcpu
-                    req.completion = time
-                    req.status = "completed"
-                    idle[payload.id] = payload
-            elif kind == EV_ARRIVAL:
-                req = Request(fid, time)
-                log.append(req)
-                pending.append(req)
-                if next_up == n_up:
-                    upcoming, next_up = rt.next_slice(), 0
-                    n_up = len(upcoming)
-                if next_up < n_up:
-                    heappush(events, (upcoming[next_up], EV_ARRIVAL, next(seq), None))
-                    next_up += 1
-            else:
-                container = self.cluster.containers.get(payload)
-                if container is not None:  # else terminated before warming up
-                    idle[payload] = container
-        rt.upcoming, rt.next_up, rt.next_draw = upcoming, next_up, next_draw
+                    container = self.cluster.containers.get(payload)
+                    if container is not None:  # else terminated before warming up
+                        idle[payload] = container
+        finally:
+            # a run that raises here still logs every arrival it handled
+            rt.upcoming, rt.next_up, rt.next_draw = upcoming, next_up, next_draw
+            rt.handled = handled
         self.metrics.busy_vcpu_time += busy_time
 
     def _merge_requests(self):
-        """Move every function's requests into `metrics.requests`, in arrival order.
+        """Gather every function's handled rows into `metrics.requests`, in arrival order.
 
-        Requests go by arrival time, then function id, then arrival index:
-        one stable sort of the functions' arrivals, concatenated in function
-        id order.
+        Rows go by arrival time, then function id, then arrival index: one
+        stable sort of the functions' arrivals, concatenated in function id
+        order, applied to every column. A function's column is released as
+        soon as it is merged.
         """
-        rts = [self.functions[fid] for fid in sorted(self.functions)]
-        flat = [req for rt in rts for req in rt.log]
-        times = np.concatenate([rt.arrivals[:len(rt.log)] for rt in rts])
+        fids = sorted(self.functions)
+        rts = [self.functions[fid] for fid in fids]
+        counts = [rt.handled for rt in rts]
+        times = np.concatenate([rt.arrivals[:n] for rt, n in zip(rts, counts)])
         order = np.argsort(times, kind="stable")
-        # from the array itself: a list of Python ints would raise the peak memory
-        self.metrics.requests = list(map(flat.__getitem__, order))
-        for rt in rts:
-            rt.log = []
+        merged = {"arrival": times[order]}
+        del times
+        codes = np.arange(len(rts), dtype=np.min_scalar_type(len(rts)))
+        merged["function"] = np.repeat(codes, counts)[order]
+        for name in _WRITTEN:
+            merged[name] = np.concatenate(
+                [np.asarray(getattr(rt, name))[:n] for rt, n in zip(rts, counts)])[order]
+            for rt in rts:
+                setattr(rt, name, None)
+        self.metrics.requests = RequestLog(fids, **merged)
 
     # -- controller hooks ----------------------------------------------------
 
@@ -485,13 +574,13 @@ class Simulation:
         rt = self.functions[container.function_id]
         entry = self._busy.pop(container_id, None)
         if entry is not None:
-            req, since = entry
+            row, since = entry
             self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
-            req.reruns += 1
-            req.dispatch = float("nan")
-            req.container_id = -1
+            rt.reruns[row] += 1
+            rt.dispatch[row] = math.nan
+            rt.container_id[row] = -1
             self.metrics.reruns += 1
-            rt.pending.appendleft(req)
+            rt.pending.appendleft(row)
         since = self._alloc_since.pop(container_id)
         self.metrics.allocated_vcpu_time += (time - since) * container.allocated_vcpu
         rt.idle.pop(container_id, None)
@@ -519,9 +608,9 @@ class Simulation:
         self.metrics.allocated_vcpu_time += (time - self._alloc_since[container_id]) * vcpu
         entry = self._busy.get(container_id)
         if entry is not None:
-            req, busy_since = entry
+            row, busy_since = entry
             self.metrics.busy_vcpu_time += (time - busy_since) * vcpu
-            self._busy[container_id] = (req, time)
+            self._busy[container_id] = (row, time)
         container.cpu_fraction = fraction
         self._units[container_id] = wrr_weight_units(container)
         self._alloc_since[container_id] = time

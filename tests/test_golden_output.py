@@ -14,7 +14,8 @@ blocks.
 
 `requests.csv` is also checked against what `csv.writer`, which wrote it
 before rows were formatted directly, makes of the same records, with function
-ids that need quoting.
+ids that need quoting; the edge-case rows are appended to the request log's
+columns, so they go through the same column store as a run's rows.
 
 `edgescale validate` is pinned the same way, by its exact stdout on the
 benchmark's validate cases. That text was recorded while the oracle still
@@ -26,11 +27,12 @@ import hashlib
 import importlib.util
 import math
 
+import numpy as np
 import pytest
 import yaml
 
 from edgescale import cli, queuing, scenario
-from edgescale.simulator import Request
+from edgescale.simulator import STATUSES, Request, RequestLog
 from scenario_builders import REPO_ROOT, churn_scenario
 
 GOLDEN = {
@@ -196,17 +198,32 @@ def _csv_writer_requests(path, metrics):
                         r.container_id if r.container_id >= 0 else "", r.status, r.reruns])
 
 
+def _appended(log, records):
+    """`log` followed by `records`, as one column store."""
+    ids = list(log.function_ids)
+    for r in records:
+        if r.function_id not in ids:
+            ids.append(r.function_id)
+    rows = {"function": [ids.index(r.function_id) for r in records],
+            "status": [STATUSES.index(r.status) for r in records]}
+    for name in ("arrival", "dispatch", "completion", "container_id", "reruns"):
+        rows[name] = [getattr(r, name) for r in records]
+    return RequestLog(ids, *(np.concatenate([getattr(log, name),
+                                             np.array(rows[name], getattr(log, name).dtype)])
+                             for name in RequestLog.FIELDS))
+
+
 def test_requests_csv_is_what_csv_writer_writes(tmp_path):
     metrics = cli.run_scenario_to_dir(churn_scenario(), tmp_path / "run")
-    for r in metrics.requests:
-        r.function_id = f'{r.function_id},"q"'
+    log = metrics.requests
+    log.function_ids = [f'{fid},"q"' for fid in log.function_ids]
     nan = float("nan")
-    metrics.requests += [
+    metrics.requests = _appended(log, [
         Request('a,"b"', 1 / 3, 0, 0.5000005, 2.0000015, 12, "completed"),
         Request("line\nbreak", 2.5, 2, nan, nan, -1, "dropped"),
         Request("plain", 3599.9999996, 1, 3599.9999999, nan, 7, "inflight"),
         Request('"', 4.0),
-    ]
+    ])
     statuses = {(r.status, r.reruns > 0, math.isnan(r.dispatch)) for r in metrics.requests}
     assert {("completed", True, False), ("inflight", False, False),
             ("inflight", False, True)} <= statuses

@@ -5,6 +5,7 @@ import pytest
 
 from edgescale.errors import InvalidFraction, InvalidParameter, SchemaError
 from edgescale.reclamation import (
+    DEFAULT_CURVE,
     ContainerState,
     ServiceProfile,
     SetFraction,
@@ -59,6 +60,23 @@ class TestServiceRate:
             PROF.base_rate * PROF.multiplier(0.0)
         with pytest.raises(InvalidFraction):
             PROF.base_rate * PROF.multiplier(1.2)
+
+    @pytest.mark.parametrize("curve", [DEFAULT_CURVE, ((0.0, 0.0), (0.5, 0.8), (1.0, 1.0))])
+    def test_memoized_multiplier_is_the_interpolation(self, curve):
+        # the first call fills the cache and the second reads it; both must
+        # be the float np.interp gives, for every fraction on the grid
+        prof = ServiceProfile(base_rate=10.0, curve=curve)
+        fracs, mults = zip(*prof.curve)
+        for f in np.linspace(0.001, 1.0, 1000).tolist() + [0.3, 0.7, 1.0]:
+            want = float(np.interp(f, fracs, mults))
+            assert [prof.multiplier(f), prof.multiplier(f)] == [want, want], f
+            assert type(prof.multiplier(f)) is float
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.0, -0.5, 1.2, float("nan"), float("inf")])
+    def test_invalid_fraction_raises_on_every_call(self, fraction):
+        for _ in range(3):
+            with pytest.raises(InvalidFraction):
+                PROF.multiplier(fraction)
 
     def test_monotone_and_continuous(self):
         fracs = np.linspace(0.01, 1.0, 200)

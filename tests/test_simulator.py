@@ -1,7 +1,9 @@
 """The discrete-event simulator: lifecycle, dispatch, cold starts, determinism."""
 
+import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from edgescale import simulator
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import ContainerState, ServiceProfile, Terminate
-from edgescale.simulator import EV_READY, Simulation, dispatch_wrr, pick_slowest_idle, run
+from edgescale.simulator import (BLOCK, EV_READY, STATUSES, Request, Simulation, dispatch_wrr,
+                                 pick_slowest_idle, run)
 from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
                                churn_scenario, cluster_views, make_scenario, request_counts,
                                scanned_free, scanned_views)
@@ -422,7 +425,7 @@ class CheckedSimulation(Simulation):
     placed container has cached WRR units, an allocation record and may
     have a WRR counter of its function; each cached value equals what it
     caches, and no entry outlives its container. A busy container's entry
-    holds a request dispatched to it. Every placed container's vCPU and
+    holds the row of a request dispatched to it, still in flight. Every placed container's vCPU and
     multiplier follow from its current CPU fraction. The cluster's
     per-node and per-function views hold the containers a scan of
     `cluster.containers` finds, in the scan's order. "Placed" is read from
@@ -452,8 +455,10 @@ class CheckedSimulation(Simulation):
             assert c.multiplier == c.profile.multiplier(c.cpu_fraction), (time, cid)
             assert c.allocated_vcpu == c.standard_vcpu * c.cpu_fraction, (time, cid)
             if cid in self._busy:
-                req, _ = self._busy[cid]
-                assert (req.container_id, req.status) == (cid, "inflight"), (time, cid)
+                row, _ = self._busy[cid]
+                rt = self.functions[c.function_id]
+                assert (rt.container_id[row], rt.status[row]) == (cid, simulator.INFLIGHT), \
+                    (time, cid)
         self.checks += 1
 
     def _advance(self, rt, until):
@@ -638,3 +643,114 @@ class TestCollectorPause:
         m = sim.run()
         assert gc.collect() == 0
         assert m.reruns > 0 and m.cold_starts > 0
+
+
+def _key(record):
+    """A record's fields, with NaN as None so that equal records compare equal."""
+    return tuple(None if isinstance(v, float) and math.isnan(v) else v
+                 for v in dataclasses.astuple(record))
+
+
+def _read_rows(log):
+    """The records the columns hold, read one row at a time through numpy."""
+    return [Request(log.function_ids[int(log.function[i])], float(log.arrival[i]),
+                    int(log.reruns[i]), float(log.dispatch[i]), float(log.completion[i]),
+                    int(log.container_id[i]), STATUSES[int(log.status[i])])
+            for i in range(len(log))]
+
+
+class TestRequestLog:
+    """`metrics.requests` is a column store that iterates as `Request` records."""
+
+    def test_records_equal_the_columns_for_every_outcome(self, monkeypatch):
+        # two containers left after the first is terminated: a rerun, two
+        # drops after the 1 s timeout, and at the horizon two requests in
+        # service and two never dispatched
+        m = TestEventOrder._terminate_first_busy(
+            monkeypatch, [0.2, 0.4, 2.5, 2.6, 2.7, 2.8, 9.5, 9.6, 9.7, 9.8], 1.0)
+        records = list(m.requests)
+        assert [_key(r) for r in records] == [_key(r) for r in _read_rows(m.requests)]
+        kinds = {(r.status, r.reruns > 0, math.isnan(r.dispatch), r.container_id == -1,
+                  math.isnan(r.completion)) for r in records}
+        assert kinds == {("completed", True, False, False, False),
+                         ("completed", False, False, False, False),
+                         ("dropped", False, True, True, True),
+                         ("inflight", False, False, False, True),
+                         ("inflight", False, True, True, True)}
+        assert all(type(r.arrival) is float and type(r.container_id) is int for r in records)
+
+    def test_length_truth_and_slices_across_blocks(self):
+        m = run(churn_scenario())
+        log = m.requests
+        records = list(log)
+        assert len(log) == len(records) > BLOCK and log
+        assert {r.function_id for r in records} == {"a", "b"}
+        assert [_key(r) for r in records] == [_key(r) for r in _read_rows(log)]
+        for part in (slice(-1, None), slice(BLOCK - 2, BLOCK + 3), slice(len(log), None)):
+            assert [_key(r) for r in log[part]] == [_key(r) for r in records[part]]
+            assert len(log[part]) == len(records[part])
+        assert not log[len(log):]
+        with pytest.raises(TypeError):
+            log[0]
+
+    def test_a_run_without_arrivals_logs_nothing(self):
+        sim = Simulation(make_scenario([basic_function(rate=0.0)], horizon=30.0))
+        m = sim.run()
+        assert len(m.requests) == 0 and not m.requests
+        assert list(m.requests) == [] and list(m.requests[-1:]) == []
+
+    def test_a_run_that_raises_at_a_tick_logs_the_arrivals_up_to_it(self, monkeypatch):
+        real, calls = simulator.plan_epoch, []
+
+        def failing_on_the_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("planner failed")
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "plan_epoch", failing_on_the_third)
+        sim = Simulation(churn_scenario())
+        with pytest.raises(RuntimeError, match="planner failed"):
+            sim.run()
+        # every function ran to the failing tick (t=30), inclusive
+        for fid, rt in sim.functions.items():
+            handled = int(np.searchsorted(rt.arrivals, 30.0, side="right"))
+            logged = [r.arrival for r in sim.metrics.requests if r.function_id == fid]
+            assert 0 < handled < len(rt.arrivals)
+            assert logged == rt.arrivals[:handled].tolist(), fid
+
+    def test_a_run_that_raises_mid_event_logs_every_handled_arrival(self, monkeypatch):
+        real, calls = simulator.dispatch_wrr, []
+
+        def failing_on_the_fiftieth(*args):
+            calls.append(1)
+            if len(calls) == 50:
+                raise RuntimeError("dispatch failed")
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "dispatch_wrr", failing_on_the_fiftieth)
+        sim = Simulation(make_scenario([basic_function(rate=20.0, initial=2)], horizon=60.0))
+        with pytest.raises(RuntimeError, match="dispatch failed"):
+            sim.run()
+        rt = sim.functions["f1"]
+        records = list(sim.metrics.requests)
+        assert 50 <= len(records) < len(rt.arrivals)
+        assert [r.arrival for r in records] == rt.arrivals[:len(records)].tolist()
+        # the arrival whose hand-out raised is logged, never dispatched
+        assert (records[-1].status, records[-1].container_id) == ("inflight", -1)
+        assert math.isnan(records[-1].dispatch)
+
+    def test_run_keeps_under_64_bytes_per_request(self):
+        # the log is a few numbers per request; a `Request` object per
+        # request kept about 150 B, and peaked near 190 B
+        scn = make_scenario([basic_function(rate=200.0, mu=100.0, initial=3)], horizon=520.0)
+        sim = Simulation(scn)
+        tracemalloc.start()
+        try:
+            m = sim.run()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(m.requests)
+        assert n >= 100_000
+        assert kept / n < 64 and peak / n < 100, (kept / n, peak / n)
