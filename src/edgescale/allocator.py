@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from . import fairshare, queuing, reclamation
 from .errors import InfeasibleDeadline, NoCapacity
 from .queuing import WaitTarget
-
-# shared resolution for fair-share flooring and WRR weight integerisation
-VCPU_QUANTUM = 0.05
+from .reclamation import VCPU_QUANTUM
 
 
 @dataclass(frozen=True)

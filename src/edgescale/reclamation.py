@@ -21,6 +21,9 @@ from .errors import InvalidFraction, InvalidParameter, ParseError, SchemaError
 
 DISTRIBUTIONS = ("exponential", "deterministic", "empirical")
 
+# shared resolution for fair-share flooring and WRR weight integerisation
+VCPU_QUANTUM = 0.05
+
 # (cpu_fraction, rate multiplier) anchors; linear in between, proportional
 # below the last anchor
 DEFAULT_CURVE = ((0.0, 0.0), (0.3, 0.3), (0.7, 0.9), (1.0, 1.0))
@@ -122,13 +125,24 @@ class ContainerState:
     The `cpu_fraction` setter owns what follows from the fraction. It asks
     `profile.multiplier` first, which raises `InvalidFraction` outside
     (0, 1] and so leaves the container as it was; it then stores
-    `allocated_vcpu` (standard vCPU times the fraction) and `multiplier`
-    (the service-rate factor at that size) as plain attributes, which
-    nothing else writes.
+    `allocated_vcpu` (standard vCPU times the fraction), `multiplier` (the
+    service-rate factor at that size) and `wrr_units` (its dispatch weight,
+    `allocated_vcpu` in whole `VCPU_QUANTUM`s, at least 1) as plain
+    attributes, which nothing else writes.
+
+    The simulator keeps the rest of a container's state on it, and only the
+    simulator writes it:
+
+    - `wrr_counter`: its smooth-WRR counter, 0 when created; `dispatch_wrr`
+      moves it.
+    - `serving`: the request log row in service, or None when it serves
+      nothing; `busy_since`: when the busy vCPU account last restarted.
+    - `alloc_since`: when the allocated vCPU account last restarted.
     """
 
     __slots__ = ("function_id", "node_id", "standard_vcpu", "memory_mb", "profile", "id",
-                 "lazy_marked", "_cpu_fraction", "allocated_vcpu", "multiplier")
+                 "lazy_marked", "_cpu_fraction", "allocated_vcpu", "multiplier", "wrr_units",
+                 "wrr_counter", "serving", "busy_since", "alloc_since")
 
     def __init__(self, function_id: str, node_id: int, standard_vcpu: float, memory_mb: float,
                  profile: ServiceProfile, id: int, cpu_fraction: float = 1.0,
@@ -140,6 +154,9 @@ class ContainerState:
         self.profile = profile
         self.id = id
         self.lazy_marked = lazy_marked
+        self.wrr_counter = 0
+        self.serving = None
+        self.busy_since = self.alloc_since = 0.0
         self.cpu_fraction = cpu_fraction
 
     @property
@@ -152,6 +169,7 @@ class ContainerState:
         self._cpu_fraction = fraction
         self.allocated_vcpu = self.standard_vcpu * fraction
         self.multiplier = multiplier
+        self.wrr_units = max(1, round(self.allocated_vcpu / VCPU_QUANTUM))
 
     @property
     def effective_rate(self) -> float:

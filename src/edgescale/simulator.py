@@ -54,11 +54,15 @@ and lookups:
   policies break ties on container id, so the index's order does not matter;
   a lone idle container is taken without a policy call, which for WRR leaves
   every counter's value as the call would.
-- `_units` caches each container's WRR weight units for `dispatch_wrr`. It
-  is filled on create, refreshed by `_set_fraction` (the only caller that
-  changes `cpu_fraction`) and dropped, with the WRR counter, by
-  `_terminate`. A container's vCPU and service multiplier are its own
-  attributes.
+- A container carries its own state (`ContainerState`): its vCPU, service
+  multiplier and WRR weight units, kept current by its `cpu_fraction`
+  setter; its WRR counter; the request row it serves (`serving`) with its
+  service start (`busy_since`); and the time its allocation last changed
+  (`alloc_since`). `_set_fraction` closes both vCPU accounts at the old
+  size and restarts them at the change, so a completion charges the
+  container's current vCPU. A terminated container's state leaves with it:
+  `_terminate` clears `serving`, so its late completion finds nothing to
+  complete.
 - Service times are drawn in blocks of `BLOCK` per function from that
   function's own RNG stream: `refill_draws` makes one numpy call once the
   previous block has been read through. A block holds exactly the values
@@ -70,30 +74,19 @@ and lookups:
   drawn, and arrival times are copied from the arrival array `BLOCK` at a
   time (`_FnRuntime.next_slice`). `run` drops both when it ends, so they do
   not outlive it.
-- A completion event carries its container, not the container id, so the
-  request path never looks a container up.
-- A busy container's `_busy` entry is (request row, service start), and its
-  `_alloc_since` entry the time its allocation last changed. `_set_fraction`
-  closes both accounts at the old vCPU and restarts them at the change, so
-  a completion charges the container's current vCPU.
+- A completion event carries its container, not the container id, and the
+  dispatch policies return the container they pick, so the request path
+  never looks a container up.
 
 `run` pauses Python's cyclic garbage collector and restores the state it
 found when it returns or raises. Every request allocates a few tracked
-objects (its `_busy` entry and two heap tuples), so the collector would run
-every few hundred requests; yet a run frees everything it drops by
-reference counting alone, because it builds no reference cycles, and a
-collection during a run finds nothing to free. Pausing therefore changes no
-output and holds back no memory. `tests/test_simulator.py` checks that a
-paused run leaves the collector nothing. When a run returns, `run` freezes
-and unfreezes the collector before it re-enables it (unless objects were
-frozen already). That moves every object the collector tracks, in the
-whole interpreter, to the oldest generation without a scan and zeroes the
-allocation counts, so the first young pass after the run does not walk the
-run's objects. The caller's young objects go there too, and any cyclic
-garbage among them waits for the next full collection instead of a young
-one. A run that raises skips the freeze: its exception and traceback form
-cycles that a young pass should free. The merged request log, built after
-the collector is back on, is a few arrays that it does not track.
+objects (two heap tuples), so the collector would run every few hundred
+requests; yet a run frees everything it drops by reference counting alone,
+because it builds no reference cycles, and a collection during a run finds
+nothing to free. Pausing therefore changes no output and holds back no
+memory. `tests/test_simulator.py` checks that a paused run leaves the
+collector nothing. The merged request log, built after the collector is
+back on, is a few arrays that it does not track.
 """
 from __future__ import annotations
 
@@ -113,7 +106,6 @@ from .allocator import (
     EpochRecord,
     MarkLazy,
     UnmarkLazy,
-    VCPU_QUANTUM,
     place,
     plan_epoch,
 )
@@ -182,34 +174,30 @@ class RequestLog:
                               STATUSES[status])
 
 
-def wrr_weight_units(container) -> int:
-    return max(1, int(round(container.allocated_vcpu / VCPU_QUANTUM)))
-
-
-def dispatch_wrr(candidates, state: dict, units: dict) -> int:
-    """Smooth weighted round robin over the candidate containers.
+def dispatch_wrr(candidates):
+    """Smooth weighted round robin over the candidate containers; returns the pick.
 
     Over any W consecutive picks (W = total integerised weight) each
     candidate is chosen in proportion to its weight, and the pick sequence is
     maximally interleaved. Ties go to the lowest container id. A candidate's
-    weight is `units[c.id]`; the simulator passes its per-container cache of
-    `wrr_weight_units`, kept current as fractions change.
+    weight is its `wrr_units` and its running credit its `wrr_counter`,
+    which this call moves.
     """
     total = 0
     chosen = None
     for c in candidates:
-        weight = units[c.id]
-        current = state[c.id] = state.get(c.id, 0) + weight
+        weight = c.wrr_units
+        current = c.wrr_counter = c.wrr_counter + weight
         total += weight
         if chosen is None or current > best or (current == best and c.id < chosen.id):
             chosen, best = c, current
-    state[chosen.id] -= total
-    return chosen.id
+    chosen.wrr_counter -= total
+    return chosen
 
 
-def pick_slowest_idle(candidates) -> int:
+def pick_slowest_idle(candidates):
     """Worst-case dispatch: slowest idle container first (validation mode)."""
-    return min(candidates, key=lambda c: (c.effective_rate, c.id)).id
+    return min(candidates, key=lambda c: (c.effective_rate, c.id))
 
 
 @dataclass
@@ -222,7 +210,6 @@ class _FnRuntime:
     seq: itertools.count = field(default_factory=itertools.count)  # heap tie-breaker
     pending: deque = field(default_factory=deque)  # rows of requests waiting, FCFS
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
-    wrr_state: dict = field(default_factory=dict)
     upcoming: list = field(default_factory=list)  # a slice of `arrivals`, as floats
     next_up: int = 0  # index in `upcoming` of the next arrival to push
     sliced: int = 0  # arrivals copied into slices so far
@@ -303,9 +290,6 @@ class Simulation:
         self.metrics = SimMetrics(self.horizon, self.cluster.capacity_vcpu)
 
         self._container_seq = 0
-        self._busy: dict = {}  # container_id -> (request row, service start)
-        self._alloc_since: dict = {}  # container_id -> time its allocation last changed
-        self._units: dict = {}  # container_id -> WRR weight units
 
         ss = np.random.SeedSequence(scenario.seed)
         fids = sorted(scenario.functions)
@@ -329,7 +313,7 @@ class Simulation:
     def run(self) -> SimMetrics:
         for rt in self.functions.values():
             rt.open_log()
-        collecting, returned = gc.isenabled(), False
+        collecting = gc.isenabled()
         gc.disable()
         try:
             for fid in sorted(self.functions):
@@ -363,14 +347,8 @@ class Simulation:
             for rt in self.functions.values():
                 self._advance(rt, self.horizon)
             self._finalize()
-            returned = True
         finally:
             if collecting:
-                # promotes every tracked object, not only the run's; an
-                # unfreeze would also thaw objects the caller froze
-                if returned and not gc.get_freeze_count():
-                    gc.freeze()
-                    gc.unfreeze()
                 gc.enable()
             self._merge_requests()
             for rt in self.functions.values():
@@ -389,7 +367,7 @@ class Simulation:
         arrival, dispatch, completion, served_by, status = (
             rt.arrival, rt.dispatch, rt.completion, rt.container_id, rt.status)
         heappush, heappop = heapq.heappush, heapq.heappop
-        busy, units, seq = self._busy, self._units, rt.seq
+        seq = rt.seq
         timeout = rt.spec.timeout_s
         upcoming, next_up, draws, next_draw = rt.upcoming, rt.next_up, rt.draws, rt.next_draw
         handled = rt.handled
@@ -404,23 +382,22 @@ class Simulation:
                     if len(idle) == 1:
                         (container,) = idle.values()
                     elif self.worst_case_dispatch:
-                        container = idle[pick_slowest_idle(idle.values())]
+                        container = pick_slowest_idle(idle.values())
                     else:
-                        container = idle[dispatch_wrr(idle.values(), rt.wrr_state, units)]
+                        container = dispatch_wrr(idle.values())
                     if timeout is not None:
                         while pending and time - arrival[pending[0]] > timeout:
                             status[pending.popleft()] = DROPPED
                         if not pending:
                             break
                     row = pending.popleft()
-                    cid = container.id
-                    del idle[cid]
+                    del idle[container.id]
                     dispatch[row] = time
-                    served_by[row] = cid
+                    served_by[row] = container.id
                     if next_draw == BLOCK:
                         rt.refill_draws()
                         draws, next_draw = rt.draws, 0
-                    busy[cid] = (row, time)
+                    container.serving, container.busy_since = row, time
                     heappush(events, (time + draws[next_draw] / container.multiplier,
                                       EV_COMPLETE, next(seq), container))
                     next_draw += 1
@@ -428,13 +405,12 @@ class Simulation:
                     break
                 time, kind, _, payload = heappop(events)
                 if kind == EV_COMPLETE:
-                    # ids are never reused and only termination cancels a
-                    # service, so a completion whose container serves nothing
-                    # belongs to a terminated one
-                    entry = busy.pop(payload.id, None)
-                    if entry is not None:
-                        row, since = entry
-                        busy_time += (time - since) * payload.allocated_vcpu
+                    # only termination cancels a service, so a completion
+                    # whose container serves nothing belongs to a terminated one
+                    row = payload.serving
+                    if row is not None:
+                        payload.serving = None
+                        busy_time += (time - payload.busy_since) * payload.allocated_vcpu
                         completion[row] = time
                         status[row] = COMPLETED
                         idle[payload.id] = payload
@@ -558,9 +534,8 @@ class Simulation:
             cpu_fraction=fraction,
             id=self._container_seq,
         )
+        container.alloc_since = time
         self.cluster.add(container)
-        self._alloc_since[container.id] = time
-        self._units[container.id] = wrr_weight_units(container)
         rt = self.functions[spec.id]
         if delay > 0:
             self.metrics.cold_starts += 1
@@ -571,21 +546,18 @@ class Simulation:
 
     def _terminate(self, time: float, container_id: int):
         container = self.cluster.containers[container_id]
-        rt = self.functions[container.function_id]
-        entry = self._busy.pop(container_id, None)
-        if entry is not None:
-            row, since = entry
-            self.metrics.busy_vcpu_time += (time - since) * container.allocated_vcpu
+        rt, vcpu = self.functions[container.function_id], container.allocated_vcpu
+        row = container.serving
+        if row is not None:
+            container.serving = None
+            self.metrics.busy_vcpu_time += (time - container.busy_since) * vcpu
             rt.reruns[row] += 1
             rt.dispatch[row] = math.nan
             rt.container_id[row] = -1
             self.metrics.reruns += 1
             rt.pending.appendleft(row)
-        since = self._alloc_since.pop(container_id)
-        self.metrics.allocated_vcpu_time += (time - since) * container.allocated_vcpu
+        self.metrics.allocated_vcpu_time += (time - container.alloc_since) * vcpu
         rt.idle.pop(container_id, None)
-        rt.wrr_state.pop(container_id, None)
-        del self._units[container_id]
         self.cluster.remove(container_id)
         # an idle sibling may be able to pick up the rerun right away
         self._advance(rt, time)
@@ -605,22 +577,19 @@ class Simulation:
                     return
         # both accounts close at the old size before the fraction changes
         vcpu = container.allocated_vcpu
-        self.metrics.allocated_vcpu_time += (time - self._alloc_since[container_id]) * vcpu
-        entry = self._busy.get(container_id)
-        if entry is not None:
-            row, busy_since = entry
-            self.metrics.busy_vcpu_time += (time - busy_since) * vcpu
-            self._busy[container_id] = (row, time)
+        self.metrics.allocated_vcpu_time += (time - container.alloc_since) * vcpu
+        if container.serving is not None:
+            self.metrics.busy_vcpu_time += (time - container.busy_since) * vcpu
+            container.busy_since = time
         container.cpu_fraction = fraction
-        self._units[container_id] = wrr_weight_units(container)
-        self._alloc_since[container_id] = time
+        container.alloc_since = time
 
     def _finalize(self):
-        end, placed = self.horizon, self.cluster.containers
-        for cid, since in self._alloc_since.items():
-            self.metrics.allocated_vcpu_time += (end - since) * placed[cid].allocated_vcpu
-        for cid, (_, since) in self._busy.items():
-            self.metrics.busy_vcpu_time += (end - since) * placed[cid].allocated_vcpu
+        end = self.horizon
+        for c in self.cluster.containers.values():
+            self.metrics.allocated_vcpu_time += (end - c.alloc_since) * c.allocated_vcpu
+            if c.serving is not None:
+                self.metrics.busy_vcpu_time += (end - c.busy_since) * c.allocated_vcpu
 
 
 def run(scenario) -> SimMetrics:

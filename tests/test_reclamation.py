@@ -6,6 +6,7 @@ import pytest
 from edgescale.errors import InvalidFraction, InvalidParameter, SchemaError
 from edgescale.reclamation import (
     DEFAULT_CURVE,
+    VCPU_QUANTUM,
     ContainerState,
     ServiceProfile,
     SetFraction,
@@ -94,17 +95,29 @@ class TestContainerFraction:
     @pytest.mark.parametrize("bad", [0.0, 1.5, float("nan")], ids=["zero", "over_one", "nan"])
     def test_invalid_fraction_raises_and_changes_nothing(self, bad):
         (c,) = make_pool([2.0], fractions=[0.7])
-        before = (c.cpu_fraction, c.allocated_vcpu, c.multiplier)
+        before = (c.cpu_fraction, c.allocated_vcpu, c.multiplier, c.wrr_units)
         with pytest.raises(InvalidFraction):
             c.cpu_fraction = bad
-        assert (c.cpu_fraction, c.allocated_vcpu, c.multiplier) == before
+        assert (c.cpu_fraction, c.allocated_vcpu, c.multiplier, c.wrr_units) == before
 
     def test_valid_fraction_sets_size_and_speed(self):
         (c,) = make_pool([2.0])
+        assert c.wrr_units == 40
         c.cpu_fraction = 0.5
         assert (c.cpu_fraction, c.allocated_vcpu, c.multiplier) == (0.5, 1.0,
                                                                     PROF.multiplier(0.5))
         assert c.effective_rate == PROF.base_rate * PROF.multiplier(0.5)
+        assert c.wrr_units == round(1.0 / VCPU_QUANTUM) == 20
+
+    @pytest.mark.parametrize("vcpu, fraction, units", [
+        (0.01, 1.0, 1), (0.04, 0.5, 1), (0.1, 0.7, 1), (0.1, 0.8, 2), (1.3, 0.7, 18)])
+    def test_wrr_units_are_whole_quanta_and_at_least_one(self, vcpu, fraction, units):
+        (c,) = make_pool([vcpu], fractions=[fraction])
+        assert c.wrr_units == max(1, round(c.allocated_vcpu / VCPU_QUANTUM)) == units
+
+    def test_a_new_container_serves_nothing_and_has_no_wrr_credit(self):
+        (c,) = make_pool([2.0], fractions=[0.7])
+        assert (c.wrr_counter, c.serving, c.busy_since, c.alloc_since) == (0, None, 0.0, 0.0)
 
     def test_invalid_initial_fraction_raises(self):
         with pytest.raises(InvalidFraction):

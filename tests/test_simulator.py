@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -11,7 +12,7 @@ import pytest
 
 from edgescale import simulator
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
-from edgescale.reclamation import ContainerState, ServiceProfile, Terminate
+from edgescale.reclamation import VCPU_QUANTUM, ContainerState, ServiceProfile, Terminate
 from edgescale.simulator import (BLOCK, EV_READY, STATUSES, Request, Simulation, dispatch_wrr,
                                  pick_slowest_idle, run)
 from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
@@ -34,19 +35,38 @@ def containers(weights, rates=None):
     return out
 
 
+def reference_dispatch_wrr(candidates, state: dict, units: dict) -> int:
+    """`dispatch_wrr` with its counters and weights in dicts keyed by container id.
+
+    `state` holds a counter for each container that has been a candidate
+    (0 before), and `units` each candidate's weight; the caller drops a
+    terminated container's entries and refreshes its weight on a resize.
+    """
+    total = 0
+    chosen = None
+    for c in candidates:
+        weight = units[c.id]
+        current = state[c.id] = state.get(c.id, 0) + weight
+        total += weight
+        if chosen is None or current > best or (current == best and c.id < chosen.id):
+            chosen, best = c, current
+    state[chosen.id] -= total
+    return chosen.id
+
+
+def reference_units(container) -> int:
+    return max(1, int(round(container.allocated_vcpu / 0.05)))
+
+
 class TestDispatchWrr:
     def test_equal_weights_alternate(self):
         pool = containers([1.0, 1.0])
-        state = {}
-        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
-        picks = [dispatch_wrr(pool, state, units) for _ in range(8)]
+        picks = [dispatch_wrr(pool).id for _ in range(8)]
         assert picks == [pool[0].id, pool[1].id] * 4
 
     def test_two_to_one_ratio(self):
         pool = containers([1.0, 0.5])
-        state = {}
-        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
-        picks = [dispatch_wrr(pool, state, units) for _ in range(30)]
+        picks = [dispatch_wrr(pool).id for _ in range(30)]
         for i in range(0, 30, 3):
             window = picks[i : i + 3]
             assert 1 <= window.count(pool[1].id) <= 2 or window.count(pool[0].id) >= 2
@@ -55,16 +75,13 @@ class TestDispatchWrr:
 
     def test_single_container_always_chosen(self):
         pool = containers([0.4])
-        state = {}
-        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
-        assert all(dispatch_wrr(pool, state, units) == pool[0].id for _ in range(5))
+        assert all(dispatch_wrr(pool) is pool[0] for _ in range(5))
+        assert pool[0].wrr_counter == 0
 
     def test_proportionality_window(self):
         pool = containers([1.0, 0.6, 0.4])
-        state = {}
-        units = {c.id: simulator.wrr_weight_units(c) for c in pool}
         total_units = sum(max(1, round(c.allocated_vcpu / 0.05)) for c in pool)
-        picks = [dispatch_wrr(pool, state, units) for _ in range(total_units * 3)]
+        picks = [dispatch_wrr(pool).id for _ in range(total_units * 3)]
         for c in pool:
             share = max(1, round(c.allocated_vcpu / 0.05))
             got = picks[:total_units].count(c.id)
@@ -72,7 +89,48 @@ class TestDispatchWrr:
 
     def test_slowest_idle_pick(self):
         pool = containers([1.0, 1.0], rates=[5.0, 10.0])
-        assert pick_slowest_idle(pool) == pool[0].id
+        assert pick_slowest_idle(pool) is pool[0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_picks_equal_the_dict_reference_as_the_pool_changes(self, seed):
+        # idle subsets of a pool whose containers are resized, terminated and
+        # created between picks, as the controller does between requests
+        rng = np.random.default_rng(seed)
+        fractions = np.round(np.arange(0.3, 1.01, 0.1), 2)
+        ids = itertools.count(1)
+
+        def create():
+            return ContainerState(
+                function_id="f", node_id=0, memory_mb=128.0, profile=PROF, id=next(ids),
+                standard_vcpu=float(rng.choice([0.04, 0.1, 0.25, 0.5, 1.0, 2.0])),
+                cpu_fraction=float(rng.choice(fractions)))
+
+        pool = [create() for _ in range(int(rng.integers(1, 9)))]
+        state, units = {}, {c.id: reference_units(c) for c in pool}
+        changes = 0
+        for _ in range(600):
+            event = rng.random()
+            if event < 0.08:
+                c = pool[int(rng.integers(len(pool)))]
+                c.cpu_fraction = float(rng.choice(fractions))
+                units[c.id] = reference_units(c)
+                changes += 1
+            elif event < 0.12 and len(pool) > 1:
+                c = pool.pop(int(rng.integers(len(pool))))
+                state.pop(c.id, None)
+                del units[c.id]
+                changes += 1
+            elif event < 0.16 and len(pool) < 12:
+                pool.append(create())
+                units[pool[-1].id] = reference_units(pool[-1])
+                changes += 1
+            size = int(rng.integers(1, len(pool) + 1))
+            idle = [pool[i] for i in rng.permutation(len(pool))[:size]]
+            want = reference_dispatch_wrr(idle, state, units)
+            assert dispatch_wrr(idle).id == want
+            assert {c.id: c.wrr_counter for c in pool} == {c.id: state.get(c.id, 0)
+                                                           for c in pool}
+        assert changes > 50
 
 
 class TestLifecycle:
@@ -421,13 +479,13 @@ class CheckedSimulation(Simulation):
     """Checks the simulator's tracked state against its definition after every event.
 
     A container is idle when it is placed, its cold start has ended (no
-    ready event for it is still queued) and it serves no request. Every
-    placed container has cached WRR units, an allocation record and may
-    have a WRR counter of its function; each cached value equals what it
-    caches, and no entry outlives its container. A busy container's entry
-    holds the row of a request dispatched to it, still in flight. Every placed container's vCPU and
-    multiplier follow from its current CPU fraction. The cluster's
-    per-node and per-function views hold the containers a scan of
+    ready event for it is still queued) and it serves no request. A
+    function's requests in service (in flight, with a container id) are
+    exactly the rows its placed containers serve, one row each, and a row's
+    container id names the container serving it, whose busy account started
+    no earlier than the row's dispatch. Every placed container's vCPU,
+    multiplier and WRR units follow from its current CPU fraction. The
+    cluster's per-node and per-function views hold the containers a scan of
     `cluster.containers` finds, in the scan's order. "Placed" is read from
     that scan, not from the views. A function's events are run one event
     time at a time, with a check after each.
@@ -442,23 +500,23 @@ class CheckedSimulation(Simulation):
         _, by_function = views = scanned_views(self.cluster)
         assert cluster_views(self.cluster) == views, time
         for fid, rt in self.functions.items():
-            ids = set(by_function.get(fid, ()))
-            expected = {cid for cid in ids if cid not in warming and cid not in self._busy}
+            pool = [placed[cid] for cid in by_function.get(fid, ())]
+            expected = {c.id for c in pool if c.id not in warming and c.serving is None}
             assert set(rt.idle) == expected, (time, fid)
             assert all(rt.idle[cid] is placed[cid] for cid in expected)
-            assert set(rt.wrr_state) <= ids, (time, fid)
-        assert set(self._units) == set(placed), time
-        assert set(self._alloc_since) == set(placed), time
-        assert set(self._busy) <= set(placed), time
+            assert all(c.serving is None for c in rt.idle.values()), (time, fid)
+            served_by = np.asarray(rt.container_id)
+            in_service = np.flatnonzero((np.asarray(rt.status) == simulator.INFLIGHT)
+                                        & (served_by >= 0))
+            busy = [c for c in pool if c.serving is not None]
+            assert sorted(c.serving for c in busy) == in_service.tolist(), (time, fid)
+            for c in busy:
+                assert served_by[c.serving] == c.id, (time, c.id)
+                assert rt.dispatch[c.serving] <= c.busy_since, (time, c.id)
         for cid, c in placed.items():
-            assert self._units[cid] == simulator.wrr_weight_units(c), (time, cid)
+            assert c.wrr_units == max(1, round(c.allocated_vcpu / VCPU_QUANTUM)), (time, cid)
             assert c.multiplier == c.profile.multiplier(c.cpu_fraction), (time, cid)
             assert c.allocated_vcpu == c.standard_vcpu * c.cpu_fraction, (time, cid)
-            if cid in self._busy:
-                row, _ = self._busy[cid]
-                rt = self.functions[c.function_id]
-                assert (rt.container_id[row], rt.status[row]) == (cid, simulator.INFLIGHT), \
-                    (time, cid)
         self.checks += 1
 
     def _advance(self, rt, until):
@@ -582,7 +640,9 @@ class TestCollectorPause:
         assert sim.metrics.requests  # the requests of the first 10 s are merged
 
     def test_no_collection_scans_the_run(self, collector_state):
-        # the run's objects leave the young generations unscanned, so
+        # the collector is off while the run allocates, and the run frees
+        # by reference counting nearly every tracked object it makes, so
+        # the young objects it leaves stay under the gen-0 threshold:
         # neither `run` nor the first allocation after it starts a pass
         collections = []
 
