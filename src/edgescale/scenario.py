@@ -21,8 +21,11 @@ from .queuing import DEFAULT_CONTAINER_CAP
 from .reclamation import DEFAULT_CURVE, DISTRIBUTIONS, ServiceProfile, load_profile_curve
 from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals, load_trace
 
-# Arrivals are generated before the run starts, and trace_headroom peaks at
-# 92 MB for 167k requests, so 10M expected arrivals is roughly 3 GB.
+# Arrivals are generated before the run starts. trace_headroom (167k
+# requests) peaks at 51 MB in `edgescale run` and at 82 MB in the benchmark,
+# which keeps its own per-request statistics. A run grows by about 75 bytes
+# per arrival (one static function, 167k to 1.67M arrivals; Python 3.11,
+# numpy 2.4), so 10M expected arrivals take roughly 0.8 GB.
 MAX_ARRIVALS = 10_000_000
 # An estimator tick costs 6 us (one function) to 28 us (six), so 1M ticks
 # take under half a minute. An epoch costs 20 us to 1.5 ms (trace_headroom's
@@ -106,8 +109,6 @@ FIELDS = {
     "workload.continuous": {"points": ("pairs", REQUIRED, NONNEGATIVE)},
     "workload.trace": {"file": (str, REQUIRED), "function": (str, REQUIRED)},
 }
-
-DEFAULT_ESTIMATOR = {key: spec[1] for key, spec in FIELDS["estimator"].items()}
 
 
 @dataclass

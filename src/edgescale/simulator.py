@@ -42,7 +42,8 @@ Arrivals stay heap events, one pending per function and pushed as the
 previous one is handled: one loop then orders every kind of event, and the
 heap pops still count each arrival and each completion.
 `busy_vcpu_time` is summed per function between ticks, so its last bits
-depend on that grouping.
+depend on that grouping: a completion charges its service to a local sum,
+and only the controller's actions and the horizon go through `_settle`.
 
 Arrivals and completions cost the same however many containers run, and
 cost few interpreter steps, because tracked state replaces per-request scans
@@ -58,22 +59,24 @@ and lookups:
   multiplier and WRR weight units, kept current by its `cpu_fraction`
   setter; its WRR counter; the request row it serves (`serving`) with its
   service start (`busy_since`); and the time its allocation last changed
-  (`alloc_since`). `_set_fraction` closes both vCPU accounts at the old
-  size and restarts them at the change, so a completion charges the
-  container's current vCPU. A terminated container's state leaves with it:
-  `_terminate` clears `serving`, so its late completion finds nothing to
-  complete.
+  (`alloc_since`). `_settle` charges both vCPU accounts at the container's
+  current size and restarts them. `_set_fraction` calls it before the size
+  changes, so a completion charges the container's current vCPU; `_terminate`
+  calls it before it clears `serving`, and `run` calls it at the horizon. A
+  terminated container's state leaves with it, so its late completion finds
+  nothing to complete.
 - Service times are drawn in blocks of `BLOCK` per function from that
   function's own RNG stream: `refill_draws` makes one numpy call once the
   previous block has been read through. A block holds exactly the values
   that `BLOCK` scalar draws (`exponential(1 / rate)`, or `integers(k)`
   indexing the empirical samples) would give, so outputs do not depend on
   the block size.
-- Per-request values are read from Python lists: indexing a list costs a
-  fifth of `ndarray.item`. The service-time block becomes a list when it is
-  drawn, and arrival times are copied from the arrival array `BLOCK` at a
-  time (`_FnRuntime.next_slice`). `run` drops both when it ends, so they do
-  not outlive it.
+- Arrival times are read through `_FnRuntime.arrival`, a float64
+  memoryview of the arrival array whose items are the Python floats
+  `tolist()` gives; the next arrival to push is the one at `handled`. Only
+  the service-time block is a Python list, made when it is drawn, since
+  indexing a list costs a fifth of `ndarray.item`. `run` drops it when it
+  ends, so it does not outlive the run.
 - A completion event carries its container, not the container id, and the
   dispatch policies return the container they pick, so the request path
   never looks a container up.
@@ -210,14 +213,11 @@ class _FnRuntime:
     seq: itertools.count = field(default_factory=itertools.count)  # heap tie-breaker
     pending: deque = field(default_factory=deque)  # rows of requests waiting, FCFS
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
-    upcoming: list = field(default_factory=list)  # a slice of `arrivals`, as floats
-    next_up: int = 0  # index in `upcoming` of the next arrival to push
-    sliced: int = 0  # arrivals copied into slices so far
     draws: list = field(default_factory=list)  # a block of service times, as floats
     next_draw: int = BLOCK  # index of the next unread draw in `draws`
-    handled: int = 0  # arrivals handled so far: the rows of the request log in use
+    handled: int = 0  # arrivals handled so far: the rows in use; the next one to push
     # memoryviews by arrival index, set by `open_log`: `arrivals`, read for
-    # timeouts, and the request columns
+    # arrival times and timeouts, and the request columns
     arrival: memoryview = None
     dispatch: memoryview = None
     completion: memoryview = None
@@ -234,12 +234,6 @@ class _FnRuntime:
         self.container_id = memoryview(np.full(n, -1, dtype=np.int32))
         self.status = memoryview(np.full(n, INFLIGHT, dtype=np.int8))
         self.reruns = memoryview(np.zeros(n, dtype=np.int32))
-
-    def next_slice(self) -> list:
-        """The next `BLOCK` arrival times as Python floats; fewer, or none, at the end."""
-        lo = self.sliced
-        self.sliced = lo + BLOCK
-        return self.arrivals[lo:lo + BLOCK].tolist()
 
     def refill_draws(self):
         """Replace `draws` with the next `BLOCK` service times at full container size."""
@@ -326,10 +320,8 @@ class Simulation:
                             f"functions.{fid}.initial_containers: container {i + 1}: {exc}"
                         ) from None
                 # pushed once the pool is placed, so an arrival at t=0 sees all of it
-                rt.upcoming = rt.next_slice()
-                if rt.upcoming:
-                    heapq.heappush(rt.events, (rt.upcoming[0], EV_ARRIVAL, next(rt.seq), None))
-                    rt.next_up = 1
+                if len(rt.arrival):
+                    heapq.heappush(rt.events, (rt.arrival[0], EV_ARRIVAL, next(rt.seq), None))
 
             est_tick, epoch_s = self.scenario.estimator_params["tick"], self.cfg.epoch_s
             next_est, epoch_idx = est_tick, 0
@@ -346,13 +338,14 @@ class Simulation:
                     next_epoch, epoch_idx = time + epoch_s, epoch_idx + 1
             for rt in self.functions.values():
                 self._advance(rt, self.horizon)
-            self._finalize()
+            for container in self.cluster.containers.values():
+                self._settle(self.horizon, container)
         finally:
             if collecting:
                 gc.enable()
             self._merge_requests()
             for rt in self.functions.values():
-                rt.upcoming, rt.draws = [], []
+                rt.draws = []
         return self.metrics
 
     def _advance(self, rt: _FnRuntime, until: float):
@@ -369,9 +362,8 @@ class Simulation:
         heappush, heappop = heapq.heappush, heapq.heappop
         seq = rt.seq
         timeout = rt.spec.timeout_s
-        upcoming, next_up, draws, next_draw = rt.upcoming, rt.next_up, rt.draws, rt.next_draw
-        handled = rt.handled
-        n_up = len(upcoming)
+        draws, next_draw, handled = rt.draws, rt.next_draw, rt.handled
+        n_arrivals = len(arrival)
         busy_time = 0.0
         time = until
         try:
@@ -417,20 +409,15 @@ class Simulation:
                 elif kind == EV_ARRIVAL:
                     pending.append(handled)
                     handled += 1
-                    if next_up == n_up:
-                        upcoming, next_up = rt.next_slice(), 0
-                        n_up = len(upcoming)
-                    if next_up < n_up:
-                        heappush(events, (upcoming[next_up], EV_ARRIVAL, next(seq), None))
-                        next_up += 1
+                    if handled < n_arrivals:
+                        heappush(events, (arrival[handled], EV_ARRIVAL, next(seq), None))
                 else:
                     container = self.cluster.containers.get(payload)
                     if container is not None:  # else terminated before warming up
                         idle[payload] = container
         finally:
             # a run that raises here still logs every arrival it handled
-            rt.upcoming, rt.next_up, rt.next_draw = upcoming, next_up, next_draw
-            rt.handled = handled
+            rt.next_draw, rt.handled = next_draw, handled
         self.metrics.busy_vcpu_time += busy_time
 
     def _merge_requests(self):
@@ -546,17 +533,16 @@ class Simulation:
 
     def _terminate(self, time: float, container_id: int):
         container = self.cluster.containers[container_id]
-        rt, vcpu = self.functions[container.function_id], container.allocated_vcpu
+        rt = self.functions[container.function_id]
+        self._settle(time, container)
         row = container.serving
         if row is not None:
             container.serving = None
-            self.metrics.busy_vcpu_time += (time - container.busy_since) * vcpu
             rt.reruns[row] += 1
             rt.dispatch[row] = math.nan
             rt.container_id[row] = -1
             self.metrics.reruns += 1
             rt.pending.appendleft(row)
-        self.metrics.allocated_vcpu_time += (time - container.alloc_since) * vcpu
         rt.idle.pop(container_id, None)
         self.cluster.remove(container_id)
         # an idle sibling may be able to pick up the rerun right away
@@ -575,21 +561,16 @@ class Simulation:
                 fraction = min(fraction, container.cpu_fraction + steps * step)
                 if fraction <= container.cpu_fraction:
                     return
-        # both accounts close at the old size before the fraction changes
+        self._settle(time, container)  # both accounts close at the old size
+        container.cpu_fraction = fraction
+
+    def _settle(self, time: float, container: ContainerState):
+        """Charge a container's vCPU up to `time` to its accounts and restart them there."""
         vcpu = container.allocated_vcpu
         self.metrics.allocated_vcpu_time += (time - container.alloc_since) * vcpu
         if container.serving is not None:
             self.metrics.busy_vcpu_time += (time - container.busy_since) * vcpu
-            container.busy_since = time
-        container.cpu_fraction = fraction
-        container.alloc_since = time
-
-    def _finalize(self):
-        end = self.horizon
-        for c in self.cluster.containers.values():
-            self.metrics.allocated_vcpu_time += (end - c.alloc_since) * c.allocated_vcpu
-            if c.serving is not None:
-                self.metrics.busy_vcpu_time += (end - c.busy_since) * c.allocated_vcpu
+        container.alloc_since = container.busy_since = time
 
 
 def run(scenario) -> SimMetrics:

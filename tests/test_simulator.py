@@ -13,8 +13,8 @@ import pytest
 from edgescale import simulator
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import VCPU_QUANTUM, ContainerState, ServiceProfile, Terminate
-from edgescale.simulator import (BLOCK, EV_READY, STATUSES, Request, Simulation, dispatch_wrr,
-                                 pick_slowest_idle, run)
+from edgescale.simulator import (BLOCK, EV_ARRIVAL, EV_READY, STATUSES, Request, Simulation,
+                                 dispatch_wrr, pick_slowest_idle, run)
 from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
                                churn_scenario, cluster_views, make_scenario, request_counts,
                                scanned_free, scanned_views)
@@ -484,14 +484,22 @@ class CheckedSimulation(Simulation):
     exactly the rows its placed containers serve, one row each, and a row's
     container id names the container serving it, whose busy account started
     no earlier than the row's dispatch. Every placed container's vCPU,
-    multiplier and WRR units follow from its current CPU fraction. The
-    cluster's per-node and per-function views hold the containers a scan of
-    `cluster.containers` finds, in the scan's order. "Placed" is read from
-    that scan, not from the views. A function's events are run one event
-    time at a time, with a check after each.
+    multiplier and WRR units follow from its current CPU fraction, and its
+    vCPU accounts started no later than the time its function has reached.
+    A function's heap holds one arrival event, the arrival at `handled`,
+    until every arrival is handled, and none after; at t=0 it may hold none
+    yet, since `run` places the initial pool before it pushes the first
+    arrival. The cluster's per-node and per-function views hold the
+    containers a scan of `cluster.containers` finds, in the scan's order.
+    "Placed" is read from that scan, not from the views. A function's events
+    are run one event time at a time, with a check after each.
     """
 
     checks = 0
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.reached = {}  # function id -> the time its events have run to
 
     def _check_tracked_state(self, time):
         warming = {payload for rt in self.functions.values()
@@ -500,7 +508,15 @@ class CheckedSimulation(Simulation):
         _, by_function = views = scanned_views(self.cluster)
         assert cluster_views(self.cluster) == views, time
         for fid, rt in self.functions.items():
+            upcoming = [t for t, kind, _, _ in rt.events if kind == EV_ARRIVAL]
+            if rt.handled < len(rt.arrivals) and (upcoming or time > 0.0):
+                assert upcoming == [rt.arrivals[rt.handled]], (time, fid)
+            else:
+                assert upcoming == [], (time, fid)
             pool = [placed[cid] for cid in by_function.get(fid, ())]
+            reached = self.reached.get(fid, time)
+            for c in pool:
+                assert c.alloc_since <= reached and c.busy_since <= reached, (time, c.id)
             expected = {c.id for c in pool if c.id not in warming and c.serving is None}
             assert set(rt.idle) == expected, (time, fid)
             assert all(rt.idle[cid] is placed[cid] for cid in expected)
@@ -523,6 +539,7 @@ class CheckedSimulation(Simulation):
         while True:
             step = min(rt.events[0][0], until) if rt.events else until
             super()._advance(rt, step)
+            self.reached[rt.spec.id] = step
             self._check_tracked_state(step)
             if step == until:
                 return
@@ -572,13 +589,16 @@ class TestTrackedState:
         assert deflated != pytest.approx(0.1)
         assert all(d == pytest.approx(deflated, abs=1e-12) for d in after)
 
-    def test_deflation_mid_service_splits_busy_time_at_the_change(self):
-        # a 2 vCPU container serves one 2 s request from t=4 and is deflated
-        # to 0.7 at t=5: busy time is 1 s at 2.0 vCPU, then 1 s at 1.4 vCPU
+    @staticmethod
+    def one_container_scenario():
+        # one 2 vCPU container with deterministic 2 s service, controller off
         fn = basic_function(rate=1.0, vcpu=2.0, initial=1,
                             service={"distribution": "deterministic", "rate": 0.5})
-        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9})
+        return make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9})
 
+    def test_deflation_mid_service_splits_busy_time_at_the_change(self):
+        # the container serves one 2 s request from t=4 and is deflated to
+        # 0.7 at t=5: busy time is 1 s at 2.0 vCPU, then 1 s at 1.4 vCPU
         class DeflateAtFirstTick(Simulation):
             def _on_estimator(self, time):
                 if time == 5.0:
@@ -586,11 +606,39 @@ class TestTrackedState:
                     self._set_fraction(time, cid, 0.7)
                 super()._on_estimator(time)
 
-        sim = DeflateAtFirstTick(scn)
+        sim = DeflateAtFirstTick(self.one_container_scenario())
         sim.functions["f1"].arrivals = np.array([4.0])
         m = sim.run()
         assert [(r.dispatch, r.completion) for r in m.requests] == [(4.0, 6.0)]
         assert m.busy_vcpu_time == 1.0 * 2.0 + 1.0 * 1.4
+
+    def test_accounts_settle_at_the_horizon(self):
+        # served 4-6 s in full; the request from 11 s is cut at the 12 s horizon
+        sim = CheckedSimulation(self.one_container_scenario())
+        sim.functions["f1"].arrivals = np.array([4.0, 11.0])
+        m = sim.run()
+        first, last = m.requests
+        assert (first.dispatch, first.completion, last.dispatch) == (4.0, 6.0, 11.0)
+        assert last.status == "inflight"
+        assert m.busy_vcpu_time == 6.0
+        assert m.allocated_vcpu_time == 24.0
+
+    def test_accounts_settle_at_a_termination(self):
+        # the container is terminated at 5 s, 1 s into its 2 s request
+        class TerminateAtFirstTick(CheckedSimulation):
+            def _on_estimator(self, time):
+                if time == 5.0:
+                    (cid,) = self.cluster.containers
+                    self._terminate(time, cid)
+                super()._on_estimator(time)
+
+        sim = TerminateAtFirstTick(self.one_container_scenario())
+        sim.functions["f1"].arrivals = np.array([4.0])
+        m = sim.run()
+        assert m.busy_vcpu_time == 2.0
+        assert m.allocated_vcpu_time == 10.0
+        assert m.reruns == 1
+        assert [(r.status, r.reruns) for r in m.requests] == [("inflight", 1)]
 
 
 class TestCollectorPause:
