@@ -27,10 +27,11 @@ from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals, loa
 # per arrival (one static function, 167k to 1.67M arrivals; Python 3.11,
 # numpy 2.4), so 10M expected arrivals take roughly 0.8 GB.
 MAX_ARRIVALS = 10_000_000
-# An estimator tick costs 6 us (one function) to 28 us (six), so 1M ticks
-# take under half a minute. An epoch costs 20 us to 1.5 ms (trace_headroom's
-# planner) and keeps a 0.5 KB record per function: 100k epochs take at most
-# a few minutes and 50 MB per function.
+# An estimator tick costs 6 us (one function) to 28 us (six), so 1M ticks take
+# under half a minute; none after the last epoch runs, so none at all with the
+# controller off. An epoch costs 20 us to 1.5 ms (trace_headroom's planner) and
+# keeps a 0.5 KB record per function: 100k epochs take at most a few minutes
+# and 50 MB per function.
 MAX_TICKS = 1_000_000
 MAX_EPOCHS = 100_000
 # Placement scans every node per create, at about 0.6 us a node, so a create

@@ -5,17 +5,16 @@ container is idle, and are dispatched to an idle container chosen by smooth
 weighted round robin (weight = allocated vCPU). Containers serve one request
 at a time; a container's private queue is therefore just its in-service
 request, and terminating a busy container reruns exactly that request.
-Controller planning fires on epoch ticks, rate estimation on estimator ticks.
+Controller planning fires on epoch ticks; rate estimators keep their own ticks.
 
-Between two controller ticks functions do not interact, so each function runs
-its own event loop (`_advance`) on its own heap of arrivals, completions and
-container-ready events. `run` walks the merged tick schedule (tick times are
-built by repeated addition; estimator ticks go before epoch ticks at equal
-times): at each tick it advances every function to the tick time, inclusive,
-then runs the controller hook. Within a function, events at equal times go
-completions, then arrivals, then container-ready, then in push order; with
-per-stream seeded RNGs this makes runs bit-identical for equal (scenario,
-seed).
+Between two epoch ticks functions do not interact, so each function runs its
+own event loop (`_advance`) on its own heap of arrivals, completions and
+container-ready events. `run` walks the epoch ticks, built by repeated
+addition, to the horizon inclusive: at each it advances every function to the
+tick time, inclusive, then runs `_on_epoch`. Within a function, events at
+equal times go completions, then arrivals, then container-ready, then in push
+order; with per-stream seeded RNGs, runs are bit-identical for equal
+(scenario, seed).
 
 `_advance` has one dispatch path. Each pass first hands waiting requests to
 idle containers at the current time (dropping those past their timeout),
@@ -41,7 +40,7 @@ raises logs exactly the prefix of each function's arrivals it handled.
 Arrivals stay heap events, one pending per function and pushed as the
 previous one is handled: one loop then orders every kind of event, and the
 heap pops still count each arrival and each completion.
-`busy_vcpu_time` is summed per function between ticks, so its last bits
+`busy_vcpu_time` is summed per function between epoch ticks, so its last bits
 depend on that grouping: a completion charges its service to a local sum,
 and only the controller's actions and the horizon go through `_settle`.
 
@@ -294,12 +293,11 @@ class Simulation:
             arrivals = workload.generate_arrivals(
                 scenario.workloads[fid], self.horizon, children[i]
             )
-            est = workload.RateEstimator(**scenario.estimator_params)
             self.functions[fid] = _FnRuntime(
                 spec=fspec,
                 arrivals=arrivals,
                 service_rng=np.random.default_rng(children[len(fids) + i]),
-                estimator=est,
+                estimator=workload.RateEstimator(**scenario.estimator_params),
             )
 
     # -- event loops ----------------------------------------------------------
@@ -323,19 +321,13 @@ class Simulation:
                 if len(rt.arrival):
                     heapq.heappush(rt.events, (rt.arrival[0], EV_ARRIVAL, next(rt.seq), None))
 
-            est_tick, epoch_s = self.scenario.estimator_params["tick"], self.cfg.epoch_s
-            next_est, epoch_idx = est_tick, 0
-            next_epoch = epoch_s if epoch_s > 0 else math.inf
-            while min(next_est, next_epoch) <= self.horizon:
-                time = min(next_est, next_epoch)
+            epoch_s, epoch_idx = self.cfg.epoch_s, 0
+            time = epoch_s if epoch_s > 0 else math.inf
+            while time <= self.horizon:
                 for rt in self.functions.values():
                     self._advance(rt, time)
-                if next_est <= next_epoch:  # estimator first at equal times
-                    self._on_estimator(time)
-                    next_est = time + est_tick
-                else:
-                    self._on_epoch(time, epoch_idx)
-                    next_epoch, epoch_idx = time + epoch_s, epoch_idx + 1
+                self._on_epoch(time, epoch_idx)
+                time, epoch_idx = time + epoch_s, epoch_idx + 1
             for rt in self.functions.values():
                 self._advance(rt, self.horizon)
             for container in self.cluster.containers.values():
@@ -446,13 +438,9 @@ class Simulation:
 
     # -- controller hooks ----------------------------------------------------
 
-    def _on_estimator(self, time: float):
-        for fid in sorted(self.functions):
-            rt = self.functions[fid]
-            rt.estimator.update(rt.arrivals, time)
-
     def _on_epoch(self, time: float, epoch_idx: int):
-        estimates = {fid: rt.estimator.value for fid, rt in self.functions.items()}
+        estimates = {fid: rt.estimator.value_at(rt.arrivals, time)
+                     for fid, rt in self.functions.items()}
         specs = {fid: rt.spec for fid, rt in self.functions.items()}
         records = plan_epoch(self.cluster, estimates, specs, self.cfg)
         for fid in sorted(records):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -231,13 +231,14 @@ def load_trace(path) -> dict:
 class RateEstimator:
     """Dual sliding-window arrival-rate estimator with EWMA smoothing.
 
-    Every `tick` seconds the controller calls update(arrivals, now) with the
-    function's sorted arrival times; each window counts the arrivals in
-    (now - w, now], so the estimator keeps no copy of them. The long-window
-    rate is the baseline; if the short window runs at burst_factor times the
-    long window, the short-window rate is adopted directly (no smoothing, so
-    bursts are seen at full strength), otherwise the long-window rate is
-    folded into the EWMA with weight `alpha` on the new observation.
+    value_at(arrivals, now) calls update(arrivals, t) with the function's
+    sorted arrival times at each tick t <= now not yet committed, t built by
+    adding `tick` from 0; each window counts the arrivals in (t - w, t], so
+    the estimator keeps no copy of them. The long-window rate is the
+    baseline; if the short window runs at burst_factor times the long window,
+    the short-window rate is adopted directly (no smoothing, so bursts are
+    seen at full strength), otherwise the long-window rate is folded into the
+    EWMA with weight `alpha` on the new observation.
     """
 
     long_window: float = 120.0
@@ -246,9 +247,12 @@ class RateEstimator:
     burst_factor: float = 2.0
     alpha: float = 0.7
     ewma: float | None = None
+    last_tick: float = field(default=0.0, init=False)  # the last committed tick time
 
     def __post_init__(self):
         # each message starts with its field; scenario.from_dict adds the section
+        if not 0 < self.tick < math.inf:
+            raise InvalidSchedule(f"tick: must be in (0, inf), got {self.tick}")
         if not self.short_window < self.long_window:
             raise InvalidSchedule("short_window: must be < long_window")
         if not 0 < self.alpha <= 1:
@@ -285,6 +289,13 @@ class RateEstimator:
                 value = 0.0
         self.ewma = value
         return value
+
+    def value_at(self, arrivals: np.ndarray, now: float) -> float:
+        """Commit the estimate at each tick up to `now`, inclusive; return `value`."""
+        while self.last_tick + self.tick <= now:
+            self.last_tick += self.tick
+            self.update(arrivals, self.last_tick)
+        return self.value
 
     @property
     def value(self) -> float:

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from edgescale import simulator
+from edgescale import simulator, workload
 from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
 from edgescale.reclamation import VCPU_QUANTUM, ContainerState, ServiceProfile, Terminate
 from edgescale.simulator import (BLOCK, EV_ARRIVAL, EV_READY, STATUSES, Request, Simulation,
@@ -194,6 +194,23 @@ class TestLifecycle:
         assert request_counts(m)["generated"] == 0
         assert m.utilization == 0.0
 
+    @pytest.mark.parametrize("epoch_s, ticks", [(10.0, [5.0, 10.0, 15.0, 20.0]), (1e9, [])])
+    def test_estimator_ticks_stop_at_the_last_epoch(self, monkeypatch, epoch_s, ticks):
+        # an epoch brings each estimator up to its time, so the 5 s ticks
+        # after the last epoch (at 20 s, of a 25 s run) are never computed,
+        # and none is when no epoch falls within the horizon
+        calls = []
+        real = workload.RateEstimator.update
+
+        def update(est, arrivals, now):
+            calls.append(now)
+            return real(est, arrivals, now)
+
+        monkeypatch.setattr(workload.RateEstimator, "update", update)
+        fns = [basic_function("a"), basic_function("b")]
+        run(make_scenario(fns, horizon=25.0, controller={"epoch_seconds": epoch_s}))
+        assert sorted(calls) == sorted(ticks * 2)
+
 
 SAMPLES = (0.05, 0.1, 0.3)
 
@@ -365,19 +382,21 @@ class TestInvariants:
         # the node's headroom is a hair under one step pair, so the on-grid
         # clamp lands just above 1.0 unless it is capped at the request
         fn = basic_function(vcpu=0.25, rate=2.0, initial=[0.9000000000000001])
-        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9},
+        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 5.0},
                             nodes=[{"vcpu": 0.2499999999999999, "memory_mb": 1024.0}])
+        fired = []
 
-        class InflateAtFirstTick(InvariantSimulation):
-            def _on_estimator(self, time):
+        class InflateAtFirstEpoch(InvariantSimulation):
+            def _on_epoch(self, time, epoch_idx):  # inflates instead of planning
                 if time == 5.0:
                     (cid,) = self.cluster.containers
                     self._set_fraction(time, cid, 1.0)
                     assert self.cluster.containers[cid].cpu_fraction == 1.0
-                    assert_cluster_invariants(self, time)
-                super()._on_estimator(time)
+                    fired.append(time)
+                assert_cluster_invariants(self, time)
 
-        m = InflateAtFirstTick(scn).run()
+        m = InflateAtFirstEpoch(scn).run()
+        assert fired == [5.0]
         assert any(r.dispatch > 5.0 for r in m.requests)
 
 
@@ -544,10 +563,6 @@ class CheckedSimulation(Simulation):
             if step == until:
                 return
 
-    def _on_estimator(self, time):
-        super()._on_estimator(time)
-        self._check_tracked_state(time)
-
     def _on_epoch(self, time, epoch_idx):
         super()._on_epoch(time, epoch_idx)
         self._check_tracked_state(time)
@@ -564,21 +579,23 @@ class TestTrackedState:
 
     def test_deflated_container_serves_at_new_rate(self):
         # one deterministic container at 10 req/s, deflated to 0.7 at the
-        # first estimator tick (5 s); service then takes 1 / (10 * m(0.7))
+        # first epoch (5 s); service then takes 1 / (10 * m(0.7))
         fn = basic_function(rate=1.0, initial=1,
                             service={"distribution": "deterministic", "rate": 10.0})
-        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9})
+        scn = make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 5.0})
+        fired = []
 
-        class DeflateAtFirstTick(Simulation):
-            def _on_estimator(self, time):
+        class DeflateAtFirstEpoch(Simulation):
+            def _on_epoch(self, time, epoch_idx):  # deflates instead of planning
                 if time == 5.0:
                     (cid,) = self.cluster.containers
                     self._set_fraction(time, cid, 0.7)
-                super()._on_estimator(time)
+                    fired.append(time)
 
-        sim = DeflateAtFirstTick(scn)
+        sim = DeflateAtFirstEpoch(scn)
         sim.functions["f1"].arrivals = np.arange(0.25, 11.0, 0.5)
         m = sim.run()
+        assert fired == [5.0]
         profile = sim.functions["f1"].spec.profile
         before = [r.completion - r.dispatch for r in m.requests if r.dispatch < 5.0]
         after = [r.completion - r.dispatch for r in m.requests
@@ -590,25 +607,29 @@ class TestTrackedState:
         assert all(d == pytest.approx(deflated, abs=1e-12) for d in after)
 
     @staticmethod
-    def one_container_scenario():
-        # one 2 vCPU container with deterministic 2 s service, controller off
+    def one_container_scenario(epoch_s=1e9):
+        # one 2 vCPU container with deterministic 2 s service; the controller
+        # is off unless a test's `_on_epoch` acts on the `epoch_s` grid
         fn = basic_function(rate=1.0, vcpu=2.0, initial=1,
                             service={"distribution": "deterministic", "rate": 0.5})
-        return make_scenario([fn], horizon=12.0, controller={"epoch_seconds": 1e9})
+        return make_scenario([fn], horizon=12.0, controller={"epoch_seconds": epoch_s})
 
     def test_deflation_mid_service_splits_busy_time_at_the_change(self):
         # the container serves one 2 s request from t=4 and is deflated to
         # 0.7 at t=5: busy time is 1 s at 2.0 vCPU, then 1 s at 1.4 vCPU
-        class DeflateAtFirstTick(Simulation):
-            def _on_estimator(self, time):
+        fired = []
+
+        class DeflateAtFirstEpoch(Simulation):
+            def _on_epoch(self, time, epoch_idx):  # deflates instead of planning
                 if time == 5.0:
                     (cid,) = self.cluster.containers
                     self._set_fraction(time, cid, 0.7)
-                super()._on_estimator(time)
+                    fired.append(time)
 
-        sim = DeflateAtFirstTick(self.one_container_scenario())
+        sim = DeflateAtFirstEpoch(self.one_container_scenario(epoch_s=5.0))
         sim.functions["f1"].arrivals = np.array([4.0])
         m = sim.run()
+        assert fired == [5.0]
         assert [(r.dispatch, r.completion) for r in m.requests] == [(4.0, 6.0)]
         assert m.busy_vcpu_time == 1.0 * 2.0 + 1.0 * 1.4
 
@@ -625,16 +646,20 @@ class TestTrackedState:
 
     def test_accounts_settle_at_a_termination(self):
         # the container is terminated at 5 s, 1 s into its 2 s request
-        class TerminateAtFirstTick(CheckedSimulation):
-            def _on_estimator(self, time):
+        fired = []
+
+        class TerminateAtFirstEpoch(CheckedSimulation):
+            def _on_epoch(self, time, epoch_idx):  # terminates instead of planning
                 if time == 5.0:
                     (cid,) = self.cluster.containers
                     self._terminate(time, cid)
-                super()._on_estimator(time)
+                    fired.append(time)
+                self._check_tracked_state(time)
 
-        sim = TerminateAtFirstTick(self.one_container_scenario())
+        sim = TerminateAtFirstEpoch(self.one_container_scenario(epoch_s=5.0))
         sim.functions["f1"].arrivals = np.array([4.0])
         m = sim.run()
+        assert fired == [5.0]
         assert m.busy_vcpu_time == 2.0
         assert m.allocated_vcpu_time == 10.0
         assert m.reruns == 1

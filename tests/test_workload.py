@@ -382,3 +382,32 @@ class TestRateEstimator:
             RateEstimator(alpha=0.0)
         with pytest.raises(InvalidSchedule):
             RateEstimator(burst_factor=1.0)
+
+    @pytest.mark.parametrize("tick", [0.0, -5.0, math.nan, math.inf])
+    def test_tick_must_be_positive_and_finite(self, tick):
+        # value_at steps by `tick`: a zero tick would never reach `now`
+        with pytest.raises(InvalidSchedule, match=r"^tick: must be in \(0, inf\)"):
+            RateEstimator(tick=tick)
+
+    @pytest.mark.parametrize("tick, epoch", [(5.0, 10.0), (3.0, 10.0), (15.0, 10.0)])
+    def test_value_at_equals_an_update_at_every_tick(self, tick, epoch):
+        # 1/s, a 20/s burst from 60 s to 70 s, then silence: the estimate
+        # passes the burst through undamped, then decays and snaps to zero.
+        # The reference updates at every tick and reads at every epoch, both
+        # built by repeated addition, a tick before an epoch at equal times.
+        rng = np.random.default_rng(4)
+        arrivals = np.sort(np.concatenate([rng.uniform(0, 60, 60), rng.uniform(60, 70, 200)]))
+        est, ref = (RateEstimator(long_window=60.0, tick=tick) for _ in range(2))
+        got, want = [], []
+        next_tick, next_epoch = tick, epoch
+        while min(next_tick, next_epoch) <= 300.0:
+            if next_tick <= next_epoch:
+                ref.update(arrivals, next_tick)
+                next_tick += tick
+            else:
+                got.append(est.value_at(arrivals, next_epoch))
+                want.append(ref.value)
+                next_epoch += epoch
+        assert got == want
+        assert max(want) >= 10.0  # the burst: the long window never tops 4.5/s
+        assert want[-1] == 0.0  # the snap: an EWMA alone would stay positive
