@@ -7,12 +7,9 @@ weighted fair shares under overload (`fairshare`), CPU-deflation/termination
 reclamation (`reclamation`), the per-epoch control loop (`allocator`), a
 deterministic cluster simulator (`simulator`), and a Monte-Carlo validation
 oracle (`oracle`). The `cli` module ties them together for scenario runs.
+
+The package re-exports nothing: import each submodule by name
+(`from edgescale import queuing`), so an entry point loads only what it runs.
 """
 
 __version__ = "0.1.0"
-
-from .allocator import ControllerConfig, FunctionSpec, SloPolicy  # noqa: F401
-from .cluster import ClusterState, Node  # noqa: F401
-from .queuing import WaitTarget, find_c_heterogeneous, find_c_homogeneous  # noqa: F401
-from .reclamation import ContainerState, ServiceProfile  # noqa: F401
-from .workload import RateEstimator, WorkloadSpec  # noqa: F401

@@ -5,6 +5,10 @@ Subcommands:
   validate  compare model predictions against the Monte-Carlo oracle
   replay    shortcut: build a scenario from a trace CSV and run it
   sweep     run a scenario across a grid of overrides
+
+`validate` loads only `queuing` and `oracle`. The commands that simulate
+import `scenario` and `simulator` (and with them PyYAML and the rest of the
+package) inside the functions that use them.
 """
 
 from __future__ import annotations
@@ -13,13 +17,12 @@ import argparse
 import csv
 import io
 import math
-import statistics
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import oracle, queuing, scenario as scenario_mod, simulator
+from . import oracle, queuing
 from .errors import EdgeScaleError, InvalidParameter
 from .queuing import WaitTarget
 
@@ -40,9 +43,10 @@ def _write_requests_csv(path, metrics):
     leaves its field and those derived from it empty, and container id -1 an
     empty field.
     """
+    from .simulator import STATUSES
+
     log = metrics.requests
     fields = [_csv_field(fid) for fid in log.function_ids]
-    statuses = simulator.STATUSES
     with open(path, "w", newline="") as fh:
         fh.write("function_id,arrival_s,dispatch_s,completion_s,wait_s,service_s,"
                  "container_id,status,reruns\r\n")
@@ -57,7 +61,7 @@ def _write_requests_csv(path, metrics):
                     times = f"{a:.6f},{d:.6f},{c:.6f},{d - a:.6f},{c - d:.6f}"
                 if cid < 0:
                     cid = ""
-                rows.append(f"{fields[f]},{times},{cid},{statuses[status]},{reruns}\r\n")
+                rows.append(f"{fields[f]},{times},{cid},{STATUSES[status]},{reruns}\r\n")
             fh.write("".join(rows))
 
 
@@ -87,6 +91,8 @@ def _write_summary(path, scn, metrics):
     mask, in log order; waits and responses are taken over its completed
     requests.
     """
+    from .simulator import COMPLETED, DROPPED
+
     lines = []
     lines.append(f"horizon_s={metrics.horizon:.1f} capacity_vcpu={metrics.capacity_vcpu:.2f}")
     lines.append(f"utilization_busy={metrics.utilization:.4f}")
@@ -104,8 +110,8 @@ def _write_summary(path, scn, metrics):
     lines.append(header)
     log = metrics.requests
     code = {fid: i for i, fid in enumerate(log.function_ids)}
-    completed = log.status == simulator.COMPLETED
-    dropped = log.status == simulator.DROPPED
+    completed = log.status == COMPLETED
+    dropped = log.status == DROPPED
     for fid in sorted(scn.functions):
         mine = log.function == code[fid]
         done = mine & completed
@@ -131,7 +137,10 @@ def _write_summary(path, scn, metrics):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_scenario_to_dir(scn, out_dir) -> simulator.SimMetrics:
+def run_scenario_to_dir(scn, out_dir):
+    """Simulate `scn` and write its three output files; returns the run's `SimMetrics`."""
+    from . import simulator
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics = simulator.run(scn)
@@ -142,6 +151,8 @@ def run_scenario_to_dir(scn, out_dir) -> simulator.SimMetrics:
 
 
 def cmd_run(args) -> int:
+    from . import scenario as scenario_mod
+
     scn = scenario_mod.load(args.scenario, overrides=args.override)
     if args.seed is not None:
         scn.seed = args.seed
@@ -220,7 +231,7 @@ def cmd_validate(args) -> int:
             # argparse took a positive arrival rate: the request count is left
             raise InvalidParameter(f"--requests: {exc}") from None
         estimates.append(res)
-    p_mc = statistics.fmean(r.p_wait_le_t for r in estimates)
+    p_mc = math.fsum(r.p_wait_le_t for r in estimates) / len(estimates)
     se = max(r.stderr for r in estimates) / math.sqrt(len(estimates))
     if args.rates:
         ok = p_mc >= p_model - 3 * se  # worst-case bound: measured must not fall below
@@ -233,13 +244,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from . import scenario as scenario_mod
     from .workload import load_trace
 
     if args.nodes > scenario_mod.MAX_NODES:
         print(f"error: --nodes: {args.nodes:,} nodes, over the {scenario_mod.MAX_NODES:,} limit",
               file=sys.stderr)
         return 2
-    traces = load_trace(args.trace)
+    traces = scenario_mod.read_file(load_trace, args.trace)
     if not traces:
         print("trace file has no rows", file=sys.stderr)
         return 1
@@ -271,6 +283,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import scenario as scenario_mod
+
     grids = []
     for spec in args.set:
         if "=" not in spec:

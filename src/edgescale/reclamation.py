@@ -91,7 +91,7 @@ def load_profile_curve(path) -> tuple:
     include a fraction-1.0 row to normalise against.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or row[0].strip().startswith("#"):

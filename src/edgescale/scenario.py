@@ -201,11 +201,28 @@ def _number(value, kind, interval, at):
 
 
 def _build(make, prefix, **kwargs):
-    """Call a constructor or file loader; its errors are re-raised under `prefix`."""
+    """Call a constructor; its errors are re-raised under `prefix`."""
     try:
         return make(**kwargs)
-    except (InvalidParameter, InvalidSchedule, ParseError, SchemaError, OSError) as exc:
+    except (InvalidParameter, InvalidSchedule) as exc:
         raise ConfigError(f"{prefix}{exc}") from None
+
+
+def read_file(load, path, prefix=""):
+    """Return `load(path)`, re-raising what stops it as a ConfigError after `prefix`.
+
+    A file that cannot be opened or is not UTF-8 text is named by its path;
+    the message of `load`'s own ParseError or SchemaError is kept as it is.
+    """
+    try:
+        return load(path)
+    except OSError as exc:
+        reason = f"{path}: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        reason = f"{path}: not UTF-8 text ({exc.reason})"
+    except (ParseError, SchemaError) as exc:
+        reason = str(exc)
+    raise ConfigError(f"{prefix}{reason}") from None
 
 
 def _workload(doc, where, base_dir, traces):
@@ -213,7 +230,7 @@ def _workload(doc, where, base_dir, traces):
     if doc["mode"] == "trace":
         path = base_dir / doc["file"]
         if path not in traces:
-            traces[path] = _build(load_trace, f"{where}.file: ", path=path)
+            traces[path] = read_file(load_trace, path, f"{where}.file: ")
         if doc["function"] not in traces[path]:
             raise ConfigError(f"{where}.function: {doc['function']!r} not in trace {path}")
         return WorkloadSpec(mode="trace", per_minute_counts=traces[path][doc["function"]])
@@ -244,8 +261,8 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
         where = f"functions.{fid}"
         curve = DEFAULT_CURVE
         if service["profile_file"] is not None:
-            curve = _build(load_profile_curve, f"{where}.service.profile_file: ",
-                           path=base_dir / service["profile_file"])
+            curve = read_file(load_profile_curve, base_dir / service["profile_file"],
+                              f"{where}.service.profile_file: ")
         functions[fid] = FunctionSpec(
             id=fid,
             weight=user_weights.get(fn["user"], 1.0) * fn["weight"] / in_user_total[fn["user"]],
@@ -285,16 +302,20 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
         initial_fractions=initial_fractions,
     )
 
+
+def _parse_yaml(path):
+    """The YAML document in `path`; a syntax error is a ParseError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return yaml.load(fh, Loader=LOADER)
+        except yaml.YAMLError as exc:
+            raise ParseError(f"{path}: invalid YAML: {exc}") from None
+
+
 def load(path, overrides=()) -> Scenario:
     """Load a scenario file, applying `key=value` overrides before parsing."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = yaml.load(fh, Loader=LOADER)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+    doc = read_file(_parse_yaml, path)
     for item in overrides:
         doc = apply_override(doc, item)
     return from_dict(doc, base_dir=path.parent)
@@ -311,7 +332,11 @@ def apply_override(doc: dict, assignment: str) -> dict:
     if "=" not in assignment:
         raise ConfigError(f"override must look like key=value, got {assignment!r}")
     key, raw_value = assignment.split("=", 1)
-    value = yaml.load(raw_value, Loader=LOADER)
+    try:
+        value = yaml.load(raw_value, Loader=LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"override {key!r}: invalid YAML value {raw_value!r}: "
+                          f"{getattr(exc, 'problem', None) or exc}") from None
     node = doc
     parts = key.strip().split(".")
     for i, part in enumerate(parts):

@@ -196,7 +196,7 @@ def load_trace(path) -> dict:
     counts[0] being the first minute, in first-appearance order.
     """
     per_fn: dict = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):

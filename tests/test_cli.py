@@ -59,12 +59,34 @@ class TestScenarioLoading:
         assert yaml.load(text, Loader=scenario_mod.LOADER) == yaml.load(
             text, Loader=yaml.SafeLoader)
 
-    @pytest.mark.parametrize("text", ["functions: [a, b", "a: b: c", "key: [1, 2]]"])
-    def test_malformed_yaml_names_the_file(self, tmp_path, text):
+    @pytest.mark.parametrize("content, reason", [
+        ("functions: [a, b", "invalid YAML"),
+        ("a: b: c", "invalid YAML"),
+        ("key: [1, 2]]", "invalid YAML"),
+        (b"seed: \xff\n", "not UTF-8 text"),
+        (None, "Is a directory"),
+    ], ids=["functions: [a, b", "a: b: c", "key: [1, 2]]", "not-utf8", "directory"])
+    def test_malformed_yaml_names_the_file(self, tmp_path, content, reason):
         p = tmp_path / "broken.yaml"
-        p.write_text(text)
-        with pytest.raises(ConfigError, match=re.escape(f"{p}: invalid YAML")):
+        if content is None:
+            p.mkdir()
+        elif isinstance(content, bytes):
+            p.write_bytes(content)
+        else:
+            p.write_text(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: {reason}")):
             scenario_mod.load(p)
+
+    @pytest.mark.parametrize("override, field", [
+        ("functions.f1.workload={mode: trace, file: data.csv, function: f1}",
+         "functions.f1.workload.file"),
+        ("functions.f1.service.profile_file=data.csv", "functions.f1.service.profile_file"),
+    ], ids=["trace", "profile"])
+    def test_file_that_is_not_utf8_names_field_and_path(self, mini_scenario, override, field):
+        data = mini_scenario.parent / "data.csv"
+        data.write_bytes(b"f\xe9,0,1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{field}: {data}: not UTF-8 text")):
+            scenario_mod.load(mini_scenario, overrides=[override])
 
     def test_bad_reclamation_mode(self, mini_scenario):
         with pytest.raises(ConfigError, match="reclamation"):
@@ -92,6 +114,8 @@ class TestScenarioLoading:
         (["functions.f1.weight=0"], "functions.f1.weight"),
         (["functions.f1.workload.rate=.inf"], "functions.f1.workload.rate"),
         (["functions.f1.workload.rate=.nan"], "functions.f1.workload.rate"),
+        (["seed=[1"], "override 'seed': invalid YAML value"),
+        (["functions.f1.slo={deadline: 0.1"], "override 'functions.f1.slo': invalid YAML value"),
     ])
     def test_bad_input_names_field(self, mini_scenario, overrides, field):
         with pytest.raises(ConfigError, match=field):
@@ -404,6 +428,20 @@ class TestReplayCommand:
                   "--out", str(tmp_path / "rep"), flag, value])
         assert exit_info.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda p: None, "No such file or directory"),
+        (lambda p: p.mkdir(), "Is a directory"),
+        (lambda p: p.write_bytes(b"function_id,minute_index,count\nf\xff,0,3\n"),
+         "not UTF-8 text"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_trace_names_the_file(self, tmp_path, capsys, make, reason):
+        trace = tmp_path / "trace.csv"
+        make(trace)
+        rc = main(["replay", str(trace), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {trace}: {reason}")
         assert not (tmp_path / "rep").exists()
 
     def test_percentile_range_is_checked_at_load(self, tmp_path, repo_root, capsys):

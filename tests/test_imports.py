@@ -1,16 +1,22 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and each entry
+point loads only the modules it runs.
 
-`__init__.py` is skipped because its imports are re-exports, and
 `from __future__` imports are compiler switches, not names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "edgescale"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
+# what only the commands that simulate need
+SIMULATION = [f"edgescale.{name}" for name in (
+    "scenario", "simulator", "allocator", "fairshare", "reclamation", "cluster", "workload")]
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +46,26 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def modules_after(code: str) -> set:
+    """The names in `sys.modules` after `code` runs in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    assert sorted(m for m in modules_after("import edgescale") if m.startswith("edgescale")) == [
+        "edgescale"]
+
+
+def test_validate_loads_only_the_model_and_the_oracle():
+    loaded = modules_after(
+        "import edgescale.cli\n"
+        "assert edgescale.cli.main(['validate', '--arrival-rate', '5', '--service-rate', '10',"
+        " '--requests', '2000', '--replications', '2']) == 0")
+    assert {"edgescale.oracle", "edgescale.queuing"} <= loaded
+    assert [m for m in SIMULATION + ["yaml", "statistics"] if m in loaded] == []
