@@ -151,7 +151,7 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
         else:
             rates = sorted(c.effective_rate for c in active)
             extra = queuing.find_c_heterogeneous(rate, rates, base_rate, target)
-            kept = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
+            kept = reclamation.by_allocation(active)
             # probe shrinking: drop smallest-capacity members while the target
             # holds (the additive heterogeneous search never scales down)
             while extra == 0 and len(kept) > max(1, spec.min_containers):
@@ -188,9 +188,8 @@ def reconcile(
 
     if current > target_vcpu + 1e-9:
         if not pressure:
-            nonlazy = sorted(active, key=lambda c: (c.allocated_vcpu, c.id))
             freed = 0.0
-            for c in nonlazy:
+            for c in reclamation.by_allocation(active):
                 if current - freed - c.allocated_vcpu < target_vcpu - 1e-9:
                     break
                 shrink.append(MarkLazy(c.id))

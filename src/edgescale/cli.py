@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, queuing
-from .errors import EdgeScaleError, InvalidParameter
+from .errors import ConfigError, EdgeScaleError, InvalidParameter
 from .queuing import WaitTarget
 
 
@@ -253,8 +253,7 @@ def cmd_replay(args) -> int:
         return 2
     traces = scenario_mod.read_file(load_trace, args.trace)
     if not traces:
-        print("trace file has no rows", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{args.trace}: trace file has no rows")
     horizon = args.horizon
     if horizon is None:
         horizon = max(len(counts) for counts in traces.values()) * 60.0

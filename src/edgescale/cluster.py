@@ -25,25 +25,22 @@ class ClusterState:
     and its full memory; deflating a container returns CPU headroom to its
     node. `capacity_vcpu` is the fair-share capacity C.
 
-    `containers` (id -> container) is the record; `add` and `remove` keep two
-    views of it, per node and per function, each an id -> container dict in
-    `containers`' insertion order. `node_free` and `of_function` walk one view
-    instead of every container. Walking a view visits a node's containers in
-    the order a scan of `containers` would, so `node_free`'s float sums, and
-    with them placement and inflation clamps, keep their last bits. Change
+    `containers` (id -> container) is the record. It starts empty and fills
+    only through `add`; `add` and `remove` keep two views of it, per node and
+    per function, each an id -> container dict in `containers`' insertion
+    order. `node_free` and `of_function` walk one view instead of every
+    container. Walking a view visits a node's containers in the order a scan
+    of `containers` would, so `node_free`'s float sums, and with them
+    placement and inflation clamps, keep their last bits. Change
     `containers` only through `add` and `remove`, and never a placed
     container's `node_id` or `function_id`.
     """
 
     nodes: list
-    containers: dict = field(default_factory=dict)  # id -> ContainerState
-    _by_node: dict = field(init=False, repr=False, compare=False)  # node id -> {id: c}
-    _by_function: dict = field(init=False, repr=False, compare=False)  # fid -> {id: c}
-
-    def __post_init__(self):
-        self._by_node, self._by_function = {}, {}
-        for c in self.containers.values():
-            self._index(c)
+    containers: dict = field(init=False, default_factory=dict)  # id -> ContainerState
+    # the views: node id -> {id: c} and function id -> {id: c}
+    _by_node: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _by_function: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def capacity_vcpu(self) -> float:
@@ -69,7 +66,8 @@ class ClusterState:
     def add(self, container):
         self.remove(container.id)
         self.containers[container.id] = container
-        self._index(container)
+        self._by_node.setdefault(container.node_id, {})[container.id] = container
+        self._by_function.setdefault(container.function_id, {})[container.id] = container
 
     def remove(self, container_id: int):
         container = self.containers.pop(container_id, None)
@@ -77,6 +75,3 @@ class ClusterState:
             del self._by_node[container.node_id][container_id]
             del self._by_function[container.function_id][container_id]
 
-    def _index(self, container):
-        self._by_node.setdefault(container.node_id, {})[container.id] = container
-        self._by_function.setdefault(container.function_id, {})[container.id] = container

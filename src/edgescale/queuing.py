@@ -16,12 +16,16 @@ the exact CDFs `wait_cdf_homogeneous` and `wait_cdf_heterogeneous`, because
 the benchmark's layer tracer counts each by name. Callers pass pools as rates
 in any order; the drains are built only here.
 
+Every search stops at one fixed cap, `DEFAULT_CONTAINER_CAP` (10 000
+containers in all, existing ones included), and raises CapExceeded past it;
+no caller sets another.
+
 `_Chain` keeps the log head weights log(lam^n / (D_1*...*D_n)) and their
-running prefix log-sums, finite up to the hard cap (10 000 containers) where
-raw factorials overflow near c = 170. It appends a drain rate in O(1), so the
-search grows a pool one container per step. It is plain Python floats, not
-numpy: the planner's pools stay below 30 containers, where a numpy call's
-fixed cost outweighs the arithmetic.
+running prefix log-sums, finite up to the cap where raw factorials overflow
+near c = 170. It appends a drain rate in O(1), so the search grows a pool
+one container per step. It is plain Python floats, not numpy: the planner's
+pools stay below 30 containers, where a numpy call's fixed cost outweighs
+the arithmetic.
 """
 
 from __future__ import annotations
@@ -185,9 +189,10 @@ def meets_target(lam: float, rates: Sequence[float], target: WaitTarget) -> bool
     return _Chain(lam, _running_drains(rates)).meets(target)
 
 
-def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int, cap: int) -> int:
+def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int) -> int:
     """Smallest count of rate-`mu` containers, at least k and the stability
-    floor, that merged into the sorted pool `base` meets the sizing rule.
+    floor, that merged into the sorted pool `base` meets the sizing rule, with
+    at most `DEFAULT_CONTAINER_CAP` containers in the merged pool.
 
     An empty pool takes the exact products mu*k; otherwise the drains are the
     running sum of the merged pool, slowest first. Each step keeps the chain
@@ -199,7 +204,7 @@ def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int, cap: 
     for rate in base[:insert_at]:
         drain += rate
         chain.push(drain)
-    while len(base) + k <= cap:
+    while len(base) + k <= DEFAULT_CONTAINER_CAP:
         while pushed < k:
             pushed += 1
             drain = drain + mu if base else mu * pushed
@@ -212,43 +217,43 @@ def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int, cap: 
             return k
         chain.truncate(insert_at + k)
         k += 1
-    raise CapExceeded(f"no pool of <= {cap} containers meets P(wait <= {target.t}) "
-                      f">= {target.percentile}")
+    raise CapExceeded(f"no pool of <= {DEFAULT_CONTAINER_CAP} containers meets "
+                      f"P(wait <= {target.t}) >= {target.percentile}")
 
 
-def _check_inputs(lam: float, mu: float, name: str, c_start, cap):
+def _check_inputs(lam: float, mu: float, name: str):
     if mu <= 0 or not math.isfinite(mu):
         raise InvalidParameter(f"{name} must be finite and > 0, got {mu}")
     if not 0 <= lam < math.inf:
         raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
-    for count, value in (("c_start", c_start), ("cap", cap)):
-        if not isinstance(value, (int, numbers.Integral)):  # int first: the fast check
-            raise InvalidParameter(f"{count} must be an integer, got {value!r}")
-    if c_start < 0:
-        raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
 
 
-def find_c_homogeneous(lam: float, mu: float, target: WaitTarget, c_start: int = 0,
-                       cap: int = DEFAULT_CONTAINER_CAP) -> int:
+def find_c_homogeneous(lam: float, mu: float, target: WaitTarget, c_start: int = 0) -> int:
     """Smallest container count meeting the waiting target, scanning upward.
 
     The scan begins at max(c_start, stability floor); c_start is a warm start
-    (the current pool size), not an upper bound on the answer.
+    (the current pool size), not an upper bound on the answer. Past
+    `DEFAULT_CONTAINER_CAP` containers it raises CapExceeded.
     """
-    _check_inputs(lam, mu, "service rate", c_start, cap)
-    return _search(lam, [], mu, target, c_start, cap)
+    _check_inputs(lam, mu, "service rate")
+    if not isinstance(c_start, (int, numbers.Integral)):  # int first: the fast check
+        raise InvalidParameter(f"c_start must be an integer, got {c_start!r}")
+    if c_start < 0:
+        raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
+    return _search(lam, [], mu, target, c_start)
 
 
 def find_c_heterogeneous(lam: float, existing_rates: Sequence[float], standard_mu: float,
-                         target: WaitTarget, cap: int = DEFAULT_CONTAINER_CAP) -> int:
+                         target: WaitTarget) -> int:
     """Smallest number of standard containers to add to an existing pool.
 
     Returns k >= 0 such that existing_rates + k copies of standard_mu,
     re-sorted ascending, meets the target under the worst-case model. An empty
     existing pool takes find_c_homogeneous's equal drains, so the two agree.
+    Past `DEFAULT_CONTAINER_CAP` containers in all it raises CapExceeded.
     """
-    _check_inputs(lam, standard_mu, "standard rate", 0, cap)
-    return _search(lam, _sorted_rates(existing_rates), standard_mu, target, 0, cap)
+    _check_inputs(lam, standard_mu, "standard rate")
+    return _search(lam, _sorted_rates(existing_rates), standard_mu, target, 0)
 
 
 def wait_budget(deadline: float, profile, percentile: float = DEFAULT_PERCENTILE) -> WaitTarget:

@@ -110,17 +110,20 @@ def load_profile_curve(path) -> tuple:
                 raise SchemaError(f"line {lineno}: service time must be > 0")
             rows.append((frac, seconds))
     if not rows:
-        raise SchemaError(f"{path}: no data rows")
+        raise SchemaError("no data rows")
     rows.sort()
     full = [s for f, s in rows if abs(f - 1.0) < 1e-9]
     if not full:
-        raise SchemaError(f"{path}: missing the cpu_fraction=1.0 row to normalise against")
+        raise SchemaError("missing the cpu_fraction=1.0 row to normalise against")
     base = full[0]
     return tuple((f, base / s) for f, s in rows)
 
 
 class ContainerState:
     """One running container; CPU can deflate within [1 - tau, 1], memory is fixed.
+
+    A container is created unmarked (`lazy_marked` False) at `cpu_fraction`
+    (full size by default); the simulator marks and unmarks it later.
 
     The `cpu_fraction` setter owns what follows from the fraction. It asks
     `profile.multiplier` first, which raises `InvalidFraction` outside
@@ -145,15 +148,14 @@ class ContainerState:
                  "wrr_counter", "serving", "busy_since", "alloc_since")
 
     def __init__(self, function_id: str, node_id: int, standard_vcpu: float, memory_mb: float,
-                 profile: ServiceProfile, id: int, cpu_fraction: float = 1.0,
-                 lazy_marked: bool = False):
+                 profile: ServiceProfile, id: int, cpu_fraction: float = 1.0):
         self.function_id = function_id
         self.node_id = node_id
         self.standard_vcpu = standard_vcpu
         self.memory_mb = memory_mb
         self.profile = profile
         self.id = id
-        self.lazy_marked = lazy_marked
+        self.lazy_marked = False
         self.wrr_counter = 0
         self.serving = None
         self.busy_since = self.alloc_since = 0.0
@@ -187,7 +189,8 @@ class SetFraction:
     fraction: float
 
 
-def _by_allocation(containers):
+def by_allocation(containers) -> list:
+    """The shrink order: smallest allocated vCPU first, ties by id."""
     return sorted(containers, key=lambda c: (c.allocated_vcpu, c.id))
 
 
@@ -199,7 +202,7 @@ def reclaim_by_termination(containers, target_vcpu: float) -> list:
     """
     actions = []
     total = sum(c.allocated_vcpu for c in containers)
-    for victim in _by_allocation(containers):
+    for victim in by_allocation(containers):
         if total <= target_vcpu + 1e-9:
             break
         actions.append(Terminate(victim.id))
@@ -273,7 +276,7 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
             # genuinely out of deflation headroom: keep as many containers as
             # the floor allows
             actions, survivors = [], list(pool)
-            for victim in _by_allocation(pool):
+            for victim in by_allocation(pool):
                 if sum(floor_frac * c.standard_vcpu for c in survivors) <= target_vcpu + 1e-9:
                     break
                 actions.append(Terminate(victim.id))

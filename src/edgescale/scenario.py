@@ -209,20 +209,19 @@ def _build(make, prefix, **kwargs):
 
 
 def read_file(load, path, prefix=""):
-    """Return `load(path)`, re-raising what stops it as a ConfigError after `prefix`.
-
-    A file that cannot be opened or is not UTF-8 text is named by its path;
-    the message of `load`'s own ParseError or SchemaError is kept as it is.
+    """Return `load(path)`, re-raising what stops it as a ConfigError that
+    names `path` after `prefix`: a file that cannot be opened or is not UTF-8
+    text, or a ParseError or SchemaError from `load`, whose message follows.
     """
     try:
         return load(path)
     except OSError as exc:
-        reason = f"{path}: {exc.strerror or exc}"
+        reason = exc.strerror or exc
     except UnicodeDecodeError as exc:
-        reason = f"{path}: not UTF-8 text ({exc.reason})"
+        reason = f"not UTF-8 text ({exc.reason})"
     except (ParseError, SchemaError) as exc:
-        reason = str(exc)
-    raise ConfigError(f"{prefix}{reason}") from None
+        reason = exc
+    raise ConfigError(f"{prefix}{path}: {reason}") from None
 
 
 def _workload(doc, where, base_dir, traces):
@@ -304,12 +303,12 @@ def from_dict(doc: dict, base_dir=".") -> Scenario:
 
 
 def _parse_yaml(path):
-    """The YAML document in `path`; a syntax error is a ParseError naming the file."""
+    """The YAML document in `path`; a syntax error is a ParseError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=LOADER)
         except yaml.YAMLError as exc:
-            raise ParseError(f"{path}: invalid YAML: {exc}") from None
+            raise ParseError(f"invalid YAML: {exc}") from None
 
 
 def load(path, overrides=()) -> Scenario:

@@ -39,12 +39,20 @@ MODES = ("static", "discrete", "continuous", "trace")
 BLOCK = 4096  # exponential gaps drawn per RNG call
 
 
-def _finite_pairs(pairs, what) -> tuple:
-    """`pairs` as (float, float) tuples; a NaN or infinite value is an InvalidSchedule."""
+def _rate_pairs(pairs, name: str) -> tuple:
+    """`pairs` as (time, rate) floats; an InvalidSchedule, starting with
+    `name`, unless they are non-empty and finite, with times strictly
+    increasing and rates >= 0."""
     out = tuple((float(t), float(r)) for t, r in pairs)
     for t, r in out:
         if not (math.isfinite(t) and math.isfinite(r)):
-            raise InvalidSchedule(f"{what} must be finite, got ({t}, {r})")
+            raise InvalidSchedule(f"{name}: must be finite, got ({t}, {r})")
+    if not out:
+        raise InvalidSchedule(f"{name}: must not be empty")
+    if any(b <= a for (a, _), (b, _) in zip(out, out[1:])):
+        raise InvalidSchedule(f"{name}: times must be strictly increasing")
+    if any(r < 0 for _, r in out):
+        raise InvalidSchedule(f"{name}: rates must be >= 0")
     return out
 
 
@@ -67,25 +75,10 @@ class WorkloadSpec:
         if self.mode not in MODES:
             raise InvalidSchedule(f"unknown workload mode {self.mode!r}")
         if self.mode in ("static", "discrete"):
-            sched = _finite_pairs(self.rate_schedule, "schedule times and rates")
-            if not sched:
-                raise InvalidSchedule("rate schedule is empty")
-            times = [t for t, _ in sched]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise InvalidSchedule("schedule times must be strictly increasing")
-            if any(r < 0 for _, r in sched):
-                raise InvalidSchedule("rates must be >= 0")
-            object.__setattr__(self, "rate_schedule", sched)
+            object.__setattr__(self, "rate_schedule",
+                               _rate_pairs(self.rate_schedule, "rate_schedule"))
         elif self.mode == "continuous":
-            pts = _finite_pairs(self.rate_points, "rate point times and rates")
-            if len(pts) < 1:
-                raise InvalidSchedule("continuous mode needs at least one rate point")
-            times = [t for t, _ in pts]
-            if any(b <= a for a, b in zip(times, times[1:])):
-                raise InvalidSchedule("rate point times must be strictly increasing")
-            if any(r < 0 for _, r in pts):
-                raise InvalidSchedule("rates must be >= 0")
-            object.__setattr__(self, "rate_points", pts)
+            object.__setattr__(self, "rate_points", _rate_pairs(self.rate_points, "rate_points"))
         else:
             counts = []
             for c in self.per_minute_counts:
@@ -239,6 +232,9 @@ class RateEstimator:
     the short-window rate is adopted directly (no smoothing, so bursts are
     seen at full strength), otherwise the long-window rate is folded into the
     EWMA with weight `alpha` on the new observation.
+
+    `ewma` holds the last committed estimate, None before the first tick.
+    Like `last_tick` it is state the ticks write, not a constructor argument.
     """
 
     long_window: float = 120.0
@@ -246,7 +242,7 @@ class RateEstimator:
     tick: float = 5.0
     burst_factor: float = 2.0
     alpha: float = 0.7
-    ewma: float | None = None
+    ewma: float | None = field(default=None, init=False)
     last_tick: float = field(default=0.0, init=False)  # the last committed tick time
 
     def __post_init__(self):

@@ -43,10 +43,12 @@ _ids = count(1)
 
 
 def container(fid="f1", node=0, vcpu=1.0, fraction=1.0, lazy=False):
-    return ContainerState(
+    c = ContainerState(
         function_id=fid, node_id=node, standard_vcpu=vcpu, memory_mb=256.0,
-        profile=PROF, id=next(_ids), cpu_fraction=fraction, lazy_marked=lazy,
+        profile=PROF, id=next(_ids), cpu_fraction=fraction,
     )
+    c.lazy_marked = lazy
+    return c
 
 
 class TestPlace:

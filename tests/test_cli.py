@@ -489,3 +489,121 @@ class TestSweepCommand:
         assert rc == 0
         assert (out / "reclamation-termination" / "summary.txt").exists()
         assert (out / "reclamation-deflation" / "summary.txt").exists()
+
+    def test_set_without_equals_is_a_usage_error(self, mini_scenario, tmp_path, capsys):
+        rc = main(["sweep", str(mini_scenario), "--out", str(tmp_path / "sweep"),
+                   "--set", "controller.reclamation"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "--set must look like key=v1,v2 (got 'controller.reclamation')")
+        assert not (tmp_path / "sweep").exists()
+
+
+TRACE_FIELD = "functions.f1.workload.file"
+TRACE_OVERRIDE = "functions.f1.workload={mode: trace, file: data.csv, function: f1}"
+PROFILE_FIELD = "functions.f1.service.profile_file"
+
+
+def beside(scenario, text, name="data.csv"):
+    """Write `text` to the file `name` next to `scenario`; return its path."""
+    path = scenario.parent / name
+    path.write_text(text)
+    return path
+
+
+class TestDataFileErrors:
+    """A bad trace or profile file is named once: `<field>: <path>: line N: ...`."""
+
+    def test_malformed_trace_row_through_replay(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("function_id,minute_index,count\nf1,0\n")
+        rc = main(["replay", str(trace), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {trace}: line 2: expected 3 columns, got 2\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_trace_with_no_rows_through_replay(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("function_id,minute_index,count\n")
+        rc = main(["replay", str(trace), "--out", str(tmp_path / "rep")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {trace}: trace file has no rows\n"
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("f1,0,3\nf1,1\n", "line 2: expected 3 columns, got 2"),
+        ("f1,0,3\n ,1,3\n", "line 2: empty function_id"),
+        ("f1,0,3\nf1,-1,3\n", "line 2: negative minute_index -1"),
+        ("f1,0,3\nf1,1,x\n", "line 2: bad integer field"),
+        # blank lines are skipped, and still counted
+        ("f1,0,3\n\n   \nf1,1\n", "line 4: expected 3 columns, got 2"),
+    ], ids=["columns", "empty-function-id", "negative-minute", "not-an-integer", "blank-lines"])
+    def test_malformed_trace_row_through_a_scenario(self, mini_scenario, text, reason):
+        data = beside(mini_scenario, text)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{TRACE_FIELD}: {data}: {reason}")):
+            scenario_mod.load(mini_scenario, overrides=[TRACE_OVERRIDE])
+
+    def test_trace_function_missing_from_its_file(self, mini_scenario):
+        data = beside(mini_scenario, "f1,0,3\n")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"functions.f1.workload.function: 'zz' not in trace {data}")):
+            scenario_mod.load(mini_scenario, overrides=[
+                "functions.f1.workload={mode: trace, file: data.csv, function: zz}"])
+
+    @pytest.mark.parametrize("text, reason", [
+        ("1.0,0.1\n0.5,0.2,9\n", "line 2: expected 2 columns, got 3"),
+        ("1.0,0.1\n0.5,x\n", "line 2: bad number"),
+        # a header is read only on line 1
+        ("1.0,0.1\ncpu_fraction,mean_service_s\n", "line 2: bad number"),
+        ("1.0,0.1\n1.5,0.2\n", "line 2: cpu_fraction 1.5 outside (0, 1]"),
+        ("1.0,0.1\n0.5,0\n", "line 2: service time must be > 0"),
+        ("cpu_fraction,mean_service_s\n# no rows\n", "no data rows"),
+        ("0.5,0.2\n", "missing the cpu_fraction=1.0 row"),
+    ], ids=["columns", "not-a-number", "late-header", "fraction-range", "service-time",
+            "no-rows", "no-full-size-row"])
+    def test_malformed_profile_file(self, mini_scenario, text, reason):
+        data = beside(mini_scenario, text)
+        with pytest.raises(ConfigError,
+                           match="^" + re.escape(f"{PROFILE_FIELD}: {data}: {reason}")):
+            scenario_mod.load(mini_scenario, overrides=[f"{PROFILE_FIELD}=data.csv"])
+
+    def test_profile_header_and_comments_are_skipped(self, mini_scenario):
+        beside(mini_scenario, "cpu_fraction,mean_service_s\n# measured\n1.0,0.1\n0.5,0.2\n")
+        scn = scenario_mod.load(mini_scenario, overrides=[f"{PROFILE_FIELD}=data.csv"])
+        assert scn.functions["f1"].profile.curve == ((0.5, 0.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize("text, reason", [
+        ("1.0,0.1\n1.0,0.2\n", "curve fractions must be strictly increasing"),
+        # faster with less CPU: the multiplier at 0.5 would be 2
+        ("1.0,0.1\n0.5,0.05\n", "curve multiplier must be nonincreasing as CPU shrinks"),
+    ], ids=["repeated-fraction", "rising-multiplier"])
+    def test_profile_curve_rejected_names_the_service(self, mini_scenario, text, reason):
+        beside(mini_scenario, text)
+        with pytest.raises(ConfigError, match=f"^functions\\.f1\\.service: {reason}"):
+            scenario_mod.load(mini_scenario, overrides=[f"{PROFILE_FIELD}=data.csv"])
+
+
+class TestScenarioInputErrors:
+    @pytest.mark.parametrize("override, message", [
+        ("functions.f1.service.distribution=empirical",
+         "error: functions.f1.service: empirical profile needs positive samples"),
+        ("functions.f1.workload={mode: continuous, points: [[10, 1], [0, 2]]}",
+         "error: functions.f1.workload: rate_points: times must be strictly increasing"),
+        ("seed", "error: override must look like key=value, got 'seed'"),
+        ("functions.zz.weight=2", "error: override 'functions.zz.weight': no list item 'zz'"),
+        ("functions.f1=3", "error: override 'functions.f1': cannot replace a whole list item"),
+    ], ids=["empirical-no-samples", "points-out-of-order", "no-equals", "no-list-item",
+            "whole-list-item"])
+    def test_exits_1_naming_the_field(self, mini_scenario, tmp_path, capsys, override, message):
+        rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),
+                   "--override", override])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_override_through_a_scalar_names_the_key(self, mini_scenario, tmp_path, capsys):
+        rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),
+                   "--override", "seed.x=1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: override 'seed.x': ") and err.endswith(" is not a mapping\n")

@@ -1,6 +1,9 @@
 """Cluster state: the per-node and per-function views behind `node_free` and `of_function`."""
 
+import pytest
+
 from edgescale.cluster import ClusterState, Node
+from edgescale.errors import InvalidParameter
 from edgescale.reclamation import ContainerState, ServiceProfile
 from scenario_builders import cluster_views, scanned_free, scanned_views
 
@@ -18,6 +21,13 @@ def nodes(n=2):
 
 def ids(containers):
     return [c.id for c in containers]
+
+
+@pytest.mark.parametrize("vcpu, memory_mb", [(0.0, 1024.0), (-1.0, 1024.0), (1.0, 0.0),
+                                             (1.0, -5.0)])
+def test_node_capacities_must_be_positive(vcpu, memory_mb):
+    with pytest.raises(InvalidParameter, match="node capacities must be > 0"):
+        Node(vcpu=vcpu, memory_mb=memory_mb)
 
 
 class TestAddRemove:
@@ -71,8 +81,16 @@ class TestConstruction:
     VCPUS = {3: 0.1, 1: 0.2, 2: 0.3}
 
     def given_out_of_id_order(self):
-        placed = {cid: container(cid, vcpu=v) for cid, v in self.VCPUS.items()}
-        return ClusterState(nodes=nodes(), containers=placed)
+        cl = ClusterState(nodes=nodes())
+        for cid, v in self.VCPUS.items():
+            cl.add(container(cid, vcpu=v))
+        return cl
+
+    def test_starts_empty_and_fills_only_through_add(self):
+        cl = ClusterState(nodes=nodes())
+        assert cl.containers == {} and cluster_views(cl) == ({}, {})
+        with pytest.raises(TypeError):
+            ClusterState(nodes=nodes(), containers={})
 
     def test_views_keep_the_dict_order(self):
         cl = self.given_out_of_id_order()

@@ -4,7 +4,7 @@ detection, water-filling."""
 import numpy as np
 import pytest
 
-from edgescale.errors import ConfigError
+from edgescale.errors import ConfigError, InvalidParameter
 from edgescale.fairshare import adjust_allocations, guaranteed_shares
 from scenario_builders import basic_function, make_scenario
 
@@ -58,6 +58,18 @@ class TestGuaranteedShares:
     def test_floor_leaves_remainder_unguaranteed(self):
         shares = guaranteed_shares({"a": 1, "b": 1, "c": 1}, 10)
         assert shares == {"a": 3.0, "b": 3.0, "c": 3.0}
+
+
+class TestNegativeInputs:
+    def test_negative_capacity(self):
+        with pytest.raises(InvalidParameter, match="capacity must be >= 0, got -1"):
+            guaranteed_shares({"a": 1.0}, -1.0)
+
+    def test_negative_demand(self):
+        weights = {"a": 1.0, "b": 1.0}
+        with pytest.raises(InvalidParameter, match="demands must be >= 0"):
+            adjust_allocations({"a": 1.0, "b": -0.5}, weights,
+                               guaranteed_shares(weights, 2.0), 2.0)
 
 
 class TestDetectOverload:

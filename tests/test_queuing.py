@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edgescale import queuing
 from edgescale.errors import (
     CapExceeded,
     EdgeScaleError,
@@ -283,9 +284,17 @@ class TestFindC:
         assert find_c_homogeneous(50, 10, WaitTarget(0.1, 0.99), c_start=0) == 8
         assert find_c_homogeneous(50, 10, WaitTarget(0.1, 0.99), c_start=12) == 12
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(queuing, "DEFAULT_CONTAINER_CAP", 30)
         with pytest.raises(CapExceeded):
-            find_c_homogeneous(500, 10, WaitTarget(0.1, 0.99), cap=30)
+            find_c_homogeneous(500, 10, WaitTarget(0.1, 0.99))
+
+    def test_fixed_cap(self):
+        # a stability floor of 100 001 containers is past the cap
+        with pytest.raises(CapExceeded, match=f"<= {DEFAULT_CONTAINER_CAP} containers"):
+            find_c_homogeneous(1e6, 10, WaitTarget(0.1, 0.99))
+        with pytest.raises(CapExceeded):
+            find_c_heterogeneous(1e6, [5.0], 10, WaitTarget(0.1, 0.99))
 
     def test_non_finite_rates_rejected(self):
         t = WaitTarget(0.1)
@@ -314,16 +323,21 @@ class TestFindC:
         for c_start in (2.5, 3.0):
             with pytest.raises(InvalidParameter, match="c_start"):
                 find_c_homogeneous(5.0, 10.0, t, c_start=c_start)
-        with pytest.raises(InvalidParameter, match="cap"):
-            find_c_homogeneous(5.0, 10.0, t, cap=2.5)
-        with pytest.raises(InvalidParameter, match="cap"):
-            find_c_heterogeneous(5.0, [10.0], 10.0, t, cap=2.0)
-        assert find_c_homogeneous(5.0, 10.0, t, c_start=np.int64(3), cap=np.int64(3)) == 3
+        assert find_c_homogeneous(5.0, 10.0, t, c_start=np.int64(3)) == 3
 
     def test_min_stable_count(self):
         assert min_stable_count(0, 10) == 1
         assert min_stable_count(30, 10) == 4  # strict inequality: 3*10 == 30 unstable
         assert min_stable_count(29.9, 10) == 3
+
+    def test_min_stable_count_rounding_guard(self):
+        # the floor division alone gives 1394, and 1394 * 3.15 is
+        # 4391.099999999999, which is not above lam
+        assert 1394 * 3.15 == 4391.099999999999
+        assert min_stable_count(4391.099999999999, 3.15) == 1395
+        # with a base pool the division alone gives 967: 2.5 + 967 * 0.6 == lam
+        assert 2.5 + 967 * 0.6 == 582.6999999999999
+        assert min_stable_count(582.6999999999999, 0.6, 2.5) == 968
 
 
 def homogeneous_reference(lam, mu, target, c_start=0, cap=DEFAULT_CONTAINER_CAP):
@@ -383,6 +397,15 @@ def outcome(fn, *args, **kwargs):
         return type(exc)
 
 
+@pytest.fixture
+def capped(monkeypatch):
+    """`capped(cap, fn, *args)`: `outcome(fn, *args)` with the search capped at `cap`."""
+    def run(cap, fn, *args):
+        monkeypatch.setattr(queuing, "DEFAULT_CONTAINER_CAP", cap)
+        return outcome(fn, *args)
+    return run
+
+
 def o3_grid():
     for mu in (1.0, 10.0):
         for lam in np.logspace(math.log10(0.5), math.log10(2000.0), 60):
@@ -419,28 +442,28 @@ class TestOneSearch:
             assert outcome(find_c_homogeneous, lam, mu, target) == want, (lam, mu, target)
             assert outcome(find_c_heterogeneous, lam, [], mu, target) == want, (lam, mu, target)
 
-    def test_warm_starts_and_caps_match_homogeneous_scan(self):
+    def test_warm_starts_and_caps_match_homogeneous_scan(self, capped):
         for i, (lam, mu, target) in enumerate(o3_grid()):
             if i % 5:
                 continue
             c = homogeneous_reference(lam, mu, target)
             for c_start, cap in ((0, c), (0, c - 1), (c + 3, c + 3), (c + 3, c + 2), (-1, c)):
                 want = outcome(homogeneous_reference, lam, mu, target, c_start, cap)
-                got = outcome(find_c_homogeneous, lam, mu, target, c_start, cap)
+                got = capped(cap, find_c_homogeneous, lam, mu, target, c_start)
                 assert got == want, (lam, mu, target, c_start, cap)
 
-    def test_random_pools_match_heterogeneous_scan(self):
+    def test_random_pools_match_heterogeneous_scan(self, capped):
         cases = 0
         for lam, rates, mu, target, cap in random_pools(3000, seed=10):
             want = outcome(heterogeneous_reference, lam, rates, mu, target, cap)
-            assert outcome(find_c_heterogeneous, lam, rates, mu, target, cap) == want, (
+            assert capped(cap, find_c_heterogeneous, lam, rates, mu, target) == want, (
                 lam, rates, mu, target, cap)
             if isinstance(want, int):
                 # the cap edge: the answer fits exactly, one less does not
                 edge = len(rates) + want
-                assert find_c_heterogeneous(lam, rates, mu, target, edge) == want
+                assert capped(edge, find_c_heterogeneous, lam, rates, mu, target) == want
                 assert outcome(heterogeneous_reference, lam, rates, mu, target, edge - 1) \
-                    == outcome(find_c_heterogeneous, lam, rates, mu, target, edge - 1) \
+                    == capped(edge - 1, find_c_heterogeneous, lam, rates, mu, target) \
                     == CapExceeded
             cases += 1
         assert cases == 3000
@@ -636,9 +659,10 @@ class TestFindCHeterogeneous:
         k = find_c_heterogeneous(50, [5.0], 10, WaitTarget(0.5, 0.5))
         assert sum([5.0] + [10.0] * k) > 50
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(queuing, "DEFAULT_CONTAINER_CAP", 50)
         with pytest.raises(CapExceeded):
-            find_c_heterogeneous(1000, [5.0], 10, WaitTarget(0.05, 0.999), cap=50)
+            find_c_heterogeneous(1000, [5.0], 10, WaitTarget(0.05, 0.999))
 
     def test_worst_case_bound_not_violated(self):
         # slowest-idle dispatch must do at least as well as the worst-case CDF
@@ -671,3 +695,14 @@ class TestWaitBudget:
         prof = ServiceProfile(base_rate=10.0, distribution="exponential")
         with pytest.raises(InfeasibleDeadline):
             wait_budget(0.05, prof, percentile=0.99)  # ln(100)/10 = 0.46 > 0.05
+
+    @pytest.mark.parametrize("deadline", [0.0, -0.1])
+    def test_deadline_must_be_positive(self, deadline):
+        with pytest.raises(InvalidParameter, match=f"deadline must be > 0, got {deadline}"):
+            wait_budget(deadline, ServiceProfile(base_rate=10.0))
+
+    @pytest.mark.parametrize("percentile", [0.0, 1.0, -0.5, 1.5])
+    def test_wait_target_percentile_inside_0_1(self, percentile):
+        with pytest.raises(InvalidParameter, match=f"percentile must be in \\(0, 1\\), "
+                                                   f"got {percentile}"):
+            WaitTarget(0.1, percentile)

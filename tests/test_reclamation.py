@@ -119,6 +119,13 @@ class TestContainerFraction:
         (c,) = make_pool([2.0], fractions=[0.7])
         assert (c.wrr_counter, c.serving, c.busy_since, c.alloc_since) == (0, None, 0.0, 0.0)
 
+    def test_created_unmarked_with_no_mark_argument(self):
+        (c,) = make_pool([1.0])
+        assert c.lazy_marked is False
+        with pytest.raises(TypeError):
+            ContainerState(function_id="f", node_id=0, standard_vcpu=1.0, memory_mb=256.0,
+                           profile=PROF, id=9, lazy_marked=True)
+
     def test_invalid_initial_fraction_raises(self):
         with pytest.raises(InvalidFraction):
             make_pool([2.0], fractions=[0.0])
@@ -149,6 +156,22 @@ class TestProfileLoader:
         prof = ServiceProfile(base_rate=10.0, curve=curve)
         assert prof.multiplier(1.0) == pytest.approx(1.0)
         assert prof.multiplier(0.7) > 0.8
+
+
+class TestProfileParameters:
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_rate_must_be_positive(self, rate):
+        with pytest.raises(InvalidParameter, match=f"base rate must be > 0, got {rate}"):
+            ServiceProfile(base_rate=rate)
+
+    def test_unknown_distribution(self):
+        with pytest.raises(InvalidParameter, match="distribution must be one of .*'gamma'"):
+            ServiceProfile(base_rate=10.0, distribution="gamma")
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
+    def test_service_quantile_inside_0_1(self, q):
+        with pytest.raises(InvalidParameter, match=f"quantile must be in \\(0, 1\\), got {q}"):
+            PROF.service_quantile(q)
 
 
 class TestTermination:
@@ -188,6 +211,14 @@ class TestDeflation:
         assert len(left) == 4
         assert sum(c.allocated_vcpu for c in left) == pytest.approx(3.0)
         assert all(c.cpu_fraction == pytest.approx(0.75) for c in left)
+
+    @pytest.mark.parametrize("tau, step, name", [
+        (0.0, 0.05, "tau"), (1.0, 0.05, "tau"), (-0.2, 0.05, "tau"),
+        (0.3, 0.0, "step"), (0.3, -0.05, "step"),
+    ])
+    def test_bad_tau_or_step(self, tau, step, name):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be"):
+            reclaim_by_deflation_grouped(make_pool([1.0] * 4), 3.0, tau=tau, step=step)
 
     def test_terminates_when_tau_insufficient(self):
         pool = make_pool([1.0] * 4)

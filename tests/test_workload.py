@@ -127,6 +127,21 @@ class TestGenerator:
         with pytest.raises(InvalidSchedule):
             generate_arrivals(WorkloadSpec(mode="static", rate_schedule=((0.0, 1.0),)), 0.0, 1)
 
+    def test_unknown_mode(self):
+        with pytest.raises(InvalidSchedule, match="unknown workload mode 'poisson'"):
+            WorkloadSpec(mode="poisson", rate_schedule=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("mode, field", [
+        ("static", "rate_schedule"), ("discrete", "rate_schedule"), ("continuous", "rate_points"),
+    ])
+    def test_rate_pairs_checked_alike_in_every_mode(self, mode, field):
+        for pairs, problem in ((((0.0, 1.0), (0.0, 2.0)), "times must be strictly increasing"),
+                               (((5.0, 1.0), (1.0, 2.0)), "times must be strictly increasing"),
+                               (((0.0, -1.0),), "rates must be >= 0"),
+                               ((), "must not be empty")):
+            with pytest.raises(InvalidSchedule, match=f"^{field}: {problem}"):
+                WorkloadSpec(mode=mode, **{field: pairs})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mode, field, pairs", [
         ("static", "rate_schedule", lambda v: ((0.0, v),)),
@@ -374,6 +389,11 @@ class TestRateEstimator:
             est.update(arrivals, float(tick_time))
         value = est.update(arrivals, 315.0)  # first tick after short window fills
         assert value >= 0.8 * 12.0
+
+    def test_ewma_is_state_not_an_argument(self):
+        assert RateEstimator().ewma is None
+        with pytest.raises(TypeError):
+            RateEstimator(ewma=5.0)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidSchedule):
