@@ -145,8 +145,7 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
     if rate > 0:
         target = spec.slo.wait_target(spec.profile)
         base_rate = spec.profile.base_rate
-        uniform = all(abs(c.cpu_fraction - 1.0) < 1e-12 for c in active)
-        if uniform or cfg.inflation_enabled:
+        if cfg.inflation_enabled or all(abs(c.cpu_fraction - 1.0) < 1e-12 for c in active):
             extra = queuing.find_c_homogeneous(rate, base_rate, target)
         else:
             rates = sorted(c.effective_rate for c in active)

@@ -245,13 +245,12 @@ def cmd_validate(args) -> int:
 
 def cmd_replay(args) -> int:
     from . import scenario as scenario_mod
-    from .workload import load_trace
 
     if args.nodes > scenario_mod.MAX_NODES:
         print(f"error: --nodes: {args.nodes:,} nodes, over the {scenario_mod.MAX_NODES:,} limit",
               file=sys.stderr)
         return 2
-    traces = scenario_mod.read_file(load_trace, args.trace)
+    traces = scenario_mod.read_file(scenario_mod.load_trace, args.trace)
     if not traces:
         raise ConfigError(f"{args.trace}: trace file has no rows")
     horizon = args.horizon

@@ -26,17 +26,10 @@ class InvalidSchedule(EdgeScaleError):
 
 
 class ParseError(EdgeScaleError):
-    """A data file is syntactically malformed. Carries a line number when known."""
+    """A data file is malformed or breaks its schema; the message names the line when known."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class SchemaError(EdgeScaleError):
-    """A data file parsed but violates its schema (negative counts, duplicate keys, ...)."""
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class NoCapacity(EdgeScaleError):

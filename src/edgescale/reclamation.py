@@ -10,14 +10,13 @@ to the CPU fraction at 70% deflation and beyond.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFraction, InvalidParameter, ParseError, SchemaError
+from .errors import InvalidFraction, InvalidParameter
 
 DISTRIBUTIONS = ("exponential", "deterministic", "empirical")
 
@@ -82,41 +81,6 @@ class ServiceProfile:
         if self.distribution == "exponential":
             return -math.log(1.0 - q) / self.base_rate
         return float(np.quantile(np.array(self.samples), q))
-
-
-def load_profile_curve(path) -> tuple:
-    """Read (cpu_fraction, mean service seconds) rows into a multiplier curve.
-
-    The multiplier at fraction f is time(1.0)/time(f), so the file must
-    include a fraction-1.0 row to normalise against.
-    """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if lineno == 1 and row[0].strip().lower() in ("cpu_fraction", "fraction"):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", line=lineno)
-            try:
-                frac, seconds = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", line=lineno) from None
-            if not 0 < frac <= 1:
-                raise SchemaError(f"line {lineno}: cpu_fraction {frac} outside (0, 1]")
-            if seconds <= 0:
-                raise SchemaError(f"line {lineno}: service time must be > 0")
-            rows.append((frac, seconds))
-    if not rows:
-        raise SchemaError("no data rows")
-    rows.sort()
-    full = [s for f, s in rows if abs(f - 1.0) < 1e-9]
-    if not full:
-        raise SchemaError("missing the cpu_fraction=1.0 row to normalise against")
-    base = full[0]
-    return tuple((f, base / s) for f, s in rows)
 
 
 class ContainerState:

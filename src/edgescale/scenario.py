@@ -1,14 +1,18 @@
-"""Scenario files: schema, validation, dotted-path overrides.
+"""Scenario files: schema, validation, dotted-path overrides, and every input file.
 
 A scenario is one YAML document describing the cluster, the controller knobs,
 and every function (size, SLO, service profile, workload). Trace and profile
-files are resolved relative to the scenario file. `apply_override` edits the
-raw document before parsing, so `--override key=value` and editing the file
-are interchangeable.
+files are resolved relative to the scenario file. This module reads every
+file the program takes in, the scenario and its trace and profile CSVs, so
+the model modules do no file I/O. `apply_override` edits the raw document
+before parsing, so `--override key=value` and editing the file are
+interchangeable.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,10 +20,10 @@ import yaml
 
 from .allocator import ControllerConfig, FunctionSpec, SloPolicy
 from .cluster import Node
-from .errors import ConfigError, InvalidParameter, InvalidSchedule, ParseError, SchemaError
+from .errors import ConfigError, InvalidParameter, InvalidSchedule, ParseError
 from .queuing import DEFAULT_CONTAINER_CAP
-from .reclamation import DEFAULT_CURVE, DISTRIBUTIONS, ServiceProfile, load_profile_curve
-from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals, load_trace
+from .reclamation import DEFAULT_CURVE, DISTRIBUTIONS, ServiceProfile
+from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals
 
 # Arrivals are generated before the run starts. trace_headroom (167k
 # requests) peaks at 51 MB in `edgescale run` and at 82 MB in the benchmark,
@@ -27,6 +31,11 @@ from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals, loa
 # per arrival (one static function, 167k to 1.67M arrivals; Python 3.11,
 # numpy 2.4), so 10M expected arrivals take roughly 0.8 GB.
 MAX_ARRIVALS = 10_000_000
+# A trace's counts hold an 8-byte slot for every minute up to its last one,
+# built before MAX_ARRIVALS is checked. A one-row trace at minute 999,999
+# (about 1.9 years) loads into a WorkloadSpec in about 0.3 s, peaking at
+# 24 MB under tracemalloc (Python 3.11, shared 2-vCPU host).
+MAX_TRACE_MINUTES = 1_000_000
 # An estimator tick costs 6 us (one function) to 28 us (six), so 1M ticks take
 # under half a minute; none after the last epoch runs, so none at all with the
 # controller off. An epoch costs 20 us to 1.5 ms (trace_headroom's planner) and
@@ -211,7 +220,7 @@ def _build(make, prefix, **kwargs):
 def read_file(load, path, prefix=""):
     """Return `load(path)`, re-raising what stops it as a ConfigError that
     names `path` after `prefix`: a file that cannot be opened or is not UTF-8
-    text, or a ParseError or SchemaError from `load`, whose message follows.
+    text, or a ParseError from `load`, whose message follows.
     """
     try:
         return load(path)
@@ -219,9 +228,85 @@ def read_file(load, path, prefix=""):
         reason = exc.strerror or exc
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason})"
-    except (ParseError, SchemaError) as exc:
+    except ParseError as exc:
         reason = exc
     raise ConfigError(f"{prefix}{path}: {reason}") from None
+
+
+def _csv_rows(path, width, header):
+    """(line, cells) of each data row of the CSV file `path`.
+
+    Records are numbered from 1. Empty, whitespace-only and `#`-led rows are
+    skipped, and so is line 1 when its first cell, in any case, is in
+    `header`; any other row must have `width` cells.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            first = row[0].strip() if row else ""
+            if (not first and len(row) < 2) or first.startswith("#") or (
+                    line == 1 and first.lower() in header):
+                continue
+            if len(row) != width:
+                raise ParseError(f"expected {width} columns, got {len(row)}", line=line)
+            yield line, row
+
+
+def load_trace(path) -> dict:
+    """Read a trace CSV (`function_id,minute_index,count`) into per-minute counts.
+
+    Rows for a function may appear in any order but must not repeat a minute;
+    minutes absent from the file count as zero, and every minute is below
+    MAX_TRACE_MINUTES. Returns {function_id: counts}, counts[0] being the
+    first minute, in first-appearance order.
+    """
+    per_fn: dict = {}
+    for line, (fn, minute, count) in _csv_rows(path, 3, ("function_id",)):
+        fn = fn.strip()
+        if not fn:
+            raise ParseError("empty function_id", line=line)
+        try:
+            minute, count = int(minute), int(count)
+        except ValueError as exc:
+            raise ParseError(f"bad integer field: {exc}", line=line) from None
+        if minute < 0:
+            raise ParseError(f"negative minute_index {minute}", line=line)
+        if minute >= MAX_TRACE_MINUTES:
+            raise ParseError(f"minute_index {minute} over the {MAX_TRACE_MINUTES:,} limit",
+                             line=line)
+        if count < 0:
+            raise ParseError(f"negative count {count}", line=line)
+        minutes = per_fn.setdefault(fn, {})
+        if minute in minutes:
+            raise ParseError(f"duplicate minute {minute} for function {fn!r}", line=line)
+        minutes[minute] = count
+    return {fn: tuple(minutes.get(m, 0) for m in range(max(minutes) + 1))
+            for fn, minutes in per_fn.items()}
+
+
+def load_profile_curve(path) -> tuple:
+    """Read (cpu_fraction, mean service seconds) rows into a multiplier curve.
+
+    The multiplier at fraction f is time(1.0)/time(f), so the file must
+    include a fraction-1.0 row to normalise against.
+    """
+    rows = []
+    for line, (frac, seconds) in _csv_rows(path, 2, ("cpu_fraction", "fraction")):
+        try:
+            frac, seconds = float(frac), float(seconds)
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", line=line) from None
+        if not 0 < frac <= 1:
+            raise ParseError(f"cpu_fraction {frac} outside (0, 1]", line=line)
+        if not 0 < seconds < math.inf:
+            raise ParseError(f"service time must be > 0 and finite, got {seconds}", line=line)
+        rows.append((frac, seconds))
+    if not rows:
+        raise ParseError("no data rows")
+    rows.sort()
+    full = [s for f, s in rows if abs(f - 1.0) < 1e-9]
+    if not full:
+        raise ParseError("missing the cpu_fraction=1.0 row to normalise against")
+    return tuple((f, full[0] / s) for f, s in rows)
 
 
 def _workload(doc, where, base_dir, traces):
@@ -360,5 +445,6 @@ def apply_override(doc: dict, assignment: str) -> dict:
             else:
                 node = node.setdefault(part, {})
         else:
-            raise ConfigError(f"override {key!r}: {part!r} is not a mapping")
+            scalar = repr(parts[i - 1]) if i else "the scenario"
+            raise ConfigError(f"override {key!r}: {scalar} is not a mapping")
     return doc

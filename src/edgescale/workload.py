@@ -1,4 +1,4 @@
-"""Synthetic workload generation, invocation-trace ingestion, and rate estimation.
+"""Synthetic workload generation and rate estimation.
 
 Generators produce Poisson arrival streams in four modes: static rate,
 discrete rate changes, continuously varying rate (thinning), and trace replay
@@ -27,13 +27,12 @@ it keeps its scalar thinning loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSchedule, ParseError, SchemaError
+from .errors import InvalidSchedule
 
 MODES = ("static", "discrete", "continuous", "trace")
 BLOCK = 4096  # exponential gaps drawn per RNG call
@@ -179,45 +178,6 @@ def expected_arrivals(spec: WorkloadSpec, horizon: float) -> float:
         return float(sum(spec.per_minute_counts[: math.ceil(horizon / 60.0)]))
     segments = _segments(spec.rate_schedule, horizon)
     return sum((rate * (end - start) for rate, start, end in segments), 0.0)
-
-
-def load_trace(path) -> dict:
-    """Read a trace CSV (`function_id,minute_index,count`) into per-minute counts.
-
-    Rows for a function may appear in any order but must not repeat a minute;
-    minutes absent from the file count as zero. Returns {function_id: counts},
-    counts[0] being the first minute, in first-appearance order.
-    """
-    per_fn: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row[0].strip().lower() == "function_id":
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 columns, got {len(row)}", line=lineno)
-            fn = row[0].strip()
-            if not fn:
-                raise ParseError("empty function_id", line=lineno)
-            try:
-                minute = int(row[1])
-                count = int(row[2])
-            except ValueError as exc:
-                raise ParseError(f"bad integer field: {exc}", line=lineno) from None
-            if minute < 0:
-                raise SchemaError(f"line {lineno}: negative minute_index {minute}")
-            if count < 0:
-                raise SchemaError(f"line {lineno}: negative count {count}")
-            minutes = per_fn.setdefault(fn, {})
-            if minute in minutes:
-                raise SchemaError(
-                    f"line {lineno}: duplicate minute {minute} for function {fn!r}"
-                )
-            minutes[minute] = count
-    return {fn: tuple(minutes.get(m, 0) for m in range(max(minutes) + 1))
-            for fn, minutes in per_fn.items()}
 
 
 @dataclass

@@ -501,6 +501,7 @@ class TestSweepCommand:
 
 TRACE_FIELD = "functions.f1.workload.file"
 TRACE_OVERRIDE = "functions.f1.workload={mode: trace, file: data.csv, function: f1}"
+MINUTES = scenario_mod.MAX_TRACE_MINUTES
 PROFILE_FIELD = "functions.f1.service.profile_file"
 
 
@@ -537,7 +538,14 @@ class TestDataFileErrors:
         ("f1,0,3\nf1,1,x\n", "line 2: bad integer field"),
         # blank lines are skipped, and still counted
         ("f1,0,3\n\n   \nf1,1\n", "line 4: expected 3 columns, got 2"),
-    ], ids=["columns", "empty-function-id", "negative-minute", "not-an-integer", "blank-lines"])
+        # so are `#`-led rows, whatever their width
+        ("# note\nf1,0,3\n#f1,1,2\nf1,1\n", "line 4: expected 3 columns, got 2"),
+        # a header is read only on line 1
+        ("f1,0,3\nfunction_id,minute_index,count\n", "line 2: bad integer field"),
+        (f"f1,0,3\nf1,{MINUTES},1\n",
+         f"line 2: minute_index {MINUTES} over the {MINUTES:,} limit"),
+    ], ids=["columns", "empty-function-id", "negative-minute", "not-an-integer", "blank-lines",
+            "comments", "late-header", "minute-limit"])
     def test_malformed_trace_row_through_a_scenario(self, mini_scenario, text, reason):
         data = beside(mini_scenario, text)
         with pytest.raises(ConfigError, match="^" + re.escape(f"{TRACE_FIELD}: {data}: {reason}")):
@@ -553,14 +561,20 @@ class TestDataFileErrors:
     @pytest.mark.parametrize("text, reason", [
         ("1.0,0.1\n0.5,0.2,9\n", "line 2: expected 2 columns, got 3"),
         ("1.0,0.1\n0.5,x\n", "line 2: bad number"),
+        # a whitespace-only row is skipped, and still counted
+        ("1.0,0.1\n   \n0.5,x\n", "line 3: bad number"),
         # a header is read only on line 1
         ("1.0,0.1\ncpu_fraction,mean_service_s\n", "line 2: bad number"),
         ("1.0,0.1\n1.5,0.2\n", "line 2: cpu_fraction 1.5 outside (0, 1]"),
-        ("1.0,0.1\n0.5,0\n", "line 2: service time must be > 0"),
+        ("1.0,0.1\n0.5,0\n", "line 2: service time must be > 0 and finite, got 0.0"),
+        # a NaN time once made a NaN multiplier, an infinite one a zero multiplier
+        ("1.0,0.1\n0.5,nan\n", "line 2: service time must be > 0 and finite, got nan"),
+        ("1.0,0.1\n0.5,inf\n", "line 2: service time must be > 0 and finite, got inf"),
         ("cpu_fraction,mean_service_s\n# no rows\n", "no data rows"),
         ("0.5,0.2\n", "missing the cpu_fraction=1.0 row"),
-    ], ids=["columns", "not-a-number", "late-header", "fraction-range", "service-time",
-            "no-rows", "no-full-size-row"])
+    ], ids=["columns", "not-a-number", "blank-line", "late-header", "fraction-range",
+            "service-time", "nan-service-time", "infinite-service-time", "no-rows",
+            "no-full-size-row"])
     def test_malformed_profile_file(self, mini_scenario, text, reason):
         data = beside(mini_scenario, text)
         with pytest.raises(ConfigError,
@@ -604,6 +618,10 @@ class TestScenarioInputErrors:
     def test_override_through_a_scalar_names_the_key(self, mini_scenario, tmp_path, capsys):
         rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),
                    "--override", "seed.x=1"])
-        err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: override 'seed.x': ") and err.endswith(" is not a mapping\n")
+        assert capsys.readouterr().err == "error: override 'seed.x': 'seed' is not a mapping\n"
+        scalar = beside(mini_scenario, "5\n", "scalar.yaml")
+        rc = main(["run", str(scalar), "--out", str(tmp_path / "o"), "--override", "seed=1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: override 'seed': the scenario is not a mapping\n"
+        assert not (tmp_path / "o").exists()

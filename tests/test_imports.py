@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and each entry
-point loads only the modules it runs.
+"""Every name a package module imports is used in that module, only
+`scenario` and `cli` do file I/O, and each entry point loads only the modules
+it runs.
 
 `from __future__` imports are compiler switches, not names.
 """
@@ -46,6 +47,26 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def file_io(source: str) -> list:
+    """(line, name) of each call to an `open` and each import of `csv` in `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, "open"))
+        elif isinstance(node, ast.Import) and "csv" in [a.name for a in node.names] or (
+                isinstance(node, ast.ImportFrom) and node.module == "csv"):
+            found.append((node.lineno, "csv"))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_scenario_and_cli_do_file_io(path):
+    # scenario reads every input file and cli writes every output file; the
+    # model modules take and return values
+    assert bool(file_io(path.read_text())) == (path.name in ("scenario.py", "cli.py"))
 
 
 def modules_after(code: str) -> set:

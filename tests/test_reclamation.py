@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgescale.errors import InvalidFraction, InvalidParameter, SchemaError
+from edgescale.errors import InvalidFraction, InvalidParameter, ParseError
 from edgescale.reclamation import (
     DEFAULT_CURVE,
     VCPU_QUANTUM,
@@ -11,11 +11,11 @@ from edgescale.reclamation import (
     ServiceProfile,
     SetFraction,
     Terminate,
-    load_profile_curve,
     plan_inflation,
     reclaim_by_deflation_grouped,
     reclaim_by_termination,
 )
+from edgescale.scenario import load_profile_curve
 
 PROF = ServiceProfile(base_rate=10.0)
 
@@ -144,7 +144,7 @@ class TestProfileLoader:
     def test_missing_full_size_row(self, tmp_path):
         p = tmp_path / "prof.csv"
         p.write_text("0.7,0.111\n")
-        with pytest.raises(SchemaError, match="1.0"):
+        with pytest.raises(ParseError, match="1.0"):
             load_profile_curve(p)
 
     def test_shipped_example(self):

@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from edgescale import scenario
-from edgescale.errors import (
-    InvalidSchedule,
-    ParseError,
-    SchemaError,
-)
+from edgescale.errors import InvalidSchedule, ParseError
+from edgescale.scenario import load_trace
 from edgescale.workload import (
     BLOCK,
     RateEstimator,
     WorkloadSpec,
     expected_arrivals,
     generate_arrivals,
-    load_trace,
 )
 from scenario_builders import REPO_ROOT
 
@@ -284,13 +280,13 @@ class TestTraceLoader:
     def test_negative_count_is_schema_error(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("f1,0,-5\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ParseError):
             load_trace(p)
 
     def test_duplicate_minute_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("f1,0,5\nf1,0,6\n")
-        with pytest.raises(SchemaError, match="duplicate"):
+        with pytest.raises(ParseError, match="duplicate"):
             load_trace(p)
 
     def test_wrong_column_count(self, tmp_path):
