@@ -203,6 +203,10 @@ def _positive_int(text):
 
 
 def cmd_validate(args) -> int:
+    if args.requests * args.replications > oracle.MAX_REQUESTS:
+        raise InvalidParameter(
+            f"--requests: {args.requests:,} requests x {args.replications:,} replications, "
+            f"over the {oracle.MAX_REQUESTS:,}-request limit")
     target = WaitTarget(t=args.deadline, percentile=args.percentile)
     if args.rates:
         k = queuing.find_c_heterogeneous(args.arrival_rate, args.rates, args.service_rate,
@@ -323,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--deadline", type=_finite_float, default=0.1)
     val_p.add_argument("--percentile", type=_finite_float, default=0.95)
     val_p.add_argument("--replications", type=_positive_int, default=3)
-    val_p.add_argument("--requests", type=_positive_int, default=120_000)
+    val_p.add_argument("--requests", type=_positive_int, default=120_000,
+                       help="requests per replication; requests x replications "
+                            f"may be at most {oracle.MAX_REQUESTS:,}")
     val_p.add_argument("--seed", type=_nonnegative_int, default=0)
     val_p.set_defaults(func=cmd_validate)
 

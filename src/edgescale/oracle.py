@@ -22,6 +22,14 @@ current start are idle, the rest busy, each kept on its own heap, so a
 request costs O(log K) over K classes whatever the pool size. An equal-rate
 pool, the M/M/c case, is one class and costs one `heapreplace` a request.
 The schedule is the one a scan over every server gives, bit for bit.
+
+The queue runs a block of `BLOCK` requests at a time, so its memory does not
+grow with the request count. The gaps and the service times are one stream of
+draws from one seed, gaps first; two generators seeded alike read it, one from
+the first gap and one from the first service time, and each block of arrivals
+is the cumsum of its gaps carried on from the previous block's last arrival.
+Both equal a single whole-array draw and cumsum bit for bit. `mc_wait` keeps
+only hit counts per batch mean, never a per-request array.
 """
 
 from __future__ import annotations
@@ -37,7 +45,11 @@ import numpy as np
 from .errors import InvalidParameter, UnstableSystem
 
 POLICIES = ("fastest-idle", "slowest-idle")
-SLICE = 1024  # requests read from the input arrays per pass, as Python floats
+BLOCK = 4096  # requests drawn and served per numpy pass
+SLICE = 1024  # requests read from a block per pass, as Python floats
+# requests one validation may serve over all its replications, the same ten
+# million a scenario may draw
+MAX_REQUESTS = 10_000_000
 MIN_WARMUP = 1000  # requests dropped before measuring: this many, or 1% if more
 BATCHES = 100  # batch means behind the standard error
 
@@ -49,28 +61,48 @@ class OracleResult:
     stderr: float
 
 
+def _exponentials(rng, scale, count: int):
+    """Yield `count` exponential draws at `scale` from `rng`, `BLOCK` at a time."""
+    for lo in range(0, count, BLOCK):
+        yield rng.exponential(scale, size=min(BLOCK, count - lo))
+
+
 def _shared_queue(lam: float, rates, num_requests: int, seed: int, pick_fastest: bool):
     """Serve `num_requests` Poisson arrivals at rate `lam` with `_serve`.
 
-    Draws the inter-arrival gaps, then the unit-mean service times, from one
-    generator seeded with `seed`. Returns the arrival, service-start and
-    completion times, in arrival order.
+    Yields `_serve`'s `(arrivals, starts, completions)` blocks, in arrival
+    order. `gaps` reads the stream of `seed` from its first draw, `services`
+    from the draw after the last gap (module docstring).
     """
-    rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
-    unit_service = rng.exponential(1.0, size=num_requests)
-    starts, completions = _serve(arrivals, unit_service, rates, pick_fastest)
-    return arrivals, starts, completions
+    gaps = np.random.default_rng(seed)
+    services = np.random.default_rng(seed)
+
+    def arrivals():
+        last = 0.0
+        for block in _exponentials(gaps, 1.0 / lam, num_requests):
+            block[0] += last  # the cumsum goes on from the previous block
+            np.cumsum(block, out=block)
+            last = block[-1]
+            yield block
+
+    def unit_services():
+        for _ in _exponentials(services, 1.0, num_requests):  # the gaps' draws
+            pass
+        yield from _exponentials(services, 1.0, num_requests)
+
+    return _serve(arrivals(), unit_services(), rates, pick_fastest)
 
 
-def _serve(arrivals, unit_service, rates, pick_fastest: bool):
+def _serve(arrival_blocks, unit_blocks, rates, pick_fastest: bool):
     """Serve requests FCFS from one shared queue over servers at `rates`.
 
-    Request n arrives at `arrivals[n]` (non-decreasing) and starts service no
-    earlier than request n-1. When servers of several rates are idle at its
-    start time it takes the fastest, or the slowest when `pick_fastest` is
-    false, and completes `unit_service[n] / rate` later. Returns the start
-    and completion times as arrays, in arrival order.
+    Takes the arrival times (non-decreasing) and the unit-mean service times
+    as two iterables of equal-length array blocks. Request n starts service no
+    earlier than its arrival and than request n-1. When servers of several
+    rates are idle at its start time it takes the fastest, or the slowest when
+    `pick_fastest` is false, and completes its unit service over the rate
+    later. Yields `(arrivals, starts, completions)` arrays per block; the
+    queue's state carries over from block to block.
 
     Class k is the k-th distinct rate in policy order, so lower is preferred;
     `free_at[k]` is a heap of its servers' free-at times. `idle` is a heap of
@@ -85,9 +117,6 @@ def _serve(arrivals, unit_service, rates, pick_fastest: bool):
     """
     classes = sorted(Counter(rates).items(), reverse=pick_fastest)
     class_rates = [rate for rate, _ in classes]
-    n = len(arrivals)
-    starts = np.empty(n)
-    completions = np.empty(n)
     start = 0.0
     push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
 
@@ -95,47 +124,52 @@ def _serve(arrivals, unit_service, rates, pick_fastest: bool):
         # the M/M/c case: the one class is idle once `start` reaches its
         # earliest free-at time, and service times divide in numpy
         heap = [0.0] * classes[0][1]  # an all-equal list is a heap
-        for lo in range(0, n, SLICE):
-            hi = min(lo + SLICE, n)
-            service = unit_service[lo:hi] / class_rates[0]
-            slice_starts = []
-            record = slice_starts.append
-            for arrived, needed in zip(arrivals[lo:hi].tolist(), service.tolist()):
-                if arrived > start:
-                    start = arrived
-                if heap[0] > start:
-                    start = heap[0]
-                replace(heap, start + needed)
-                record(start)
-            starts[lo:hi] = slice_starts
-            np.add(starts[lo:hi], service, out=completions[lo:hi])
-        return starts, completions
+        for arrivals, unit_service in zip(arrival_blocks, unit_blocks):
+            service = unit_service / class_rates[0]
+            starts = np.empty(len(arrivals))
+            for lo in range(0, len(arrivals), SLICE):
+                hi = lo + SLICE
+                slice_starts = []
+                record = slice_starts.append
+                for arrived, needed in zip(arrivals[lo:hi].tolist(), service[lo:hi].tolist()):
+                    if arrived > start:
+                        start = arrived
+                    if heap[0] > start:
+                        start = heap[0]
+                    replace(heap, start + needed)
+                    record(start)
+                starts[lo:hi] = slice_starts
+            yield arrivals, starts, starts + service
+        return
 
     free_at = [[0.0] * count for _, count in classes]
     idle = list(range(len(classes)))  # a sorted list is a heap
     busy = []
-    for lo in range(0, n, SLICE):
-        hi = min(lo + SLICE, n)
-        slice_starts = []
-        slice_done = []
-        for arrived, unit in zip(arrivals[lo:hi].tolist(), unit_service[lo:hi].tolist()):
-            if arrived > start:
-                start = arrived
-            if not idle and busy[0][0] > start:
-                start = busy[0][0]
-            while busy and busy[0][0] <= start:
-                push(idle, pop(busy)[1])
-            k = idle[0]
-            done = start + unit / class_rates[k]
-            heap = free_at[k]
-            replace(heap, done)
-            if heap[0] > start:
-                push(busy, (heap[0], pop(idle)))
-            slice_starts.append(start)
-            slice_done.append(done)
-        starts[lo:hi] = slice_starts
-        completions[lo:hi] = slice_done
-    return starts, completions
+    for arrivals, unit_service in zip(arrival_blocks, unit_blocks):
+        starts = np.empty(len(arrivals))
+        completions = np.empty(len(arrivals))
+        for lo in range(0, len(arrivals), SLICE):
+            hi = lo + SLICE
+            slice_starts = []
+            slice_done = []
+            for arrived, unit in zip(arrivals[lo:hi].tolist(), unit_service[lo:hi].tolist()):
+                if arrived > start:
+                    start = arrived
+                if not idle and busy[0][0] > start:
+                    start = busy[0][0]
+                while busy and busy[0][0] <= start:
+                    push(idle, pop(busy)[1])
+                k = idle[0]
+                done = start + unit / class_rates[k]
+                heap = free_at[k]
+                replace(heap, done)
+                if heap[0] > start:
+                    push(busy, (heap[0], pop(idle)))
+                slice_starts.append(start)
+                slice_done.append(done)
+            starts[lo:hi] = slice_starts
+            completions[lo:hi] = slice_done
+        yield arrivals, starts, completions
 
 
 def mc_wait(
@@ -171,8 +205,12 @@ def mc_wait(
             raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    num_requests = int(num_requests)
     if num_requests < 100:
         raise InvalidParameter("need at least 100 requests")
+    if num_requests > MAX_REQUESTS:
+        raise InvalidParameter(
+            f"{num_requests:,} requests, over the {MAX_REQUESTS:,} limit")
     warmup = max(MIN_WARMUP, num_requests // 100)
     if num_requests - warmup < BATCHES:
         raise InvalidParameter(
@@ -180,21 +218,22 @@ def mc_wait(
             f"after a warmup of {warmup}, fewer than the {BATCHES} batches"
         )
 
-    pick_fastest = policy == "fastest-idle"
-    arrivals, starts, _ = _shared_queue(lam, rates, num_requests, seed, pick_fastest)
-    measured = (starts - arrivals)[warmup:]
-    hits = (measured <= t).astype(float)
-    p_hat = float(hits.mean())
+    # each block's hits add to the count of the batch mean they fall in;
+    # counts of 0/1 are exact, so the means equal those of a whole array
+    samples = num_requests - warmup
+    size = samples // BATCHES  # the last samples % BATCHES are in no batch
+    hits = 0
+    per_batch = np.zeros(BATCHES, dtype=np.int64)
+    first = -warmup  # the block's first request, counted from the first sample
+    blocks = _shared_queue(lam, rates, num_requests, seed, policy == "fastest-idle")
+    for arrivals, starts, _ in blocks:
+        at = np.flatnonzero(starts - arrivals <= t) + first
+        first += len(arrivals)
+        at = at[at >= 0]
+        hits += len(at)
+        per_batch += np.bincount(at // size, minlength=BATCHES)[:BATCHES]
+    p_hat = hits / samples
 
-    usable = (len(hits) // BATCHES) * BATCHES
-    per_batch = hits[:usable].reshape(BATCHES, -1).mean(axis=1)
-    se_batch = float(per_batch.std(ddof=1)) / math.sqrt(BATCHES)
-    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / len(hits))
-    stderr = max(se_batch, se_binom)
-
-    return OracleResult(
-        p_wait_le_t=p_hat,
-        sample_count=len(measured),
-        stderr=stderr,
-    )
-
+    se_batch = float((per_batch / size).std(ddof=1)) / math.sqrt(BATCHES)
+    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / samples)
+    return OracleResult(p_wait_le_t=p_hat, sample_count=samples, stderr=max(se_batch, se_binom))

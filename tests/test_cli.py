@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import edgescale.scenario as scenario_mod
+from edgescale import oracle
 from edgescale.cli import main
 from edgescale.errors import ConfigError
 from scenario_builders import REPO_ROOT
@@ -388,6 +389,23 @@ class TestValidateCommand:
         assert rc == 1 and captured.out == ""
         assert captured.err.startswith("error: --requests: ")
         assert samples in captured.err
+
+    @pytest.mark.parametrize("flag, value, total", [
+        ("--requests", "1000000000000", "1,000,000,000,000 requests x 3 replications"),
+        ("--replications", "1000000000", "120,000 requests x 1,000,000,000 replications"),
+    ])
+    def test_oracle_work_over_the_cap_names_the_flag(self, capsys, flag, value, total):
+        # uncapped, the first ends in a numpy allocation error, the second runs for hours
+        rc = main(["validate", "--arrival-rate", "5", "--service-rate", "10", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == (f"error: --requests: {total}, "
+                                f"over the {oracle.MAX_REQUESTS:,}-request limit\n")
+
+    def test_help_states_the_request_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert f"{oracle.MAX_REQUESTS:,}" in " ".join(capsys.readouterr().out.split())
 
     def test_unstable_reports_cleanly(self, capsys):
         rc = main([

@@ -2,16 +2,27 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from edgescale import oracle
 from edgescale.errors import InvalidParameter, UnstableSystem
-from edgescale.oracle import mc_wait
+from edgescale.oracle import BATCHES, OracleResult, mc_wait
 from edgescale.simulator import Simulation, _FnRuntime
 
 from scenario_builders import basic_function, make_scenario
+
+
+def joined(blocks):
+    """The `(arrivals, starts, completions)` blocks of `_serve` as three whole arrays."""
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
+def shared_queue(lam, rates, num_requests, seed, pick_fastest):
+    """`_shared_queue`'s blocks joined into whole arrays."""
+    return joined(oracle._shared_queue(lam, rates, num_requests, seed, pick_fastest))
 
 
 def test_mm1_tail_closed_form():
@@ -57,7 +68,7 @@ def test_littles_law():
     rather than an identity.
     """
     lam, n = 18, 120_000
-    arrivals, _, completions = oracle._shared_queue(lam, [10.0] * 3, n, 2, True)
+    arrivals, _, completions = shared_queue(lam, [10.0] * 3, n, 2, True)
 
     lo = float(arrivals[n // 10])
     hi = float(arrivals[9 * n // 10])
@@ -108,6 +119,7 @@ def test_non_finite_or_negative_input_rejected(lam, rates, t, match):
     (5_000, -1, "seed must be >= 0, got -1"),
     (5_000, 1.5, "seed must be an integer, got 1.5"),
     (5_000, None, "seed must be an integer, got None"),
+    (10_000_001, 0, "10,000,001 requests, over the 10,000,000 limit"),
 ])
 def test_bad_count_or_seed_rejected(num_requests, seed, match):
     with pytest.raises(InvalidParameter, match=match):
@@ -167,21 +179,104 @@ def _random_pools(count, seed):
     *_random_pools(18, seed=11),
 ])
 def test_heaps_equal_scan_bit_for_bit(lam, rates, pick_fastest):
-    n = 2 * oracle.SLICE + 37
+    n = oracle.BLOCK + 2 * oracle.SLICE + 37  # a block edge and slice edges
     want = scan_reference(lam, rates, n, 4, pick_fastest)
-    got = oracle._shared_queue(lam, rates, n, 4, pick_fastest)
+    got = shared_queue(lam, rates, n, 4, pick_fastest)
+    for w, g in zip(want, got):
+        assert np.array_equal(w, g)
+
+
+def whole_array_mc_wait(lam, rates, t, num_requests, seed, policy):
+    """`mc_wait` on whole arrays, every request's wait held at once: the reference."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(1.0 / lam, size=num_requests))
+    unit_service = rng.exponential(1.0, size=num_requests)
+    _, starts, _ = joined(oracle._serve([arrivals], [unit_service], sorted(rates),
+                                        policy == "fastest-idle"))
+    warmup = max(oracle.MIN_WARMUP, num_requests // 100)
+    measured = (starts - arrivals)[warmup:]
+    hits = (measured <= t).astype(float)
+    p_hat = float(hits.mean())
+
+    usable = (len(hits) // BATCHES) * BATCHES
+    per_batch = hits[:usable].reshape(BATCHES, -1).mean(axis=1)
+    se_batch = float(per_batch.std(ddof=1)) / math.sqrt(BATCHES)
+    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / len(hits))
+    return OracleResult(p_wait_le_t=p_hat, sample_count=len(measured),
+                        stderr=max(se_batch, se_binom))
+
+
+@pytest.mark.parametrize("num_requests", [
+    1_100,  # the fewest: a warmup of 1,000 and one sample per batch
+    2 * oracle.SLICE - 1, 2 * oracle.SLICE + 1, oracle.BLOCK - 1, oracle.BLOCK + 1,
+    3 * oracle.BLOCK + 37, 120_000,  # a warmup of 1,200 and batches of 1,188
+])
+@pytest.mark.parametrize("policy", oracle.POLICIES)
+@pytest.mark.parametrize("lam, rates", [
+    pytest.param(25.0, [10.0] * 3, id="homog_c3"),
+    *_random_pools(4, seed=23),
+])
+def test_streaming_equals_the_whole_array_estimate(lam, rates, policy, num_requests):
+    t = 0.3 / max(rates)
+    want = whole_array_mc_wait(lam, rates, t, num_requests, 5, policy)
+    got = mc_wait(lam, rates, t, num_requests=num_requests, seed=5, policy=policy)
+    assert [(type(v), v) for v in vars(got).values()] == [
+        (type(v), v) for v in vars(want).values()]
+
+
+@pytest.mark.parametrize("rates, most", [
+    pytest.param([10.0] * 3, 400_000, id="one_class"),
+    # the heap kernel runs slower under tracemalloc; an array slot per
+    # request would hold about 7.4 MB more at 200,000 than at 20,000
+    pytest.param([4.0, 10.0, 10.0, 12.0], 200_000, id="three_classes"),
+])
+def test_memory_does_not_grow_with_the_request_count(rates, most):
+    peaks = []
+    for num_requests in (20_000, most):
+        mc_wait(25.0, rates, 0.1, num_requests=2_000)  # first-call allocations
+        tracemalloc.start()
+        try:
+            mc_wait(25.0, rates, 0.1, num_requests=num_requests)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("pick_fastest", [True, False], ids=["fastest", "slowest"])
+@pytest.mark.parametrize("rates", [
+    pytest.param([2.0] * 4, id="one_class"),
+    pytest.param([1.0, 2.0, 2.0, 4.0, 8.0], id="four_classes"),
+])
+def test_block_edges_change_no_time(rates, pick_fastest):
+    """One request per block serves the queue exactly as one block does.
+
+    At 99% load most requests queue, so most block edges fall inside a busy
+    period, where the start time and the heaps must carry over. Times on a
+    grid of quarters over power-of-two rates tie often; only a tie makes a
+    request start later than both its arrival and its server's free-at time.
+    """
+    rng = np.random.default_rng(12)
+    n = 3_000
+    arrivals = np.floor(np.cumsum(rng.exponential(1.0 / (0.99 * sum(rates)), size=n)) * 4) / 4
+    unit_service = np.round(rng.exponential(1.0, size=n) * 4) / 4
+    want = joined(oracle._serve([arrivals], [unit_service], rates, pick_fastest))
+    got = joined(oracle._serve(np.split(arrivals, n), np.split(unit_service, n), rates,
+                               pick_fastest))
+    assert np.count_nonzero(want[1] > arrivals) > n // 2
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
 
 
 class _FixedDraws:
-    """Stands in for a numpy Generator: hands out preset exponential draws."""
+    """Stands in for a numpy Generator: hands out preset exponential draws in order."""
 
-    def __init__(self, *draws):
+    def __init__(self, draws):
         self.draws = list(draws)
 
     def exponential(self, scale, size):
-        return scale * np.array(self.draws.pop(0), dtype=float)
+        taken, self.draws = self.draws[:size], self.draws[size:]
+        return scale * np.array(taken, dtype=float)
 
 
 @pytest.mark.parametrize("pick_fastest", [True, False])
@@ -196,10 +291,10 @@ def test_tied_completions_count_as_idle(monkeypatch, pick_fastest):
     units = [4.0, 2.0, 1.0, 4.0, 2.0, 1.0]  # 1 s on rates 4, 2, 1 in turn
     rates = [1.0, 2.0, 4.0]
     results = []
-    for kernel in (scan_reference, oracle._shared_queue):
+    for kernel in (scan_reference, shared_queue):
         monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: _FixedDraws(gaps, units if pick_fastest
-                                                     else units[::-1]))
+                            lambda seed: _FixedDraws(gaps + (units if pick_fastest
+                                                             else units[::-1])))
         results.append(kernel(1.0, rates, len(gaps), 0, pick_fastest))
     want, got = results
     assert want[1].tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 4.5]
@@ -220,8 +315,8 @@ def test_tied_classes_while_every_server_is_busy(monkeypatch, pick_fastest):
     units = [4.0, 2.0, 3.0, 1.0, 1.0] if pick_fastest else [2.0, 3.0, 4.0, 1.0, 1.0]
     rates = [1.0, 1.0, 2.0]
     results = []
-    for kernel in (scan_reference, oracle._shared_queue):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(gaps, units))
+    for kernel in (scan_reference, shared_queue):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(gaps + units))
         results.append(kernel(1.0, rates, len(gaps), 0, pick_fastest))
     want, got = results
     assert want[1].tolist() == [0.0, 0.0, 0.0, 2.0, 2.0]
@@ -238,8 +333,8 @@ def test_zero_service_time_leaves_the_server_idle(monkeypatch, pick_fastest):
     units = [0.0, 1.0, 0.0, 3.0, 2.0, 1.0, 1.0]
     rates = [1.0, 1.0, 2.0]
     results = []
-    for kernel in (scan_reference, oracle._shared_queue):
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(gaps, units))
+    for kernel in (scan_reference, shared_queue):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(gaps + units))
         results.append(kernel(1.0, rates, len(gaps), 0, pick_fastest))
     want, got = results
     assert want[2][0] == want[1][0] == 1.0 and want[2][2] == want[1][2] == 1.5
@@ -252,9 +347,9 @@ def test_zero_service_time_leaves_the_server_idle(monkeypatch, pick_fastest):
 def test_many_distinct_rates_equal_scan(distinct, pick_fastest):
     rates = sorted(np.random.default_rng(distinct).uniform(0.5, 20.0, size=distinct).tolist())
     assert len(set(rates)) == distinct
-    n = 2 * oracle.SLICE + 37
+    n = oracle.BLOCK + 2 * oracle.SLICE + 37  # a block edge and slice edges
     want = scan_reference(0.95 * sum(rates), rates, n, 6, pick_fastest)
-    got = oracle._shared_queue(0.95 * sum(rates), rates, n, 6, pick_fastest)
+    got = shared_queue(0.95 * sum(rates), rates, n, 6, pick_fastest)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
 
@@ -263,14 +358,14 @@ def test_many_distinct_rates_equal_scan(distinct, pick_fastest):
 def test_rates_apart_in_the_last_bit_are_separate_classes(pick_fastest):
     rates = sorted([0.1 + 0.2, 0.3])
     assert rates[0] < rates[1] and math.nextafter(rates[0], 1.0) == rates[1]
-    n = 2 * oracle.SLICE + 37
+    n = oracle.BLOCK + 2 * oracle.SLICE + 37  # a block edge and slice edges
     lam = 0.7 * sum(rates)
     want = scan_reference(lam, rates, n, 8, pick_fastest)
-    got = oracle._shared_queue(lam, rates, n, 8, pick_fastest)
+    got = shared_queue(lam, rates, n, 8, pick_fastest)
     for w, g in zip(want, got):
         assert np.array_equal(w, g)
     # taken as one class, the pool would complete requests at other times
-    merged = oracle._shared_queue(lam, [rates[0]] * 2, n, 8, pick_fastest)
+    merged = shared_queue(lam, [rates[0]] * 2, n, 8, pick_fastest)
     assert not np.array_equal(want[2], merged[2])
 
 
@@ -324,8 +419,11 @@ def test_simulator_matches_the_kernel_bit_for_bit(kind, fractions, mu, load):
     while len(unit_service) < len(rt.arrivals):
         draws.refill_draws()
         unit_service += draws.draws
-    starts, completions = oracle._serve(rt.arrivals, np.array(unit_service[:len(rt.arrivals)]),
-                                        rates, pick_fastest=False)
+    # in ragged blocks, so the queue's state carries over block edges
+    cuts = [1, 700, 1_500]
+    _, starts, completions = joined(oracle._serve(
+        np.split(rt.arrivals, cuts), np.split(np.array(unit_service[:len(rt.arrivals)]), cuts),
+        rates, pick_fastest=False))
 
     horizon = sim.horizon
     assert len(requests) == len(rt.arrivals) > 1_000
