@@ -235,5 +235,8 @@ def mc_wait(
     p_hat = hits / samples
 
     se_batch = float((per_batch / size).std(ddof=1)) / math.sqrt(BATCHES)
-    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / samples)
+    # when every sample meets the deadline, or none does, p(1 - p) is 0; the
+    # floor is what one miss (or one hit) among the samples would give
+    one = 1.0 / samples
+    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), one * (1.0 - one)) / samples)
     return OracleResult(p_wait_le_t=p_hat, sample_count=samples, stderr=max(se_batch, se_binom))

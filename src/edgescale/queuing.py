@@ -175,10 +175,16 @@ def wait_cdf_heterogeneous(lam: float, rates: Sequence[float], t: float) -> floa
 def min_stable_count(lam: float, mu: float, base: float = 0.0) -> int:
     """The stability floor: smallest k with base + k*mu > lam, where `base` is
     the summed rate of the containers a pool already holds. With none (the
-    default) it is the smallest stable M/M/c pool, at least 1."""
+    default) it is the smallest stable M/M/c pool, at least 1. A floor past
+    `DEFAULT_CONTAINER_CAP` raises CapExceeded, before the rounding guard:
+    far past 2^53, k += 1 no longer moves k*mu, and the guard would not end."""
     k = 0
     if lam >= base:
-        k = int(math.floor((lam - base) / mu)) + 1
+        needed = (lam - base) / mu
+        if needed > DEFAULT_CONTAINER_CAP:
+            raise CapExceeded(f"no pool of <= {DEFAULT_CONTAINER_CAP} containers is stable "
+                              f"at arrival rate {lam}")
+        k = int(math.floor(needed)) + 1
     while base + k * mu <= lam:  # float-division rounding guard
         k += 1
     return k

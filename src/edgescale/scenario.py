@@ -27,9 +27,10 @@ from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals
 
 # Arrivals are generated before the run starts. trace_headroom (167k
 # requests) peaks at 51 MB in `edgescale run` and at 82 MB in the benchmark,
-# which keeps its own per-request statistics. A run grows by about 75 bytes
-# per arrival (one static function, 167k to 1.67M arrivals; Python 3.11,
-# numpy 2.4), so 10M expected arrivals take roughly 0.8 GB.
+# which keeps its own per-request statistics. A run grows by about 67 bytes
+# per arrival (peak RSS of `edgescale run`, one static function, 167k to
+# 1.67M arrivals; Python 3.11, numpy 2.4), so 10M expected arrivals take
+# roughly 0.7 GB.
 MAX_ARRIVALS = 10_000_000
 # A trace's counts hold an 8-byte slot for every minute up to its last one,
 # built before MAX_ARRIVALS is checked. A one-row trace at minute 999,999

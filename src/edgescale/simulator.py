@@ -25,18 +25,19 @@ idle one, and the head of the queue goes to it.
 When a controller action frees a container or queues a rerun, the action
 calls `_advance` at the tick time, where only the hand-out has work.
 
-Every function logs its requests in its own numpy columns, one row per
-arrival, indexed by arrival index: dispatch and completion time (NaN until
-set), container id (-1 when none), status code (`STATUSES`) and reruns.
-`run` sizes them from `len(arrivals)` when it starts, not `__init__`, so an
-`arrivals` array replaced after construction gets columns of its length.
-Inside `_advance` a request is its row, an int: `pending` holds rows, and
-writes go through a memoryview of each column, which stores a Python value
-faster than an `array.array` or an ndarray item assignment. When the run
-ends, or raises, `_merge_requests` orders the rows by arrival time, then
-function id, then arrival index, with one stable argsort that it applies to
-every column, and builds one `RequestLog` in `metrics.requests`. A run that
-raises logs exactly the prefix of each function's arrivals it handled.
+`run` builds the request log (`metrics.requests`) when it starts, from
+`len(arrivals)` and not in `__init__`, so an `arrivals` array replaced after
+construction is logged in full. The log has one row per arrival, already in
+its final order: arrival time, then function id, then arrival index, by one
+stable argsort of the functions' arrivals concatenated in function id order.
+Dispatch and completion times start NaN, container ids -1, status codes
+(`STATUSES`) in flight and reruns 0. Each function's `rows` maps its arrival
+index to its log row. Inside `_advance` a request is its log row, an int:
+`pending` holds rows, timeouts read the log's arrival column, and writes go
+through a memoryview of each column, which stores a Python value faster than
+an `array.array` or an ndarray item assignment. Each outcome is written once,
+in place. A run that raises keeps only the rows of the arrivals each function
+handled, so its log is exactly those prefixes, in the same order.
 Arrivals stay heap events, one pending per function and pushed as the
 previous one is handled: one loop then orders every kind of event, and the
 heap pops still count each arrival and each completion.
@@ -87,8 +88,7 @@ requests; yet a run frees everything it drops by reference counting alone,
 because it builds no reference cycles, and a collection during a run finds
 nothing to free. Pausing therefore changes no output and holds back no
 memory. `tests/test_simulator.py` checks that a paused run leaves the
-collector nothing. The merged request log, built after the collector is
-back on, is a few arrays that it does not track.
+collector nothing. The request log is a few arrays that it does not track.
 """
 from __future__ import annotations
 
@@ -119,8 +119,8 @@ EV_COMPLETE, EV_ARRIVAL, EV_READY = range(3)  # event order at equal times
 BLOCK = 4096  # service times drawn per RNG call
 STATUSES = ("inflight", "completed", "dropped")  # request log status codes
 INFLIGHT, COMPLETED, DROPPED = range(3)
-# a function's request columns that the event loop writes, by arrival index
-_WRITTEN = ("dispatch", "completion", "container_id", "status", "reruns")
+# the request log columns that the event loop reads or writes, by log row
+_VIEWED = ("arrival", "dispatch", "completion", "container_id", "status", "reruns")
 
 
 @dataclass(slots=True)
@@ -214,25 +214,11 @@ class _FnRuntime:
     idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
     draws: list = field(default_factory=list)  # a block of service times, as floats
     next_draw: int = BLOCK  # index of the next unread draw in `draws`
-    handled: int = 0  # arrivals handled so far: the rows in use; the next one to push
-    # memoryviews by arrival index, set by `open_log`: `arrivals`, read for
-    # arrival times and timeouts, and the request columns
+    handled: int = 0  # arrivals handled so far; the next one to push
+    # memoryviews by arrival index, set while `run` runs: `arrivals`, read for
+    # arrival times, and `rows` (int32), each arrival's row in the request log
     arrival: memoryview = None
-    dispatch: memoryview = None
-    completion: memoryview = None
-    container_id: memoryview = None
-    status: memoryview = None
-    reruns: memoryview = None
-
-    def open_log(self):
-        """Size this function's request columns from `arrivals`, every row unhandled."""
-        n = len(self.arrivals)
-        self.arrival = memoryview(self.arrivals)
-        self.dispatch = memoryview(np.full(n, np.nan))
-        self.completion = memoryview(np.full(n, np.nan))
-        self.container_id = memoryview(np.full(n, -1, dtype=np.int32))
-        self.status = memoryview(np.full(n, INFLIGHT, dtype=np.int8))
-        self.reruns = memoryview(np.zeros(n, dtype=np.int32))
+    rows: memoryview = None
 
     def refill_draws(self):
         """Replace `draws` with the next `BLOCK` service times at full container size."""
@@ -254,7 +240,8 @@ class SimMetrics:
     def __init__(self, horizon: float, capacity_vcpu: float):
         self.horizon = horizon
         self.capacity_vcpu = capacity_vcpu
-        self.requests: RequestLog | None = None  # set when `Simulation.run` ends
+        # set when `Simulation.run` starts and written in place as it runs
+        self.requests: RequestLog | None = None
         self.epochs: list = []
         self.busy_vcpu_time = 0.0
         self.allocated_vcpu_time = 0.0
@@ -303,8 +290,28 @@ class Simulation:
     # -- event loops ----------------------------------------------------------
 
     def run(self) -> SimMetrics:
-        for rt in self.functions.values():
-            rt.open_log()
+        fids = sorted(self.functions)
+        rts = [self.functions[fid] for fid in fids]
+        counts = [len(rt.arrivals) for rt in rts]
+        times = np.concatenate([rt.arrivals for rt in rts])
+        n = len(times)
+        # rows go by arrival time, then function id, then arrival index; the
+        # sort temporaries are freed before the written columns are made
+        order = np.argsort(times, kind="stable")
+        arrival = times[order]
+        del times
+        rows = np.empty(n, dtype=np.int32)
+        rows[order] = np.arange(n, dtype=np.int32)
+        codes = np.arange(len(rts), dtype=np.min_scalar_type(len(rts)))
+        function = np.repeat(codes, counts)[order]
+        del order
+        log = self.metrics.requests = RequestLog(
+            fids, function, arrival, np.full(n, np.nan), np.full(n, np.nan),
+            np.full(n, -1, dtype=np.int32), np.full(n, INFLIGHT, dtype=np.int8),
+            np.zeros(n, dtype=np.int32))
+        self._columns = {name: memoryview(getattr(log, name)) for name in _VIEWED}
+        for rt, part in zip(rts, np.split(rows, np.cumsum(counts[:-1]))):
+            rt.arrival, rt.rows = memoryview(rt.arrivals), memoryview(part)
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -335,9 +342,14 @@ class Simulation:
         finally:
             if collecting:
                 gc.enable()
-            self._merge_requests()
-            for rt in self.functions.values():
-                rt.draws = []
+            if any(rt.handled < len(rt.rows) for rt in rts):
+                # a run that raised logs only the arrivals it handled
+                kept = np.sort(np.concatenate([rt.rows[:rt.handled] for rt in rts]))
+                self.metrics.requests = RequestLog(
+                    fids, *(getattr(log, name)[kept] for name in RequestLog.FIELDS))
+            for rt in rts:
+                rt.draws, rt.rows = [], None
+            del self._columns
         return self.metrics
 
     def _advance(self, rt: _FnRuntime, until: float):
@@ -346,11 +358,10 @@ class Simulation:
         Each pass first hands waiting requests to idle containers at the
         current time, then handles one event. Called at a controller tick
         after every earlier event is done, only the hand-out runs, at the
-        tick time. A request is its row in the function's columns.
+        tick time. A request is its row in the request log.
         """
-        events, pending, idle = rt.events, rt.pending, rt.idle
-        arrival, dispatch, completion, served_by, status = (
-            rt.arrival, rt.dispatch, rt.completion, rt.container_id, rt.status)
+        events, pending, idle, arrival, rows = rt.events, rt.pending, rt.idle, rt.arrival, rt.rows
+        log_arrival, dispatch, completion, served_by, status, _ = self._columns.values()  # _VIEWED
         heappush, heappop = heapq.heappush, heapq.heappop
         seq = rt.seq
         timeout = rt.spec.timeout_s
@@ -370,7 +381,7 @@ class Simulation:
                     else:
                         container = dispatch_wrr(idle.values())
                     if timeout is not None:
-                        while pending and time - arrival[pending[0]] > timeout:
+                        while pending and time - log_arrival[pending[0]] > timeout:
                             status[pending.popleft()] = DROPPED
                         if not pending:
                             break
@@ -399,7 +410,7 @@ class Simulation:
                         status[row] = COMPLETED
                         idle[payload.id] = payload
                 elif kind == EV_ARRIVAL:
-                    pending.append(handled)
+                    pending.append(rows[handled])
                     handled += 1
                     if handled < n_arrivals:
                         heappush(events, (arrival[handled], EV_ARRIVAL, next(seq), None))
@@ -411,30 +422,6 @@ class Simulation:
             # a run that raises here still logs every arrival it handled
             rt.next_draw, rt.handled = next_draw, handled
         self.metrics.busy_vcpu_time += busy_time
-
-    def _merge_requests(self):
-        """Gather every function's handled rows into `metrics.requests`, in arrival order.
-
-        Rows go by arrival time, then function id, then arrival index: one
-        stable sort of the functions' arrivals, concatenated in function id
-        order, applied to every column. A function's column is released as
-        soon as it is merged.
-        """
-        fids = sorted(self.functions)
-        rts = [self.functions[fid] for fid in fids]
-        counts = [rt.handled for rt in rts]
-        times = np.concatenate([rt.arrivals[:n] for rt, n in zip(rts, counts)])
-        order = np.argsort(times, kind="stable")
-        merged = {"arrival": times[order]}
-        del times
-        codes = np.arange(len(rts), dtype=np.min_scalar_type(len(rts)))
-        merged["function"] = np.repeat(codes, counts)[order]
-        for name in _WRITTEN:
-            merged[name] = np.concatenate(
-                [np.asarray(getattr(rt, name))[:n] for rt, n in zip(rts, counts)])[order]
-            for rt in rts:
-                setattr(rt, name, None)
-        self.metrics.requests = RequestLog(fids, **merged)
 
     # -- controller hooks ----------------------------------------------------
 
@@ -526,9 +513,10 @@ class Simulation:
         row = container.serving
         if row is not None:
             container.serving = None
-            rt.reruns[row] += 1
-            rt.dispatch[row] = math.nan
-            rt.container_id[row] = -1
+            columns = self._columns
+            columns["reruns"][row] += 1
+            columns["dispatch"][row] = math.nan
+            columns["container_id"][row] = -1
             self.metrics.reruns += 1
             rt.pending.appendleft(row)
         rt.idle.pop(container_id, None)

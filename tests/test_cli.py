@@ -407,6 +407,25 @@ class TestValidateCommand:
             main(["validate", "--help"])
         assert f"{oracle.MAX_REQUESTS:,}" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("service_rate", ["1e-30", "1e-300"])
+    def test_a_stability_floor_past_the_cap_is_one_error(self, capsys, service_rate):
+        # the planner's stability floor once looped for good on these rates
+        rc = main(["validate", "--arrival-rate", "2", "--service-rate", service_rate,
+                   "--requests", "200"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_every_sample_meeting_the_deadline_keeps_an_uncertainty(self, capsys):
+        # every oracle sample waits 0 s; the spread was once floored to 0,
+        # which printed +-3se 0.00000
+        main(["validate", "--arrival-rate", "45", "--service-rate", "1",
+              "--requests", "1100", "--replications", "5"])
+        header, row = capsys.readouterr().out.splitlines()
+        oracle_p, three_se = row.split()[-3:-1]
+        assert header.split()[-2] == "+-3se" and oracle_p == "1.00000"
+        assert float(three_se) > 0
+
     def test_unstable_reports_cleanly(self, capsys):
         rc = main([
             "validate", "--arrival-rate", "1000", "--service-rate", "10",
@@ -632,6 +651,14 @@ class TestScenarioInputErrors:
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "o").exists()
+
+    def test_a_pool_past_the_cap_ends_in_an_error(self, mini_scenario, tmp_path, capsys):
+        # the first epoch's stability floor once looped for good here
+        rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),
+                   "--override", "functions.f1.service.rate=1e-300"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_override_through_a_scalar_names_the_key(self, mini_scenario, tmp_path, capsys):
         rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),

@@ -201,7 +201,8 @@ def whole_array_mc_wait(lam, rates, t, num_requests, seed, policy):
     usable = (len(hits) // BATCHES) * BATCHES
     per_batch = hits[:usable].reshape(BATCHES, -1).mean(axis=1)
     se_batch = float(per_batch.std(ddof=1)) / math.sqrt(BATCHES)
-    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / len(hits))
+    one = 1.0 / len(hits)
+    se_binom = math.sqrt(max(p_hat * (1.0 - p_hat), one * (1.0 - one)) / len(hits))
     return OracleResult(p_wait_le_t=p_hat, sample_count=len(measured),
                         stderr=max(se_batch, se_binom))
 

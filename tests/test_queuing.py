@@ -339,6 +339,25 @@ class TestFindC:
         assert 2.5 + 967 * 0.6 == 582.6999999999999
         assert min_stable_count(582.6999999999999, 0.6, 2.5) == 968
 
+    def test_min_stable_count_past_the_cap_raises(self):
+        # far past 2^53, k += 1 no longer moves k * mu: the rounding guard
+        # once looped for good at lam=2, mu=1e-30 and at mu=1e-300
+        for mu in (1e-30, 1e-300):
+            with pytest.raises(CapExceeded, match=f"<= {DEFAULT_CONTAINER_CAP} containers"):
+                min_stable_count(2.0, mu)
+            with pytest.raises(CapExceeded):
+                min_stable_count(2.0, mu, 1e-300)
+
+    def test_min_stable_count_at_the_cap_edge(self):
+        cap = float(DEFAULT_CONTAINER_CAP)
+        assert min_stable_count(cap - 0.5, 1.0) == DEFAULT_CONTAINER_CAP
+        assert min_stable_count(cap, 1.0) == DEFAULT_CONTAINER_CAP + 1  # the search refuses it
+        assert min_stable_count(cap + 2.5, 1.0, 2.5) == DEFAULT_CONTAINER_CAP + 1
+        with pytest.raises(CapExceeded):
+            min_stable_count(math.nextafter(cap, math.inf), 1.0)
+        with pytest.raises(CapExceeded):
+            min_stable_count(cap + 2.5, 1.0, 2.5 - 1e-6)
+
 
 def homogeneous_reference(lam, mu, target, c_start=0, cap=DEFAULT_CONTAINER_CAP):
     """`find_c_homogeneous` as its own scan: own floor loop, reference kernel."""

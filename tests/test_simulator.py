@@ -540,14 +540,15 @@ class CheckedSimulation(Simulation):
             assert set(rt.idle) == expected, (time, fid)
             assert all(rt.idle[cid] is placed[cid] for cid in expected)
             assert all(c.serving is None for c in rt.idle.values()), (time, fid)
-            served_by = np.asarray(rt.container_id)
-            in_service = np.flatnonzero((np.asarray(rt.status) == simulator.INFLIGHT)
-                                        & (served_by >= 0))
+            log, rows = self.metrics.requests, np.asarray(rt.rows)
+            served_by = log.container_id
+            in_service = np.sort(rows[(log.status[rows] == simulator.INFLIGHT)
+                                      & (served_by[rows] >= 0)])
             busy = [c for c in pool if c.serving is not None]
             assert sorted(c.serving for c in busy) == in_service.tolist(), (time, fid)
             for c in busy:
                 assert served_by[c.serving] == c.id, (time, c.id)
-                assert rt.dispatch[c.serving] <= c.busy_since, (time, c.id)
+                assert log.dispatch[c.serving] <= c.busy_since, (time, c.id)
         for cid, c in placed.items():
             assert c.wrr_units == max(1, round(c.allocated_vcpu / VCPU_QUANTUM)), (time, cid)
             assert c.multiplier == c.profile.multiplier(c.cpu_fraction), (time, cid)
@@ -861,22 +862,37 @@ class TestRequestLog:
                 raise RuntimeError("dispatch failed")
             return real(*args)
 
+        # "a" raises between ticks; "b", advanced after "a" at each tick, has
+        # handled only the arrivals up to the tick before, so the prefixes differ
         monkeypatch.setattr(simulator, "dispatch_wrr", failing_on_the_fiftieth)
-        sim = Simulation(make_scenario([basic_function(rate=20.0, initial=2)], horizon=60.0))
+        sim = Simulation(make_scenario(
+            [basic_function("a", rate=20.0, initial=2), basic_function("b", rate=5.0, initial=1)],
+            horizon=60.0))
         with pytest.raises(RuntimeError, match="dispatch failed"):
             sim.run()
-        rt = sim.functions["f1"]
         records = list(sim.metrics.requests)
-        assert 50 <= len(records) < len(rt.arrivals)
-        assert [r.arrival for r in records] == rt.arrivals[:len(records)].tolist()
+        order = [(r.arrival, r.function_id) for r in records]
+        assert order == sorted(order)  # log row order
+        handled = {}
+        for fid, rt in sim.functions.items():
+            logged = [r.arrival for r in records if r.function_id == fid]
+            assert logged == rt.arrivals[:len(logged)].tolist(), fid
+            assert len(logged) == rt.handled < len(rt.arrivals), fid
+            handled[fid] = len(logged)
+        assert handled["a"] >= 50 and handled["b"] > 0
+        assert records[-1].function_id == "a" and records[-1].arrival > max(
+            r.arrival for r in records if r.function_id == "b")
         # the arrival whose hand-out raised is logged, never dispatched
         assert (records[-1].status, records[-1].container_id) == ("inflight", -1)
         assert math.isnan(records[-1].dispatch)
 
-    def test_run_keeps_under_64_bytes_per_request(self):
-        # the log is a few numbers per request; a `Request` object per
-        # request kept about 150 B, and peaked near 190 B
-        scn = make_scenario([basic_function(rate=200.0, mu=100.0, initial=3)], horizon=520.0)
+    @pytest.mark.parametrize("functions", [1, 3])
+    def test_run_keeps_under_64_bytes_per_request(self, functions):
+        # the log is a few numbers per request, written in place: a
+        # `Request` object per request kept about 150 B, and peaked near
+        # 190 B; per-function columns merged at the end peaked near 60 B
+        scn = make_scenario([basic_function(f"f{i}", rate=200.0 / functions, mu=100.0, initial=3)
+                             for i in range(functions)], horizon=520.0)
         sim = Simulation(scn)
         tracemalloc.start()
         try:
@@ -886,4 +902,4 @@ class TestRequestLog:
             tracemalloc.stop()
         n = len(m.requests)
         assert n >= 100_000
-        assert kept / n < 64 and peak / n < 100, (kept / n, peak / n)
+        assert kept / n < 64 and peak / n < 48, (kept / n, peak / n)
