@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import fairshare, queuing, reclamation
-from .errors import InfeasibleDeadline, NoCapacity
+from .errors import CapExceeded, InfeasibleDeadline, NoCapacity
 from .queuing import WaitTarget
 from .reclamation import VCPU_QUANTUM
 
@@ -56,13 +56,9 @@ class CreateContainer:
 
 
 @dataclass(frozen=True)
-class MarkLazy:
+class SetLazy:
     container_id: int
-
-
-@dataclass(frozen=True)
-class UnmarkLazy:
-    container_id: int
+    marked: bool
 
 
 @dataclass
@@ -74,6 +70,9 @@ class EpochRecord:
     and the planned `shrink`/`grow` actions. The simulator sets `epoch` and
     `time`, applies the actions and counts them in the counters, then fills
     `c_active`, `c_lazy` and `alloc_vcpu` from the pool it left.
+    `infeasible` says that no pool of at most `DEFAULT_CONTAINER_CAP`
+    containers meets the SLO; the demand is then the stable pool, or the
+    guarantee when larger, up to the capacity.
     """
 
     function_id: str
@@ -191,7 +190,7 @@ def reconcile(
             for c in reclamation.by_allocation(active):
                 if current - freed - c.allocated_vcpu < target_vcpu - 1e-9:
                     break
-                shrink.append(MarkLazy(c.id))
+                shrink.append(SetLazy(c.id, True))
                 freed += c.allocated_vcpu
         else:
             for c in lazy:  # marked surplus goes first under pressure
@@ -218,7 +217,7 @@ def reconcile(
         for c in sorted(lazy, key=lambda c: (-c.allocated_vcpu, c.id)):
             if gap < VCPU_QUANTUM:
                 break
-            grow.append(UnmarkLazy(c.id))
+            grow.append(SetLazy(c.id, False))
             gap -= c.allocated_vcpu
         n_create = int(math.floor(gap / spec.vcpu + 1e-9))
         grow.extend(CreateContainer(spec.id) for _ in range(n_create))
@@ -235,7 +234,7 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
     """
     weights = {fid: s.weight for fid, s in specs.items()}
     capacity = cluster.capacity_vcpu
-    guar = fairshare.guaranteed_shares(weights, capacity, quantum=VCPU_QUANTUM)
+    guar = fairshare.guaranteed_shares(weights, capacity)
 
     records = {}
     pools = {}
@@ -247,10 +246,16 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
         infeasible = False
         try:
             c_new, demand = required_pool(spec, active, rate, cfg)
-        except InfeasibleDeadline:
-            # no container count can meet the SLO; hold the fair share
+        except (InfeasibleDeadline, CapExceeded):
+            # no pool within the cap meets the SLO: ask for the stable pool,
+            # or the guarantee when larger; fair share decides under overload
             infeasible = True
-            c_new, demand = len(active), guar[fid]
+            try:
+                stable = queuing.min_stable_count(rate, spec.profile.base_rate) * spec.vcpu
+            except CapExceeded:
+                stable = capacity
+            demand = min(capacity, max(guar[fid], stable))
+            c_new = int(math.floor(demand / spec.vcpu + 1e-9))
         records[fid] = EpochRecord(
             function_id=fid,
             rate_estimate=rate,
@@ -262,11 +267,10 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
         )
 
     demands = {fid: rec.demand_vcpu for fid, rec in records.items()}
-    share = fairshare.adjust_allocations(demands, weights, guar, capacity, quantum=VCPU_QUANTUM)
+    share = fairshare.adjust_allocations(demands, weights, guar, capacity)
     for fid, rec in records.items():
         rec.overloaded = share.overloaded
-        if share.overloaded:
-            rec.target_vcpu = share.adjusted[fid]
+        rec.target_vcpu = share.adjusted[fid]
         rec.shrink, rec.grow = reconcile(
             specs[fid], pools[fid], rec.target_vcpu, share.overloaded, cfg
         )

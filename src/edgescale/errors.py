@@ -6,7 +6,8 @@ class EdgeScaleError(Exception):
 
 
 class InvalidParameter(EdgeScaleError):
-    """A model parameter is outside its valid domain (nonpositive rate, c < 1, ...)."""
+    """A parameter is outside its valid domain: a nonpositive rate, c < 1, an
+    empty or malformed workload schedule, a CPU fraction outside (0, 1], ..."""
 
 
 class UnstableSystem(EdgeScaleError):
@@ -19,10 +20,6 @@ class CapExceeded(EdgeScaleError):
 
 class InfeasibleDeadline(EdgeScaleError):
     """The deadline is not achievable by any container count (service tail alone exceeds it)."""
-
-
-class InvalidSchedule(EdgeScaleError):
-    """Workload schedule is empty or malformed."""
 
 
 class ParseError(EdgeScaleError):
@@ -39,6 +36,3 @@ class NoCapacity(EdgeScaleError):
 class ConfigError(EdgeScaleError):
     """Scenario configuration is invalid; message names the offending file/field."""
 
-
-class InvalidFraction(EdgeScaleError):
-    """CPU fraction outside (0, 1]."""

@@ -1,9 +1,9 @@
 """Weighted fair shares under overload: guaranteed minimums and water-filling.
 
-Capacity here is an abstract quantity (the allocator uses vCPUs, the tests
-mostly use whole containers). All results are floored to multiples of
-`quantum` so the caller can never overcommit; leftover whole quanta are handed
-out by largest fractional remainder, ties broken by function id.
+Capacity is in vCPUs. All results are floored to multiples of the fixed vCPU
+quantum (`VCPU_QUANTUM`, 0.05 vCPU) so the caller can never overcommit;
+leftover whole quanta are handed out by largest fractional remainder, ties
+broken by function id.
 
 Weights arrive flattened, one per function: `scenario.from_dict` splits each
 user's weight over that user's functions in proportion to their weights.
@@ -15,21 +15,22 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
+from .reclamation import VCPU_QUANTUM
 
 _EPS = 1e-9
 
 
-def _floor_quanta(x: float, quantum: float) -> float:
-    return math.floor(x / quantum + _EPS) * quantum
+def _floor_quanta(x: float) -> float:
+    return math.floor(x / VCPU_QUANTUM + _EPS) * VCPU_QUANTUM
 
 
-def guaranteed_shares(weights: dict, capacity: float, quantum: float = 1.0) -> dict:
+def guaranteed_shares(weights: dict, capacity: float) -> dict:
     """Guaranteed minimum per function: floor(w_i / sum(w) * C) in quanta."""
     if capacity < 0:
         raise InvalidParameter(f"capacity must be >= 0, got {capacity}")
     total_w = sum(weights.values())
     return {
-        fid: _floor_quanta(capacity * w / total_w, quantum)
+        fid: _floor_quanta(capacity * w / total_w)
         for fid, w in weights.items()
     }
 
@@ -40,19 +41,17 @@ class ShareResult:
     overloaded: bool
 
 
-def adjust_allocations(
-    demands: dict, weights: dict, guar: dict, capacity: float, quantum: float = 1.0
-) -> ShareResult:
+def adjust_allocations(demands: dict, weights: dict, guar: dict, capacity: float) -> ShareResult:
     """Cap demands to fair shares when sum > capacity; pass them through otherwise.
 
-    `guar` is `guaranteed_shares(weights, capacity, quantum)`; `plan_epoch`
+    `guar` is `guaranteed_shares(weights, capacity)`; `plan_epoch`
     computes it once per epoch, for its records and for this call.
 
     Well-behaved functions (demand <= guaranteed share) keep their demand.
     The remaining capacity is split across the overloaded ones in proportion
     to weight, water-filling: anyone whose proportional share exceeds their
     demand is capped there and the surplus re-split among the rest. Floors to
-    `quantum` happen last, with leftover quanta going to the largest
+    `VCPU_QUANTUM` happen last, with leftover quanta going to the largest
     fractional remainders (ties by function id).
     """
     if any(d < 0 for d in demands.values()):
@@ -92,16 +91,16 @@ def adjust_allocations(
     # floor to quanta, then hand leftover quanta to the biggest remainders
     leftover = sum(shares.values())
     for fid in over:
-        adjusted[fid] = _floor_quanta(shares[fid], quantum)
+        adjusted[fid] = _floor_quanta(shares[fid])
         leftover -= adjusted[fid]
     by_remainder = sorted(
         over, key=lambda f: (-(shares[f] - adjusted[f]), f)
     )
     for fid in by_remainder:
-        if leftover < quantum - _EPS:
+        if leftover < VCPU_QUANTUM - _EPS:
             break
-        if adjusted[fid] + quantum <= demands[fid] + _EPS:
-            adjusted[fid] += quantum
-            leftover -= quantum
+        if adjusted[fid] + VCPU_QUANTUM <= demands[fid] + _EPS:
+            adjusted[fid] += VCPU_QUANTUM
+            leftover -= VCPU_QUANTUM
 
     return ShareResult(adjusted=adjusted, overloaded=True)

@@ -10,13 +10,12 @@ to the CPU fraction at 70% deflation and beyond.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFraction, InvalidParameter
+from .errors import InvalidParameter
 
 DISTRIBUTIONS = ("exponential", "deterministic", "empirical")
 
@@ -26,13 +25,6 @@ VCPU_QUANTUM = 0.05
 # (cpu_fraction, rate multiplier) anchors; linear in between, proportional
 # below the last anchor
 DEFAULT_CURVE = ((0.0, 0.0), (0.3, 0.3), (0.7, 0.9), (1.0, 1.0))
-
-
-@functools.lru_cache(maxsize=1024)
-def _interpolate(curve: tuple, cpu_fraction: float) -> float:
-    """The curve's multiplier at `cpu_fraction`; memoized, as a pool's fractions repeat."""
-    fracs, mults = zip(*curve)
-    return float(np.interp(cpu_fraction, fracs, mults))
 
 
 @dataclass(frozen=True)
@@ -69,8 +61,9 @@ class ServiceProfile:
 
     def multiplier(self, cpu_fraction: float) -> float:
         if not 0 < cpu_fraction <= 1:
-            raise InvalidFraction(f"cpu fraction must be in (0, 1], got {cpu_fraction}")
-        return _interpolate(self.curve, cpu_fraction)
+            raise InvalidParameter(f"cpu fraction must be in (0, 1], got {cpu_fraction}")
+        fracs, mults = zip(*self.curve)
+        return float(np.interp(cpu_fraction, fracs, mults))
 
     def service_quantile(self, q: float) -> float:
         """Quantile of the service-time distribution at full container size."""
@@ -90,7 +83,7 @@ class ContainerState:
     (full size by default); the simulator marks and unmarks it later.
 
     The `cpu_fraction` setter owns what follows from the fraction. It asks
-    `profile.multiplier` first, which raises `InvalidFraction` outside
+    `profile.multiplier` first, which raises `InvalidParameter` outside
     (0, 1] and so leaves the container as it was; it then stores
     `allocated_vcpu` (standard vCPU times the fraction), `multiplier` (the
     service-rate factor at that size) and `wrr_units` (its dispatch weight,

@@ -20,7 +20,7 @@ import yaml
 
 from .allocator import ControllerConfig, FunctionSpec, SloPolicy
 from .cluster import Node
-from .errors import ConfigError, InvalidParameter, InvalidSchedule, ParseError
+from .errors import ConfigError, InvalidParameter, ParseError
 from .queuing import DEFAULT_CONTAINER_CAP
 from .reclamation import DEFAULT_CURVE, DISTRIBUTIONS, ServiceProfile
 from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals
@@ -214,7 +214,7 @@ def _build(make, prefix, **kwargs):
     """Call a constructor; its errors are re-raised under `prefix`."""
     try:
         return make(**kwargs)
-    except (InvalidParameter, InvalidSchedule) as exc:
+    except InvalidParameter as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 

@@ -106,8 +106,7 @@ from .allocator import (
     ControllerConfig,
     CreateContainer,
     EpochRecord,
-    MarkLazy,
-    UnmarkLazy,
+    SetLazy,
     place,
     plan_epoch,
 )
@@ -461,12 +460,12 @@ class Simulation:
                 rec.deflates += 1
             elif container.cpu_fraction > before + 1e-12:
                 rec.inflates += 1
-        elif isinstance(action, MarkLazy):
-            container.lazy_marked = True
-            rec.marks += 1
-        elif isinstance(action, UnmarkLazy):
-            container.lazy_marked = False
-            rec.unmarks += 1
+        elif isinstance(action, SetLazy):
+            container.lazy_marked = action.marked
+            if action.marked:
+                rec.marks += 1
+            else:
+                rec.unmarks += 1
         else:
             spec = self.functions[fid].spec
             try:

@@ -32,26 +32,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSchedule
+from .errors import InvalidParameter
 
 MODES = ("static", "discrete", "continuous", "trace")
 BLOCK = 4096  # exponential gaps drawn per RNG call
 
 
 def _rate_pairs(pairs, name: str) -> tuple:
-    """`pairs` as (time, rate) floats; an InvalidSchedule, starting with
+    """`pairs` as (time, rate) floats; an InvalidParameter, starting with
     `name`, unless they are non-empty and finite, with times strictly
     increasing and rates >= 0."""
     out = tuple((float(t), float(r)) for t, r in pairs)
     for t, r in out:
         if not (math.isfinite(t) and math.isfinite(r)):
-            raise InvalidSchedule(f"{name}: must be finite, got ({t}, {r})")
+            raise InvalidParameter(f"{name}: must be finite, got ({t}, {r})")
     if not out:
-        raise InvalidSchedule(f"{name}: must not be empty")
+        raise InvalidParameter(f"{name}: must not be empty")
     if any(b <= a for (a, _), (b, _) in zip(out, out[1:])):
-        raise InvalidSchedule(f"{name}: times must be strictly increasing")
+        raise InvalidParameter(f"{name}: times must be strictly increasing")
     if any(r < 0 for _, r in out):
-        raise InvalidSchedule(f"{name}: rates must be >= 0")
+        raise InvalidParameter(f"{name}: rates must be >= 0")
     return out
 
 
@@ -72,7 +72,7 @@ class WorkloadSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise InvalidSchedule(f"unknown workload mode {self.mode!r}")
+            raise InvalidParameter(f"unknown workload mode {self.mode!r}")
         if self.mode in ("static", "discrete"):
             object.__setattr__(self, "rate_schedule",
                                _rate_pairs(self.rate_schedule, "rate_schedule"))
@@ -84,9 +84,9 @@ class WorkloadSpec:
                 try:
                     counts.append(int(c))
                 except (ValueError, OverflowError):
-                    raise InvalidSchedule(f"trace counts must be finite, got {c}") from None
+                    raise InvalidParameter(f"trace counts must be finite, got {c}") from None
             if any(c < 0 for c in counts):
-                raise InvalidSchedule("trace counts must be >= 0")
+                raise InvalidParameter("trace counts must be >= 0")
             object.__setattr__(self, "per_minute_counts", tuple(counts))
 
 
@@ -133,7 +133,7 @@ def _poisson_segments(rng, segments) -> np.ndarray:
 def generate_arrivals(spec: WorkloadSpec, horizon: float, seed) -> np.ndarray:
     """Arrival timestamps in [0, horizon), sorted; deterministic given seed."""
     if not 0 < horizon < math.inf:
-        raise InvalidSchedule(f"horizon must be finite and > 0, got {horizon}")
+        raise InvalidParameter(f"horizon must be finite and > 0, got {horizon}")
     rng = np.random.default_rng(seed)
 
     if spec.mode in ("static", "discrete"):
@@ -208,13 +208,13 @@ class RateEstimator:
     def __post_init__(self):
         # each message starts with its field; scenario.from_dict adds the section
         if not 0 < self.tick < math.inf:
-            raise InvalidSchedule(f"tick: must be in (0, inf), got {self.tick}")
+            raise InvalidParameter(f"tick: must be in (0, inf), got {self.tick}")
         if not self.short_window < self.long_window:
-            raise InvalidSchedule("short_window: must be < long_window")
+            raise InvalidParameter("short_window: must be < long_window")
         if not 0 < self.alpha <= 1:
-            raise InvalidSchedule(f"alpha: must be in (0, 1], got {self.alpha}")
+            raise InvalidParameter(f"alpha: must be in (0, 1], got {self.alpha}")
         if not self.burst_factor > 1:
-            raise InvalidSchedule(f"burst_factor: must be > 1, got {self.burst_factor}")
+            raise InvalidParameter(f"burst_factor: must be > 1, got {self.burst_factor}")
 
     def window_rates(self, arrivals: np.ndarray, now: float) -> tuple:
         """(long-window rate, short-window rate) of sorted `arrivals` at `now`."""

@@ -32,6 +32,32 @@ functions:
 """
 
 
+# two functions on one 8-vCPU node; `hot` needs over 10,000 containers
+HOT_AND_COOL = """
+horizon_seconds: 20
+seed: 1
+cluster:
+  nodes:
+    - {vcpu: 8.0, memory_mb: 16384}
+functions:
+  - id: hot
+    size: {vcpu: 1.0, memory_mb: 256}
+    slo: {deadline: 0.1, percentile: 0.95}
+    service: {distribution: exponential, rate: 1}
+    workload: {mode: static, rate: 20000}
+  - id: cool
+    size: {vcpu: 1.0, memory_mb: 256}
+    slo: {deadline: 0.1, percentile: 0.95}
+    service: {distribution: exponential, rate: 10}
+    workload: {mode: static, rate: 2}
+"""
+
+
+def read_epochs(out_dir) -> list:
+    with open(out_dir / "epochs.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture
 def mini_scenario(tmp_path):
     path = tmp_path / "mini.yaml"
@@ -652,13 +678,31 @@ class TestScenarioInputErrors:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "o").exists()
 
-    def test_a_pool_past_the_cap_ends_in_an_error(self, mini_scenario, tmp_path, capsys):
-        # the first epoch's stability floor once looped for good here
+    def test_a_pool_past_the_cap_runs_flagged(self, mini_scenario, tmp_path, capsys):
+        # the first epoch's stability floor once looped for good here, and
+        # then ended the run in an error: no pool within the cap is stable
         rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),
                    "--override", "functions.f1.service.rate=1e-300"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert rc == 0 and capsys.readouterr().err == ""
+        epochs = read_epochs(tmp_path / "o")
+        assert [r["time_s"] for r in epochs] == ["10.000", "20.000", "30.000", "40.000"]
+        assert all(r["infeasible"] == "1" for r in epochs)
+
+    def test_an_overloaded_function_past_the_cap_does_not_end_the_run(self, tmp_path, capsys):
+        # one function needs more than DEFAULT_CONTAINER_CAP containers to be
+        # stable; it holds its fair share and its neighbour keeps its pool
+        path = tmp_path / "hot.yaml"
+        path.write_text(HOT_AND_COOL)
+        rc = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "epochs.csv", "requests.csv", "summary.txt"]
+        epochs = read_epochs(tmp_path / "o")
+        assert sorted({r["time_s"] for r in epochs}) == ["10.000", "20.000"]
+        for r in epochs:
+            assert r["infeasible"] == ("1" if r["function_id"] == "hot" else "0")
+            if r["function_id"] == "cool":
+                assert r["target_vcpu"] == r["demand_vcpu"]
 
     def test_override_through_a_scalar_names_the_key(self, mini_scenario, tmp_path, capsys):
         rc = main(["run", str(mini_scenario), "--out", str(tmp_path / "o"),

@@ -6,6 +6,7 @@ import pytest
 
 from edgescale.errors import ConfigError, InvalidParameter
 from edgescale.fairshare import adjust_allocations, guaranteed_shares
+from edgescale.reclamation import VCPU_QUANTUM
 from scenario_builders import basic_function, make_scenario
 
 
@@ -56,8 +57,10 @@ class TestGuaranteedShares:
         assert guaranteed_shares({"a": 1, "b": 2}, 9) == {"a": 3.0, "b": 6.0}
 
     def test_floor_leaves_remainder_unguaranteed(self):
-        shares = guaranteed_shares({"a": 1, "b": 1, "c": 1}, 10)
-        assert shares == {"a": 3.0, "b": 3.0, "c": 3.0}
+        # 0.1667 vCPU each floors to three quanta, 0.15 vCPU
+        shares = guaranteed_shares({"a": 1, "b": 1, "c": 1}, 0.5)
+        assert shares == {"a": 3 * VCPU_QUANTUM, "b": 3 * VCPU_QUANTUM, "c": 3 * VCPU_QUANTUM}
+        assert sum(shares.values()) < 0.5 - VCPU_QUANTUM / 2
 
 
 class TestNegativeInputs:
@@ -120,6 +123,10 @@ class TestAdjustAllocations:
             {"a": 10, "b": 20}, 12)
 
 
+def whole_quanta(x) -> bool:
+    return abs(x / VCPU_QUANTUM - round(x / VCPU_QUANTUM)) < 1e-6
+
+
 def _random_instance(rng):
     n = int(rng.integers(1, 9))
     fids = [f"f{i}" for i in range(n)]
@@ -144,6 +151,8 @@ class TestLemmaProperties:
                 assert res.adjusted == demands
                 continue
             guar = guaranteed_shares(weights, capacity)
+            assert all(whole_quanta(g) for g in guar.values())
+            assert all(whole_quanta(a) for a in res.adjusted.values())
             for f in fids:
                 if demands[f] <= guar[f]:
                     assert res.adjusted[f] == demands[f]  # lemma 2, well-behaved
@@ -161,6 +170,8 @@ class TestLemmaProperties:
                 assert capacity >= sum(demands.values())
                 continue
             guar = guaranteed_shares(weights, capacity)
+            assert all(whole_quanta(g) for g in guar.values())
+            assert all(whole_quanta(a) for a in res.adjusted.values())
             for f in fids:
                 assert res.adjusted[f] >= guar[f] - 1e-9
             assert sum(res.adjusted.values()) <= capacity + 1e-6

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgescale.errors import InvalidFraction, InvalidParameter, ParseError
+from edgescale.errors import InvalidParameter, ParseError
 from edgescale.reclamation import (
     DEFAULT_CURVE,
     VCPU_QUANTUM,
@@ -57,15 +57,15 @@ class TestServiceRate:
         assert PROF.base_rate * PROF.multiplier(0.5) == pytest.approx(10 * 0.6)
 
     def test_invalid_fraction(self):
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(InvalidParameter, match="cpu fraction"):
             PROF.base_rate * PROF.multiplier(0.0)
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(InvalidParameter, match="cpu fraction"):
             PROF.base_rate * PROF.multiplier(1.2)
 
     @pytest.mark.parametrize("curve", [DEFAULT_CURVE, ((0.0, 0.0), (0.5, 0.8), (1.0, 1.0))])
-    def test_memoized_multiplier_is_the_interpolation(self, curve):
-        # the first call fills the cache and the second reads it; both must
-        # be the float np.interp gives, for every fraction on the grid
+    def test_multiplier_is_the_interpolation(self, curve):
+        # a first and a repeated call must both be the float np.interp
+        # gives, for every fraction on the grid
         prof = ServiceProfile(base_rate=10.0, curve=curve)
         fracs, mults = zip(*prof.curve)
         for f in np.linspace(0.001, 1.0, 1000).tolist() + [0.3, 0.7, 1.0]:
@@ -76,7 +76,7 @@ class TestServiceRate:
     @pytest.mark.parametrize("fraction", [0.0, -0.0, -0.5, 1.2, float("nan"), float("inf")])
     def test_invalid_fraction_raises_on_every_call(self, fraction):
         for _ in range(3):
-            with pytest.raises(InvalidFraction):
+            with pytest.raises(InvalidParameter, match="cpu fraction"):
                 PROF.multiplier(fraction)
 
     def test_monotone_and_continuous(self):
@@ -96,7 +96,7 @@ class TestContainerFraction:
     def test_invalid_fraction_raises_and_changes_nothing(self, bad):
         (c,) = make_pool([2.0], fractions=[0.7])
         before = (c.cpu_fraction, c.allocated_vcpu, c.multiplier, c.wrr_units)
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(InvalidParameter, match="cpu fraction"):
             c.cpu_fraction = bad
         assert (c.cpu_fraction, c.allocated_vcpu, c.multiplier, c.wrr_units) == before
 
@@ -127,7 +127,7 @@ class TestContainerFraction:
                            profile=PROF, id=9, lazy_marked=True)
 
     def test_invalid_initial_fraction_raises(self):
-        with pytest.raises(InvalidFraction):
+        with pytest.raises(InvalidParameter, match="cpu fraction"):
             make_pool([2.0], fractions=[0.0])
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from edgescale import simulator, workload
-from edgescale.allocator import CreateContainer, MarkLazy, UnmarkLazy
+from edgescale.allocator import CreateContainer, SetLazy
 from edgescale.reclamation import VCPU_QUANTUM, ContainerState, ServiceProfile, Terminate
 from edgescale.simulator import (BLOCK, EV_ARRIVAL, EV_READY, STATUSES, Request, Simulation,
                                  dispatch_wrr, pick_slowest_idle, run)
@@ -365,7 +365,7 @@ class TestInvariants:
             if not calls:
                 (cid,) = [c.id for c in cluster.of_function("b")]
                 records["a"].shrink, records["a"].grow = [], [CreateContainer("a")]
-                records["b"].shrink, records["b"].grow = [MarkLazy(cid)], [UnmarkLazy(cid)]
+                records["b"].shrink, records["b"].grow = [SetLazy(cid, True)], [SetLazy(cid, False)]
             calls.append(1)
             return records
 

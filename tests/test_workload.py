@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgescale import scenario
-from edgescale.errors import InvalidSchedule, ParseError
+from edgescale.errors import InvalidParameter, ParseError
 from edgescale.scenario import load_trace
 from edgescale.workload import (
     BLOCK,
@@ -114,17 +114,17 @@ class TestGenerator:
         assert expected_arrivals(trace, 121.0) == 21
 
     def test_invalid_schedules(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             WorkloadSpec(mode="static", rate_schedule=())
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             WorkloadSpec(mode="discrete", rate_schedule=((0.0, 5.0), (0.0, 6.0)))
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             WorkloadSpec(mode="static", rate_schedule=((0.0, -1.0),))
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             generate_arrivals(WorkloadSpec(mode="static", rate_schedule=((0.0, 1.0),)), 0.0, 1)
 
     def test_unknown_mode(self):
-        with pytest.raises(InvalidSchedule, match="unknown workload mode 'poisson'"):
+        with pytest.raises(InvalidParameter, match="unknown workload mode 'poisson'"):
             WorkloadSpec(mode="poisson", rate_schedule=((0.0, 1.0),))
 
     @pytest.mark.parametrize("mode, field", [
@@ -135,7 +135,7 @@ class TestGenerator:
                                (((5.0, 1.0), (1.0, 2.0)), "times must be strictly increasing"),
                                (((0.0, -1.0),), "rates must be >= 0"),
                                ((), "must not be empty")):
-            with pytest.raises(InvalidSchedule, match=f"^{field}: {problem}"):
+            with pytest.raises(InvalidParameter, match=f"^{field}: {problem}"):
                 WorkloadSpec(mode=mode, **{field: pairs})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -146,12 +146,12 @@ class TestGenerator:
         ("continuous", "rate_points", lambda v: ((v, 1.0),)),
     ], ids=["static-rate", "discrete-time", "continuous-rate", "continuous-time"])
     def test_non_finite_schedule_values_rejected(self, mode, field, pairs, bad):
-        with pytest.raises(InvalidSchedule, match=f"finite, got .*{bad}"):
+        with pytest.raises(InvalidParameter, match=f"finite, got .*{bad}"):
             WorkloadSpec(mode=mode, **{field: pairs(bad)})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_trace_count_rejected(self, bad):
-        with pytest.raises(InvalidSchedule, match=f"finite, got {bad}"):
+        with pytest.raises(InvalidParameter, match=f"finite, got {bad}"):
             WorkloadSpec(mode="trace", per_minute_counts=(3, bad))
 
     @pytest.mark.parametrize("spec", [
@@ -162,7 +162,7 @@ class TestGenerator:
     ], ids=lambda spec: spec.mode)
     @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
     def test_non_finite_horizon_rejected(self, spec, horizon):
-        with pytest.raises(InvalidSchedule, match=f"got {horizon}"):
+        with pytest.raises(InvalidParameter, match=f"got {horizon}"):
             generate_arrivals(spec, horizon, 1)
 
 
@@ -392,17 +392,17 @@ class TestRateEstimator:
             RateEstimator(ewma=5.0)
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             RateEstimator(long_window=10, short_window=10)
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             RateEstimator(alpha=0.0)
-        with pytest.raises(InvalidSchedule):
+        with pytest.raises(InvalidParameter):
             RateEstimator(burst_factor=1.0)
 
     @pytest.mark.parametrize("tick", [0.0, -5.0, math.nan, math.inf])
     def test_tick_must_be_positive_and_finite(self, tick):
         # value_at steps by `tick`: a zero tick would never reach `now`
-        with pytest.raises(InvalidSchedule, match=r"^tick: must be in \(0, inf\)"):
+        with pytest.raises(InvalidParameter, match=r"^tick: must be in \(0, inf\)"):
             RateEstimator(tick=tick)
 
     @pytest.mark.parametrize("tick, epoch", [(5.0, 10.0), (3.0, 10.0), (15.0, 10.0)])
