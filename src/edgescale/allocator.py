@@ -28,8 +28,8 @@ class SloPolicy:
     """
 
     deadline: float
-    percentile: float = 0.99
-    applies_to: str = "waiting"  # or "response"
+    percentile: float
+    applies_to: str  # "waiting" or "response"
 
     def wait_target(self, profile) -> WaitTarget:
         if self.applies_to == "response":
@@ -45,9 +45,9 @@ class FunctionSpec:
     vcpu: float
     memory_mb: float
     profile: reclamation.ServiceProfile
-    cold_start_s: float = 0.5
-    min_containers: int = 0
-    timeout_s: float | None = None  # hard drop limit on waiting, off by default
+    cold_start_s: float
+    min_containers: int
+    timeout_s: float | None  # hard drop limit on waiting; None drops nothing
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class EpochRecord:
     `c_active`, `c_lazy` and `alloc_vcpu` from the pool it left.
     `infeasible` says that no pool of at most `DEFAULT_CONTAINER_CAP`
     containers meets the SLO; the demand is then the stable pool, or the
-    guarantee when larger, up to the capacity.
+    guarantee when larger, up to the capacity. The counters and the actions
+    start empty and are no constructor arguments.
     """
 
     function_id: str
@@ -81,31 +82,31 @@ class EpochRecord:
     demand_vcpu: float
     target_vcpu: float
     guar_vcpu: float
+    infeasible: bool
     overloaded: bool = False
-    infeasible: bool = False
     epoch: int = 0
     time: float = 0.0
     c_active: int = 0
     c_lazy: int = 0
     alloc_vcpu: float = 0.0
-    creates: int = 0
-    terminates: int = 0
-    marks: int = 0
-    unmarks: int = 0
-    deflates: int = 0
-    inflates: int = 0
-    create_failures: int = 0
-    shrink: list = field(default_factory=list)
-    grow: list = field(default_factory=list)
+    creates: int = field(default=0, init=False)
+    terminates: int = field(default=0, init=False)
+    marks: int = field(default=0, init=False)
+    unmarks: int = field(default=0, init=False)
+    deflates: int = field(default=0, init=False)
+    inflates: int = field(default=0, init=False)
+    create_failures: int = field(default=0, init=False)
+    shrink: list = field(default_factory=list, init=False)
+    grow: list = field(default_factory=list, init=False)
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    epoch_s: float = 10.0
-    reclamation_mode: str = "deflation"  # or "termination"
-    tau: float = 0.3
-    deflation_step: float = 0.05
-    inflation_enabled: bool = True
+    epoch_s: float
+    reclamation_mode: str  # "deflation" or "termination"
+    tau: float
+    deflation_step: float
+    inflation_enabled: bool
 
 
 def place(size_vcpu: float, memory_mb: float, cluster) -> int:

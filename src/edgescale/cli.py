@@ -189,6 +189,13 @@ def _positive_float(text):
     return value
 
 
+def _open_fraction(text):
+    value = _finite_float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return value
+
+
 def _nonnegative_int(text):
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
@@ -290,7 +297,7 @@ def cmd_sweep(args) -> int:
     grids = []
     for spec in args.set:
         if "=" not in spec:
-            print(f"--set must look like key=v1,v2 (got {spec!r})", file=sys.stderr)
+            print(f"error: --set must look like key=v1,v2 (got {spec!r})", file=sys.stderr)
             return 2
         key, values = spec.split("=", 1)
         grids.append([(key, v) for v in values.split(",")])
@@ -324,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--service-rate", type=_positive_float, required=True)
     val_p.add_argument("--rates", type=_rate_list, default="",
                        help="existing heterogeneous pool rates, comma separated")
-    val_p.add_argument("--deadline", type=_finite_float, default=0.1)
-    val_p.add_argument("--percentile", type=_finite_float, default=0.95)
+    val_p.add_argument("--deadline", type=_positive_float, default=0.1)
+    val_p.add_argument("--percentile", type=_open_fraction, default=0.95)
     val_p.add_argument("--replications", type=_positive_int, default=3)
     val_p.add_argument("--requests", type=_positive_int, default=120_000,
                        help="requests per replication; requests x replications "
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p = sub.add_parser("replay", help="run a trace CSV with default settings")
     rep_p.add_argument("trace")
     rep_p.add_argument("--out", required=True)
-    rep_p.add_argument("--horizon", type=float, default=None)
+    rep_p.add_argument("--horizon", type=_positive_float, default=None)
     rep_p.add_argument("--seed", type=_nonnegative_int, default=0)
     rep_p.add_argument("--nodes", type=_positive_int, default=3)
     rep_p.add_argument("--node-vcpu", type=_positive_float, default=4.0)
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--memory-mb", type=_positive_float, default=512.0)
     rep_p.add_argument("--service-rate", type=_positive_float, default=10.0)
     rep_p.add_argument("--deadline", type=_positive_float, default=0.1)
-    rep_p.add_argument("--percentile", type=_finite_float, default=0.95)
+    rep_p.add_argument("--percentile", type=_open_fraction, default=0.95)
     rep_p.add_argument("--reclamation", default="deflation",
                        choices=("deflation", "termination"))
     rep_p.set_defaults(func=cmd_replay)

@@ -172,14 +172,8 @@ def _serve(arrival_blocks, unit_blocks, rates, pick_fastest: bool):
         yield arrivals, starts, completions
 
 
-def mc_wait(
-    lam: float,
-    rates,
-    t: float,
-    num_requests: int = 200_000,
-    seed: int = 0,
-    policy: str = "fastest-idle",
-) -> OracleResult:
+def mc_wait(lam: float, rates, t: float, num_requests: int, seed: int,
+            policy: str) -> OracleResult:
     """Estimate P(wait <= t) for a shared-queue pool with the given idle policy.
 
     The policy picks which idle server a request takes (see `_serve`).

@@ -39,7 +39,6 @@ from typing import Sequence
 
 from .errors import CapExceeded, InfeasibleDeadline, InvalidParameter, UnstableSystem
 
-DEFAULT_PERCENTILE = 0.99
 DEFAULT_CONTAINER_CAP = 10_000
 
 
@@ -48,7 +47,7 @@ class WaitTarget:
     """Waiting-time goal: require P(wait <= t) >= percentile."""
 
     t: float
-    percentile: float = DEFAULT_PERCENTILE
+    percentile: float
 
     def __post_init__(self):
         if not self.t > 0:
@@ -262,7 +261,7 @@ def find_c_heterogeneous(lam: float, existing_rates: Sequence[float], standard_m
     return _search(lam, _sorted_rates(existing_rates), standard_mu, target, 0)
 
 
-def wait_budget(deadline: float, profile, percentile: float = DEFAULT_PERCENTILE) -> WaitTarget:
+def wait_budget(deadline: float, profile, percentile: float) -> WaitTarget:
     """Convert a response-time deadline into a waiting-time target.
 
     t = deadline - s_q, where s_q is the `percentile` quantile of the

@@ -32,9 +32,9 @@ class ServiceProfile:
     """Service-time behaviour of one function across container sizes."""
 
     base_rate: float
-    distribution: str = "exponential"
-    curve: tuple = DEFAULT_CURVE
-    samples: tuple = ()
+    distribution: str
+    curve: tuple
+    samples: tuple
 
     def __post_init__(self):
         if self.base_rate <= 0:
@@ -79,8 +79,8 @@ class ServiceProfile:
 class ContainerState:
     """One running container; CPU can deflate within [1 - tau, 1], memory is fixed.
 
-    A container is created unmarked (`lazy_marked` False) at `cpu_fraction`
-    (full size by default); the simulator marks and unmarks it later.
+    A container is created unmarked (`lazy_marked` False) at `cpu_fraction`;
+    the simulator marks and unmarks it later.
 
     The `cpu_fraction` setter owns what follows from the fraction. It asks
     `profile.multiplier` first, which raises `InvalidParameter` outside
@@ -105,7 +105,7 @@ class ContainerState:
                  "wrr_counter", "serving", "busy_since", "alloc_since")
 
     def __init__(self, function_id: str, node_id: int, standard_vcpu: float, memory_mb: float,
-                 profile: ServiceProfile, id: int, cpu_fraction: float = 1.0):
+                 profile: ServiceProfile, id: int, cpu_fraction: float):
         self.function_id = function_id
         self.node_id = node_id
         self.standard_vcpu = standard_vcpu

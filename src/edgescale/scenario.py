@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -131,8 +131,8 @@ class Scenario:
     estimator_params: dict
     horizon_s: float
     seed: int
-    dispatch: str = "wrr"
-    initial_fractions: dict = field(default_factory=dict)
+    dispatch: str
+    initial_fractions: dict  # id -> CPU fractions of the containers placed at t=0
 
 
 def _read(doc, section, where):
@@ -324,7 +324,7 @@ def _workload(doc, where, base_dir, traces):
                   rate_points=doc.get("points", ()))
 
 
-def from_dict(doc: dict, base_dir=".") -> Scenario:
+def from_dict(doc: dict, base_dir) -> Scenario:
     """Build a validated Scenario from a parsed YAML document."""
     base_dir = Path(base_dir)
     top = _read(doc, "scenario", "")

@@ -207,17 +207,18 @@ class _FnRuntime:
     arrivals: np.ndarray
     service_rng: np.random.Generator
     estimator: workload.RateEstimator
-    events: list = field(default_factory=list)  # this function's event heap
-    seq: itertools.count = field(default_factory=itertools.count)  # heap tie-breaker
-    pending: deque = field(default_factory=deque)  # rows of requests waiting, FCFS
-    idle: dict = field(default_factory=dict)  # container_id -> ready, not-busy container
-    draws: list = field(default_factory=list)  # a block of service times, as floats
-    next_draw: int = BLOCK  # index of the next unread draw in `draws`
-    handled: int = 0  # arrivals handled so far; the next one to push
+    # run state, no constructor arguments
+    events: list = field(default_factory=list, init=False)  # this function's event heap
+    seq: itertools.count = field(default_factory=itertools.count, init=False)  # heap tie-breaker
+    pending: deque = field(default_factory=deque, init=False)  # rows of requests waiting, FCFS
+    idle: dict = field(default_factory=dict, init=False)  # id -> ready, not-busy container
+    draws: list = field(default_factory=list, init=False)  # a block of service times, as floats
+    next_draw: int = field(default=BLOCK, init=False)  # index of the next unread draw in `draws`
+    handled: int = field(default=0, init=False)  # arrivals handled so far; the next one to push
     # memoryviews by arrival index, set while `run` runs: `arrivals`, read for
     # arrival times, and `rows` (int32), each arrival's row in the request log
-    arrival: memoryview = None
-    rows: memoryview = None
+    arrival: memoryview = field(default=None, init=False)
+    rows: memoryview = field(default=None, init=False)
 
     def refill_draws(self):
         """Replace `draws` with the next `BLOCK` service times at full container size."""

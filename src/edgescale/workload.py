@@ -197,11 +197,11 @@ class RateEstimator:
     Like `last_tick` it is state the ticks write, not a constructor argument.
     """
 
-    long_window: float = 120.0
-    short_window: float = 10.0
-    tick: float = 5.0
-    burst_factor: float = 2.0
-    alpha: float = 0.7
+    long_window: float
+    short_window: float
+    tick: float
+    burst_factor: float
+    alpha: float
     ewma: float | None = field(default=None, init=False)
     last_tick: float = field(default=0.0, init=False)  # the last committed tick time
 

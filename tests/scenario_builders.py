@@ -2,14 +2,56 @@
 
 import copy
 import dataclasses
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 import edgescale.scenario as scenario_mod
 from edgescale.simulator import Simulation
+from edgescale.workload import RateEstimator
 
 REPO_ROOT = Path(__file__).parent.parent
+
+# The smallest scenario `scenario.from_dict` takes: every setting it leaves out
+# takes its default from `scenario.FIELDS`, so tests that build model objects
+# directly take their settings from its parts and write no default again,
+# e.g. `dataclasses.replace(DEFAULTS.controller, tau=0.2)`.
+DEFAULTS = scenario_mod.from_dict({
+    "horizon_seconds": 60.0,
+    "cluster": {"nodes": [{"vcpu": 1.0, "memory_mb": 1024.0}]},
+    "functions": [{"id": "f", "size": {"vcpu": 1.0, "memory_mb": 256.0},
+                   "slo": {"deadline": 0.1}, "service": {"rate": 10.0},
+                   "workload": {"mode": "static", "rate": 1.0}}],
+}, base_dir=REPO_ROOT)
+DEFAULT_FUNCTION = DEFAULTS.functions["f"]
+SLO_PERCENTILE = DEFAULT_FUNCTION.slo.percentile
+
+
+def function_spec(**changes):
+    """A FunctionSpec with the scenario defaults, but for `changes`."""
+    return dataclasses.replace(DEFAULT_FUNCTION, **changes)
+
+
+def slo(deadline, **changes):
+    """An SloPolicy with the scenario defaults, but for `deadline` and `changes`."""
+    return dataclasses.replace(DEFAULT_FUNCTION.slo, deadline=deadline, **changes)
+
+
+def profile(base_rate, **changes):
+    """A ServiceProfile with the scenario defaults, but for `base_rate` and `changes`."""
+    return dataclasses.replace(DEFAULT_FUNCTION.profile, base_rate=base_rate, **changes)
+
+
+def controller(**changes):
+    """A ControllerConfig with the scenario defaults, but for `changes`."""
+    return dataclasses.replace(DEFAULTS.controller, **changes)
+
+
+def estimator(**changes):
+    """A RateEstimator with the scenario defaults, but for `changes`."""
+    return RateEstimator(**{**DEFAULTS.estimator_params, **changes})
 
 
 def make_scenario(functions, nodes=None, horizon=120.0, seed=7, controller=None,
@@ -27,6 +69,22 @@ def make_scenario(functions, nodes=None, horizon=120.0, seed=7, controller=None,
     if users:
         doc["users"] = users
     return scenario_mod.from_dict(doc, base_dir=REPO_ROOT)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once `seconds` of wall time have passed,
+    so that a hang fails a test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def request_counts(metrics, function_id=None) -> dict:
@@ -262,4 +320,7 @@ def assert_time_scaled(base, scaled, k):
     assert len(scaled.epochs) == len(base.epochs)
     for e, want in zip(scaled.epochs, base.epochs):
         assert (e.time, e.rate_estimate) == (want.time / k, want.rate_estimate * k), e.epoch
-        assert dataclasses.replace(e, time=want.time, rate_estimate=want.rate_estimate) == want
+        # field by field: `dataclasses.replace` would reset the init=False counters
+        for f in dataclasses.fields(want):
+            if f.name not in ("time", "rate_estimate"):
+                assert getattr(e, f.name) == getattr(want, f.name), (e.epoch, f.name)

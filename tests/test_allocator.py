@@ -6,11 +6,8 @@ from itertools import count
 import pytest
 
 from edgescale.allocator import (
-    ControllerConfig,
     CreateContainer,
-    FunctionSpec,
     SetLazy,
-    SloPolicy,
     place,
     plan_epoch,
     reconcile,
@@ -19,17 +16,18 @@ from edgescale.allocator import (
 from edgescale.cluster import ClusterState, Node
 from edgescale.errors import NoCapacity
 from edgescale.queuing import min_stable_count
-from edgescale.reclamation import ContainerState, ServiceProfile, SetFraction, Terminate
-from scenario_builders import CONTINUOUS_WORST_CASE_TERMINATION, InvariantSimulation, build
+from edgescale.reclamation import ContainerState, SetFraction, Terminate
+from scenario_builders import (CONTINUOUS_WORST_CASE_TERMINATION, InvariantSimulation, build,
+                               controller, function_spec, profile, slo)
 
-PROF = ServiceProfile(base_rate=10.0)
-CFG = ControllerConfig(epoch_s=10.0)
+PROF = profile(10.0)
+CFG = controller(epoch_s=10.0)
 
 
 def spec_for(fid="f1", vcpu=1.0, weight=1.0, deadline=0.1, pct=0.95, **kw):
-    return FunctionSpec(
+    return function_spec(
         id=fid, weight=weight,
-        slo=SloPolicy(deadline=deadline, percentile=pct),
+        slo=slo(deadline, percentile=pct),
         vcpu=vcpu, memory_mb=256.0, profile=PROF, **kw,
     )
 
@@ -44,11 +42,11 @@ def cluster_with(nodes, containers=()):
 def infeasible_spec(fid):
     """Deterministic service of 0.2 s against a 0.1 s response SLO: no
     container count can meet it."""
-    return FunctionSpec(
+    return function_spec(
         id=fid, weight=1.0,
-        slo=SloPolicy(deadline=0.1, percentile=0.99, applies_to="response"),
+        slo=slo(0.1, percentile=0.99, applies_to="response"),
         vcpu=1.0, memory_mb=256.0,
-        profile=ServiceProfile(base_rate=5.0, distribution="deterministic"),
+        profile=profile(5.0, distribution="deterministic"),
     )
 
 
@@ -101,13 +99,13 @@ class TestReconcile:
         assert grow == []
 
     def test_overprovision_under_pressure_terminates(self):
-        cfg = ControllerConfig(reclamation_mode="termination")
+        cfg = controller(reclamation_mode="termination")
         pool = [container() for _ in range(4)]
         shrink, _ = reconcile(spec_for(), pool, 2.0, pressure=True, cfg=cfg)
         assert sum(isinstance(a, Terminate) for a in shrink) == 2
 
     def test_overprovision_under_pressure_deflates(self):
-        cfg = ControllerConfig(reclamation_mode="deflation")
+        cfg = controller(reclamation_mode="deflation")
         pool = [container() for _ in range(4)]
         shrink, _ = reconcile(spec_for(), pool, 3.0, pressure=True, cfg=cfg)
         assert all(isinstance(a, SetFraction) for a in shrink)
@@ -130,7 +128,7 @@ class TestReconcile:
         assert all(a.fraction == 1.0 for a in grow[:2])
 
     def test_lazy_terminated_first_under_pressure(self):
-        cfg = ControllerConfig(reclamation_mode="termination")
+        cfg = controller(reclamation_mode="termination")
         lazy = container(lazy=True)
         pool = [container(), container(), lazy]
         shrink, _ = reconcile(spec_for(), pool, 1.0, pressure=True, cfg=cfg)
@@ -174,7 +172,7 @@ class TestPlanEpoch:
         spec = spec_for(min_containers=3)
         pool = [container(fraction=0.8)]
         for inflation in (False, True):
-            cfg = ControllerConfig(epoch_s=10.0, inflation_enabled=inflation)
+            cfg = controller(epoch_s=10.0, inflation_enabled=inflation)
             c_new, demand = required_pool(spec, pool, 1.0, cfg)
             assert c_new == 3
             assert demand == pytest.approx(2.8 if not inflation else 3.0)
@@ -276,8 +274,8 @@ class TestFallbackSizing:
     def test_a_pool_past_the_cap_asks_for_the_capacity(self):
         # 20,000 req/s at mu=1 needs more containers than DEFAULT_CONTAINER_CAP,
         # even to be stable; the run once ended at the first epoch
-        hot = FunctionSpec(id="hot", weight=1.0, slo=SloPolicy(deadline=0.1, percentile=0.95),
-                           vcpu=1.0, memory_mb=256.0, profile=ServiceProfile(base_rate=1.0))
+        hot = function_spec(id="hot", weight=1.0, slo=slo(0.1, percentile=0.95),
+                            vcpu=1.0, memory_mb=256.0, profile=profile(1.0))
         cl = cluster_with([(8.0, 16384.0)])
         plan = plan_epoch(cl, {"hot": 20000.0, "cool": 2.0},
                           {"hot": hot, "cool": spec_for("cool")}, CFG)

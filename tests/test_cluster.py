@@ -4,15 +4,15 @@ import pytest
 
 from edgescale.cluster import ClusterState, Node
 from edgescale.errors import InvalidParameter
-from edgescale.reclamation import ContainerState, ServiceProfile
-from scenario_builders import cluster_views, scanned_free, scanned_views
+from edgescale.reclamation import ContainerState
+from scenario_builders import cluster_views, profile, scanned_free, scanned_views
 
-PROF = ServiceProfile(base_rate=10.0)
+PROF = profile(10.0)
 
 
 def container(cid, fid="f", node=0, vcpu=1.0, memory_mb=256.0):
     return ContainerState(function_id=fid, node_id=node, standard_vcpu=vcpu,
-                          memory_mb=memory_mb, profile=PROF, id=cid)
+                          memory_mb=memory_mb, profile=PROF, id=cid, cpu_fraction=1.0)
 
 
 def nodes(n=2):

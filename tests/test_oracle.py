@@ -27,7 +27,7 @@ def shared_queue(lam, rates, num_requests, seed, pick_fastest):
 
 def test_mm1_tail_closed_form():
     # M/M/1: P(W > t) = rho e^{-mu(1-rho)t}; at (5, 10, t=0.5) that is ~0.041
-    res = mc_wait(5, [10.0], 0.5, num_requests=200_000, seed=1)
+    res = mc_wait(5, [10.0], 0.5, num_requests=200_000, seed=1, policy="fastest-idle")
     exact = 1 - 0.5 * math.exp(-10 * 0.5 * 0.5)
     assert abs(res.p_wait_le_t - exact) <= 3 * res.stderr
     assert res.sample_count > 150_000
@@ -47,15 +47,15 @@ def test_slowest_idle_waits_more_when_rates_differ():
 
 
 def test_stderr_shrinks_with_horizon():
-    small = mc_wait(15, [10.0] * 2, 0.1, num_requests=60_000, seed=5)
-    big = mc_wait(15, [10.0] * 2, 0.1, num_requests=240_000, seed=5)
+    small = mc_wait(15, [10.0] * 2, 0.1, num_requests=60_000, seed=5, policy="fastest-idle")
+    big = mc_wait(15, [10.0] * 2, 0.1, num_requests=240_000, seed=5, policy="fastest-idle")
     ratio = small.stderr / big.stderr
     assert 1.3 < ratio < 3.2  # ~2 expected at 4x the samples
 
 
 def test_determinism():
-    a = mc_wait(12, [10.0, 10.0], 0.1, num_requests=50_000, seed=9)
-    b = mc_wait(12, [10.0, 10.0], 0.1, num_requests=50_000, seed=9)
+    a = mc_wait(12, [10.0, 10.0], 0.1, num_requests=50_000, seed=9, policy="fastest-idle")
+    b = mc_wait(12, [10.0, 10.0], 0.1, num_requests=50_000, seed=9, policy="fastest-idle")
     assert a == b
 
 
@@ -90,11 +90,11 @@ def test_littles_law():
 
 def test_input_validation():
     with pytest.raises(UnstableSystem):
-        mc_wait(30, [10.0, 10.0], 0.1)
+        mc_wait(30, [10.0, 10.0], 0.1, num_requests=2_000, seed=0, policy="fastest-idle")
     with pytest.raises(InvalidParameter):
-        mc_wait(5, [], 0.1)
+        mc_wait(5, [], 0.1, num_requests=2_000, seed=0, policy="fastest-idle")
     with pytest.raises(InvalidParameter):
-        mc_wait(5, [10.0], 0.1, policy="round-robin")
+        mc_wait(5, [10.0], 0.1, num_requests=2_000, seed=0, policy="round-robin")
 
 
 @pytest.mark.parametrize("lam, rates, t, match", [
@@ -109,7 +109,7 @@ def test_input_validation():
 ])
 def test_non_finite_or_negative_input_rejected(lam, rates, t, match):
     with pytest.raises(InvalidParameter, match=match):
-        mc_wait(lam, rates, t, num_requests=2_000)
+        mc_wait(lam, rates, t, num_requests=2_000, seed=0, policy="fastest-idle")
 
 
 @pytest.mark.parametrize("num_requests, seed, match", [
@@ -123,19 +123,20 @@ def test_non_finite_or_negative_input_rejected(lam, rates, t, match):
 ])
 def test_bad_count_or_seed_rejected(num_requests, seed, match):
     with pytest.raises(InvalidParameter, match=match):
-        mc_wait(5, [10.0], 0.1, num_requests=num_requests, seed=seed)
+        mc_wait(5, [10.0], 0.1, num_requests=num_requests, seed=seed, policy="fastest-idle")
 
 
 def test_numpy_integer_count_and_seed_accepted():
-    want = mc_wait(5, [10.0], 0.1, num_requests=5_000, seed=3)
-    assert mc_wait(5, [10.0], 0.1, num_requests=np.int64(5_000), seed=np.uint8(3)) == want
+    want = mc_wait(5, [10.0], 0.1, num_requests=5_000, seed=3, policy="fastest-idle")
+    assert mc_wait(5, [10.0], 0.1, num_requests=np.int64(5_000), seed=np.uint8(3),
+                   policy="fastest-idle") == want
 
 
 def test_warmup_and_batches_must_leave_samples():
     # the warmup of 1,000 leaves 50 samples for 100 batches
     with pytest.raises(InvalidParameter, match="50 samples"):
-        mc_wait(5, [1.0] * 10, 0.1, num_requests=1_050)
-    res = mc_wait(5, [1.0] * 10, 0.1, num_requests=1_100)
+        mc_wait(5, [1.0] * 10, 0.1, num_requests=1_050, seed=0, policy="fastest-idle")
+    res = mc_wait(5, [1.0] * 10, 0.1, num_requests=1_100, seed=0, policy="fastest-idle")
     assert res.sample_count == 100 and math.isfinite(res.stderr)
 
 
@@ -234,10 +235,11 @@ def test_streaming_equals_the_whole_array_estimate(lam, rates, policy, num_reque
 def test_memory_does_not_grow_with_the_request_count(rates, most):
     peaks = []
     for num_requests in (20_000, most):
-        mc_wait(25.0, rates, 0.1, num_requests=2_000)  # first-call allocations
+        # first-call allocations
+        mc_wait(25.0, rates, 0.1, num_requests=2_000, seed=0, policy="fastest-idle")
         tracemalloc.start()
         try:
-            mc_wait(25.0, rates, 0.1, num_requests=num_requests)
+            mc_wait(25.0, rates, 0.1, num_requests=num_requests, seed=0, policy="fastest-idle")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

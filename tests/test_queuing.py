@@ -28,7 +28,7 @@ from edgescale.queuing import (
     wait_cdf_homogeneous,
     _Chain,
 )
-from edgescale.reclamation import ServiceProfile
+from scenario_builders import SLO_PERCENTILE, profile
 
 
 def naive_p_zero(lam, mu, c):
@@ -143,7 +143,7 @@ class TestPZero:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unstable_rejected(self):
-        target = WaitTarget(0.1)
+        target = WaitTarget(0.1, SLO_PERCENTILE)
         with pytest.raises(UnstableSystem):
             wait_cdf_homogeneous(20, 10, 2, 0.1)
         assert not meets_target(20, [10.0, 10.0], target)
@@ -151,7 +151,7 @@ class TestPZero:
         assert find_c_homogeneous(20, 10, target, c_start=2) >= 3
 
     def test_invalid_parameters(self):
-        t = WaitTarget(0.1)
+        t = WaitTarget(0.1, SLO_PERCENTILE)
         for lam, mu, c in ((5, 0, 1), (5, 10, 0), (-1, 10, 1), (5, 10, 2.5),
                            (5, math.nan, 1), (math.nan, 10, 1), (5, 10, math.inf)):
             with pytest.raises(InvalidParameter):
@@ -205,18 +205,18 @@ class TestSteadyProbs:
 
 class TestWaitTail:
     def test_empty_system_never_waits(self):
-        p = cutoff_tail(equal_pool(1e-12, 10, 1), WaitTarget(0.1))
+        p = cutoff_tail(equal_pool(1e-12, 10, 1), WaitTarget(0.1, SLO_PERCENTILE))
         assert p == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_in_c(self):
-        t = WaitTarget(0.1)
+        t = WaitTarget(0.1, SLO_PERCENTILE)
         p1 = cutoff_tail(equal_pool(5, 10, 3), t)
         p2 = cutoff_tail(equal_pool(5, 10, 4), t)
         assert p2 >= p1
 
     def test_monotone_in_t(self):
         m = equal_pool(25, 10, 4)
-        probs = [cutoff_tail(m, WaitTarget(t)) for t in (0.02, 0.1, 0.3, 1.0)]
+        probs = [cutoff_tail(m, WaitTarget(t, SLO_PERCENTILE)) for t in (0.02, 0.1, 0.3, 1.0)]
         assert probs == sorted(probs)
 
     def test_against_oracle_instance(self):
@@ -224,11 +224,11 @@ class TestWaitTail:
         # p = 0.94737 +- 0.0006. The occupancy-cutoff rule is a mean-field
         # approximation and lands about 0.023 above it; the exact CDF agrees
         # with the oracle to within 3 standard errors.
-        approx_p = cutoff_tail(equal_pool(15, 10, 3), WaitTarget(0.1))
+        approx_p = cutoff_tail(equal_pool(15, 10, 3), WaitTarget(0.1, SLO_PERCENTILE))
         exact_p = wait_cdf_homogeneous(15, 10, 3, 0.1)
         assert approx_p == pytest.approx(0.97039, abs=1e-4)
         assert exact_p == pytest.approx(0.94715, abs=1e-4)
-        mc = mc_wait(15, [10] * 3, 0.1, num_requests=150_000, seed=42)
+        mc = mc_wait(15, [10] * 3, 0.1, num_requests=150_000, seed=42, policy="fastest-idle")
         assert abs(exact_p - mc.p_wait_le_t) <= 3 * mc.stderr
         assert abs(approx_p - mc.p_wait_le_t) <= 0.03
 
@@ -255,28 +255,29 @@ class TestExactWaitCdf:
             mu = float(rng.uniform(1, 20))
             lam = float(rng.uniform(0.1, 0.92)) * c * mu
             t = float(rng.uniform(0.2, 3.0)) / (c * mu - lam)
-            mc = mc_wait(lam, [mu] * c, t, num_requests=120_000, seed=500 + i)
+            mc = mc_wait(lam, [mu] * c, t, num_requests=120_000, seed=500 + i,
+                         policy="fastest-idle")
             assert abs(wait_cdf_homogeneous(lam, mu, c, t) - mc.p_wait_le_t) <= 3 * mc.stderr
 
 
 class TestFindC:
     def test_near_idle(self):
-        assert find_c_homogeneous(0.01, 10, WaitTarget(0.1), c_start=0) == 1
+        assert find_c_homogeneous(0.01, 10, WaitTarget(0.1, SLO_PERCENTILE), c_start=0) == 1
 
     def test_zero_rate(self):
-        assert find_c_homogeneous(0.0, 10, WaitTarget(0.1)) == 1
+        assert find_c_homogeneous(0.0, 10, WaitTarget(0.1, SLO_PERCENTILE)) == 1
 
     def test_monotone_in_lambda(self):
-        t = WaitTarget(0.1)
+        t = WaitTarget(0.1, SLO_PERCENTILE)
         cs = [find_c_homogeneous(lam, 10, t) for lam in (5, 10, 20, 40, 80)]
         assert cs == sorted(cs)
 
     def test_monotone_in_mu_and_t(self):
-        assert find_c_homogeneous(30, 20, WaitTarget(0.1)) <= find_c_homogeneous(
-            30, 10, WaitTarget(0.1)
+        assert find_c_homogeneous(30, 20, WaitTarget(0.1, SLO_PERCENTILE)) <= find_c_homogeneous(
+            30, 10, WaitTarget(0.1, SLO_PERCENTILE)
         )
-        assert find_c_homogeneous(30, 10, WaitTarget(0.5)) <= find_c_homogeneous(
-            30, 10, WaitTarget(0.05)
+        assert find_c_homogeneous(30, 10, WaitTarget(0.5, SLO_PERCENTILE)) <= find_c_homogeneous(
+            30, 10, WaitTarget(0.05, SLO_PERCENTILE)
         )
 
     def test_warm_start_floor(self):
@@ -297,7 +298,7 @@ class TestFindC:
             find_c_heterogeneous(1e6, [5.0], 10, WaitTarget(0.1, 0.99))
 
     def test_non_finite_rates_rejected(self):
-        t = WaitTarget(0.1)
+        t = WaitTarget(0.1, SLO_PERCENTILE)
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidParameter):
                 find_c_homogeneous(5, bad, t)
@@ -610,7 +611,7 @@ class TestHeterogeneous:
         het = rate_pool(10, (10.0, 10.0))
         for n in range(40):
             assert occupancy_prob(het, n) == pytest.approx(occupancy_prob(hom, n), abs=1e-9)
-        t = WaitTarget(0.13)
+        t = WaitTarget(0.13, SLO_PERCENTILE)
         assert cutoff_tail(het, t) == pytest.approx(cutoff_tail(hom, t), abs=1e-9)
 
     def test_slowest_first_denominator(self):
@@ -633,7 +634,7 @@ class TestHeterogeneous:
         assert not meets_target(12, (10.0, 5.0), WaitTarget(0.05, 0.99))
 
     def test_unstable(self):
-        target = WaitTarget(0.1)
+        target = WaitTarget(0.1, SLO_PERCENTILE)
         with pytest.raises(UnstableSystem):
             wait_cdf_heterogeneous(20, (5.0, 10.0), 0.1)
         assert not meets_target(20, (5.0, 10.0), target)
@@ -700,25 +701,25 @@ class TestFindCHeterogeneous:
 
 class TestWaitBudget:
     def test_deterministic_profile(self):
-        prof = ServiceProfile(base_rate=10.0, distribution="deterministic")
-        target = wait_budget(0.2, prof)
+        prof = profile(10.0, distribution="deterministic")
+        target = wait_budget(0.2, prof, SLO_PERCENTILE)
         assert target.t == pytest.approx(0.1)
 
     def test_exponential_p99(self):
-        prof = ServiceProfile(base_rate=100.0, distribution="exponential")
+        prof = profile(100.0, distribution="exponential")
         target = wait_budget(0.1, prof, percentile=0.99)
         assert target.t == pytest.approx(0.1 - math.log(100) / 100)
         assert target.percentile == 0.99
 
     def test_infeasible(self):
-        prof = ServiceProfile(base_rate=10.0, distribution="exponential")
+        prof = profile(10.0, distribution="exponential")
         with pytest.raises(InfeasibleDeadline):
             wait_budget(0.05, prof, percentile=0.99)  # ln(100)/10 = 0.46 > 0.05
 
     @pytest.mark.parametrize("deadline", [0.0, -0.1])
     def test_deadline_must_be_positive(self, deadline):
         with pytest.raises(InvalidParameter, match=f"deadline must be > 0, got {deadline}"):
-            wait_budget(deadline, ServiceProfile(base_rate=10.0))
+            wait_budget(deadline, profile(10.0), SLO_PERCENTILE)
 
     @pytest.mark.parametrize("percentile", [0.0, 1.0, -0.5, 1.5])
     def test_wait_target_percentile_inside_0_1(self, percentile):

@@ -8,7 +8,6 @@ from edgescale.reclamation import (
     DEFAULT_CURVE,
     VCPU_QUANTUM,
     ContainerState,
-    ServiceProfile,
     SetFraction,
     Terminate,
     plan_inflation,
@@ -16,8 +15,9 @@ from edgescale.reclamation import (
     reclaim_by_termination,
 )
 from edgescale.scenario import load_profile_curve
+from scenario_builders import profile
 
-PROF = ServiceProfile(base_rate=10.0)
+PROF = profile(10.0)
 
 
 def make_pool(sizes, fractions=None, nodes=None):
@@ -66,7 +66,7 @@ class TestServiceRate:
     def test_multiplier_is_the_interpolation(self, curve):
         # a first and a repeated call must both be the float np.interp
         # gives, for every fraction on the grid
-        prof = ServiceProfile(base_rate=10.0, curve=curve)
+        prof = profile(10.0, curve=curve)
         fracs, mults = zip(*prof.curve)
         for f in np.linspace(0.001, 1.0, 1000).tolist() + [0.3, 0.7, 1.0]:
             want = float(np.interp(f, fracs, mults))
@@ -88,7 +88,7 @@ class TestServiceRate:
 
     def test_curve_must_hit_one_at_full(self):
         with pytest.raises(InvalidParameter):
-            ServiceProfile(base_rate=10, curve=((0.0, 0.0), (1.0, 0.9)))
+            profile(10, curve=((0.0, 0.0), (1.0, 0.9)))
 
 
 class TestContainerFraction:
@@ -124,7 +124,7 @@ class TestContainerFraction:
         assert c.lazy_marked is False
         with pytest.raises(TypeError):
             ContainerState(function_id="f", node_id=0, standard_vcpu=1.0, memory_mb=256.0,
-                           profile=PROF, id=9, lazy_marked=True)
+                           profile=PROF, id=9, cpu_fraction=1.0, lazy_marked=True)
 
     def test_invalid_initial_fraction_raises(self):
         with pytest.raises(InvalidParameter, match="cpu fraction"):
@@ -153,7 +153,7 @@ class TestProfileLoader:
         curve = load_profile_curve(
             Path(__file__).parent.parent / "profiles" / "sample_profile.csv"
         )
-        prof = ServiceProfile(base_rate=10.0, curve=curve)
+        prof = profile(10.0, curve=curve)
         assert prof.multiplier(1.0) == pytest.approx(1.0)
         assert prof.multiplier(0.7) > 0.8
 
@@ -162,11 +162,11 @@ class TestProfileParameters:
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_rate_must_be_positive(self, rate):
         with pytest.raises(InvalidParameter, match=f"base rate must be > 0, got {rate}"):
-            ServiceProfile(base_rate=rate)
+            profile(rate)
 
     def test_unknown_distribution(self):
         with pytest.raises(InvalidParameter, match="distribution must be one of .*'gamma'"):
-            ServiceProfile(base_rate=10.0, distribution="gamma")
+            profile(10.0, distribution="gamma")
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
     def test_service_quantile_inside_0_1(self, q):

@@ -1,9 +1,14 @@
 """Every scenario field, mutated: a bad value is a ConfigError that starts
 with the field's path, and a value that loads runs to the horizon with the
-simulator's conservation and capacity invariants holding.
+simulator's conservation and capacity invariants holding. An `EXTREME`
+value may instead fail on a field it feeds, such as a rate on its
+workload's arrival count, so its error need only start with some field's
+path.
 
 The cases are generated from `scenario.FIELDS`, so a field added to the table
-is mutated here without editing this file; `FULL` must set every field.
+is mutated here without editing this file; `FULL` must set every field. Each
+case runs under a `TIME_LIMIT`-second timer, so a value that hangs the
+loader or the simulator fails its case instead of stalling the suite.
 """
 
 import copy
@@ -13,7 +18,7 @@ import pytest
 
 from edgescale.errors import ConfigError
 from edgescale.scenario import FIELDS, from_dict
-from scenario_builders import REPO_ROOT, InvariantSimulation
+from scenario_builders import REPO_ROOT, InvariantSimulation, time_limit
 
 
 def _function(fid, user, workload, service, **extra):
@@ -79,6 +84,9 @@ def _fields(doc, section, where, keys=(), by_index=None):
 
 
 MISSING = object()
+TIME_LIMIT = 5.0  # seconds per case; a case takes about 10 ms
+EXTREME = [("1e-300", 1e-300), ("1e300", 1e300), ("2**63", 2**63), ("10**30", 10**30),
+           ("None", None), ("[]", []), ("{}", {})]
 
 
 def _cases():
@@ -87,11 +95,13 @@ def _cases():
         for label, value in [("wrong_type", wrong), ("nan", float("nan")),
                              ("inf", float("inf")), ("-inf", float("-inf")),
                              ("0", 0), ("-1", -1), ("missing", MISSING)]:
-            yield pytest.param(keys, at, section, value, id=f"{at}={label}")
+            yield pytest.param(keys, at, section, value, False, id=f"{at}={label}")
+        for label, value in EXTREME:
+            yield pytest.param(keys, at, section, value, True, id=f"{at}={label}")
 
 
-@pytest.mark.parametrize("keys, at, section, value", list(_cases()))
-def test_mutated_field_names_its_path_or_runs(keys, at, section, value):
+@pytest.mark.parametrize("keys, at, section, value, extreme", list(_cases()))
+def test_mutated_field_names_its_path_or_runs(keys, at, section, value, extreme):
     doc = copy.deepcopy(FULL)
     parent = doc
     for key in keys[:-1]:
@@ -100,13 +110,14 @@ def test_mutated_field_names_its_path_or_runs(keys, at, section, value):
         del parent[keys[-1]]
         prefix = section  # a missing key is reported against its section
     else:
-        parent[keys[-1]] = value
+        parent[keys[-1]] = copy.deepcopy(value)
         prefix = at
     try:
-        scn = from_dict(doc, base_dir=REPO_ROOT)
-        InvariantSimulation(scn).run()
+        with time_limit(TIME_LIMIT):
+            InvariantSimulation(from_dict(doc, base_dir=REPO_ROOT)).run()
     except ConfigError as exc:
-        assert re.match(rf"{re.escape(prefix)}[:.\[]", str(exc)), str(exc)
+        named = r"[a-z_]+(\.\w+|\[\d+\])*: " if extreme else rf"{re.escape(prefix)}[:.\[]"
+        assert re.match(named, str(exc)), str(exc)
 
 
 def test_full_scenario_runs_every_mode():

@@ -12,24 +12,24 @@ import pytest
 
 from edgescale import simulator, workload
 from edgescale.allocator import CreateContainer, SetLazy
-from edgescale.reclamation import VCPU_QUANTUM, ContainerState, ServiceProfile, Terminate
+from edgescale.reclamation import VCPU_QUANTUM, ContainerState, Terminate
 from edgescale.simulator import (BLOCK, EV_ARRIVAL, EV_READY, STATUSES, Request, Simulation,
                                  dispatch_wrr, pick_slowest_idle, run)
 from scenario_builders import (InvariantSimulation, assert_cluster_invariants, basic_function,
-                               churn_scenario, cluster_views, make_scenario, request_counts,
-                               scanned_free, scanned_views)
+                               churn_scenario, cluster_views, make_scenario, profile,
+                               request_counts, scanned_free, scanned_views)
 
-PROF = ServiceProfile(base_rate=10.0)
+PROF = profile(10.0)
 
 
 def containers(weights, rates=None):
     out = []
     for i, w in enumerate(weights):
-        prof = ServiceProfile(base_rate=rates[i]) if rates else PROF
+        prof = profile(rates[i]) if rates else PROF
         out.append(
             ContainerState(
                 function_id="f", node_id=0, standard_vcpu=w, memory_mb=128.0,
-                profile=prof, id=i + 1,
+                profile=prof, id=i + 1, cpu_fraction=1.0,
             )
         )
     return out

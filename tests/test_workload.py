@@ -10,12 +10,11 @@ from edgescale.errors import InvalidParameter, ParseError
 from edgescale.scenario import load_trace
 from edgescale.workload import (
     BLOCK,
-    RateEstimator,
     WorkloadSpec,
     expected_arrivals,
     generate_arrivals,
 )
-from scenario_builders import REPO_ROOT
+from scenario_builders import REPO_ROOT, estimator
 
 
 # The reference kernel: one scalar RNG call per arrival in the static and
@@ -316,8 +315,8 @@ class TestRateEstimator:
     @pytest.mark.parametrize("seed", range(20))
     def test_window_counts_match_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        est = RateEstimator(long_window=float(rng.integers(20, 130)),
-                            short_window=float(rng.integers(1, 20)))
+        est = estimator(long_window=float(rng.integers(20, 130)),
+                        short_window=float(rng.integers(1, 20)))
         now = float(rng.integers(0, 300)) + rng.choice([0.0, 0.25, 0.5])
         edges = [now - est.long_window, now - est.short_window, now]
         times = np.concatenate([
@@ -332,14 +331,14 @@ class TestRateEstimator:
             assert rate == count / window
 
     def test_steady_rate_recovered(self):
-        est = RateEstimator()
+        est = estimator()
         arrivals = np.arange(10 * 130) * 0.1  # exactly 10/s for 130 s
         for tick in range(25, 27):
             est.update(arrivals, tick * 5.0)
         assert est.value == pytest.approx(10.0, abs=1.0)
 
     def test_burst_bypasses_smoothing(self):
-        est = RateEstimator()
+        est = estimator()
         est.ewma = 5.0
         # long window ~5/s, short window 12/s => 12 >= 2*long -> burst
         t = 200.0
@@ -352,7 +351,7 @@ class TestRateEstimator:
         assert est.update(arrivals, t) == pytest.approx(r_short)
 
     def test_ewma_weighting(self):
-        est = RateEstimator(alpha=0.7)
+        est = estimator(alpha=0.7)
         est.ewma = 10.0
         # craft a non-burst raw of 20/s in the long window
         arrivals = np.arange(20 * 120) / 20.0
@@ -362,7 +361,7 @@ class TestRateEstimator:
         assert est.update(arrivals, now) == pytest.approx(0.7 * r_long + 0.3 * 10.0, abs=0.1)
 
     def test_empty_state_yields_zero(self):
-        est = RateEstimator()
+        est = estimator()
         assert est.value == 0.0
         assert est.update(np.array([]), 100.0) == 0.0
         assert est.value == 0.0
@@ -380,30 +379,30 @@ class TestRateEstimator:
             times.append(t)
             t += 1 / 12.0
         arrivals = np.array(times)
-        est = RateEstimator()
+        est = estimator()
         for tick_time in np.arange(5.0, 301.0, 5.0):
             est.update(arrivals, float(tick_time))
         value = est.update(arrivals, 315.0)  # first tick after short window fills
         assert value >= 0.8 * 12.0
 
     def test_ewma_is_state_not_an_argument(self):
-        assert RateEstimator().ewma is None
+        assert estimator().ewma is None
         with pytest.raises(TypeError):
-            RateEstimator(ewma=5.0)
+            estimator(ewma=5.0)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidParameter):
-            RateEstimator(long_window=10, short_window=10)
+            estimator(long_window=10, short_window=10)
         with pytest.raises(InvalidParameter):
-            RateEstimator(alpha=0.0)
+            estimator(alpha=0.0)
         with pytest.raises(InvalidParameter):
-            RateEstimator(burst_factor=1.0)
+            estimator(burst_factor=1.0)
 
     @pytest.mark.parametrize("tick", [0.0, -5.0, math.nan, math.inf])
     def test_tick_must_be_positive_and_finite(self, tick):
         # value_at steps by `tick`: a zero tick would never reach `now`
         with pytest.raises(InvalidParameter, match=r"^tick: must be in \(0, inf\)"):
-            RateEstimator(tick=tick)
+            estimator(tick=tick)
 
     @pytest.mark.parametrize("tick, epoch", [(5.0, 10.0), (3.0, 10.0), (15.0, 10.0)])
     def test_value_at_equals_an_update_at_every_tick(self, tick, epoch):
@@ -413,7 +412,7 @@ class TestRateEstimator:
         # built by repeated addition, a tick before an epoch at equal times.
         rng = np.random.default_rng(4)
         arrivals = np.sort(np.concatenate([rng.uniform(0, 60, 60), rng.uniform(60, 70, 200)]))
-        est, ref = (RateEstimator(long_window=60.0, tick=tick) for _ in range(2))
+        est, ref = (estimator(long_window=60.0, tick=tick) for _ in range(2))
         got, want = [], []
         next_tick, next_epoch = tick, epoch
         while min(next_tick, next_epoch) <= 300.0:
