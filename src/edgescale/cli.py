@@ -269,22 +269,25 @@ def cmd_replay(args) -> int:
         horizon = max(len(counts) for counts in traces.values()) * 60.0
     doc = {
         "horizon_seconds": horizon,
-        "seed": args.seed,
         "cluster": {"nodes": [{"vcpu": args.node_vcpu, "memory_mb": args.node_memory_mb}
                               for _ in range(args.nodes)]},
-        "controller": {"reclamation": args.reclamation},
         "functions": [
             {
                 "id": fid,
                 "size": {"vcpu": args.vcpu, "memory_mb": args.memory_mb},
                 "slo": {"deadline": args.deadline, "percentile": args.percentile},
-                "service": {"distribution": "exponential", "rate": args.service_rate},
+                "service": {"rate": args.service_rate},
                 "workload": {"mode": "trace", "file": str(Path(args.trace).name),
                              "function": fid},
             }
             for fid in traces
         ],
     }
+    # left out, --seed and --reclamation take scenario.FIELDS's defaults
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.reclamation is not None:
+        doc["controller"] = {"reclamation": args.reclamation}
     scn = scenario_mod.from_dict(doc, base_dir=Path(args.trace).parent)
     run_scenario_to_dir(scn, args.out)
     print(f"replayed {len(traces)} functions for {horizon:.0f}s -> {args.out}")
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("trace")
     rep_p.add_argument("--out", required=True)
     rep_p.add_argument("--horizon", type=_positive_float, default=None)
-    rep_p.add_argument("--seed", type=_nonnegative_int, default=0)
+    rep_p.add_argument("--seed", type=_nonnegative_int, default=None)
     rep_p.add_argument("--nodes", type=_positive_int, default=3)
     rep_p.add_argument("--node-vcpu", type=_positive_float, default=4.0)
     rep_p.add_argument("--node-memory-mb", type=_positive_float, default=16384.0)
@@ -353,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--service-rate", type=_positive_float, default=10.0)
     rep_p.add_argument("--deadline", type=_positive_float, default=0.1)
     rep_p.add_argument("--percentile", type=_open_fraction, default=0.95)
-    rep_p.add_argument("--reclamation", default="deflation",
-                       choices=("deflation", "termination"))
+    rep_p.add_argument("--reclamation", default=None, choices=("deflation", "termination"))
     rep_p.set_defaults(func=cmd_replay)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario across a grid of overrides")

@@ -465,6 +465,21 @@ class TestReplayCommand:
         assert rc == 0
         assert (out / "summary.txt").exists()
 
+    def test_seed_and_reclamation_default_to_the_scenario_defaults(self, tmp_path, repo_root):
+        fields = scenario_mod.FIELDS
+        runs = {
+            "default": [],
+            "explicit": ["--seed", str(fields["scenario"]["seed"][1]),
+                         "--reclamation", fields["controller"]["reclamation"][1]],
+            "other": ["--seed", "1", "--reclamation", "termination"],
+        }
+        for name, flags in runs.items():
+            assert main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
+                         "--out", str(tmp_path / name), "--horizon", "120", *flags]) == 0
+        files = {name: [(tmp_path / name / f).read_bytes() for f in ("requests.csv", "epochs.csv")]
+                 for name in runs}
+        assert files["default"] == files["explicit"] != files["other"]
+
     def test_bad_seed_is_a_usage_error(self, tmp_path, repo_root, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
@@ -480,9 +495,6 @@ class TestReplayCommand:
         ("--horizon", "nan"), ("--horizon", "inf"),
     ])
     def test_bad_flag_is_a_usage_error(self, tmp_path, repo_root, capsys, flag, value):
-        # these once passed argparse and failed at load, naming a scenario path
-        # (`--percentile 1.5` as functions.<id>.slo.percentile, `--horizon 0`
-        # as horizon_seconds)
         with pytest.raises(SystemExit) as exit_info:
             main(["replay", str(repo_root / "traces" / "six_function_hour.csv"),
                   "--out", str(tmp_path / "rep"), flag, value])

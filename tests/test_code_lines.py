@@ -26,9 +26,10 @@ def test_blank_comment_and_docstring_lines_are_not_code():
         "    over two lines.'''\n"
     )
     assert code_lines.code_lines(source) == 6
+    assert code_lines.code_lines("") == 0
 
 
 def test_prints_both_counts_of_the_package(capsys):
-    assert code_lines.main(["code_lines.py"]) == 0
+    assert code_lines.main() == 0
     out = capsys.readouterr().out
     assert out.startswith("edgescale: ") and "lines (wc -l)" in out and "code lines" in out

@@ -2,20 +2,20 @@
 every defaulted parameter of its functions and dataclasses is passed, and
 every default is needed.
 
-Program code is `src/edgescale`, `perfbench` and `perfbench/tests`; the
-package's tests do not count, so a name that only they read fails here.
-`perfbench/tests` counts because the benchmark changes apart from the
-package, so what its tests call must keep working. A name counts as used
-when it is read anywhere in that code: as a name or an attribute in Load
-context, or as an identifier string. Its own definition or assignment target
-is not a read. Strings count because `perfbench/layertrace.py` wraps
+Program code is `src/edgescale` and `perfbench`; tests do not count, so a
+name that only they read fails here. For the two parameter checks,
+`perfbench/tests` counts as a caller too, because the benchmark changes
+apart from the package, so what its tests pass must keep working. A name
+counts as used when it is read anywhere in program code: as a name or an
+attribute in Load context, or as an identifier string. Its own definition or
+assignment target is not a read. Strings count because `perfbench/layertrace.py` wraps
 functions by name. A re-export in `__init__.py` is not a use, so a name
 exported there but called nowhere fails too. The console entry point
 `cli.main` is exempt.
 
 A dataclass's fields are the parameters of the `__init__` it generates, in
 order, under the class's name; a `field(init=False)` is none. A defaulted
-parameter counts as used when program code passes it to a callable of its
+parameter counts as used when a caller passes it to a callable of its
 function's name (a class's name for `__init__`): by keyword, by position, or
 through `*` or `**`. Callees are matched by name alone, and
 `scenario._build(X, prefix, ...)` is a call of `X`. A parameter read by name
@@ -25,7 +25,7 @@ strings do not count: a name in `__slots__` or in an error message passes
 nothing. So a setting that only tests pass fails here, and so does run state
 that is a constructor keyword nobody passes.
 
-A default is needed when some program call leaves its parameter out; `**`
+A default is needed when some caller's call leaves its parameter out; `**`
 passes every key, and `*` may pass fewer positions than it has. A default
 that every call passes is a second copy of a setting whose default lives
 elsewhere, for a scenario setting in `scenario.FIELDS`, and only tests rely
@@ -39,8 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "edgescale"
-PROGRAM = [path for folder in (PACKAGE, ROOT / "perfbench", ROOT / "perfbench" / "tests")
-           for path in sorted(folder.glob("*.py"))]
+PROGRAM = [path for folder in (PACKAGE, ROOT / "perfbench") for path in sorted(folder.glob("*.py"))]
+CALLERS = PROGRAM + sorted((ROOT / "perfbench" / "tests").glob("*.py"))
 EXEMPT = {("cli.py", "main")}
 
 
@@ -300,7 +300,7 @@ def test_checker_reads_dataclass_fields_as_parameters():
 
 
 def test_every_defaulted_parameter_is_passed():
-    trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
     package = {path.name: tree for path, tree in trees.items() if path.parent == PACKAGE}
     assert unpassed_parameters(package, trees.values()) == []
 
@@ -340,6 +340,6 @@ def test_checker_flags_only_unneeded_defaults():
 
 
 def test_every_default_is_needed():
-    trees = {path: ast.parse(path.read_text()) for path in PROGRAM}
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
     package = {path.name: tree for path, tree in trees.items() if path.parent == PACKAGE}
     assert unneeded_defaults(package, trees.values()) == []

@@ -1,9 +1,6 @@
-"""Count the lines of the package source: all of them, as `wc -l` does, and
-the code lines, which are neither blank, nor comment-only, nor docstring lines.
-
-    python tools/code_lines.py [directory]
-
-The directory defaults to `src/edgescale`; its `*.py` files are counted.
+"""Count the lines of `src/edgescale`'s `*.py` files: all of them, as `wc -l`
+does, and the code lines, which are neither blank, nor comment-only, nor
+docstring lines.
 """
 
 import ast
@@ -12,6 +9,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+PACKAGE = Path(__file__).parent.parent / "src" / "edgescale"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER}
 
@@ -21,7 +19,7 @@ def code_lines(source: str) -> int:
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0]
+            first = node.body[0] if node.body else None
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
                 docstrings.update(range(first.lineno, first.end_lineno + 1))
@@ -32,14 +30,13 @@ def code_lines(source: str) -> int:
     return len(code - docstrings)
 
 
-def main(argv) -> int:
-    root = Path(argv[1] if len(argv) > 1 else Path(__file__).parent.parent / "src" / "edgescale")
-    sources = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
+def main() -> int:
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
     total = sum(source.count("\n") for source in sources)
     code = sum(code_lines(source) for source in sources)
-    print(f"{root.name}: {len(sources)} files, {total:,} lines (wc -l), {code:,} code lines")
+    print(f"{PACKAGE.name}: {len(sources)} files, {total:,} lines (wc -l), {code:,} code lines")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
