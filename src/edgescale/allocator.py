@@ -72,7 +72,8 @@ class EpochRecord:
     `c_active`, `c_lazy` and `alloc_vcpu` from the pool it left.
     `infeasible` says that no pool of at most `DEFAULT_CONTAINER_CAP`
     containers meets the SLO; the demand is then the stable pool, or the
-    guarantee when larger, up to the capacity. The counters and the actions
+    guarantee when larger, up to the capacity and to the vCPU of
+    `DEFAULT_CONTAINER_CAP` containers. The counters and the actions
     start empty and are no constructor arguments.
     """
 
@@ -249,13 +250,15 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
             c_new, demand = required_pool(spec, active, rate, cfg)
         except (InfeasibleDeadline, CapExceeded):
             # no pool within the cap meets the SLO: ask for the stable pool,
-            # or the guarantee when larger; fair share decides under overload
+            # or the guarantee when larger, in at most the cap's containers;
+            # fair share decides under overload
             infeasible = True
             try:
                 stable = queuing.min_stable_count(rate, spec.profile.base_rate) * spec.vcpu
             except CapExceeded:
                 stable = capacity
-            demand = min(capacity, max(guar[fid], stable))
+            demand = min(capacity, max(guar[fid], stable),
+                         queuing.DEFAULT_CONTAINER_CAP * spec.vcpu)
             c_new = int(math.floor(demand / spec.vcpu + 1e-9))
         records[fid] = EpochRecord(
             function_id=fid,

@@ -166,9 +166,9 @@ def _rate_list(text):
         rates = sorted(float(x) for x in text.split(",")) if text else []
     except ValueError:
         rates = [math.nan]
-    if not all(math.isfinite(r) for r in rates):
+    if not all(0 < r < math.inf for r in rates):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated finite numbers, got {text!r}")
+            f"expected comma-separated finite numbers > 0, got {text!r}")
     return rates
 
 

@@ -4,17 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameter
-
 
 @dataclass(frozen=True)
 class Node:
     vcpu: float
     memory_mb: float
-
-    def __post_init__(self):
-        if self.vcpu <= 0 or self.memory_mb <= 0:
-            raise InvalidParameter("node capacities must be > 0")
 
 
 @dataclass

@@ -6,8 +6,8 @@ class EdgeScaleError(Exception):
 
 
 class InvalidParameter(EdgeScaleError):
-    """A parameter is outside its valid domain: a nonpositive rate, c < 1, an
-    empty or malformed workload schedule, a CPU fraction outside (0, 1], ..."""
+    """A parameter is outside its valid domain: a nonpositive rate, c < 1, a
+    CPU fraction outside (0, 1], ..."""
 
 
 class UnstableSystem(EdgeScaleError):

@@ -36,29 +36,6 @@ class ServiceProfile:
     curve: tuple
     samples: tuple
 
-    def __post_init__(self):
-        if self.base_rate <= 0:
-            raise InvalidParameter(f"base rate must be > 0, got {self.base_rate}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise InvalidParameter(
-                f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
-            )
-        if self.distribution == "empirical":
-            samples = tuple(float(s) for s in self.samples)
-            if not samples or any(s <= 0 for s in samples):
-                raise InvalidParameter("empirical profile needs positive samples")
-            object.__setattr__(self, "samples", samples)
-        curve = tuple((float(f), float(m)) for f, m in self.curve)
-        fracs = [f for f, _ in curve]
-        mults = [m for _, m in curve]
-        if fracs != sorted(fracs) or len(set(fracs)) != len(fracs):
-            raise InvalidParameter("curve fractions must be strictly increasing")
-        if mults != sorted(mults):
-            raise InvalidParameter("curve multiplier must be nonincreasing as CPU shrinks")
-        if abs(float(np.interp(1.0, fracs, mults)) - 1.0) > 1e-9:
-            raise InvalidParameter("degradation curve must give multiplier 1.0 at full size")
-        object.__setattr__(self, "curve", curve)
-
     def multiplier(self, cpu_fraction: float) -> float:
         if not 0 < cpu_fraction <= 1:
             raise InvalidParameter(f"cpu fraction must be in (0, 1], got {cpu_fraction}")
@@ -177,10 +154,6 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
     land. Falls back to termination when no single node-group can release
     enough.
     """
-    if not 0 < tau < 1:
-        raise InvalidParameter(f"tau must be in (0, 1), got {tau}")
-    if step <= 0:
-        raise InvalidParameter(f"step must be > 0, got {step}")
     pool = list(containers)
     total = sum(c.allocated_vcpu for c in pool)
     if total <= target_vcpu + 1e-9 or not pool:

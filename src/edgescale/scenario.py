@@ -7,6 +7,13 @@ file the program takes in, the scenario and its trace and profile CSVs, so
 the model modules do no file I/O. `apply_override` edits the raw document
 before parsing, so `--override key=value` and editing the file are
 interchangeable.
+
+This module checks every value it reads, against its range in `FIELDS` and
+the rules that tie fields together, and a bad one is a ConfigError that
+starts with the field's path. The model classes trust what it builds and
+repeat none of these checks, so a direct call with values no scenario can
+hold may misbehave: a zero estimator `tick` or deflation `step` loops for
+good.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ import yaml
 
 from .allocator import ControllerConfig, FunctionSpec, SloPolicy
 from .cluster import Node
-from .errors import ConfigError, InvalidParameter, ParseError
+from .errors import ConfigError, ParseError
 from .queuing import DEFAULT_CONTAINER_CAP
 from .reclamation import DEFAULT_CURVE, DISTRIBUTIONS, ServiceProfile
-from .workload import MODES, RateEstimator, WorkloadSpec, expected_arrivals
+from .workload import MODES, WorkloadSpec, expected_arrivals
 
 # Arrivals are generated before the run starts. trace_headroom (167k
 # requests) peaks at 51 MB in `edgescale run` and at 82 MB in the benchmark,
@@ -58,10 +65,11 @@ POSITIVE, NONNEGATIVE = "(0, inf)", "[0, inf)"
 # section -> key -> (kind, default, range). A kind is float, int, bool, str,
 # a tuple of allowed values, the name of a nested section, "[name]" for a
 # list of such sections (each named by its id, else by its index), "pairs"
-# for a list of [time, rate], "floats" for a list of numbers, or "fractions"
-# for a list of CPU fractions or a count of full-size containers. The range,
-# in interval notation, bounds every number in the field. A required list
-# must not be empty. A section with a "mode" also takes "<section>.<mode>".
+# for a list of [time, rate] with strictly increasing times, "floats" for a
+# list of numbers, or "fractions" for a list of CPU fractions or a count of
+# full-size containers. The range, in interval notation, bounds every number
+# in the field. A required list must not be empty. A section with a "mode"
+# also takes "<section>.<mode>".
 FIELDS = {
     "scenario": {
         "horizon_seconds": (float, REQUIRED, POSITIVE),
@@ -177,11 +185,16 @@ def _value(value, kind, at, interval=None):
         noun = "a count or a list" if kind == "fractions" else "a list"
         raise ConfigError(f"{at}: expected {noun}, got {value!r}")
     if kind == "pairs":
+        pairs = []
         for i, entry in enumerate(value):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ConfigError(f"{at}[{i}]: expected a [time, rate] pair, got {entry!r}")
-        return tuple((_number(t, float, interval, f"{at}[{i}]"),
-                      _number(r, float, interval, f"{at}[{i}]")) for i, (t, r) in enumerate(value))
+            t, rate = (_number(x, float, interval, f"{at}[{i}]") for x in entry)
+            if pairs and t <= pairs[-1][0]:
+                raise ConfigError(f"{at}[{i}]: time must be > {pairs[-1][0]}, the time "
+                                  f"before it, got {t}")
+            pairs.append((t, rate))
+        return tuple(pairs)
     if kind in ("floats", "fractions"):
         return [_number(x, float, interval, f"{at}[{i}]") for i, x in enumerate(value)]
     out, names = [], set()
@@ -208,14 +221,6 @@ def _number(value, kind, interval, at):
             and (x < hi if interval[-1] == ")" else x <= hi)):
         raise ConfigError(f"{at}: must be in {interval}, got {x}")
     return x
-
-
-def _build(make, prefix, **kwargs):
-    """Call a constructor; its errors are re-raised under `prefix`."""
-    try:
-        return make(**kwargs)
-    except InvalidParameter as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def read_file(load, path, prefix=""):
@@ -288,9 +293,11 @@ def load_profile_curve(path) -> tuple:
     """Read (cpu_fraction, mean service seconds) rows into a multiplier curve.
 
     The multiplier at fraction f is time(1.0)/time(f), so the file must
-    include a fraction-1.0 row to normalise against.
+    include a fraction-1.0 row to normalise against. No fraction may repeat,
+    no service time may rise with the fraction, and every row within 1e-9 of
+    fraction 1.0 must give multiplier 1.0.
     """
-    rows = []
+    rows = {}
     for line, (frac, seconds) in _csv_rows(path, 2, ("cpu_fraction", "fraction")):
         try:
             frac, seconds = float(frac), float(seconds)
@@ -300,14 +307,23 @@ def load_profile_curve(path) -> tuple:
             raise ParseError(f"cpu_fraction {frac} outside (0, 1]", line=line)
         if not 0 < seconds < math.inf:
             raise ParseError(f"service time must be > 0 and finite, got {seconds}", line=line)
-        rows.append((frac, seconds))
+        if frac in rows:
+            raise ParseError(f"repeated cpu_fraction {frac}", line=line)
+        rows[frac] = seconds
     if not rows:
         raise ParseError("no data rows")
-    rows.sort()
+    rows = sorted(rows.items())
     full = [s for f, s in rows if abs(f - 1.0) < 1e-9]
     if not full:
         raise ParseError("missing the cpu_fraction=1.0 row to normalise against")
-    return tuple((f, full[0] / s) for f, s in rows)
+    curve = tuple((f, full[0] / s) for f, s in rows)
+    for (f0, m0), (f1, m1) in zip(curve, curve[1:]):
+        if m1 < m0:
+            raise ParseError(f"service time rises from cpu_fraction {f0} to {f1}")
+    if abs(curve[-1][1] - 1.0) > 1e-9:
+        raise ParseError(f"multiplier {curve[-1][1]:.6g} at full size, not 1.0: the rows within "
+                         "1e-9 of cpu_fraction 1.0 differ in service time")
+    return curve
 
 
 def _workload(doc, where, base_dir, traces):
@@ -320,8 +336,8 @@ def _workload(doc, where, base_dir, traces):
             raise ConfigError(f"{where}.function: {doc['function']!r} not in trace {path}")
         return WorkloadSpec(mode="trace", per_minute_counts=traces[path][doc["function"]])
     schedule = ((0.0, doc["rate"]),) if doc["mode"] == "static" else doc.get("schedule", ())
-    return _build(WorkloadSpec, f"{where}: ", mode=doc["mode"], rate_schedule=schedule,
-                  rate_points=doc.get("points", ()))
+    return WorkloadSpec(mode=doc["mode"], rate_schedule=schedule,
+                        rate_points=doc.get("points", ()))
 
 
 def from_dict(doc: dict, base_dir) -> Scenario:
@@ -331,7 +347,10 @@ def from_dict(doc: dict, base_dir) -> Scenario:
     if len(top["cluster"]["nodes"]) > MAX_NODES:
         raise ConfigError(f"cluster.nodes: {len(top['cluster']['nodes']):,} nodes, over the "
                           f"{MAX_NODES:,} limit")
-    _build(RateEstimator, "estimator.", **top["estimator"])
+    windows = top["estimator"]["short_window"], top["estimator"]["long_window"]
+    if not windows[0] < windows[1]:
+        raise ConfigError(f"estimator.short_window: must be < long_window {windows[1]}, "
+                          f"got {windows[0]}")
 
     user_weights = {user["id"]: user["weight"] for user in top["users"]}
     in_user_total: dict = {}
@@ -344,6 +363,9 @@ def from_dict(doc: dict, base_dir) -> Scenario:
     for fn in top["functions"]:
         fid, service = fn["id"], fn["service"]
         where = f"functions.{fid}"
+        if service["distribution"] == "empirical" and not service["samples"]:
+            raise ConfigError(f"{where}.service.samples: must not be empty for an empirical "
+                              "distribution")
         curve = DEFAULT_CURVE
         if service["profile_file"] is not None:
             curve = read_file(load_profile_curve, base_dir / service["profile_file"],
@@ -353,9 +375,8 @@ def from_dict(doc: dict, base_dir) -> Scenario:
             weight=user_weights.get(fn["user"], 1.0) * fn["weight"] / in_user_total[fn["user"]],
             slo=SloPolicy(**fn["slo"]),
             vcpu=fn["size"]["vcpu"], memory_mb=fn["size"]["memory_mb"],
-            profile=_build(ServiceProfile, f"{where}.service: ", base_rate=service["rate"],
-                           distribution=service["distribution"], curve=curve,
-                           samples=tuple(service["samples"])),
+            profile=ServiceProfile(base_rate=service["rate"], distribution=service["distribution"],
+                                   curve=curve, samples=tuple(service["samples"])),
             cold_start_s=fn["cold_start_seconds"], min_containers=fn["min_containers"],
             timeout_s=fn["timeout_seconds"])
         workloads[fid] = _workload(fn["workload"], f"{where}.workload", base_dir, traces)

@@ -38,23 +38,6 @@ MODES = ("static", "discrete", "continuous", "trace")
 BLOCK = 4096  # exponential gaps drawn per RNG call
 
 
-def _rate_pairs(pairs, name: str) -> tuple:
-    """`pairs` as (time, rate) floats; an InvalidParameter, starting with
-    `name`, unless they are non-empty and finite, with times strictly
-    increasing and rates >= 0."""
-    out = tuple((float(t), float(r)) for t, r in pairs)
-    for t, r in out:
-        if not (math.isfinite(t) and math.isfinite(r)):
-            raise InvalidParameter(f"{name}: must be finite, got ({t}, {r})")
-    if not out:
-        raise InvalidParameter(f"{name}: must not be empty")
-    if any(b <= a for (a, _), (b, _) in zip(out, out[1:])):
-        raise InvalidParameter(f"{name}: times must be strictly increasing")
-    if any(r < 0 for _, r in out):
-        raise InvalidParameter(f"{name}: rates must be >= 0")
-    return out
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     """How a function's requests arrive.
@@ -69,25 +52,6 @@ class WorkloadSpec:
     rate_schedule: tuple = ()
     rate_points: tuple = ()
     per_minute_counts: tuple = ()
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidParameter(f"unknown workload mode {self.mode!r}")
-        if self.mode in ("static", "discrete"):
-            object.__setattr__(self, "rate_schedule",
-                               _rate_pairs(self.rate_schedule, "rate_schedule"))
-        elif self.mode == "continuous":
-            object.__setattr__(self, "rate_points", _rate_pairs(self.rate_points, "rate_points"))
-        else:
-            counts = []
-            for c in self.per_minute_counts:
-                try:
-                    counts.append(int(c))
-                except (ValueError, OverflowError):
-                    raise InvalidParameter(f"trace counts must be finite, got {c}") from None
-            if any(c < 0 for c in counts):
-                raise InvalidParameter("trace counts must be >= 0")
-            object.__setattr__(self, "per_minute_counts", tuple(counts))
 
 
 def _segments(sched, horizon) -> list:
@@ -204,17 +168,6 @@ class RateEstimator:
     alpha: float
     ewma: float | None = field(default=None, init=False)
     last_tick: float = field(default=0.0, init=False)  # the last committed tick time
-
-    def __post_init__(self):
-        # each message starts with its field; scenario.from_dict adds the section
-        if not 0 < self.tick < math.inf:
-            raise InvalidParameter(f"tick: must be in (0, inf), got {self.tick}")
-        if not self.short_window < self.long_window:
-            raise InvalidParameter("short_window: must be < long_window")
-        if not 0 < self.alpha <= 1:
-            raise InvalidParameter(f"alpha: must be in (0, 1], got {self.alpha}")
-        if not self.burst_factor > 1:
-            raise InvalidParameter(f"burst_factor: must be > 1, got {self.burst_factor}")
 
     def window_rates(self, arrivals: np.ndarray, now: float) -> tuple:
         """(long-window rate, short-window rate) of sorted `arrivals` at `now`."""

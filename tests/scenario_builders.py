@@ -7,8 +7,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import edgescale.scenario as scenario_mod
+from edgescale.errors import ConfigError
 from edgescale.simulator import Simulation
 from edgescale.workload import RateEstimator
 
@@ -18,13 +20,14 @@ REPO_ROOT = Path(__file__).parent.parent
 # takes its default from `scenario.FIELDS`, so tests that build model objects
 # directly take their settings from its parts and write no default again,
 # e.g. `dataclasses.replace(DEFAULTS.controller, tau=0.2)`.
-DEFAULTS = scenario_mod.from_dict({
+SMALLEST = {
     "horizon_seconds": 60.0,
     "cluster": {"nodes": [{"vcpu": 1.0, "memory_mb": 1024.0}]},
     "functions": [{"id": "f", "size": {"vcpu": 1.0, "memory_mb": 256.0},
                    "slo": {"deadline": 0.1}, "service": {"rate": 10.0},
                    "workload": {"mode": "static", "rate": 1.0}}],
-}, base_dir=REPO_ROOT)
+}
+DEFAULTS = scenario_mod.from_dict(copy.deepcopy(SMALLEST), base_dir=REPO_ROOT)
 DEFAULT_FUNCTION = DEFAULTS.functions["f"]
 SLO_PERCENTILE = DEFAULT_FUNCTION.slo.percentile
 
@@ -52,6 +55,20 @@ def controller(**changes):
 def estimator(**changes):
     """A RateEstimator with the scenario defaults, but for `changes`."""
     return RateEstimator(**{**DEFAULTS.estimator_params, **changes})
+
+
+def config_error(*overrides, base_dir=REPO_ROOT) -> str:
+    """The ConfigError message `scenario.from_dict` gives for `SMALLEST` with
+    each `key=value` override applied, as `--override` applies it.
+
+    Model classes do not check their arguments, so a bad value is tested
+    here, where `scenario` reads it."""
+    doc = copy.deepcopy(SMALLEST)
+    for item in overrides:
+        scenario_mod.apply_override(doc, item)
+    with pytest.raises(ConfigError) as info:
+        scenario_mod.from_dict(doc, base_dir=base_dir)
+    return str(info.value)
 
 
 def make_scenario(functions, nodes=None, horizon=120.0, seed=7, controller=None,

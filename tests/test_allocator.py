@@ -1,6 +1,7 @@
 """Placement, reconciliation, and the epoch planning loop."""
 
 import copy
+import dataclasses
 from itertools import count
 
 import pytest
@@ -15,10 +16,10 @@ from edgescale.allocator import (
 )
 from edgescale.cluster import ClusterState, Node
 from edgescale.errors import NoCapacity
-from edgescale.queuing import min_stable_count
+from edgescale.queuing import DEFAULT_CONTAINER_CAP, min_stable_count
 from edgescale.reclamation import ContainerState, SetFraction, Terminate
 from scenario_builders import (CONTINUOUS_WORST_CASE_TERMINATION, InvariantSimulation, build,
-                               controller, function_spec, profile, slo)
+                               controller, function_spec, profile, slo, time_limit)
 
 PROF = profile(10.0)
 CFG = controller(epoch_s=10.0)
@@ -253,7 +254,8 @@ class TestPlanEpoch:
 
 class TestFallbackSizing:
     """When no pool within the cap meets the SLO, demand is the stable pool,
-    or the guarantee when larger, up to the capacity."""
+    or the guarantee when larger, up to the capacity and to the vCPU of
+    `DEFAULT_CONTAINER_CAP` containers."""
 
     @pytest.mark.parametrize("rate, demand", [
         (5.0, 4.0),  # stable with 2 containers: the 4 vCPU guarantee holds
@@ -285,6 +287,18 @@ class TestFallbackSizing:
         # fair share then decides: `cool` keeps its one container
         assert e.overloaded and e.target_vcpu == 7.0
         assert plan["cool"].target_vcpu == plan["cool"].demand_vcpu == 1.0
+
+    def test_a_tiny_container_size_plans_at_most_the_cap(self):
+        # the 4 vCPU guarantee in 0.0001 vCPU containers once planned 40,000
+        # creates in one epoch, and a 20 s run took 30 s
+        spec = dataclasses.replace(infeasible_spec("f1"), vcpu=0.0001, memory_mb=0.001)
+        cl = cluster_with([(4.0, 4096.0)])
+        with time_limit(5.0):
+            e = plan_epoch(cl, {"f1": 5.0}, {"f1": spec}, CFG)["f1"]
+        assert e.infeasible and e.guar_vcpu == 4.0
+        assert e.demand_vcpu == e.target_vcpu == DEFAULT_CONTAINER_CAP * 0.0001
+        assert e.c_new == DEFAULT_CONTAINER_CAP
+        assert e.grow == [CreateContainer("f1")] * DEFAULT_CONTAINER_CAP
 
 
 def test_an_infeasible_slo_keeps_the_stable_pool_in_a_run():

@@ -301,7 +301,7 @@ class TestRunCommand:
         ("functions.f1.workload={mode: discrete, schedule: []}",
          "functions.f1.workload.schedule"),
         ("functions.f1.workload={mode: discrete, schedule: [[0, 5], [0, 6]]}",
-         "functions.f1.workload"),
+         "functions.f1.workload.schedule[1]"),
         ("functions.f1.initial_containers=9", "functions.f1.initial_containers"),
         ("functions.f1.service.samples=5", "functions.f1.service.samples"),
         ("functions.f1.initial_containers=x", "functions.f1.initial_containers"),
@@ -394,7 +394,8 @@ class TestValidateCommand:
         assert rc == 0 and "PASS" in out
 
     @pytest.mark.parametrize("flag, value", [
-        ("--rates", ","), ("--rates", "a"), ("--rates", "7,nan"), ("--replications", "0"),
+        ("--rates", ","), ("--rates", "a"), ("--rates", "7,nan"), ("--rates", "0,5"),
+        ("--rates", "-1"), ("--replications", "0"),
         ("--arrival-rate", "nan"), ("--arrival-rate", "inf"), ("--arrival-rate", "0"),
         ("--service-rate", "inf"), ("--deadline", "inf"), ("--deadline", "nan"),
         ("--deadline", "0"), ("--percentile", "1.5"), ("--seed", "-1"), ("--requests", "0"),
@@ -644,22 +645,28 @@ class TestDataFileErrors:
         assert scn.functions["f1"].profile.curve == ((0.5, 0.5), (1.0, 1.0))
 
     @pytest.mark.parametrize("text, reason", [
-        ("1.0,0.1\n1.0,0.2\n", "curve fractions must be strictly increasing"),
+        ("1.0,0.1\n1.0,0.2\n", "line 2: repeated cpu_fraction 1.0"),
         # faster with less CPU: the multiplier at 0.5 would be 2
-        ("1.0,0.1\n0.5,0.05\n", "curve multiplier must be nonincreasing as CPU shrinks"),
-    ], ids=["repeated-fraction", "rising-multiplier"])
-    def test_profile_curve_rejected_names_the_service(self, mini_scenario, text, reason):
-        beside(mini_scenario, text)
-        with pytest.raises(ConfigError, match=f"^functions\\.f1\\.service: {reason}"):
+        ("1.0,0.1\n0.5,0.05\n", "service time rises from cpu_fraction 0.5 to 1.0"),
+        # both rows count as the full-size row: the multiplier at 1.0 would be 2
+        ("0.9999999999,0.2\n1.0,0.1\n0.5,0.3\n", "multiplier 2 at full size, not 1.0: the "
+         "rows within 1e-9 of cpu_fraction 1.0 differ in service time"),
+    ], ids=["repeated-fraction", "rising-service-time", "two-full-size-rows"])
+    def test_profile_curve_rejected_names_the_file(self, mini_scenario, text, reason):
+        data = beside(mini_scenario, text)
+        with pytest.raises(ConfigError,
+                           match="^" + re.escape(f"{PROFILE_FIELD}: {data}: {reason}") + "$"):
             scenario_mod.load(mini_scenario, overrides=[f"{PROFILE_FIELD}=data.csv"])
 
 
 class TestScenarioInputErrors:
     @pytest.mark.parametrize("override, message", [
         ("functions.f1.service.distribution=empirical",
-         "error: functions.f1.service: empirical profile needs positive samples"),
+         "error: functions.f1.service.samples: must not be empty for an empirical "
+         "distribution"),
         ("functions.f1.workload={mode: continuous, points: [[10, 1], [0, 2]]}",
-         "error: functions.f1.workload: rate_points: times must be strictly increasing"),
+         "error: functions.f1.workload.points[1]: time must be > 10.0, the time before it, "
+         "got 0.0"),
         ("seed", "error: override must look like key=value, got 'seed'"),
         ("functions.zz.weight=2", "error: override 'functions.zz.weight': no list item 'zz'"),
         ("functions.f1=3", "error: override 'functions.f1': cannot replace a whole list item"),

@@ -3,9 +3,8 @@
 import pytest
 
 from edgescale.cluster import ClusterState, Node
-from edgescale.errors import InvalidParameter
 from edgescale.reclamation import ContainerState
-from scenario_builders import cluster_views, profile, scanned_free, scanned_views
+from scenario_builders import cluster_views, config_error, profile, scanned_free, scanned_views
 
 PROF = profile(10.0)
 
@@ -23,11 +22,12 @@ def ids(containers):
     return [c.id for c in containers]
 
 
-@pytest.mark.parametrize("vcpu, memory_mb", [(0.0, 1024.0), (-1.0, 1024.0), (1.0, 0.0),
-                                             (1.0, -5.0)])
-def test_node_capacities_must_be_positive(vcpu, memory_mb):
-    with pytest.raises(InvalidParameter, match="node capacities must be > 0"):
-        Node(vcpu=vcpu, memory_mb=memory_mb)
+# checked where `scenario` reads them: Node trusts its arguments
+@pytest.mark.parametrize("key, value", [("vcpu", 0.0), ("vcpu", -1.0), ("memory_mb", 0.0),
+                                        ("memory_mb", -5.0)])
+def test_node_capacities_must_be_positive(key, value):
+    assert config_error(f"cluster.nodes.0.{key}={value}") == (
+        f"cluster.nodes[0].{key}: must be in (0, inf), got {value}")
 
 
 class TestAddRemove:

@@ -1,6 +1,7 @@
 """`tools/code_lines.py` counts what the ROADMAP's design aim quotes."""
 
 import importlib.util
+import re
 
 from scenario_builders import REPO_ROOT
 
@@ -29,7 +30,12 @@ def test_blank_comment_and_docstring_lines_are_not_code():
     assert code_lines.code_lines("") == 0
 
 
-def test_prints_both_counts_of_the_package(capsys):
+def test_prints_both_counts_of_the_package_and_each_module(capsys):
     assert code_lines.main() == 0
-    out = capsys.readouterr().out
-    assert out.startswith("edgescale: ") and "lines (wc -l)" in out and "code lines" in out
+    total, *modules = capsys.readouterr().out.splitlines()
+    assert total.startswith("edgescale: ") and "lines (wc -l)" in total
+    files, code = re.fullmatch(r"edgescale: (\d+) files, .*, ([\d,]+) code lines", total).groups()
+    counts = {name: int(lines.replace(",", "")) for name, lines in map(str.split, modules)}
+    assert sorted(counts) == sorted(path.name for path in code_lines.PACKAGE.glob("*.py"))
+    assert len(counts) == int(files)
+    assert sum(counts.values()) == int(code.replace(",", ""))

@@ -15,7 +15,9 @@ from edgescale.reclamation import (
     reclaim_by_termination,
 )
 from edgescale.scenario import load_profile_curve
-from scenario_builders import profile
+from scenario_builders import config_error, profile
+
+SERVICE = "functions.f.service"
 
 PROF = profile(10.0)
 
@@ -86,9 +88,13 @@ class TestServiceRate:
         jumps = np.abs(np.diff(mults))
         assert np.max(jumps) < 0.02
 
-    def test_curve_must_hit_one_at_full(self):
-        with pytest.raises(InvalidParameter):
-            profile(10, curve=((0.0, 0.0), (1.0, 0.9)))
+    def test_curve_must_hit_one_at_full(self, tmp_path):
+        # a curve comes from a profile file, where `scenario` checks it: two
+        # rows within 1e-9 of fraction 1.0 would give multiplier 1.1 there
+        (tmp_path / "p.csv").write_text("1.0,0.1\n0.9999999999,0.11\n0.5,0.2\n")
+        assert config_error(f"{SERVICE}.profile_file=p.csv", base_dir=tmp_path) == (
+            f"{SERVICE}.profile_file: {tmp_path / 'p.csv'}: multiplier 1.1 at full size, not "
+            "1.0: the rows within 1e-9 of cpu_fraction 1.0 differ in service time")
 
 
 class TestContainerFraction:
@@ -159,14 +165,23 @@ class TestProfileLoader:
 
 
 class TestProfileParameters:
+    # checked where `scenario` reads them: ServiceProfile trusts its arguments
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_rate_must_be_positive(self, rate):
-        with pytest.raises(InvalidParameter, match=f"base rate must be > 0, got {rate}"):
-            profile(rate)
+        assert config_error(f"{SERVICE}.rate={rate}") == (
+            f"{SERVICE}.rate: must be in (0, inf), got {rate}")
 
     def test_unknown_distribution(self):
-        with pytest.raises(InvalidParameter, match="distribution must be one of .*'gamma'"):
-            profile(10.0, distribution="gamma")
+        assert config_error(f"{SERVICE}.distribution=gamma") == (
+            f"{SERVICE}.distribution: must be one of exponential|deterministic|empirical, "
+            "got 'gamma'")
+
+    def test_empirical_needs_samples(self):
+        assert config_error(f"{SERVICE}.distribution=empirical") == (
+            f"{SERVICE}.samples: must not be empty for an empirical distribution")
+        assert config_error(f"{SERVICE}.distribution=empirical",
+                            f"{SERVICE}.samples=[0.1, 0]") == (
+            f"{SERVICE}.samples[1]: must be in (0, inf), got 0.0")
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
     def test_service_quantile_inside_0_1(self, q):
@@ -212,13 +227,15 @@ class TestDeflation:
         assert sum(c.allocated_vcpu for c in left) == pytest.approx(3.0)
         assert all(c.cpu_fraction == pytest.approx(0.75) for c in left)
 
-    @pytest.mark.parametrize("tau, step, name", [
-        (0.0, 0.05, "tau"), (1.0, 0.05, "tau"), (-0.2, 0.05, "tau"),
-        (0.3, 0.0, "step"), (0.3, -0.05, "step"),
+    # checked where `scenario` reads them, never against the planner itself:
+    # with a zero step, its deflation loop would never end
+    @pytest.mark.parametrize("key, value, interval", [
+        ("tau", 0.0, "(0, 1)"), ("tau", 1.0, "(0, 1)"), ("tau", -0.2, "(0, 1)"),
+        ("deflation_step", 0.0, "(0, 1]"), ("deflation_step", -0.05, "(0, 1]"),
     ])
-    def test_bad_tau_or_step(self, tau, step, name):
-        with pytest.raises(InvalidParameter, match=f"^{name} must be"):
-            reclaim_by_deflation_grouped(make_pool([1.0] * 4), 3.0, tau=tau, step=step)
+    def test_bad_tau_or_step(self, key, value, interval):
+        assert config_error(f"controller.{key}={value}") == (
+            f"controller.{key}: must be in {interval}, got {value}")
 
     def test_terminates_when_tau_insufficient(self):
         pool = make_pool([1.0] * 4)

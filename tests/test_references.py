@@ -17,9 +17,8 @@ A dataclass's fields are the parameters of the `__init__` it generates, in
 order, under the class's name; a `field(init=False)` is none. A defaulted
 parameter counts as used when a caller passes it to a callable of its
 function's name (a class's name for `__init__`): by keyword, by position, or
-through `*` or `**`. Callees are matched by name alone, and
-`scenario._build(X, prefix, ...)` is a call of `X`. A parameter read by name
-as a string key, `x["name"]`, counts too, because `perfbench/layertrace.py`
+through `*` or `**`. Callees are matched by name alone. A parameter read by
+name as a string key, `x["name"]`, counts too, because `perfbench/layertrace.py`
 reads `find_c_homogeneous`'s `c_start` from its bound arguments. Other
 strings do not count: a name in `__slots__` or in an error message passes
 nothing. So a setting that only tests pass fails here, and so does run state
@@ -140,8 +139,6 @@ def program_calls(trees) -> dict:
 
     `positions` counts the arguments before any `*`, and `starred` says that
     a `*` may pass more; `keywords` is None when `**` passes every key.
-    `_build(X, prefix, ...)` is a call of `X` with the arguments after
-    `prefix`, as `scenario._build` makes it.
     """
     calls = {}
     for tree in trees:
@@ -149,12 +146,9 @@ def program_calls(trees) -> dict:
             if not isinstance(node, ast.Call):
                 continue
             callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            args = node.args
-            if callee == "_build" and args:
-                callee, args = getattr(args[0], "id", None), args[2:]
             if callee is None:
                 continue
-            starred = [isinstance(a, ast.Starred) for a in args] + [True]
+            starred = [isinstance(a, ast.Starred) for a in node.args] + [True]
             keywords = {k.arg for k in node.keywords}
             calls.setdefault(callee, []).append(
                 (starred.index(True), None if None in keywords else keywords, any(starred[:-1])))
@@ -328,7 +322,7 @@ def test_checker_flags_only_unneeded_defaults():
         "size(1, 2, 0.95, cap=3)\n"
         "fill({}, base='x')\n"
         "pad(*xs)\n"
-        "_build(Est, 'est.', **params)\n"
+        "Est(**params)\n"
         "Row('a', 0, 'done')\n"
         "Row(name='b', status='done')\n"
         "Rec(late=True)\n"

@@ -1,9 +1,8 @@
 """Every scenario field, mutated: a bad value is a ConfigError that starts
 with the field's path, and a value that loads runs to the horizon with the
 simulator's conservation and capacity invariants holding. An `EXTREME`
-value may instead fail on a field it feeds, such as a rate on its
-workload's arrival count, so its error need only start with some field's
-path.
+value may instead fail on a field it feeds, as `FEEDS` lists them: a rate
+on its workload's arrival count, say.
 
 The cases are generated from `scenario.FIELDS`, so a field added to the table
 is mutated here without editing this file; `FULL` must set every field. Each
@@ -83,6 +82,18 @@ def _fields(doc, section, where, keys=(), by_index=None):
                 yield from _fields(entry, kind[1:-1], name, keys + (key, i), f"{at}[{i}]")
 
 
+# (field path, path of a field it feeds) as regexes; the second is a
+# `re.Match.expand` template, which may refer to the first's groups
+FEEDS = [
+    # horizon times rate is the arrival count, checked on each workload
+    (r"horizon_seconds", r"functions\.[^.]+\.workload"),
+    (r"(functions\.\w+)\.workload\.rate", r"\1\.workload"),
+    # node and container sizes decide whether the initial containers fit
+    (r"cluster\.nodes\[\d+\]\.(vcpu|memory_mb)", r"functions\.[^.]+\.initial_containers"),
+    (r"(functions\.\w+)\.size\.(vcpu|memory_mb)", r"\1\.initial_containers"),
+    # the windows' order is one rule, reported on the short window
+    (r"estimator\.long_window", r"estimator\.short_window"),
+]
 MISSING = object()
 TIME_LIMIT = 5.0  # seconds per case; a case takes about 10 ms
 EXTREME = [("1e-300", 1e-300), ("1e300", 1e300), ("2**63", 2**63), ("10**30", 10**30),
@@ -116,8 +127,10 @@ def test_mutated_field_names_its_path_or_runs(keys, at, section, value, extreme)
         with time_limit(TIME_LIMIT):
             InvariantSimulation(from_dict(doc, base_dir=REPO_ROOT)).run()
     except ConfigError as exc:
-        named = r"[a-z_]+(\.\w+|\[\d+\])*: " if extreme else rf"{re.escape(prefix)}[:.\[]"
-        assert re.match(named, str(exc)), str(exc)
+        named = [re.escape(prefix)]
+        if extreme:
+            named += [m.expand(fed) for field, fed in FEEDS if (m := re.fullmatch(field, at))]
+        assert re.match(rf"({'|'.join(named)})[:.\[]", str(exc)), str(exc)
 
 
 def test_full_scenario_runs_every_mode():

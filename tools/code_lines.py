@@ -1,6 +1,9 @@
 """Count the lines of `src/edgescale`'s `*.py` files: all of them, as `wc -l`
 does, and the code lines, which are neither blank, nor comment-only, nor
-docstring lines.
+docstring lines. Under the package's totals, one line per module gives its
+code lines.
+
+    python tools/code_lines.py
 """
 
 import ast
@@ -31,10 +34,14 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    total = sum(source.count("\n") for source in sources)
-    code = sum(code_lines(source) for source in sources)
-    print(f"{PACKAGE.name}: {len(sources)} files, {total:,} lines (wc -l), {code:,} code lines")
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    total = sum(source.count("\n") for source in sources.values())
+    code = {name: code_lines(source) for name, source in sources.items()}
+    print(f"{PACKAGE.name}: {len(sources)} files, {total:,} lines (wc -l), "
+          f"{sum(code.values()):,} code lines")
+    for name, lines in code.items():
+        print(f"  {name:<16}{lines:>6,}")
     return 0
 
 
