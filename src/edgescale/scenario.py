@@ -347,10 +347,10 @@ def from_dict(doc: dict, base_dir) -> Scenario:
     if len(top["cluster"]["nodes"]) > MAX_NODES:
         raise ConfigError(f"cluster.nodes: {len(top['cluster']['nodes']):,} nodes, over the "
                           f"{MAX_NODES:,} limit")
-    windows = top["estimator"]["short_window"], top["estimator"]["long_window"]
-    if not windows[0] < windows[1]:
-        raise ConfigError(f"estimator.short_window: must be < long_window {windows[1]}, "
-                          f"got {windows[0]}")
+    est = top["estimator"]
+    if not est["short_window"] < est["long_window"]:
+        raise ConfigError(f"estimator.short_window: must be < long_window "
+                          f"{est['long_window']}, got {est['short_window']}")
 
     user_weights = {user["id"]: user["weight"] for user in top["users"]}
     in_user_total: dict = {}

@@ -141,15 +141,14 @@ class TestGenerator:
                                ("[]", ": must not be empty")):
             assert config_error(f"{WORKLOAD}={{mode: {mode}, {key}: {pairs}}}") == at + problem
 
-    @pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("bad, value", [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")])
     @pytest.mark.parametrize("mode, key, pairs, at", [
         ("discrete", "schedule", "[[0, {}]]", "[0]"),
         ("discrete", "schedule", "[[0, 1], [{}, 2]]", "[1]"),
         ("continuous", "points", "[[0, {}], [10, 1]]", "[0]"),
         ("continuous", "points", "[[{}, 1]]", "[0]"),
     ], ids=["discrete-rate", "discrete-time", "continuous-rate", "continuous-time"])
-    def test_non_finite_schedule_values_rejected(self, mode, key, pairs, at, bad):
-        value = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[bad]
+    def test_non_finite_schedule_values_rejected(self, mode, key, pairs, at, bad, value):
         assert config_error(f"{WORKLOAD}={{mode: {mode}, {key}: {pairs.format(bad)}}}") == (
             f"{WORKLOAD}.{key}{at}: must be in [0, inf), got {value}")
 
