@@ -717,7 +717,9 @@ class TestCollectorPause:
         # the collector is off while the run allocates, and the run frees
         # by reference counting nearly every tracked object it makes, so
         # the young objects it leaves stay under the gen-0 threshold:
-        # neither `run` nor the first allocation after it starts a pass
+        # neither `run` nor the first allocation after it starts a pass.
+        # The count starts at zero, so what earlier tests or the test
+        # runner left young does not decide the outcome
         collections = []
 
         def record(phase, info):
@@ -725,6 +727,7 @@ class TestCollectorPause:
                 collections.append(info["generation"])
 
         sim = Simulation(churn_scenario())
+        gc.collect()
         gc.enable()
         gc.callbacks.append(record)
         try:
