@@ -9,6 +9,13 @@ Subcommands:
 `validate` loads only `queuing` and `oracle`. The commands that simulate
 import `scenario` and `simulator` (and with them PyYAML and the rest of the
 package) inside the functions that use them.
+
+Each `validate` and `replay` value is checked once, by its flag's type
+(`_rate_list`, `_positive_float`, ...), where argparse reads it: a bad one is
+a usage error that names the flag. `validate` adds only its limit on
+requests x replications, and the model code it calls repeats none of these
+checks. `replay` adds its node limit and hands a scenario document to
+`scenario`, which reads it like a file.
 """
 
 from __future__ import annotations
@@ -238,8 +245,7 @@ def cmd_validate(args) -> int:
                 num_requests=args.requests, seed=args.seed + rep, policy=policy,
             )
         except InvalidParameter as exc:
-            # the rates and the deadline passed the sizing step above, and
-            # argparse took a positive arrival rate: the request count is left
+            # the request count is all `mc_wait` checks
             raise InvalidParameter(f"--requests: {exc}") from None
         estimates.append(res)
     p_mc = math.fsum(r.p_wait_le_t for r in estimates) / len(estimates)

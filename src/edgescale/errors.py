@@ -6,12 +6,8 @@ class EdgeScaleError(Exception):
 
 
 class InvalidParameter(EdgeScaleError):
-    """A parameter is outside its valid domain: a nonpositive rate, c < 1, a
-    CPU fraction outside (0, 1], ..."""
-
-
-class UnstableSystem(EdgeScaleError):
-    """Arrival rate meets or exceeds the pool's total drain rate; no steady state exists."""
+    """A parameter is outside its valid domain: a CPU fraction outside (0, 1],
+    too few oracle requests, or more than `validate` may serve."""
 
 
 class CapExceeded(EdgeScaleError):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameter
 from .reclamation import VCPU_QUANTUM
 
 _EPS = 1e-9
@@ -26,8 +25,6 @@ def _floor_quanta(x: float) -> float:
 
 def guaranteed_shares(weights: dict, capacity: float) -> dict:
     """Guaranteed minimum per function: floor(w_i / sum(w) * C) in quanta."""
-    if capacity < 0:
-        raise InvalidParameter(f"capacity must be >= 0, got {capacity}")
     total_w = sum(weights.values())
     return {
         fid: _floor_quanta(capacity * w / total_w)
@@ -54,8 +51,6 @@ def adjust_allocations(demands: dict, weights: dict, guar: dict, capacity: float
     `VCPU_QUANTUM` happen last, with leftover quanta going to the largest
     fractional remainders (ties by function id).
     """
-    if any(d < 0 for d in demands.values()):
-        raise InvalidParameter("demands must be >= 0")
     if sum(demands.values()) <= capacity + _EPS:
         return ShareResult(adjusted=dict(demands), overloaded=False)
 

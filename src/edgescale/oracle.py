@@ -36,15 +36,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, UnstableSystem
+from .errors import InvalidParameter
 
-POLICIES = ("fastest-idle", "slowest-idle")
 BLOCK = 4096  # requests drawn and served per numpy pass
 SLICE = 1024  # requests read from a block per pass, as Python floats
 # requests one validation may serve over all its replications, the same ten
@@ -176,35 +174,18 @@ def mc_wait(lam: float, rates, t: float, num_requests: int, seed: int,
             policy: str) -> OracleResult:
     """Estimate P(wait <= t) for a shared-queue pool with the given idle policy.
 
-    The policy picks which idle server a request takes (see `_serve`).
-    The standard error is computed by batch means, which keeps it honest in
-    the presence of the serial correlation queueing induces.
+    The policy, "fastest-idle" or "slowest-idle", picks which idle server a
+    request takes (see `_serve`). The standard error is computed by batch
+    means, which keeps it honest in the presence of the serial correlation
+    queueing induces.
+
+    `validate` checks every argument first, by its flag types, its limit on
+    requests x replications and the sizing search, which leaves a stable
+    pool. Only the request count's lower bounds, which `--requests` can
+    miss, are checked here.
     """
-    # NaN fails every comparison, so each check passes only a finite value in
-    # range; a NaN time would also break the busy heap's order silently
-    rates = [float(r) for r in rates]
-    if not rates or not all(0 < r < math.inf for r in rates):
-        raise InvalidParameter("rates must be non-empty, finite and > 0")
-    rates.sort()
-    if not 0 < lam < math.inf:
-        raise InvalidParameter(f"arrival rate must be finite and > 0, got {lam}")
-    if not 0 <= t < math.inf:
-        raise InvalidParameter(f"t must be finite and >= 0, got {t}")
-    if policy not in POLICIES:
-        raise InvalidParameter(f"policy must be one of {POLICIES}, got {policy!r}")
-    if lam >= sum(rates):
-        raise UnstableSystem(f"lam={lam} >= total rate {sum(rates)}")
-    for name, value in (("num_requests", num_requests), ("seed", seed)):
-        if not isinstance(value, (int, numbers.Integral)):  # int first: the fast check
-            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
-    if seed < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    num_requests = int(num_requests)
     if num_requests < 100:
         raise InvalidParameter("need at least 100 requests")
-    if num_requests > MAX_REQUESTS:
-        raise InvalidParameter(
-            f"{num_requests:,} requests, over the {MAX_REQUESTS:,} limit")
     warmup = max(MIN_WARMUP, num_requests // 100)
     if num_requests - warmup < BATCHES:
         raise InvalidParameter(

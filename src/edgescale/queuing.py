@@ -20,6 +20,12 @@ Every search stops at one fixed cap, `DEFAULT_CONTAINER_CAP` (10 000
 containers in all, existing ones included), and raises CapExceeded past it;
 no caller sets another.
 
+Inputs are checked once, before they get here, by `scenario.FIELDS` or by
+`validate`'s flag types: every rate is finite and > 0, an arrival rate
+finite and >= 0, a target's `t` > 0 and its percentile in (0, 1), and a CDF
+is only asked of a pool the search sized, which is stable. The functions
+here repeat none of those checks.
+
 `_Chain` keeps the log head weights log(lam^n / (D_1*...*D_n)) and their
 running prefix log-sums, finite up to the cap where raw factorials overflow
 near c = 170. It appends a drain rate in O(1), so the search grows a pool
@@ -33,11 +39,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapExceeded, InfeasibleDeadline, InvalidParameter, UnstableSystem
+from .errors import CapExceeded, InfeasibleDeadline
 
 DEFAULT_CONTAINER_CAP = 10_000
 
@@ -49,27 +54,10 @@ class WaitTarget:
     t: float
     percentile: float
 
-    def __post_init__(self):
-        if not self.t > 0:
-            raise InvalidParameter(f"waiting-time bound must be > 0, got {self.t}")
-        if not 0 < self.percentile < 1:
-            raise InvalidParameter(f"percentile must be in (0, 1), got {self.percentile}")
-
-
-def _sorted_rates(rates: Sequence[float]) -> list:
-    """Container rates as floats, slowest first; each must be finite and > 0."""
-    rates = sorted(float(r) for r in rates)
-    if not all(0 < r < math.inf for r in rates):
-        raise InvalidParameter("every container rate must be finite and > 0")
-    return rates
-
 
 def _running_drains(rates: Sequence[float]) -> list:
     """Cumulative drain rates D_1..D_c of a non-empty pool, slowest first."""
-    drains = list(itertools.accumulate(_sorted_rates(rates)))
-    if not drains:
-        raise InvalidParameter("rates must be non-empty")
-    return drains
+    return list(itertools.accumulate(sorted(rates)))
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -136,7 +124,8 @@ class _Chain:
 
 
 def _wait_cdf(lam: float, drains: list, t: float) -> float:
-    """Waiting-time CDF: P(W <= t) = 1 - P(N >= c) * exp(-(D_c - lam)*t).
+    """Waiting-time CDF of a stable pool (lam < D_c):
+    P(W <= t) = 1 - P(N >= c) * exp(-(D_c - lam)*t).
 
     Unlike the sizing rule's cutoff, which takes each queued request's wait
     as its conditional mean, this integrates the true wait: an Erlang sum at
@@ -144,12 +133,6 @@ def _wait_cdf(lam: float, drains: list, t: float) -> float:
     queue. It is exact for an M/M/c pool, and for a heterogeneous pool it
     lower-bounds the waiting CDF of any real dispatcher.
     """
-    if not 0 <= lam < math.inf:
-        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
-    if not lam < drains[-1]:
-        raise UnstableSystem(f"lam={lam} >= total rate {drains[-1]}; no steady state")
-    if not 0 <= t < math.inf:
-        raise InvalidParameter(f"t must be finite and >= 0, got {t}")
     if lam == 0:
         return 1.0
     chain = _Chain(lam, drains)
@@ -160,10 +143,7 @@ def _wait_cdf(lam: float, drains: list, t: float) -> float:
 
 def wait_cdf_homogeneous(lam: float, mu: float, c: int, t: float) -> float:
     """Exact waiting-time CDF of an M/M/c pool: c containers of rate `mu`."""
-    if not 1 <= c < math.inf or c != int(c):
-        raise InvalidParameter(f"container count must be a positive integer, got {c}")
-    _sorted_rates([mu])
-    return _wait_cdf(lam, [mu * n for n in range(1, int(c) + 1)], t)
+    return _wait_cdf(lam, [mu * n for n in range(1, c + 1)], t)
 
 
 def wait_cdf_heterogeneous(lam: float, rates: Sequence[float], t: float) -> float:
@@ -226,13 +206,6 @@ def _search(lam: float, base: list, mu: float, target: WaitTarget, k: int) -> in
                       f"P(wait <= {target.t}) >= {target.percentile}")
 
 
-def _check_inputs(lam: float, mu: float, name: str):
-    if mu <= 0 or not math.isfinite(mu):
-        raise InvalidParameter(f"{name} must be finite and > 0, got {mu}")
-    if not 0 <= lam < math.inf:
-        raise InvalidParameter(f"arrival rate must be finite and >= 0, got {lam}")
-
-
 def find_c_homogeneous(lam: float, mu: float, target: WaitTarget, c_start: int = 0) -> int:
     """Smallest container count meeting the waiting target, scanning upward.
 
@@ -240,11 +213,6 @@ def find_c_homogeneous(lam: float, mu: float, target: WaitTarget, c_start: int =
     (the current pool size), not an upper bound on the answer. Past
     `DEFAULT_CONTAINER_CAP` containers it raises CapExceeded.
     """
-    _check_inputs(lam, mu, "service rate")
-    if not isinstance(c_start, (int, numbers.Integral)):  # int first: the fast check
-        raise InvalidParameter(f"c_start must be an integer, got {c_start!r}")
-    if c_start < 0:
-        raise InvalidParameter(f"c_start must be >= 0, got {c_start}")
     return _search(lam, [], mu, target, c_start)
 
 
@@ -257,8 +225,7 @@ def find_c_heterogeneous(lam: float, existing_rates: Sequence[float], standard_m
     existing pool takes find_c_homogeneous's equal drains, so the two agree.
     Past `DEFAULT_CONTAINER_CAP` containers in all it raises CapExceeded.
     """
-    _check_inputs(lam, standard_mu, "standard rate")
-    return _search(lam, _sorted_rates(existing_rates), standard_mu, target, 0)
+    return _search(lam, sorted(existing_rates), standard_mu, target, 0)
 
 
 def wait_budget(deadline: float, profile, percentile: float) -> WaitTarget:
@@ -269,8 +236,6 @@ def wait_budget(deadline: float, profile, percentile: float) -> WaitTarget:
     `profile.service_quantile`). Raises InfeasibleDeadline when the service
     tail alone exceeds the deadline, i.e. no container count can help.
     """
-    if deadline <= 0:
-        raise InvalidParameter(f"deadline must be > 0, got {deadline}")
     s_hi = profile.service_quantile(percentile)
     t = deadline - s_hi
     if t <= 0:

@@ -44,8 +44,6 @@ class ServiceProfile:
 
     def service_quantile(self, q: float) -> float:
         """Quantile of the service-time distribution at full container size."""
-        if not 0 < q < 1:
-            raise InvalidParameter(f"quantile must be in (0, 1), got {q}")
         if self.distribution == "deterministic":
             return 1.0 / self.base_rate
         if self.distribution == "exponential":

@@ -11,9 +11,11 @@ interchangeable.
 This module checks every value it reads, against its range in `FIELDS` and
 the rules that tie fields together, and a bad one is a ConfigError that
 starts with the field's path. The model classes trust what it builds and
-repeat none of these checks, so a direct call with values no scenario can
-hold may misbehave: a zero estimator `tick` or deflation `step` loops for
-good.
+repeat none of these checks: `queuing`, `oracle`, `workload`, `reclamation`
+and `fairshare` take every rate, horizon, percentile, capacity and demand as
+already in range. So a direct call with values no scenario can hold may
+misbehave: a zero estimator `tick` or deflation `step`, or an infinite
+horizon, loops for good.
 """
 
 from __future__ import annotations

@@ -251,13 +251,11 @@ class SimMetrics:
 
     @property
     def utilization(self) -> float:
-        denom = self.capacity_vcpu * self.horizon
-        return self.busy_vcpu_time / denom if denom > 0 else 0.0
+        return self.busy_vcpu_time / (self.capacity_vcpu * self.horizon)
 
     @property
     def allocated_utilization(self) -> float:
-        denom = self.capacity_vcpu * self.horizon
-        return self.allocated_vcpu_time / denom if denom > 0 else 0.0
+        return self.allocated_vcpu_time / (self.capacity_vcpu * self.horizon)
 
 
 class Simulation:

@@ -727,6 +727,12 @@ FUZZ_FLAGS = {
                "--memory-mb", "--service-rate", "--deadline", "--percentile", "--reclamation"],
     "sweep": ["--set", "--set controller.tau=", "--override functions.f1.workload.rate="],
 }
+# values that only the flag's type checks, as no later step checks them
+# again: each is a usage error, exit 2 with one `error: argument <flag>` line
+FUZZ_USAGE_ERRORS = {
+    ("validate", "--rates"): ["10,nan", "10,inf", "10,0", "10,-1", "10,,5", "10,x"],
+    ("validate", "--percentile"): ["1"],
+}
 TIME_LIMIT = 5.0  # seconds per case; the slowest takes about 0.1 s
 
 
@@ -753,7 +759,8 @@ def _fuzz_argv(command, flag, value, tmp_path):
 @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in FUZZ_FLAGS.items()
                                            for f in flags])
 def test_fuzzed_flag_runs_or_ends_in_one_error_line(tmp_path, capsys, command, flag):
-    for value in FUZZ_VALUES:
+    usage_errors = FUZZ_USAGE_ERRORS.get((command, flag), [])
+    for value in FUZZ_VALUES + usage_errors:
         try:
             with time_limit(TIME_LIMIT):
                 rc = main(_fuzz_argv(command, flag, value, tmp_path))
@@ -761,3 +768,5 @@ def test_fuzzed_flag_runs_or_ends_in_one_error_line(tmp_path, capsys, command, f
             rc = exc.code
         err = capsys.readouterr().err
         assert rc == 0 or (rc in (1, 2) and err.count("error:") == 1), (value, rc, err)
+        if value in usage_errors:
+            assert rc == 2 and f"error: argument {flag}: " in err.splitlines()[-1], (value, err)

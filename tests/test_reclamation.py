@@ -183,11 +183,6 @@ class TestProfileParameters:
                             f"{SERVICE}.samples=[0.1, 0]") == (
             f"{SERVICE}.samples[1]: must be in (0, inf), got 0.0")
 
-    @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
-    def test_service_quantile_inside_0_1(self, q):
-        with pytest.raises(InvalidParameter, match=f"quantile must be in \\(0, 1\\), got {q}"):
-            PROF.service_quantile(q)
-
 
 class TestTermination:
     def test_even_split(self):
