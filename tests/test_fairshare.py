@@ -7,7 +7,7 @@ import pytest
 from edgescale.errors import ConfigError
 from edgescale.fairshare import adjust_allocations, guaranteed_shares
 from edgescale.reclamation import VCPU_QUANTUM
-from scenario_builders import basic_function, make_scenario
+from scenario_builders import basic_function, config_error, make_scenario
 
 
 def adjust(demands, weights, capacity):
@@ -61,6 +61,20 @@ class TestGuaranteedShares:
         shares = guaranteed_shares({"a": 1, "b": 1, "c": 1}, 0.5)
         assert shares == {"a": 3 * VCPU_QUANTUM, "b": 3 * VCPU_QUANTUM, "c": 3 * VCPU_QUANTUM}
         assert sum(shares.values()) < 0.5 - VCPU_QUANTUM / 2
+
+
+class TestNegativeInputs:
+    """`plan_epoch` hands fair share the cluster's capacity, a sum of node
+    vCPUs, and demands of containers times their vCPU size; `scenario`
+    bounds both sizes to (0, inf), so neither reaches it negative."""
+
+    def test_negative_capacity(self):
+        assert config_error("cluster.nodes.0.vcpu=-1") == (
+            "cluster.nodes[0].vcpu: must be in (0, inf), got -1.0")
+
+    def test_negative_demand(self):
+        assert config_error("functions.f.size.vcpu=-0.5") == (
+            "functions.f.size.vcpu: must be in (0, inf), got -0.5")
 
 
 class TestDetectOverload:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgescale import oracle
+from edgescale.cli import main
 from edgescale.errors import InvalidParameter
 from edgescale.oracle import BATCHES, OracleResult, mc_wait
 from edgescale.simulator import Simulation, _FnRuntime
@@ -86,6 +87,97 @@ def test_littles_law():
     in_window = (arrivals >= lo) & (arrivals <= hi)
     mean_response = float((completions[in_window] - arrivals[in_window]).mean())
     assert l_avg == pytest.approx(lam * mean_response, rel=0.05)
+
+
+class Reached(Exception):
+    """Raised by `oracle_calls` in place of the oracle's run."""
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The arguments of each `mc_wait` call `validate` makes. Each call
+    raises Reached instead of running."""
+    calls = []
+
+    def record(lam, rates, t, num_requests, seed, policy):
+        calls.append({"lam": lam, "rates": list(rates), "t": t,
+                      "num_requests": num_requests, "seed": seed, "policy": policy})
+        raise Reached
+
+    monkeypatch.setattr(oracle, "mc_wait", record)
+    return calls
+
+
+def validate_argv(*flags):
+    return ["validate", "--arrival-rate", "5", "--service-rate", "10", *flags]
+
+
+# `mc_wait` checks none of its arguments but the request count's lower
+# bounds: `validate`, its only caller, checks each flag by its type, limits
+# requests x replications and sizes a stable pool first
+
+def test_input_validation(oracle_calls):
+    # an overloaded existing pool, no existing pool and a homogeneous pool:
+    # each reaches the oracle stable, non-empty and with a policy it serves
+    for flags in (["--arrival-rate", "30", "--rates", "10,10"], ["--rates", ""], []):
+        with pytest.raises(Reached):
+            main(validate_argv(*flags))
+    assert [call["policy"] for call in oracle_calls] == [
+        "slowest-idle", "fastest-idle", "fastest-idle"]
+    for call in oracle_calls:
+        assert call["rates"] and call["lam"] < math.fsum(call["rates"])
+
+
+# `match` names the argument `mc_wait` once rejected; `validate` rejects its flag
+@pytest.mark.parametrize("lam, rates, t, match", [
+    (5, [math.nan, 10.0], 0.1, "rates"),
+    (5, [10.0, math.nan, 4.0], 0.1, "rates"),
+    (5, [math.inf], 0.1, "rates"),
+    (math.nan, [10.0], 0.1, "arrival rate"),
+    (math.inf, [10.0], 0.1, "arrival rate"),
+    (5, [10.0], math.nan, "t must"),
+    (5, [10.0], math.inf, "t must"),
+    (5, [10.0], -0.1, "t must"),
+])
+def test_non_finite_or_negative_input_rejected(capsys, lam, rates, t, match):
+    flag = {"rates": "--rates", "arrival rate": "--arrival-rate", "t must": "--deadline"}[match]
+    with pytest.raises(SystemExit) as exit_info:
+        main(validate_argv("--arrival-rate", str(lam), "--rates", ",".join(map(str, rates)),
+                           "--deadline", str(t)))
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+
+
+# None leaves the flag out; a count or seed `validate` takes reaches the
+# oracle as the Python int written, and any other ends in one error line
+@pytest.mark.parametrize("num_requests, seed, match", [
+    (120_000.5, 0, "num_requests must be an integer, got 120000.5"),
+    ("5000", 0, "num_requests must be an integer, got '5000'"),
+    (None, 0, "num_requests must be an integer, got None"),
+    (5_000, -1, "seed must be >= 0, got -1"),
+    (5_000, 1.5, "seed must be an integer, got 1.5"),
+    (5_000, None, "seed must be an integer, got None"),
+    (10_000_001, 0, "10,000,001 requests, over the 10,000,000 limit"),
+])
+def test_bad_count_or_seed_rejected(capsys, oracle_calls, num_requests, seed, match):
+    flag = "--seed" if match.startswith("seed") else "--requests"
+    flags = []
+    for name, value in (("--requests", num_requests), ("--seed", seed)):
+        if value is not None:
+            flags += [name, str(value)]
+    try:
+        rc = main(validate_argv(*flags))
+    except SystemExit as exc:
+        rc = exc.code
+    except Reached:
+        (call,) = oracle_calls
+        assert type(call["num_requests"]) is int and type(call["seed"]) is int
+        assert call["num_requests"] == (120_000 if num_requests is None else int(num_requests))
+        assert call["seed"] == (0 if seed is None else seed)
+        return
+    err = capsys.readouterr().err
+    assert rc in (1, 2) and err.count("error:") == 1 and f" {flag}: " in err, err
+    assert oracle_calls == []
 
 
 def test_numpy_integer_count_and_seed_accepted():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgescale import queuing
+from edgescale.cli import main
 from edgescale.errors import CapExceeded, EdgeScaleError, InfeasibleDeadline
 from edgescale.oracle import mc_wait
 from edgescale.queuing import (
@@ -22,7 +23,16 @@ from edgescale.queuing import (
     wait_cdf_homogeneous,
     _Chain,
 )
-from scenario_builders import SLO_PERCENTILE, profile
+from scenario_builders import SLO_PERCENTILE, config_error, profile
+
+
+def validate_usage_error(capsys, flag, value) -> str:
+    """The error line `validate` exits 2 with when `flag` is `value`."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "--arrival-rate", "5", "--service-rate", "10", flag, value])
+    assert exit_info.value.code == 2
+    (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    return line
 
 
 def naive_p_zero(lam, mu, c):
@@ -141,6 +151,19 @@ class TestPZero:
         assert not meets_target(20, [10.0, 10.0], target)
         # the search starts at the stability floor, never at an unstable pool
         assert find_c_homogeneous(20, 10, target, c_start=2) >= 3
+
+    # the model trusts its inputs: each is checked where `scenario` reads
+    # it, and a bad one names its field
+    def test_invalid_parameters(self):
+        for field, bad, domain in (("service.rate", 0, "(0, inf)"),
+                                   ("service.rate", ".nan", "(0, inf)"),
+                                   ("workload.rate", -1, "[0, inf)"),
+                                   ("workload.rate", ".nan", "[0, inf)"),
+                                   ("slo.deadline", -0.1, "(0, inf)"),
+                                   ("slo.deadline", ".nan", "(0, inf)"),
+                                   ("slo.deadline", ".inf", "(0, inf)")):
+            at = f"functions.f.{field}"
+            assert config_error(f"{at}={bad}").startswith(f"{at}: must be in {domain}, got ")
 
 
 class TestSteadyProbs:
@@ -263,12 +286,30 @@ class TestFindC:
         with pytest.raises(CapExceeded):
             find_c_heterogeneous(1e6, [5.0], 10, WaitTarget(0.1, 0.99))
 
+    # `validate` sizes pools from its flags, each checked by its type
+    def test_non_finite_rates_rejected(self, capsys):
+        for bad in ("nan", "inf"):
+            for flag, value, expected in (
+                    ("--service-rate", bad, "a finite number"),
+                    ("--arrival-rate", bad, "a finite number"),
+                    ("--rates", f"10,{bad}", "comma-separated finite numbers > 0")):
+                assert validate_usage_error(capsys, flag, value).endswith(
+                    f"argument {flag}: expected {expected}, got '{value}'")
+
     def test_sizing_at_float_boundaries(self):
         # t*c*mu + c - 1 lands on an integer here; the cutoff must use the
         # exact product c*mu, not a running sum of c copies of mu
         assert find_c_homogeneous(11, 0.7, WaitTarget(0.5, 0.95)) == 20
         assert find_c_homogeneous(55, 0.3, WaitTarget(0.1, 0.9)) == 200
         assert find_c_homogeneous(191, 0.7, WaitTarget(0.1, 0.99)) == 300
+
+    # the counts sizing works from are its own answers and each function's
+    # `min_containers`, which `scenario` takes only as an integer
+    def test_non_integer_counts_rejected(self):
+        for count in (2.5, 3.0):
+            assert config_error(f"functions.f.min_containers={count}") == (
+                f"functions.f.min_containers: expected an integer, got {count}")
+        assert type(find_c_homogeneous(5.0, 10.0, WaitTarget(0.1, 0.95))) is int
 
     def test_numpy_integer_warm_start(self):
         t = WaitTarget(0.1, 0.95)
@@ -649,3 +690,20 @@ class TestWaitBudget:
         prof = profile(10.0, distribution="exponential")
         with pytest.raises(InfeasibleDeadline):
             wait_budget(0.05, prof, percentile=0.99)  # ln(100)/10 = 0.46 > 0.05
+
+    # the deadline and percentile come from the SLO, which `scenario` bounds,
+    # or from `validate`'s flags; `wait_budget` and `WaitTarget` take them as
+    # they are
+    @pytest.mark.parametrize("deadline", [0.0, -0.1])
+    def test_deadline_must_be_positive(self, capsys, deadline):
+        assert config_error(f"functions.f.slo.deadline={deadline}") == (
+            f"functions.f.slo.deadline: must be in (0, inf), got {deadline}")
+        assert validate_usage_error(capsys, "--deadline", str(deadline)).endswith(
+            f"argument --deadline: expected a number > 0, got '{deadline}'")
+
+    @pytest.mark.parametrize("percentile", [0.0, 1.0, -0.5, 1.5])
+    def test_wait_target_percentile_inside_0_1(self, capsys, percentile):
+        assert config_error(f"functions.f.slo.percentile={percentile}") == (
+            f"functions.f.slo.percentile: must be in (0, 1), got {percentile}")
+        assert validate_usage_error(capsys, "--percentile", str(percentile)).endswith(
+            f"argument --percentile: expected a number in (0, 1), got '{percentile}'")

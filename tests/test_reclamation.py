@@ -183,6 +183,13 @@ class TestProfileParameters:
                             f"{SERVICE}.samples=[0.1, 0]") == (
             f"{SERVICE}.samples[1]: must be in (0, inf), got 0.0")
 
+    # `service_quantile` is asked only at the SLO's percentile, which
+    # `scenario` bounds to (0, 1)
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.1, 1.1])
+    def test_service_quantile_inside_0_1(self, q):
+        assert config_error(f"functions.f.slo.percentile={q}") == (
+            f"functions.f.slo.percentile: must be in (0, 1), got {q}")
+
 
 class TestTermination:
     def test_even_split(self):

@@ -157,6 +157,21 @@ class TestGenerator:
                             base_dir=tmp_path).startswith(
             f"{WORKLOAD}.file: {tmp_path / 't.csv'}: line 2: bad integer field")
 
+    # `generate_arrivals` takes the scenario's horizon as finite and > 0: a
+    # bad one ends at `horizon_seconds`, whatever the workload's mode
+    @pytest.mark.parametrize("workload", [
+        "{mode: static, rate: 1.0}",
+        "{mode: discrete, schedule: [[0, 1.0], [5, 0.0]]}",
+        "{mode: continuous, points: [[0, 1.0]]}",
+        "{mode: trace, file: t.csv, function: f}",
+    ], ids=["static", "discrete", "continuous", "trace"])
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -math.inf])
+    def test_non_finite_horizon_rejected(self, tmp_path, workload, horizon):
+        (tmp_path / "t.csv").write_text("f,0,3\n")
+        assert config_error(f"{WORKLOAD}={workload}", f"horizon_seconds={horizon}",
+                            base_dir=tmp_path) == (
+            f"horizon_seconds: must be in (0, inf), got {horizon}")
+
 
 class TestBlockDraws:
     """Block draws give the scalar reference kernel's arrays byte for byte."""
