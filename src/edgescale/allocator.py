@@ -149,7 +149,7 @@ def required_pool(spec: FunctionSpec, active, rate: float, cfg: ControllerConfig
         if cfg.inflation_enabled or all(abs(c.cpu_fraction - 1.0) < 1e-12 for c in active):
             extra = queuing.find_c_homogeneous(rate, base_rate, target)
         else:
-            rates = sorted(c.effective_rate for c in active)
+            rates = [c.effective_rate for c in active]
             extra = queuing.find_c_heterogeneous(rate, rates, base_rate, target)
             kept = reclamation.by_allocation(active)
             # probe shrinking: drop smallest-capacity members while the target
@@ -244,7 +244,7 @@ def plan_epoch(cluster, estimates: dict, specs: dict, cfg: ControllerConfig) -> 
         spec = specs[fid]
         pools[fid] = cluster.of_function(fid)
         active = [c for c in pools[fid] if not c.lazy_marked]
-        rate = max(0.0, estimates.get(fid, 0.0))
+        rate = estimates[fid]
         infeasible = False
         try:
             c_new, demand = required_pool(spec, active, rate, cfg)

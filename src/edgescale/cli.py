@@ -170,7 +170,7 @@ def cmd_run(args) -> int:
 
 def _rate_list(text):
     try:
-        rates = sorted(float(x) for x in text.split(",")) if text else []
+        rates = [float(x) for x in text.split(",")] if text else []
     except ValueError:
         rates = [math.nan]
     if not all(0 < r < math.inf for r in rates):
@@ -225,7 +225,7 @@ def cmd_validate(args) -> int:
     if args.rates:
         k = queuing.find_c_heterogeneous(args.arrival_rate, args.rates, args.service_rate,
                                          target)
-        pool = sorted(args.rates + [args.service_rate] * k)
+        pool = args.rates + [args.service_rate] * k
         p_model = queuing.wait_cdf_heterogeneous(args.arrival_rate, pool, args.deadline)
         policy = "slowest-idle"
         label = f"hetero c={len(pool)} (+{k} std)"
@@ -380,7 +380,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EdgeScaleError as exc:
+    except (EdgeScaleError, OSError) as exc:
+        # input files fail as ConfigError (`scenario.read_file`), so an
+        # OSError is an --out that cannot hold the output files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

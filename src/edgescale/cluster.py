@@ -21,13 +21,13 @@ class ClusterState:
 
     `containers` (id -> container) is the record. It starts empty and fills
     only through `add`; `add` and `remove` keep two views of it, per node and
-    per function, each an id -> container dict in `containers`' insertion
-    order. `node_free` and `of_function` walk one view instead of every
-    container. Walking a view visits a node's containers in the order a scan
-    of `containers` would, so `node_free`'s float sums, and with them
-    placement and inflation clamps, keep their last bits. Change
-    `containers` only through `add` and `remove`, and never a placed
-    container's `node_id` or `function_id`.
+    per function, each an id -> container dict. `node_free` and
+    `of_function` walk one view instead of every container. Ids rise with
+    placement, so the record and its views are in id order, and `node_free`
+    sums in the order a scan of `containers` would, to the last bit. `add`
+    takes an id above every placed one and `remove` a placed id; change
+    `containers` only through them, and never a placed container's
+    `node_id` or `function_id`.
     """
 
     nodes: list
@@ -50,22 +50,18 @@ class ClusterState:
         return node.vcpu - used_cpu, node.memory_mb - used_mem
 
     def of_function(self, function_id: str) -> list:
-        return sorted(self._by_function.get(function_id, {}).values(), key=lambda c: c.id)
+        return list(self._by_function.get(function_id, {}).values())
 
     def lazy_marked(self) -> list:
-        return sorted(
-            (c for c in self.containers.values() if c.lazy_marked), key=lambda c: c.id
-        )
+        return [c for c in self.containers.values() if c.lazy_marked]
 
     def add(self, container):
-        self.remove(container.id)
         self.containers[container.id] = container
         self._by_node.setdefault(container.node_id, {})[container.id] = container
         self._by_function.setdefault(container.function_id, {})[container.id] = container
 
     def remove(self, container_id: int):
-        container = self.containers.pop(container_id, None)
-        if container is not None:
-            del self._by_node[container.node_id][container_id]
-            del self._by_function[container.function_id][container_id]
+        container = self.containers.pop(container_id)
+        del self._by_node[container.node_id][container_id]
+        del self._by_function[container.function_id][container_id]
 

@@ -22,9 +22,11 @@ no caller sets another.
 
 Inputs are checked once, before they get here, by `scenario.FIELDS` or by
 `validate`'s flag types: every rate is finite and > 0, an arrival rate
-finite and >= 0, a target's `t` > 0 and its percentile in (0, 1), and a CDF
-is only asked of a pool the search sized, which is stable. The functions
-here repeat none of those checks.
+finite and > 0 too, a target's `t` > 0 and its percentile in (0, 1), and a
+CDF is only asked of a pool the search sized, which is stable. Zero traffic
+never gets here: `allocator.required_pool` sizes it without a search, and
+`validate` rejects an arrival rate of 0. The functions here repeat none of
+those checks.
 
 `_Chain` keeps the log head weights log(lam^n / (D_1*...*D_n)) and their
 running prefix log-sums, finite up to the cap where raw factorials overflow
@@ -75,7 +77,7 @@ class _Chain:
     __slots__ = ("lam", "log_lam", "drains", "head", "sums")
 
     def __init__(self, lam: float, drains: Sequence[float] = ()):
-        self.lam, self.log_lam = lam, math.log(lam) if lam else -math.inf
+        self.lam, self.log_lam = lam, math.log(lam)
         self.drains, self.head, self.sums = [], [0.0], [0.0]
         for drain in drains:
             self.push(drain)
@@ -119,8 +121,7 @@ class _Chain:
 
     def meets(self, target: WaitTarget) -> bool:
         """The sizing rule: stable, and the cutoff P(wait <= t) reaches p."""
-        return self.lam < self.drains[-1] and (
-            self.lam == 0 or self.cutoff_p(target.t) >= target.percentile)
+        return self.lam < self.drains[-1] and self.cutoff_p(target.t) >= target.percentile
 
 
 def _wait_cdf(lam: float, drains: list, t: float) -> float:
@@ -133,8 +134,6 @@ def _wait_cdf(lam: float, drains: list, t: float) -> float:
     queue. It is exact for an M/M/c pool, and for a heterogeneous pool it
     lower-bounds the waiting CDF of any real dispatcher.
     """
-    if lam == 0:
-        return 1.0
     chain = _Chain(lam, drains)
     _, log_one_minus_ratio, log_z = chain._tail()
     log_queued = chain.head[-1] - log_one_minus_ratio - log_z  # log P(N >= c)

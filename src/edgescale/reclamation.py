@@ -151,11 +151,13 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
     freed capacity so the under-provisioned function's creates can actually
     land. Falls back to termination when no single node-group can release
     enough.
+
+    `containers` is a pool in id order whose allocated vCPU is over
+    `target_vcpu`, as `allocator.reconcile` passes it; each node-group
+    keeps that order.
     """
     pool = list(containers)
     total = sum(c.allocated_vcpu for c in pool)
-    if total <= target_vcpu + 1e-9 or not pool:
-        return []
 
     floor_frac = 1.0 - tau
     fractions = {c.id: c.cpu_fraction for c in pool}
@@ -174,7 +176,7 @@ def reclaim_by_deflation_grouped(containers, target_vcpu: float, tau: float, ste
         # contiguous, bigger groups stay in reserve, and no second group is
         # ever needed
         node = min(covering, key=lambda n: (reclaimable[n], n))
-        members = sorted(groups[node], key=lambda c: c.id)
+        members = groups[node]
         # one step-quantum at a time, round-robin, stopping at the target so
         # nothing extra is stranded
         stepped = True
@@ -233,8 +235,6 @@ def plan_inflation(containers, target_vcpu: float, step: float) -> list:
     precedes creating new containers when a pool needs to grow.
     """
     pool = [c for c in containers if c.cpu_fraction < 1.0 - 1e-12]
-    if not pool:
-        return []
     fractions = {c.id: c.cpu_fraction for c in pool}
     total = sum(c.allocated_vcpu for c in containers)
     while True:

@@ -15,7 +15,8 @@ repeat none of these checks: `queuing`, `oracle`, `workload`, `reclamation`
 and `fairshare` take every rate, horizon, percentile, capacity and demand as
 already in range. So a direct call with values no scenario can hold may
 misbehave: a zero estimator `tick` or deflation `step`, or an infinite
-horizon, loops for good.
+horizon, loops for good, and a zero arrival rate raises ValueError in
+`queuing` (only `allocator.required_pool` handles zero traffic).
 """
 
 from __future__ import annotations

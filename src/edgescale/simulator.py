@@ -11,7 +11,9 @@ Between two epoch ticks functions do not interact, so each function runs its
 own event loop (`_advance`) on its own heap of arrivals, completions and
 container-ready events. `run` walks the epoch ticks, built by repeated
 addition, to the horizon inclusive: at each it advances every function to the
-tick time, inclusive, then runs `_on_epoch`. Within a function, events at
+tick time, inclusive, then runs `_on_epoch`. `functions` is built in function
+id order and `plan_epoch` returns each epoch's records in that order, so a
+walk over either visits the functions by id. Within a function, events at
 equal times go completions, then arrivals, then container-ready, then in push
 order; with per-stream seeded RNGs, runs are bit-identical for equal
 (scenario, seed).
@@ -288,8 +290,7 @@ class Simulation:
     # -- event loops ----------------------------------------------------------
 
     def run(self) -> SimMetrics:
-        fids = sorted(self.functions)
-        rts = [self.functions[fid] for fid in fids]
+        fids, rts = list(self.functions), list(self.functions.values())
         counts = [len(rt.arrivals) for rt in rts]
         times = np.concatenate([rt.arrivals for rt in rts])
         n = len(times)
@@ -313,8 +314,7 @@ class Simulation:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            for fid in sorted(self.functions):
-                rt = self.functions[fid]
+            for fid, rt in zip(fids, rts):
                 for i, fraction in enumerate(self.scenario.initial_fractions.get(fid, [])):
                     try:
                         self._create_container(0.0, rt.spec, fraction=fraction, cold_start=0.0)
@@ -327,7 +327,7 @@ class Simulation:
                     heapq.heappush(rt.events, (rt.arrival[0], EV_ARRIVAL, next(rt.seq), None))
 
             epoch_s, epoch_idx = self.cfg.epoch_s, 0
-            time = epoch_s if epoch_s > 0 else math.inf
+            time = epoch_s
             while time <= self.horizon:
                 for rt in self.functions.values():
                     self._advance(rt, time)
@@ -428,12 +428,12 @@ class Simulation:
                      for fid, rt in self.functions.items()}
         specs = {fid: rt.spec for fid, rt in self.functions.items()}
         records = plan_epoch(self.cluster, estimates, specs, self.cfg)
-        for fid in sorted(records):
-            for action in records[fid].shrink:
-                self._apply(time, fid, action, records[fid])
-        for fid in sorted(records):
-            for action in records[fid].grow:
-                self._apply(time, fid, action, records[fid])
+        for fid, rec in records.items():
+            for action in rec.shrink:
+                self._apply(time, fid, action, rec)
+        for fid, rec in records.items():
+            for action in rec.grow:
+                self._apply(time, fid, action, rec)
 
         for fid, rec in records.items():
             rec.epoch, rec.time = epoch_idx, time

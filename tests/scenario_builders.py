@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -194,25 +195,33 @@ def scanned_views(cluster) -> tuple:
 
 
 def assert_cluster_invariants(sim, time):
-    """No node has negative free CPU or memory; every CPU fraction is in (0, 1]."""
+    """No node has negative free CPU or memory; every CPU fraction is in (0, 1];
+    placed ids rise in `containers`' order, and the views match a scan of it."""
     for idx in range(len(sim.cluster.nodes)):
         free_cpu, free_mem = scanned_free(sim.cluster, idx)
         assert free_cpu >= -1e-9 and free_mem >= -1e-9, (time, idx)
     for c in sim.cluster.containers.values():
         assert 0 < c.cpu_fraction <= 1, (time, c.id, c.cpu_fraction)
+    ids = list(sim.cluster.containers)
+    assert all(a < b for a, b in zip(ids, ids[1:])), (time, ids)
+    assert cluster_views(sim.cluster) == scanned_views(sim.cluster), time
 
 
 class InvariantSimulation(Simulation):
     """Checks the cluster invariants after every epoch and at the horizon.
 
-    At the end of the run every function's generated requests must equal its
-    arrivals and completed + inflight + dropped.
+    Each epoch's records must come in function id order, each with a finite
+    rate estimate >= 0. At the end of the run every function's generated
+    requests must equal its arrivals and completed + inflight + dropped.
     """
 
     epochs_checked = 0
 
     def _on_epoch(self, time, epoch_idx):
         super()._on_epoch(time, epoch_idx)
+        records = self.metrics.epochs[-len(self.functions):]
+        assert [r.function_id for r in records] == sorted(self.functions), time
+        assert all(0 <= r.rate_estimate < math.inf for r in records), time
         assert_cluster_invariants(self, time)
         self.epochs_checked += 1
 

@@ -3,7 +3,6 @@
 import csv
 import re
 import time
-from pathlib import Path
 
 import pytest
 import yaml
@@ -717,15 +716,20 @@ class TestScenarioInputErrors:
         assert not (tmp_path / "o").exists()
 
 
-# Each flag of `validate`, `replay` and `sweep` set to a bad or extreme value:
-# the command exits 0, or 1 or 2 with one `error:` line, within `TIME_LIMIT`.
+# Each flag of `validate`, `replay` and `sweep` set to a bad or extreme value,
+# and `--out` of `run`, `replay` and `sweep` set to a path that takes no files
+# (`unusable_outs`): the command exits 0, or 1 or 2 with one `error:` line,
+# within `TIME_LIMIT`.
 FUZZ_VALUES = ["x", "", "nan", "inf", "-1", "0", "1e-300", "1e300", str(2**63), str(10**30)]
 FUZZ_FLAGS = {
     "validate": ["--arrival-rate", "--service-rate", "--rates", "--deadline", "--percentile",
                  "--replications", "--requests", "--seed"],
     "replay": ["--horizon", "--seed", "--nodes", "--node-vcpu", "--node-memory-mb", "--vcpu",
-               "--memory-mb", "--service-rate", "--deadline", "--percentile", "--reclamation"],
-    "sweep": ["--set", "--set controller.tau=", "--override functions.f1.workload.rate="],
+               "--memory-mb", "--service-rate", "--deadline", "--percentile", "--reclamation",
+               "--out"],
+    "sweep": ["--set", "--set controller.tau=", "--override functions.f1.workload.rate=",
+              "--out"],
+    "run": ["--out"],
 }
 # values that only the flag's type checks, as no later step checks them
 # again: each is a usage error, exit 2 with one `error: argument <flag>` line
@@ -734,6 +738,16 @@ FUZZ_USAGE_ERRORS = {
     ("validate", "--percentile"): ["1"],
 }
 TIME_LIMIT = 5.0  # seconds per case; the slowest takes about 0.1 s
+
+
+def unusable_outs(tmp_path):
+    """`--out` paths under `tmp_path` that take no output files: an existing
+    file, a path under it, and a directory whose `requests.csv` (and that of
+    a sweep's `base` run) is a directory."""
+    (tmp_path / "file").write_text("")
+    for run_dir in ("taken", "taken/base"):
+        (tmp_path / run_dir / "requests.csv").mkdir(parents=True)
+    return [str(tmp_path / "file"), str(tmp_path / "file" / "sub"), str(tmp_path / "taken")]
 
 
 def _fuzz_argv(command, flag, value, tmp_path):
@@ -760,7 +774,8 @@ def _fuzz_argv(command, flag, value, tmp_path):
                                            for f in flags])
 def test_fuzzed_flag_runs_or_ends_in_one_error_line(tmp_path, capsys, command, flag):
     usage_errors = FUZZ_USAGE_ERRORS.get((command, flag), [])
-    for value in FUZZ_VALUES + usage_errors:
+    outs = unusable_outs(tmp_path) if flag == "--out" else []
+    for value in outs or FUZZ_VALUES + usage_errors:
         try:
             with time_limit(TIME_LIMIT):
                 rc = main(_fuzz_argv(command, flag, value, tmp_path))
@@ -770,3 +785,5 @@ def test_fuzzed_flag_runs_or_ends_in_one_error_line(tmp_path, capsys, command, f
         assert rc == 0 or (rc in (1, 2) and err.count("error:") == 1), (value, rc, err)
         if value in usage_errors:
             assert rc == 2 and f"error: argument {flag}: " in err.splitlines()[-1], (value, err)
+        if value in outs:
+            assert rc == 1 and err.startswith("error: [Errno "), (value, err)

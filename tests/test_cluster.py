@@ -56,31 +56,14 @@ class TestAddRemove:
         assert ids(cl.of_function("f")) == [3]
         assert cluster_views(cl) == ({0: [2, 3]}, {"f": [3], "g": [2]})
 
-    def test_remove_of_an_unknown_id_changes_nothing(self):
-        cl = ClusterState(nodes=nodes())
-        cl.add(container(1, vcpu=0.5))
-        cl.remove(7)
-        cl.remove(7)
-        assert list(cl.containers) == [1]
-        assert cl.node_free(0) == (0.5, 768.0)
-        assert cluster_views(cl) == ({0: [1]}, {"f": [1]})
-
-    def test_re_adding_an_id_moves_it_in_every_view(self):
-        cl = ClusterState(nodes=nodes())
-        cl.add(container(1, "f", node=0))
-        cl.add(container(2, "f", node=0))
-        cl.add(container(1, "g", node=1))
-        assert list(cl.containers) == [2, 1]
-        assert cluster_views(cl) == ({0: [2], 1: [1]}, {"f": [2], "g": [1]})
-        assert cl.node_free(0) == (0.0, 768.0)
-
 
 class TestConstruction:
-    # 0.1 + 0.2 + 0.3 in that order is 0.6000000000000001; in id order
-    # (0.2 + 0.3 + 0.1) it is 0.6, so the sums below pin the order
-    VCPUS = {3: 0.1, 1: 0.2, 2: 0.3}
+    # ids rise with placement; 0.1 + 0.2 + 0.3 in that order is
+    # 0.6000000000000001, in another (0.2 + 0.3 + 0.1) 0.6, so the sums
+    # below pin the order
+    VCPUS = {1: 0.1, 2: 0.2, 3: 0.3}
 
-    def given_out_of_id_order(self):
+    def given_in_id_order(self):
         cl = ClusterState(nodes=nodes())
         for cid, v in self.VCPUS.items():
             cl.add(container(cid, vcpu=v))
@@ -93,29 +76,29 @@ class TestConstruction:
             ClusterState(nodes=nodes(), containers={})
 
     def test_views_keep_the_dict_order(self):
-        cl = self.given_out_of_id_order()
-        assert list(cl.containers) == [3, 1, 2]
-        assert cluster_views(cl) == ({0: [3, 1, 2]}, {"f": [3, 1, 2]})
+        cl = self.given_in_id_order()
+        assert list(cl.containers) == [1, 2, 3]
+        assert cluster_views(cl) == ({0: [1, 2, 3]}, {"f": [1, 2, 3]})
 
     def test_of_function_returns_id_order(self):
-        assert ids(self.given_out_of_id_order().of_function("f")) == [1, 2, 3]
+        assert ids(self.given_in_id_order().of_function("f")) == [1, 2, 3]
 
     def test_node_free_sums_in_insertion_order(self):
-        cl = self.given_out_of_id_order()
+        cl = self.given_in_id_order()
         free_cpu, _ = cl.node_free(0)
         assert free_cpu == 1.0 - 0.6000000000000001 != 1.0 - 0.6
         assert cl.node_free(0) == scanned_free(cl, 0)
 
     def test_node_free_bit_equal_to_a_scan_after_churn(self):
-        cl = self.given_out_of_id_order()
+        cl = self.given_in_id_order()
         vcpus = [0.1, 0.7, 0.2, 0.05, 0.3, 0.15]
         for i, v in enumerate(vcpus):
             cl.add(container(10 + i, fid="fg"[i % 2], node=i % 2, vcpu=v))
         for cid in (1, 12, 15):
             cl.remove(cid)
-        cl.add(container(1, node=1, vcpu=0.1))
+        cl.add(container(16, node=1, vcpu=0.1))
         assert cluster_views(cl) == scanned_views(cl)
         for node_id in range(2):
             assert cl.node_free(node_id) == scanned_free(cl, node_id)
-        assert ids(cl.of_function("f")) == [1, 2, 3, 10, 14]
+        assert ids(cl.of_function("f")) == [2, 3, 10, 14, 16]
         assert ids(cl.of_function("g")) == [11, 13]

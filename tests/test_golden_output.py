@@ -174,10 +174,17 @@ def test_trace_replay_across_draw_blocks_matches_pinned_digests(dispatch, tmp_pa
     assert _digests(tmp_path, GOLDEN_TRACE[dispatch]) == GOLDEN_TRACE[dispatch]
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_VALIDATE))
-def test_validate_stdout_matches_pinned_text(case, capsys):
-    argv = ["validate", *_validate_cases()[case],
-            "--replications", "3", "--requests", "20000", "--seed", "0"]
+# the heterogeneous case again with its `--rates` list reversed: the pool's
+# order is set in `queuing` and the oracle, so its text is unchanged
+@pytest.mark.parametrize("case, reverse_rates", [
+    *(pytest.param(case, False, id=case) for case in sorted(GOLDEN_VALIDATE)),
+    pytest.param("hetero_deflated30", True, id="hetero_deflated30_reversed")])
+def test_validate_stdout_matches_pinned_text(case, reverse_rates, capsys):
+    args = list(_validate_cases()[case])
+    if reverse_rates:
+        at = args.index("--rates") + 1
+        args[at] = ",".join(reversed(args[at].split(",")))
+    argv = ["validate", *args, "--replications", "3", "--requests", "20000", "--seed", "0"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == GOLDEN_VALIDATE[case]
 

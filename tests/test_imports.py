@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in that module, only
-`scenario` and `cli` do file I/O, and each entry point loads only the modules
-it runs.
+"""Every name a package module, test or tool imports is used in that file,
+only `scenario` and `cli` do file I/O, and each entry point loads only the
+modules it runs.
 
 `from __future__` imports are compiler switches, not names.
 """
@@ -15,6 +15,10 @@ import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "edgescale"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# `perfbench/` changes only with the benchmark, so its unused imports are
+# listed in ROADMAP.md (O13) rather than checked here
+LINTED = MODULES + [path for folder in ("tests", "tools")
+                    for path in sorted((PACKAGE.parent.parent / folder).glob("*.py"))]
 # what only the commands that simulate need
 SIMULATION = [f"edgescale.{name}" for name in (
     "scenario", "simulator", "allocator", "fairshare", "reclamation", "cluster", "workload")]
@@ -44,7 +48,8 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == [(3, "yaml")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: (
+    p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

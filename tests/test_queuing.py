@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgescale import queuing
+from edgescale.allocator import required_pool
 from edgescale.cli import main
 from edgescale.errors import CapExceeded, EdgeScaleError, InfeasibleDeadline
 from edgescale.oracle import mc_wait
@@ -23,7 +24,7 @@ from edgescale.queuing import (
     wait_cdf_homogeneous,
     _Chain,
 )
-from scenario_builders import SLO_PERCENTILE, config_error, profile
+from scenario_builders import SLO_PERCENTILE, config_error, controller, function_spec, profile
 
 
 def validate_usage_error(capsys, flag, value) -> str:
@@ -253,8 +254,15 @@ class TestFindC:
     def test_near_idle(self):
         assert find_c_homogeneous(0.01, 10, WaitTarget(0.1, SLO_PERCENTILE), c_start=0) == 1
 
-    def test_zero_rate(self):
-        assert find_c_homogeneous(0.0, 10, WaitTarget(0.1, SLO_PERCENTILE)) == 1
+    def test_zero_rate(self, capsys):
+        # zero traffic never reaches the search: the allocator sizes it to the
+        # pool's floor, and `validate` rejects it as a usage error
+        for floor in (0, 2):
+            spec = function_spec(min_containers=floor)
+            assert required_pool(spec, [], 0.0, controller()) == (floor, floor * spec.vcpu)
+        assert validate_usage_error(capsys, "--arrival-rate", "0") == (
+            "edgescale validate: error: argument --arrival-rate: expected a number > 0, "
+            "got '0'")
 
     def test_monotone_in_lambda(self):
         t = WaitTarget(0.1, SLO_PERCENTILE)
@@ -413,15 +421,17 @@ def o3_grid():
 
 def random_pools(count, seed):
     """(lam, existing rates, standard rate, target, cap): empty pools, rates on
-    both sides of the standard rate, unstable and idle loads, and caps at,
-    below and above the answer."""
+    both sides of the standard rate, unstable and near-idle loads (lam > 0),
+    and caps at, below and above the answer."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         mu = float(rng.uniform(0.5, 20.0))
         c = 0 if i % 7 == 0 else int(rng.integers(1, 12))
         rates = (mu * rng.uniform(0.3, 1.6, size=c)).tolist()
         total = sum(rates) + mu * int(rng.integers(0, 6))
-        lam = 0.0 if i % 50 == 0 else float(rng.uniform(0.05, 1.5)) * total + float(rng.uniform(0, 1))
+        # near idle; at 1e-3 * mu a one-container pool's cutoff P would sit
+        # on p = 0.999 exactly, a tie the reference may round either way
+        lam = 1e-4 * mu if i % 50 == 0 else float(rng.uniform(0.05, 1.5)) * total + float(rng.uniform(0, 1))
         target = WaitTarget(float(rng.uniform(0.005, 1.0) / mu),
                             float(rng.choice([0.5, 0.9, 0.95, 0.99, 0.999])))
         cap = DEFAULT_CONTAINER_CAP
