@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -309,13 +310,21 @@ def cmd_sweep(args) -> int:
             print(f"error: --set must look like key=v1,v2 (got {spec!r})", file=sys.stderr)
             return 2
         key, values = spec.split("=", 1)
-        grids.append([(key, v) for v in values.split(",")])
+        grid = [(f"{key.split('.')[-1]}-{v}", f"{key}={v}") for v in values.split(",")]
+        # a run directory's name joins these parts; each holds a "-", so a name
+        # with no separator is one path component under --out, never "." or ".."
+        for part, item in grid:
+            if any(sep in part for sep in (os.sep, os.altsep) if sep):
+                print(f"error: --set {item}: the run directory name {part!r} holds a path "
+                      "separator", file=sys.stderr)
+                return 2
+        grids.append(grid)
     combos = [[]]
     for grid in grids:
-        combos = [c + [kv] for c in combos for kv in grid]
+        combos = [c + [item] for c in combos for item in grid]
     for combo in combos:
-        name = "_".join(f"{k.split('.')[-1]}-{v}" for k, v in combo) or "base"
-        overrides = list(args.override) + [f"{k}={v}" for k, v in combo]
+        name = "_".join(part for part, _ in combo) or "base"
+        overrides = list(args.override) + [override for _, override in combo]
         scn = scenario_mod.load(args.scenario, overrides=overrides)
         out = Path(args.out) / name
         run_scenario_to_dir(scn, out)

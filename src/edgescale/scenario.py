@@ -47,11 +47,13 @@ MAX_ARRIVALS = 10_000_000
 # (about 1.9 years) loads into a WorkloadSpec in about 0.3 s, peaking at
 # 24 MB under tracemalloc (Python 3.11, shared 2-vCPU host).
 MAX_TRACE_MINUTES = 1_000_000
-# An estimator tick costs 6 us (one function) to 28 us (six), so 1M ticks take
-# under half a minute; none after the last epoch runs, so none at all with the
-# controller off. An epoch costs 20 us to 1.5 ms (trace_headroom's planner) and
-# keeps a 0.5 KB record per function: 100k epochs take at most a few minutes
-# and 50 MB per function.
+# An estimator tick costs 0.5 us (1 arrival/s) to 0.9 us (30/s) per function
+# (Python 3.11, numpy 2.4, shared 2-vCPU host), and ticks go
+# `workload.BLOCK` at a time in about 0.3 MB, so 1M ticks of six functions
+# take a few seconds when a run starts. None after the last epoch is
+# computed, so none at all with the controller off. An epoch costs 20 us to
+# 1.5 ms (trace_headroom's planner) and keeps a 0.5 KB record per function:
+# 100k epochs take at most a few minutes and 50 MB per function.
 MAX_TICKS = 1_000_000
 MAX_EPOCHS = 100_000
 # Placement scans every node per create, at about 0.6 us a node, so a create

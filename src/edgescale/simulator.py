@@ -5,18 +5,20 @@ container is idle, and are dispatched to an idle container chosen by smooth
 weighted round robin (weight = allocated vCPU). Containers serve one request
 at a time; a container's private queue is therefore just its in-service
 request, and terminating a busy container reruns exactly that request.
-Controller planning fires on epoch ticks; rate estimators keep their own ticks.
+Controller planning fires on epoch ticks. `run` computes each function's rate
+estimate at every epoch when it starts (`workload.estimate_rates`), into the
+function's `estimates`, which `_on_epoch` reads by epoch index.
 
 Between two epoch ticks functions do not interact, so each function runs its
 own event loop (`_advance`) on its own heap of arrivals, completions and
-container-ready events. `run` walks the epoch ticks, built by repeated
-addition, to the horizon inclusive: at each it advances every function to the
-tick time, inclusive, then runs `_on_epoch`. `functions` is built in function
-id order and `plan_epoch` returns each epoch's records in that order, so a
-walk over either visits the functions by id. Within a function, events at
-equal times go completions, then arrivals, then container-ready, then in push
-order; with per-stream seeded RNGs, runs are bit-identical for equal
-(scenario, seed).
+container-ready events. `run` builds the epoch ticks to the horizon inclusive
+once, by `np.cumsum`, which adds left to right as repeated addition would; at
+each it advances every function to the tick time, inclusive, then runs
+`_on_epoch`. `functions` is built in function id order and `plan_epoch`
+returns each epoch's records in that order, so a walk over either visits the
+functions by id. Within a function, events at equal times go completions,
+then arrivals, then container-ready, then in push order; with per-stream
+seeded RNGs, runs are bit-identical for equal (scenario, seed).
 
 `_advance` has one dispatch path. Each pass first hands waiting requests to
 idle containers at the current time (dropping those past their timeout),
@@ -208,8 +210,8 @@ class _FnRuntime:
     spec: object
     arrivals: np.ndarray
     service_rng: np.random.Generator
-    estimator: workload.RateEstimator
     # run state, no constructor arguments
+    estimates: list = field(default_factory=list, init=False)  # rate estimate by epoch index
     events: list = field(default_factory=list, init=False)  # this function's event heap
     seq: itertools.count = field(default_factory=itertools.count, init=False)  # heap tie-breaker
     pending: deque = field(default_factory=deque, init=False)  # rows of requests waiting, FCFS
@@ -284,7 +286,6 @@ class Simulation:
                 spec=fspec,
                 arrivals=arrivals,
                 service_rng=np.random.default_rng(children[len(fids) + i]),
-                estimator=workload.RateEstimator(**scenario.estimator_params),
             )
 
     # -- event loops ----------------------------------------------------------
@@ -311,6 +312,12 @@ class Simulation:
         self._columns = {name: memoryview(getattr(log, name)) for name in _VIEWED}
         for rt, part in zip(rts, np.split(rows, np.cumsum(counts[:-1]))):
             rt.arrival, rt.rows = memoryview(rt.arrivals), memoryview(part)
+        # a grid two epochs longer than the horizon holds, cut at it
+        epochs = np.cumsum(np.full(int(self.horizon / self.cfg.epoch_s) + 2, self.cfg.epoch_s))
+        epochs = epochs[:np.searchsorted(epochs, self.horizon, side="right")]
+        for rt in rts:
+            rt.estimates = workload.estimate_rates(rt.arrivals, epochs,
+                                                   **self.scenario.estimator_params)
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -326,13 +333,10 @@ class Simulation:
                 if len(rt.arrival):
                     heapq.heappush(rt.events, (rt.arrival[0], EV_ARRIVAL, next(rt.seq), None))
 
-            epoch_s, epoch_idx = self.cfg.epoch_s, 0
-            time = epoch_s
-            while time <= self.horizon:
-                for rt in self.functions.values():
+            for epoch_idx, time in enumerate(epochs.tolist()):
+                for rt in rts:
                     self._advance(rt, time)
                 self._on_epoch(time, epoch_idx)
-                time, epoch_idx = time + epoch_s, epoch_idx + 1
             for rt in self.functions.values():
                 self._advance(rt, self.horizon)
             for container in self.cluster.containers.values():
@@ -424,8 +428,7 @@ class Simulation:
     # -- controller hooks ----------------------------------------------------
 
     def _on_epoch(self, time: float, epoch_idx: int):
-        estimates = {fid: rt.estimator.value_at(rt.arrivals, time)
-                     for fid, rt in self.functions.items()}
+        estimates = {fid: rt.estimates[epoch_idx] for fid, rt in self.functions.items()}
         specs = {fid: rt.spec for fid, rt in self.functions.items()}
         records = plan_epoch(self.cluster, estimates, specs, self.cfg)
         for fid, rec in records.items():

@@ -2,11 +2,13 @@
 
 Generators produce Poisson arrival streams in four modes: static rate,
 discrete rate changes, continuously varying rate (thinning), and trace replay
-from per-minute invocation counts. The controller-side RateEstimator counts
-two sliding windows (2 min / 10 s by default), each over (now - w, now], on a
-function's sorted arrival stream, and smooths with an EWMA, except when the
-short window shows a burst, in which case the burst rate is passed through
-undamped.
+from per-minute invocation counts. The controller's rate estimate
+(`estimate_rates`) counts two sliding windows (2 min / 10 s by default), each
+over (t - w, t] at every estimator tick t, on a function's sorted arrival
+stream, and smooths with an EWMA, except when the short window shows a burst,
+in which case the burst rate is passed through undamped. It depends on
+nothing but the arrivals, the tick grid and the settings, so one pass gives
+the estimate at every epoch.
 
 Static and discrete segments draw their gaps `BLOCK` standard exponentials
 at a time, and the arrays equal those of one `rng.exponential(1.0 / rate)`
@@ -28,7 +30,7 @@ it keeps its scalar thinning loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,68 +142,51 @@ def expected_arrivals(spec: WorkloadSpec, horizon: float) -> float:
     return sum((rate * (end - start) for rate, start, end in segments), 0.0)
 
 
-@dataclass
-class RateEstimator:
-    """Dual sliding-window arrival-rate estimator with EWMA smoothing.
+def estimate_rates(arrivals: np.ndarray, epochs: np.ndarray, long_window: float,
+                   short_window: float, tick: float, burst_factor: float, alpha: float) -> list:
+    """The rate estimate committed at each of the ascending `epochs`, as a list.
 
-    value_at(arrivals, now) calls update(arrivals, t) with the function's
-    sorted arrival times at each tick t <= now not yet committed, t built by
-    adding `tick` from 0; each window counts the arrivals in (t - w, t], so
-    the estimator keeps no copy of them. The long-window rate is the
-    baseline; if the short window runs at burst_factor times the long window,
-    the short-window rate is adopted directly (no smoothing, so bursts are
-    seen at full strength), otherwise the long-window rate is folded into the
-    EWMA with weight `alpha` on the new observation.
+    Ticks fall every `tick` from 0, each the previous one plus `tick`, and an
+    epoch reads the estimate of its last tick at or before it, 0.0 before the
+    first tick. At tick t each window counts the sorted `arrivals` in
+    (t - w, t], so no estimate reads an arrival after its epoch. The
+    long-window rate is the baseline; if the short window runs at
+    burst_factor times the long window, the short-window rate is adopted
+    directly (no smoothing, so bursts are seen at full strength), otherwise
+    the long-window rate is folded into the EWMA with weight `alpha` on the
+    new observation.
 
-    `ewma` holds the last committed estimate, None before the first tick.
-    Like `last_tick` it is state the ticks write, not a constructor argument.
+    Ticks go `BLOCK` at a time up to the last epoch, and none after it is
+    computed. A block's counts in each window are one `np.searchsorted`;
+    the rule then runs over them tick by tick, on Python ints and floats, so
+    each rate is Python's int / float as a tick-by-tick loop computes it.
     """
-
-    long_window: float
-    short_window: float
-    tick: float
-    burst_factor: float
-    alpha: float
-    ewma: float | None = field(default=None, init=False)
-    last_tick: float = field(default=0.0, init=False)  # the last committed tick time
-
-    def window_rates(self, arrivals: np.ndarray, now: float) -> tuple:
-        """(long-window rate, short-window rate) of sorted `arrivals` at `now`."""
-        cutoffs = (now - self.long_window, now - self.short_window, now)
-        first_long, first_short, end = np.searchsorted(
-            arrivals, cutoffs, side="right"
-        ).tolist()
-        long_rate = (end - first_long) / self.long_window
-        return long_rate, (end - first_short) / self.short_window
-
-    def update(self, arrivals: np.ndarray, now: float) -> float:
-        """Commit the estimate at tick time `now` and return it.
-
-        `arrivals` is the function's whole sorted arrival array; times after
-        `now` are not counted.
-        """
-        r_long, r_short = self.window_rates(arrivals, now)
-        if r_short > 0 and r_short >= self.burst_factor * r_long:
-            value = r_short
-        else:
-            if self.ewma is None:
-                value = r_long
+    estimates: list = []
+    value = None  # the estimate committed at the last tick
+    t = 0.0  # the last tick
+    while len(epochs):
+        # `np.cumsum` adds left to right, as `t += tick` would
+        ticks = np.cumsum(np.concatenate(([t + tick], np.full(BLOCK - 1, tick))))
+        ticks = ticks[:np.searchsorted(ticks, epochs[-1], side="right")]
+        ends = np.searchsorted(arrivals, ticks, side="right")
+        long_counts = ends - np.searchsorted(arrivals, ticks - long_window, side="right")
+        short_counts = ends - np.searchsorted(arrivals, ticks - short_window, side="right")
+        # the epochs in [previous tick, tick) read the estimate committed before the tick
+        passed = np.diff(np.searchsorted(epochs, ticks), prepend=len(estimates))
+        for n_long, n_short, n_passed in zip(long_counts.tolist(), short_counts.tolist(),
+                                             passed.tolist()):
+            if n_passed:
+                estimates += [0.0 if value is None else value] * n_passed
+            r_long, r_short = n_long / long_window, n_short / short_window
+            if r_short > 0 and r_short >= burst_factor * r_long:
+                value = r_short
             else:
-                value = self.alpha * r_long + (1 - self.alpha) * self.ewma
-            # below half an arrival per long window the EWMA tail is noise;
-            # snap to zero so idle functions actually release their resources
-            if value < 0.5 / self.long_window:
-                value = 0.0
-        self.ewma = value
-        return value
-
-    def value_at(self, arrivals: np.ndarray, now: float) -> float:
-        """Commit the estimate at each tick up to `now`, inclusive; return `value`."""
-        while self.last_tick + self.tick <= now:
-            self.last_tick += self.tick
-            self.update(arrivals, self.last_tick)
-        return self.value
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.ewma is None else self.ewma
+                if value is not None:
+                    r_long = alpha * r_long + (1 - alpha) * value
+                # below half an arrival per long window the EWMA tail is noise;
+                # snap to zero so idle functions actually release their resources
+                value = 0.0 if r_long < 0.5 / long_window else r_long
+        if len(ticks) < BLOCK:
+            break
+        t = ticks[-1]
+    return estimates + [0.0 if value is None else value] * (len(epochs) - len(estimates))

@@ -13,7 +13,6 @@ import pytest
 import edgescale.scenario as scenario_mod
 from edgescale.errors import ConfigError
 from edgescale.simulator import Simulation
-from edgescale.workload import RateEstimator
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -54,8 +53,9 @@ def controller(**changes):
 
 
 def estimator(**changes):
-    """A RateEstimator with the scenario defaults, but for `changes`."""
-    return RateEstimator(**{**DEFAULTS.estimator_params, **changes})
+    """The estimator settings with the scenario defaults, but for `changes`,
+    as keywords of `workload.estimate_rates`."""
+    return {**DEFAULTS.estimator_params, **changes}
 
 
 def config_error(*overrides, base_dir=REPO_ROOT) -> str:

@@ -555,6 +555,24 @@ class TestSweepCommand:
             "error: --set must look like key=v1,v2 (got 'controller.reclamation')\n")
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("functions.f1.user", "a/../../escaped"),  # no `users`, so any user string loads
+        ("functions.f1.user", "/tmp"),
+        ("controller.tau/x", "1"),
+    ])
+    def test_run_directory_outside_out_is_a_usage_error(self, mini_scenario, tmp_path,
+                                                        monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["sweep", str(mini_scenario), "--out", "sweep",
+                   "--set", "controller.reclamation=termination,deflation",
+                   "--set", f"{key}={value}"])
+        assert rc == 2
+        part = f"{key.split('.')[-1]}-{value}"
+        assert capsys.readouterr().err == (
+            f"error: --set {key}={value}: the run directory name {part!r} holds a path "
+            "separator\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.yaml"]
+
 
 TRACE_FIELD = "functions.f1.workload.file"
 TRACE_OVERRIDE = "functions.f1.workload={mode: trace, file: data.csv, function: f1}"

@@ -468,7 +468,7 @@ def test_simulator_matches_the_kernel_bit_for_bit(kind, fractions, mu, load):
     sim = Simulation(scenario(lam, 2_000 / lam))
     rt = sim.functions["f1"]
     draws = _FnRuntime(spec=rt.spec, arrivals=rt.arrivals,
-                       service_rng=copy.deepcopy(rt.service_rng), estimator=None)
+                       service_rng=copy.deepcopy(rt.service_rng))
     requests = sim.run().requests
     assert sorted(c.multiplier for c in sim.cluster.containers.values()) == sorted(rates)
 

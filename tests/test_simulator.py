@@ -196,20 +196,32 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("epoch_s, ticks", [(10.0, [5.0, 10.0, 15.0, 20.0]), (1e9, [])])
     def test_estimator_ticks_stop_at_the_last_epoch(self, monkeypatch, epoch_s, ticks):
-        # an epoch brings each estimator up to its time, so the 5 s ticks
-        # after the last epoch (at 20 s, of a 25 s run) are never computed,
-        # and none is when no epoch falls within the horizon
-        calls = []
-        real = workload.RateEstimator.update
+        # `run` estimates each function's rates when it starts, for its
+        # epochs only, so the 5 s ticks after the last epoch (at 20 s, of a
+        # 25 s run) are never counted, and none is when no epoch falls
+        # within the horizon. Each tick block's windows are counted by
+        # `searchsorted` on the arrivals, which `Spy` records.
+        epochs, searched = [], []
 
-        def update(est, arrivals, now):
-            calls.append(now)
-            return real(est, arrivals, now)
+        class Spy(np.ndarray):
+            def searchsorted(self, v, side="left", sorter=None):
+                searched.append(np.asarray(v).tolist())
+                return self.view(np.ndarray).searchsorted(v, side, sorter)
 
-        monkeypatch.setattr(workload.RateEstimator, "update", update)
+        real = workload.estimate_rates
+
+        def estimate_rates(arrivals, epoch_times, **settings):
+            epochs.append(epoch_times.tolist())
+            return real(arrivals.view(Spy), epoch_times, **settings)
+
+        monkeypatch.setattr(workload, "estimate_rates", estimate_rates)
         fns = [basic_function("a"), basic_function("b")]
-        run(make_scenario(fns, horizon=25.0, controller={"epoch_seconds": epoch_s}))
-        assert sorted(calls) == sorted(ticks * 2)
+        sim = Simulation(make_scenario(fns, horizon=25.0, controller={"epoch_seconds": epoch_s}))
+        assert epochs == []  # set-up estimates nothing
+        sim.run()
+        assert epochs == [ticks[1::2]] * 2
+        assert searched.count(ticks) == (2 if ticks else 0)
+        assert max(map(max, searched), default=0.0) == max(ticks, default=0.0)
 
 
 SAMPLES = (0.05, 0.1, 0.3)

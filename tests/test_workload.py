@@ -1,6 +1,7 @@
 """Workload generators, trace ingestion, and the dual-window rate estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from edgescale.scenario import load_trace
 from edgescale.workload import (
     BLOCK,
     WorkloadSpec,
+    estimate_rates,
     expected_arrivals,
     generate_arrivals,
 )
-from scenario_builders import REPO_ROOT, config_error, estimator
+from scenario_builders import REPO_ROOT, config_error, estimator, time_limit
 
 WORKLOAD = "functions.f.workload"
 
@@ -319,65 +321,125 @@ class TestTraceLoader:
         assert sporadic, "fixture must include an on/off function"
 
 
+# The reference estimator: the scalar loop the simulator ran before
+# `estimate_rates`, committing each tick up to an epoch in turn, each tick
+# the last one plus `tick` and its windows one `np.searchsorted` of three
+# cutoffs. `estimate_rates` must give its estimates bit for bit.
+
+def reference_window_rates(arrivals, now, long_window, short_window) -> tuple:
+    """(long-window rate, short-window rate) of sorted `arrivals` at `now`."""
+    cutoffs = (now - long_window, now - short_window, now)
+    first_long, first_short, end = np.searchsorted(arrivals, cutoffs, side="right").tolist()
+    return (end - first_long) / long_window, (end - first_short) / short_window
+
+
+def reference_estimates(arrivals, epochs, long_window, short_window, tick, burst_factor,
+                        alpha, branches) -> list:
+    """The estimate at each of the ascending `epochs`; each tick adds the
+    branch its rule took ("burst", "ewma" or "snap") to `branches`."""
+    ewma, last_tick, out = None, 0.0, []
+    for epoch in epochs:
+        while last_tick + tick <= epoch:
+            last_tick += tick
+            r_long, r_short = reference_window_rates(arrivals, last_tick, long_window,
+                                                     short_window)
+            if r_short > 0 and r_short >= burst_factor * r_long:
+                value, branch = r_short, "burst"
+            else:
+                value = r_long if ewma is None else alpha * r_long + (1 - alpha) * ewma
+                branch = "ewma"
+                if value < 0.5 / long_window:
+                    branch = "snap" if value > 0 else branch
+                    value = 0.0
+            ewma = value
+            branches.add(branch)
+        out.append(0.0 if ewma is None else ewma)
+    return out
+
+
+def bursty_arrivals(seed, horizon=600.0) -> np.ndarray:
+    """A steady rate, a burst, a silence long enough to snap, then a random
+    rate; half the arrivals rounded to whole seconds, so some fall on ticks
+    and on window edges."""
+    rng = np.random.default_rng(seed)
+    burst_at = float(rng.integers(60, 150))
+    spec = discrete((0.0, float(rng.uniform(0.5, 3.0))), (burst_at, float(rng.uniform(20, 40))),
+                    (burst_at + float(rng.integers(5, 20)), 0.0),
+                    (burst_at + 300.0, float(rng.uniform(0.0, 5.0))))
+    arrivals = generate_arrivals(spec, horizon, seed)
+    arrivals[::2] = np.round(arrivals[::2])
+    return np.sort(arrivals)
+
+
+def epoch_grid(epoch_s, horizon) -> np.ndarray:
+    """Epoch times by repeated addition up to `horizon`, as the simulator builds them."""
+    times, t = [], epoch_s
+    while t <= horizon:
+        times.append(t)
+        t += epoch_s
+    return np.array(times)
+
+
 class TestRateEstimator:
     @pytest.mark.parametrize("seed", range(20))
     def test_window_counts_match_brute_force(self, seed):
+        # one tick, at `now`: with bursts out of reach and alpha 1 the
+        # estimate is the long-window rate, and with every nonzero short
+        # window a burst it is the short-window rate unless that is 0
         rng = np.random.default_rng(seed)
-        est = estimator(long_window=float(rng.integers(20, 130)),
-                        short_window=float(rng.integers(1, 20)))
-        now = float(rng.integers(0, 300)) + rng.choice([0.0, 0.25, 0.5])
-        edges = [now - est.long_window, now - est.short_window, now]
+        long_window, short_window = float(rng.integers(20, 130)), float(rng.integers(1, 20))
+        now = float(rng.integers(1, 300) + rng.choice([0.0, 0.25, 0.5]))
+        edges = [now - long_window, now - short_window, now]
         times = np.concatenate([
-            rng.uniform(now - 2 * est.long_window, now + 20.0, rng.integers(0, 200)),
+            rng.uniform(now - 2 * long_window, now + 20.0, rng.integers(0, 200)),
             np.repeat(edges, rng.integers(1, 4, size=3)),  # repeated, at each cutoff
-            np.round(rng.uniform(now - est.long_window, now, 30)),  # integer ties
+            np.round(rng.uniform(now - long_window, now, 30)),  # integer ties
         ])
         arrivals = np.sort(times)
-        r_long, r_short = est.window_rates(arrivals, now)
-        for window, rate in ((est.long_window, r_long), (est.short_window, r_short)):
-            count = sum(1 for t in arrivals.tolist() if now - window < t <= now)
-            assert rate == count / window
+        r_long, r_short = (sum(1 for t in arrivals.tolist() if now - w < t <= now) / w
+                           for w in (long_window, short_window))
+        settings = estimator(long_window=long_window, short_window=short_window, tick=now,
+                             alpha=1.0)
+        epochs = np.array([now])
+        assert estimate_rates(arrivals, epochs, **{**settings, "burst_factor": 1e300}) == [r_long]
+        assert estimate_rates(arrivals, epochs, **{**settings, "burst_factor": 1e-300}) == [
+            r_short or r_long]
 
     def test_steady_rate_recovered(self):
-        est = estimator()
         arrivals = np.arange(10 * 130) * 0.1  # exactly 10/s for 130 s
-        for tick in range(25, 27):
-            est.update(arrivals, tick * 5.0)
-        assert est.value == pytest.approx(10.0, abs=1.0)
+        (value,) = estimate_rates(arrivals, np.array([130.0]), **estimator())
+        assert value == pytest.approx(10.0, abs=1.0)
 
     def test_burst_bypasses_smoothing(self):
-        est = estimator()
-        est.ewma = 5.0
         # long window ~5/s, short window 12/s => 12 >= 2*long -> burst
         t = 200.0
         arrivals = np.concatenate([
             80.0 + np.arange(550) * (110.0 / 550.0),
             190.0 + np.arange(120) * (10.0 / 120.0),
         ])
-        r_long, r_short = est.window_rates(arrivals, t)
+        r_long, r_short = reference_window_rates(arrivals, t, 120.0, 10.0)
         assert r_short >= 2 * r_long
-        assert est.update(arrivals, t) == pytest.approx(r_short)
+        assert estimate_rates(arrivals, np.array([t]), **estimator()) == [r_short]
 
     def test_ewma_weighting(self):
-        est = estimator(alpha=0.7)
-        est.ewma = 10.0
-        # craft a non-burst raw of 20/s in the long window
-        arrivals = np.arange(20 * 120) / 20.0
-        now = float(arrivals[-1])
-        r_long, r_short = est.window_rates(arrivals, now)
-        assert r_long == pytest.approx(20.0, abs=0.1)
-        assert est.update(arrivals, now) == pytest.approx(0.7 * r_long + 0.3 * 10.0, abs=0.1)
+        # 10/s over (0, 120], then 20/s over (120, 240]: one tick at each
+        # end, neither a burst; the second folds 20/s into the first's 10/s
+        arrivals = np.concatenate([np.arange(1, 1201) / 10.0, 120.0 + np.arange(1, 2401) / 20.0])
+        first, second = estimate_rates(arrivals, np.array([120.0, 240.0]),
+                                       **estimator(alpha=0.7, tick=120.0))
+        assert first == 10.0
+        assert second == pytest.approx(0.7 * 20.0 + 0.3 * 10.0)
 
     def test_empty_state_yields_zero(self):
-        est = estimator()
-        assert est.value == 0.0
-        assert est.update(np.array([]), 100.0) == 0.0
-        assert est.value == 0.0
+        assert estimate_rates(np.array([]), np.array([2.0, 100.0]), **estimator()) == [0.0, 0.0]
+        # before the first tick an epoch reads 0.0, whatever has arrived
+        assert estimate_rates(np.array([0.5, 1.0]), np.array([2.0]), **estimator()) == [0.0]
+        assert estimate_rates(np.array([0.5]), np.array([]), **estimator()) == []
 
     def test_step_detection_lag(self):
-        # step a=4/s -> b=12/s at t=300: within short_window + tick the next
-        # update sees the burst and returns >= 0.8*b undamped; every update
-        # gets the whole array, arrivals after its tick included
+        # step a=4/s -> b=12/s at t=300: within short_window + tick the
+        # estimate sees the burst and is >= 0.8*b undamped, though the
+        # arrivals after its tick are in the array too
         times = []
         t = 0.0
         while t < 300.0:
@@ -386,20 +448,11 @@ class TestRateEstimator:
         while t < 320.0:
             times.append(t)
             t += 1 / 12.0
-        arrivals = np.array(times)
-        est = estimator()
-        for tick_time in np.arange(5.0, 301.0, 5.0):
-            est.update(arrivals, float(tick_time))
-        value = est.update(arrivals, 315.0)  # first tick after short window fills
+        (value,) = estimate_rates(np.array(times), np.array([315.0]), **estimator())
         assert value >= 0.8 * 12.0
 
-    def test_ewma_is_state_not_an_argument(self):
-        assert estimator().ewma is None
-        with pytest.raises(TypeError):
-            estimator(ewma=5.0)
-
-    # estimator settings are checked where `scenario` reads them: a
-    # RateEstimator built with a zero tick would never reach `now`
+    # estimator settings are checked where `scenario` reads them: a zero
+    # tick would never pass the last epoch
     def test_invalid_config(self):
         assert config_error("estimator.long_window=10", "estimator.short_window=10") == (
             "estimator.short_window: must be < long_window 10.0, got 10.0")
@@ -413,25 +466,65 @@ class TestRateEstimator:
         assert config_error(f"estimator.tick={tick}").startswith(
             "estimator.tick: must be in (0, inf)")
 
-    @pytest.mark.parametrize("tick, epoch", [(5.0, 10.0), (3.0, 10.0), (15.0, 10.0)])
-    def test_value_at_equals_an_update_at_every_tick(self, tick, epoch):
-        # 1/s, a 20/s burst from 60 s to 70 s, then silence: the estimate
-        # passes the burst through undamped, then decays and snaps to zero.
-        # The reference updates at every tick and reads at every epoch, both
-        # built by repeated addition, a tick before an epoch at equal times.
-        rng = np.random.default_rng(4)
-        arrivals = np.sort(np.concatenate([rng.uniform(0, 60, 60), rng.uniform(60, 70, 200)]))
-        est, ref = (estimator(long_window=60.0, tick=tick) for _ in range(2))
-        got, want = [], []
-        next_tick, next_epoch = tick, epoch
-        while min(next_tick, next_epoch) <= 300.0:
-            if next_tick <= next_epoch:
-                ref.update(arrivals, next_tick)
-                next_tick += tick
-            else:
-                got.append(est.value_at(arrivals, next_epoch))
-                want.append(ref.value)
-                next_epoch += epoch
-        assert got == want
-        assert max(want) >= 10.0  # the burst: the long window never tops 4.5/s
-        assert want[-1] == 0.0  # the snap: an EWMA alone would stay positive
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tick", [5.0, 3.0, 20.0])
+    def test_equals_the_reference_bit_for_bit(self, tick, seed):
+        # 10 s epochs: 5 s ticks divide them, 3 s and 20 s ones do not, and
+        # 20 s ones leave the first epoch without a tick
+        arrivals = bursty_arrivals(seed)
+        epochs = epoch_grid(10.0, 600.0)
+        settings = estimator(long_window=60.0, tick=tick)
+        branches = set()
+        want = reference_estimates(arrivals, epochs.tolist(), **settings, branches=branches)
+        assert estimate_rates(arrivals, epochs, **settings) == want
+        assert branches == {"burst", "ewma", "snap"}
+        assert (want[0] == 0.0) == (tick > 10.0)
+        no_arrivals = reference_estimates(np.array([]), epochs.tolist(), **settings,
+                                          branches=set())
+        assert estimate_rates(np.array([]), epochs, **settings) == no_arrivals == [0.0] * 60
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_reference_at_any_epochs(self, seed):
+        # epochs off any grid, some equal, some before the first tick, and
+        # more than a block of ticks
+        rng = np.random.default_rng(seed)
+        arrivals = bursty_arrivals(seed, horizon=20_000.0)
+        epochs = np.sort(np.concatenate([rng.uniform(0, 20_000.0, 30), [0.1, 0.1, 500.0]]))
+        settings = estimator(tick=float(rng.uniform(1.0, 4.0)), alpha=float(rng.uniform(0.1, 1)))
+        want = reference_estimates(arrivals, epochs.tolist(), **settings, branches=set())
+        assert estimate_rates(arrivals, epochs, **settings) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_estimates_read_no_later_arrival(self, seed):
+        # causality: the estimates at every epoch up to a cut time equal
+        # those from the arrivals up to it alone; cuts fall on arrivals, on
+        # epochs and between them
+        rng = np.random.default_rng(seed)
+        arrivals = bursty_arrivals(seed)
+        epochs = epoch_grid(10.0, 600.0)
+        settings = estimator(long_window=60.0, tick=float(rng.choice([3.0, 5.0, 20.0])))
+        full = estimate_rates(arrivals, epochs, **settings)
+        cuts = np.concatenate([arrivals[::40], epochs, rng.uniform(0, 600.0, 20)]).tolist()
+        for cut in cuts:
+            seen = arrivals[:np.searchsorted(arrivals, cut, side="right")]
+            n = int(np.searchsorted(epochs, cut, side="right"))
+            assert estimate_rates(seen, epochs, **settings)[:n] == full[:n], cut
+
+    def test_ticks_at_the_limit_take_constant_memory_and_little_time(self):
+        # `scenario.MAX_TICKS` ticks and ten epochs, at 1 arrival/s: ticks go
+        # `BLOCK` at a time, so the traced peak does not grow with their count
+        arrivals = np.arange(scenario.MAX_TICKS) + 0.5
+        settings = estimator(tick=1.0)
+
+        def peak(n_ticks):
+            epochs = n_ticks // 10 * np.arange(1.0, 11.0)
+            tracemalloc.start()
+            try:
+                estimate_rates(arrivals, epochs, **settings)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(scenario.MAX_TICKS) <= peak(10_000) + 1_000_000
+        with time_limit(5.0):
+            estimate_rates(arrivals, scenario.MAX_TICKS // 10 * np.arange(1.0, 11.0), **settings)
